@@ -33,10 +33,10 @@
 // operation's accounting that the checks must catch.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -243,29 +243,6 @@ double sum(const std::vector<double>& v) {
   return t;
 }
 
-/// The fastest host time seen per unit of work, over the passes of a run.
-///
-/// Why the minimum and not the median: on a shared machine, CPU throughput
-/// swings by up to 2x for stretches of tens of seconds (on a 4-vCPU shared
-/// Xeon VM, one fixed campaign pass read anywhere from 0.34 s to 0.63 s
-/// within 90 s), so a per-run median follows the machine's state while a
-/// unit's fastest repetition follows the code more closely. Each unit is
-/// repeated throughout the run, so each gets its own chance at a quiet
-/// moment.
-class Fastest {
- public:
-  void add(const std::vector<double>& sample) {
-    if (best_.empty()) best_ = sample;
-    for (std::size_t i = 0; i < best_.size(); ++i)
-      best_[i] = std::min(best_[i], sample[i]);
-  }
-  void add(double sample) { add(std::vector<double>{sample}); }
-  double total() const { return sum(best_); }
-
- private:
-  std::vector<double> best_;
-};
-
 /// VmHWM of this process image. getrusage's ru_maxrss would carry over the
 /// peak of the process that exec'd us (e.g. the Python runner).
 double peak_rss_mb() {
@@ -398,14 +375,20 @@ struct LayerFigures {
   }
 };
 
-/// Runs `pass(0)`, `pass(1)`, ... until `budget_s` has elapsed and at least
-/// `min_passes` ran.
-void run_passes(double budget_s, int min_passes,
-                const std::function<void(int)>& pass) {
-  const auto t0 = Clock::now();
-  for (int p = 0;
-       p < min_passes || seconds_between(t0, Clock::now()) < budget_s; ++p)
-    pass(p);
+/// How many repetitions fill `seconds` when the fixed part of a run takes
+/// `fixed_s` and one repetition `unit_s`, both as measured on the reference
+/// machine (a shared 4-vCPU Intel Xeon VM at 2.1 GHz). The count depends on
+/// --seconds only, never on how fast the code under test runs.
+///
+/// Every repetition of a workload is the same work, and a timing is the
+/// median over its repetitions. Not the minimum: the sum of per-unit minima
+/// over many short units is an extreme-value statistic that keeps falling
+/// as repetitions are added (on the campaign, from 2.5 s at 2 passes to
+/// 1.96 s at 22) and that spread 1.4-1.5x wider across seeds than the
+/// median of pass totals on the same runs.
+int sized_count(double seconds, double fixed_s, double unit_s, int at_least) {
+  return std::max(at_least,
+                  static_cast<int>(std::lround((seconds - fixed_s) / unit_s)));
 }
 
 /// What one workload invocation measured.
@@ -414,11 +397,24 @@ struct Outcome {
   std::vector<Metric> metrics;
   /// Host seconds of each timed pass (the traced ones in a traced run).
   std::vector<double> walls;
+  /// Traced runs: the untraced passes' host seconds, paired with `walls`.
+  std::vector<double> plain_walls;
+
+  /// Mean host seconds a traced pass took over its untraced twin.
+  double trace_overhead_s() const {
+    return walls.empty() ? 0.0
+                         : (sum(walls) - sum(plain_walls)) /
+                               static_cast<double>(walls.size());
+  }
 };
 
 // --- mesh64_ftmesh_aot -------------------------------------------------------
 
-constexpr int kMeshDigestPasses = 2;
+/// Passes of each untraced replica, and the passes the digest covers.
+constexpr int kMeshPasses = 2;
+/// Reference host seconds of one 64x64 replica build and of one pass.
+constexpr double kMeshSetupS = 3.1;
+constexpr double kMeshPassS = 1.9;
 
 struct MeshReplica {
   std::unique_ptr<Mesh> mesh;
@@ -445,7 +441,7 @@ std::unique_ptr<MeshReplica> build_mesh(int side, std::uint64_t seed,
                                         RoutingSpans* spans,
                                         LayerFigures* lf) {
   double topo_s = 0.0, probe_pv_s = 0.0, probe_compile_s = 0.0, net_s = 0.0;
-  const auto t0 = Clock::now();
+  const double t0 = cpu_seconds();
   auto r = std::make_unique<MeshReplica>();
   {
     Span s(topo_s);
@@ -483,7 +479,7 @@ std::unique_ptr<MeshReplica> build_mesh(int side, std::uint64_t seed,
                                        mesh_sim_config(seed));
   if (lf != nullptr) {
     lf->once["sim.replica_build_s"] +=
-        seconds_between(t0, Clock::now()) - probe_pv_s - probe_compile_s;
+        cpu_seconds() - t0 - probe_pv_s - probe_compile_s;
     lf->once["sim.replicas_built"] += 1;
     // Network construction only attach()es, and attach() folds the escape
     // rebuild in with the image build. One extra reconfigure() — the same
@@ -510,10 +506,10 @@ struct MeshPass {
 MeshPass mesh_pass(MeshReplica& r, int pass, const Args& a, Ledger& ledger,
                    LayerFigures* lf) {
   const Cycle before = r.sim->now();
-  const auto t0 = Clock::now();
+  const double t0 = cpu_seconds();
   SimResult res = r.sim->run();
-  const double wall = seconds_between(t0, Clock::now());
-  if (pass < kMeshDigestPasses) {
+  const double wall = cpu_seconds() - t0;
+  if (pass < kMeshPasses) {
     hash_result(ledger.digest, res);
     hash_router(ledger.digest, r.net->aggregate_stats());
     ++ledger.digested;
@@ -550,40 +546,41 @@ void mesh_layer_counters(const MeshReplica& r, LayerFigures& lf) {
 Outcome run_mesh(const Args& a) {
   const int side = a.tiny ? 8 : 64;
   Outcome out;
-  // A pass continues the same simulation, so its digest covers the first
-  // passes only; the fastest pass sets wall_s, the fastest rate work_per_s.
-  double best_rate = 0.0;
-  const auto timed_pass = [&](MeshReplica& r, int p, Ledger& ledger,
-                              LayerFigures* lf, Fastest& wall) {
-    const MeshPass mp = mesh_pass(r, p, a, ledger, lf);
-    if (a.trace == (lf != nullptr)) out.walls.push_back(mp.wall_s);
-    wall.add(mp.wall_s);
-    best_rate = std::max(best_rate, mp.node_cycles / mp.wall_s);
-  };
   if (!a.trace) {
-    // Three replicas, each freed before the next is built and each given a
-    // third of the budget, so set-up (~99% attach(), which holds the O(N^2)
-    // escape rebuild) is sampled at three moments of the run. Each replica
-    // replays the same simulation, so their digests must agree.
-    Fastest setup, wall;
+    // Replicas are built, run and freed in turn, so set-up (~99% attach(),
+    // which holds the O(N^2) escape rebuild) is sampled throughout the run.
+    // Every replica replays the same simulation, so each does the same
+    // work: wall_s is the median over replicas of its passes' total.
+    const int replicas = sized_count(
+        a.seconds, 0.0, kMeshSetupS + kMeshPasses * kMeshPassS, 2);
+    std::vector<double> setup, wall;
+    double node_cycles = 0.0;
     std::unique_ptr<MeshReplica> r;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < replicas; ++i) {
       r.reset();
-      const auto t0 = Clock::now();
+      const double t0 = cpu_seconds();
       r = build_mesh(side, a.seed, nullptr, nullptr);
-      setup.add(seconds_between(t0, Clock::now()));
+      setup.push_back(cpu_seconds() - t0);
       Ledger part;
-      run_passes(a.seconds / 3, kMeshDigestPasses,
-                 [&](int p) { timed_pass(*r, p, part, nullptr, wall); });
+      double wall_s = 0.0;
+      node_cycles = 0.0;
+      for (int p = 0; p < kMeshPasses; ++p) {
+        const MeshPass mp = mesh_pass(*r, p, a, part, nullptr);
+        wall_s += mp.wall_s;
+        node_cycles += mp.node_cycles;
+        out.walls.push_back(mp.wall_s);
+      }
+      wall.push_back(wall_s);
       out.ledger.attempted += part.attempted;
       out.ledger.failed += part.failed;
       if (!out.ledger.same_as_first_pass(i, part.digest.value(),
                                          part.digested))
         out.ledger.failed += part.digested;
     }
-    out.metrics = {{"setup_s", setup.total(), "s"},
-                   {"wall_s", wall.total(), "s"},
-                   {"work_per_s", best_rate, "1/s", "node-cycles"},
+    out.metrics = {{"setup_s", median(setup), "s"},
+                   {"wall_s", median(wall), "s"},
+                   {"work_per_s", node_cycles / median(wall), "1/s",
+                    "node-cycles"},
                    {"peak_rss_mb", peak_rss_mb(), "MB"}};
     return out;
   }
@@ -599,16 +596,16 @@ Outcome run_mesh(const Args& a) {
   lf.add_routing(lf.once, spans);
   spans = {};
   Ledger plain_ledger, traced_ledger;
-  Fastest plain_wall, traced_wall;
-  run_passes(a.seconds, 2 * kMeshDigestPasses, [&](int p) {
-    if (p % 2 == 0)
-      timed_pass(*plain, p / 2, plain_ledger, nullptr, plain_wall);
-    else
-      timed_pass(*traced, p / 2, traced_ledger, &lf, traced_wall);
-  });
+  const int passes =
+      sized_count(a.seconds, 3 * kMeshSetupS, 2 * kMeshPassS, kMeshPasses);
+  for (int p = 0; p < passes; ++p) {
+    out.plain_walls.push_back(
+        mesh_pass(*plain, p, a, plain_ledger, nullptr).wall_s);
+    out.walls.push_back(mesh_pass(*traced, p, a, traced_ledger, &lf).wall_s);
+  }
   lf.add_routing(lf.per_pass, spans);
   mesh_layer_counters(*traced, lf);
-  lf.passes = static_cast<int>(traced_ledger.attempted);
+  lf.passes = passes;
   int replica = 0;
   for (const Ledger* l : {&plain_ledger, &traced_ledger}) {
     out.ledger.attempted += l->attempted;
@@ -619,7 +616,7 @@ Outcome run_mesh(const Args& a) {
       out.ledger.failed += l->digested;
     }
   }
-  out.metrics = lf.report(traced_wall.total() - plain_wall.total());
+  out.metrics = lf.report(out.trace_overhead_s());
   return out;
 }
 
@@ -717,7 +714,7 @@ struct ReplicaSlot {
 SimResult chaos_replica(const std::string& algo_name, Regime reg, Cycle warmup,
                         Cycle measure, std::uint64_t seed, bool traced,
                         ReplicaSlot& slot) {
-  const auto t0 = Clock::now();
+  const double t0 = cpu_seconds();
   std::unique_ptr<Topology> topo;
   {
     Span s(slot.topo_s);
@@ -745,11 +742,10 @@ SimResult chaos_replica(const std::string& algo_name, Regime reg, Cycle warmup,
   cfg.seed = seed;
   Simulator sim(*net, tr, cfg);
   sim.set_fault_schedule(chaos_schedule(reg, *topo, warmup, measure, seed));
-  const auto t1 = Clock::now();
+  const double t1 = cpu_seconds();
   SimResult r = sim.run();
-  const auto t2 = Clock::now();
-  slot.build_s = seconds_between(t0, t1);
-  slot.run_s = seconds_between(t1, t2);
+  slot.run_s = cpu_seconds() - t1;
+  slot.build_s = t1 - t0;
   slot.cycles = sim.now();
   slot.skipped = sim.idle_cycles_skipped();
   slot.nodes = topo->num_nodes();
@@ -757,9 +753,9 @@ SimResult chaos_replica(const std::string& algo_name, Regime reg, Cycle warmup,
   return r;
 }
 
-/// Per-replica host times of one campaign pass.
+/// Host seconds of one campaign pass: replica builds and replica runs.
 struct ChaosPass {
-  std::vector<double> run_s, build_s;
+  double run_s = 0.0, build_s = 0.0;
 };
 
 /// One campaign pass: the same replica set every pass (its patterns come
@@ -795,8 +791,8 @@ ChaosPass chaos_pass(int pass, const Args& a, bool traced, Ledger& ledger,
   for (std::size_t i = 0; i < n; ++i) {
     SimResult& r = results[i];
     const ReplicaSlot& s = slots[i];
-    out.run_s.push_back(s.run_s);
-    out.build_s.push_back(s.build_s);
+    out.run_s += s.run_s;
+    out.build_s += s.build_s;
     hash_result(d, r);
     hash_router(d, s.router);
     if (take_accounting_mutation(a)) r.delivered_packets -= 1;
@@ -823,39 +819,45 @@ ChaosPass chaos_pass(int pass, const Args& a, bool traced, Ledger& ledger,
   return out;
 }
 
+/// Reference host seconds of one campaign pass (550 replicas).
+constexpr double kChaosPassS = 2.7;
+
 Outcome run_chaos(const Args& a) {
+  const int passes = sized_count(a.seconds, 0.0, kChaosPassS, 2);
   Outcome out;
-  // Traced runs alternate untraced and traced passes, so that both see the
-  // same machine.
-  Ledger plain_ledger;
-  LayerFigures lf;
-  Fastest wall, setup, traced_wall;
-  run_passes(a.seconds, a.trace ? 2 : 1, [&](int p) {
-    const bool traced = a.trace && p % 2 == 1;
-    Ledger& ledger = a.trace && !traced ? plain_ledger : out.ledger;
-    const ChaosPass cp = chaos_pass(a.trace ? p / 2 : p, a, traced, ledger,
-                                    traced ? &lf : nullptr);
-    (traced ? traced_wall : wall).add(cp.run_s);
-    if (!traced) setup.add(cp.build_s);
-    if (traced == a.trace) out.walls.push_back(sum(cp.run_s));
-  });
   if (!a.trace) {
-    const double replicas = static_cast<double>(out.ledger.attempted) /
-                            static_cast<double>(out.walls.size());
-    out.metrics = {{"setup_s", setup.total(), "s"},
-                   {"wall_s", wall.total(), "s"},
-                   {"work_per_s", replicas / wall.total(), "1/s", "replicas"},
+    std::vector<double> setup;
+    for (int p = 0; p < passes; ++p) {
+      const ChaosPass cp = chaos_pass(p, a, false, out.ledger, nullptr);
+      setup.push_back(cp.build_s);
+      out.walls.push_back(cp.run_s);
+    }
+    const double replicas =
+        static_cast<double>(out.ledger.attempted) / static_cast<double>(passes);
+    out.metrics = {{"setup_s", median(setup), "s"},
+                   {"wall_s", median(out.walls), "s"},
+                   {"work_per_s", replicas / median(out.walls), "1/s",
+                    "replicas"},
                    {"peak_rss_mb", peak_rss_mb(), "MB"}};
     return out;
   }
-  lf.passes = static_cast<int>(out.walls.size());
+  // Traced: half the passes untraced, half traced, alternating so that both
+  // see the same machine.
+  Ledger plain_ledger;
+  LayerFigures lf;
+  lf.passes = passes / 2;
+  for (int p = 0; p < lf.passes; ++p) {
+    out.plain_walls.push_back(
+        chaos_pass(p, a, false, plain_ledger, nullptr).run_s);
+    out.walls.push_back(chaos_pass(p, a, true, out.ledger, &lf).run_s);
+  }
   out.ledger.attempted += plain_ledger.attempted;
   out.ledger.failed += plain_ledger.failed;
   if (plain_ledger.digest.value() != out.ledger.digest.value()) {
     std::cerr << "traced and untraced campaigns diverged\n";
     out.ledger.failed += out.ledger.digested;
   }
-  out.metrics = lf.report(traced_wall.total() - wall.total());
+  out.metrics = lf.report(out.trace_overhead_s());
   return out;
 }
 
@@ -938,10 +940,10 @@ std::vector<CertInput> build_cert(bool tiny, LayerFigures* lf) {
 }
 
 /// Certifies every program once, in a seed-shuffled order, and returns the
-/// host seconds of each (canonical order). Every pass certifies the same
+/// host seconds of the pass. Every pass certifies the same
 /// inputs, so every pass must hash alike; the digest is taken in canonical
 /// order so it does not depend on the seed.
-std::vector<double> cert_pass(const std::vector<CertInput>& inputs, int pass,
+double cert_pass(const std::vector<CertInput>& inputs, int pass,
                               const Args& a, Ledger& ledger,
                               LayerFigures* lf) {
   std::vector<std::size_t> order(inputs.size());
@@ -993,60 +995,71 @@ std::vector<double> cert_pass(const std::vector<CertInput>& inputs, int pass,
           static_cast<double>(rep.orbit_count);
     }
   }
-  return secs;
+  return sum(secs);
+}
+
+/// Reference host seconds of one certification pass.
+constexpr double kCertPassS = 4.3;
+/// Set-up is about a millisecond, where one page fault or timer tick is a
+/// tenth of the reading: each set-up sample is the mean of a batch of
+/// rebuilds, and every pass takes a few samples.
+constexpr int kCertSetupBatch = 50;
+constexpr int kCertSetupSamplesPerPass = 3;
+
+/// One set-up sample: host seconds per rebuild, over a batch of rebuilds.
+/// Each rebuild frees the one before it, untimed, so the batch neither
+/// grows the peak RSS nor times the frees. `keep` ends with the last build.
+double cert_setup_sample(bool tiny, std::vector<CertInput>& keep) {
+  double total = 0.0;
+  for (int i = 0; i < kCertSetupBatch; ++i) {
+    keep.clear();
+    Span s(total);
+    keep = build_cert(tiny, nullptr);
+  }
+  return total / kCertSetupBatch;
 }
 
 Outcome run_cert(const Args& a) {
+  const int passes = sized_count(a.seconds, 0.0, kCertPassS, 2);
   Outcome out;
-  // Traced runs alternate untraced and traced passes, so that both see the
-  // same machine.
-  Ledger plain_ledger;
-  LayerFigures counts, lf;
-  Fastest setup, wall, traced_wall;
-  std::vector<CertInput> inputs;
-  const std::vector<CertInput> traced_inputs =
-      a.trace ? build_cert(a.tiny, &lf) : std::vector<CertInput>{};
-  run_passes(a.seconds, a.trace ? 2 : 1, [&](int p) {
-    if (a.trace && p % 2 == 1) {
-      const std::vector<double> secs =
-          cert_pass(traced_inputs, p / 2, a, out.ledger, &lf);
-      traced_wall.add(secs);
-      out.walls.push_back(sum(secs));
-      return;
-    }
-    // Set-up is about a millisecond: five rebuilds before every pass, so
-    // it is sampled throughout the run.
-    for (int i = 0; i < 5; ++i) {
-      inputs.clear();
-      const auto t0 = Clock::now();
-      inputs = build_cert(a.tiny, nullptr);
-      setup.add(seconds_between(t0, Clock::now()));
-    }
-    const std::vector<double> secs =
-        cert_pass(inputs, a.trace ? p / 2 : p, a,
-                  a.trace ? plain_ledger : out.ledger, &counts);
-    wall.add(secs);
-    if (!a.trace) out.walls.push_back(sum(secs));
-  });
   if (!a.trace) {
-    counts.passes = static_cast<int>(out.walls.size());
+    LayerFigures counts;
+    std::vector<double> setup;
+    std::vector<CertInput> inputs;
+    for (int p = 0; p < passes; ++p) {
+      for (int i = 0; i < kCertSetupSamplesPerPass; ++i)
+        setup.push_back(cert_setup_sample(a.tiny, inputs));
+      out.walls.push_back(cert_pass(inputs, p, a, out.ledger, &counts));
+    }
+    counts.passes = passes;
     out.metrics = {
-        {"setup_s", setup.total(), "s"},
-        {"wall_s", wall.total(), "s"},
+        {"setup_s", median(setup), "s"},
+        {"wall_s", median(out.walls), "s"},
         {"work_per_s",
-         counts.get("ruleanalysis.members_checked") / wall.total(), "1/s",
+         counts.get("ruleanalysis.members_checked") / median(out.walls), "1/s",
          "fault sets certified"},
         {"peak_rss_mb", peak_rss_mb(), "MB"}};
     return out;
   }
-  lf.passes = static_cast<int>(out.walls.size());
+  // Traced: half the passes untraced, half traced, alternating so that both
+  // see the same machine.
+  Ledger plain_ledger;
+  LayerFigures lf;
+  const std::vector<CertInput> plain_inputs = build_cert(a.tiny, nullptr);
+  const std::vector<CertInput> traced_inputs = build_cert(a.tiny, &lf);
+  lf.passes = passes / 2;
+  for (int p = 0; p < lf.passes; ++p) {
+    out.plain_walls.push_back(
+        cert_pass(plain_inputs, p, a, plain_ledger, nullptr));
+    out.walls.push_back(cert_pass(traced_inputs, p, a, out.ledger, &lf));
+  }
   out.ledger.attempted += plain_ledger.attempted;
   out.ledger.failed += plain_ledger.failed;
   if (plain_ledger.digest.value() != out.ledger.digest.value()) {
     std::cerr << "traced and untraced certificates diverged\n";
     out.ledger.failed += out.ledger.digested;
   }
-  out.metrics = lf.report(traced_wall.total() - wall.total());
+  out.metrics = lf.report(out.trace_overhead_s());
   return out;
 }
 

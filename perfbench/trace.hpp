@@ -3,6 +3,8 @@
 // figure is taken at a public call boundary.
 #pragma once
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -11,23 +13,30 @@
 
 namespace perfbench {
 
-using Clock = std::chrono::steady_clock;
-
-inline double seconds_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
+/// Host CPU seconds consumed by the process (CLOCK_PROCESS_CPUTIME_ID).
+/// Every timing of the benchmark uses it except the per-call route() span.
+/// Unlike a wall clock it leaves out time the process spends descheduled,
+/// and with paravirtual steal accounting, time its vCPU was stolen. It is
+/// the process's clock, not the thread's, because the one-thread sweep and
+/// certification pools run their work on a worker thread. The benchmark
+/// keeps one thread busy at a time, so this is the time of that work.
+inline double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// Adds the duration of its scope to `sink` (seconds).
+/// Adds the process CPU time of its scope to `sink` (seconds).
 class Span {
  public:
-  explicit Span(double& sink) : sink_(sink), t0_(Clock::now()) {}
-  ~Span() { sink_ += seconds_between(t0_, Clock::now()); }
+  explicit Span(double& sink) : sink_(sink), t0_(cpu_seconds()) {}
+  ~Span() { sink_ += cpu_seconds() - t0_; }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
   double& sink_;
-  Clock::time_point t0_;
+  double t0_;
 };
 
 /// Host time and call counts of the routing layer's public entry points.
@@ -63,8 +72,11 @@ class TracedRouting final : public flexrouter::RoutingAlgorithm {
     spans_.reconfigure_exchanges += exchanges;
     return exchanges;
   }
+  // Timed on the steady clock: a CPU-time clock read is a system call
+  // (about 0.4 us on a 4-vCPU Xeon VM), several times the call it would time.
   flexrouter::RouteDecision route(
       const flexrouter::RouteContext& ctx) const override {
+    using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
     flexrouter::RouteDecision d = inner_.route(ctx);
     spans_.route_ns +=
