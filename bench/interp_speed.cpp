@@ -140,16 +140,15 @@ BENCHMARK(BM_Decision_RuleDrivenNara);
 
 // ------------------------------------------------------- F7b: VM decisions
 // The NAFTA-family fault-tolerant mesh program and the hypercube e-cube
-// program (ROUTE_C's decision baseline), executed per backend. The cold
-// variants switch the decision cache off, so they price a full bytecode
-// decision; `Warm` replays cached decisions — the table-lookup regime the
-// tentpole targets (>=5x cold, >=20x warm over the AST interpreter).
+// program (ROUTE_C's decision baseline), executed per backend. The `Vm`
+// rows price a full bytecode decision on the bare VM (no table of any
+// kind) — the baseline every `Aot` row is read against; `Interp` is the
+// AST interpreter the VM itself is read against.
 template <typename MakeAlgo>
 void decision_bench(benchmark::State& state, const Topology& topo,
-                    MakeAlgo make_algo, bool cache_on) {
+                    MakeAlgo make_algo) {
   FaultSet f(topo);
   auto algo = make_algo();
-  algo->set_decision_cache_enabled(cache_on);
   algo->attach(topo, f);
   NodeId s = 0;
   for (auto _ : state) {
@@ -180,66 +179,54 @@ std::unique_ptr<RuleDrivenRouting> make_route_c_rules(ExecMode mode) {
 
 void BM_Decision_Nafta_Interp(benchmark::State& state) {
   decision_bench(state, Mesh::two_d(8, 8),
-                 [] { return make_nafta_rules(ExecMode::Interpret); }, false);
+                 [] { return make_nafta_rules(ExecMode::Interpret); });
 }
 BENCHMARK(BM_Decision_Nafta_Interp);
 
 void BM_Decision_Nafta_Vm(benchmark::State& state) {
   decision_bench(state, Mesh::two_d(8, 8),
-                 [] { return make_nafta_rules(ExecMode::Vm); }, false);
+                 [] { return make_nafta_rules(ExecMode::Vm); });
 }
 BENCHMARK(BM_Decision_Nafta_Vm);
 
-void BM_Decision_Nafta_VmWarm(benchmark::State& state) {
-  decision_bench(state, Mesh::two_d(8, 8),
-                 [] { return make_nafta_rules(ExecMode::Vm); }, true);
-}
-BENCHMARK(BM_Decision_Nafta_VmWarm);
-
 void BM_Decision_Nafta_Aot(benchmark::State& state) {
   decision_bench(state, Mesh::two_d(8, 8),
-                 [] { return make_nafta_rules(ExecMode::Aot); }, true);
+                 [] { return make_nafta_rules(ExecMode::Aot); });
 }
 BENCHMARK(BM_Decision_Nafta_Aot);
 
 void BM_Decision_RouteC_Interp(benchmark::State& state) {
   decision_bench(state, Hypercube(6),
-                 [] { return make_route_c_rules(ExecMode::Interpret); }, false);
+                 [] { return make_route_c_rules(ExecMode::Interpret); });
 }
 BENCHMARK(BM_Decision_RouteC_Interp);
 
 void BM_Decision_RouteC_Vm(benchmark::State& state) {
   decision_bench(state, Hypercube(6),
-                 [] { return make_route_c_rules(ExecMode::Vm); }, false);
+                 [] { return make_route_c_rules(ExecMode::Vm); });
 }
 BENCHMARK(BM_Decision_RouteC_Vm);
 
-void BM_Decision_RouteC_VmWarm(benchmark::State& state) {
-  decision_bench(state, Hypercube(6),
-                 [] { return make_route_c_rules(ExecMode::Vm); }, true);
-}
-BENCHMARK(BM_Decision_RouteC_VmWarm);
-
 // The AOT tier: attach() pre-resolved every premise point into the flat
-// decision table, so route() is a strided load plus a candidate copy —
-// the acceptance bar is >= 3x over the warm VM (whose per-decision cost is
-// a hash probe plus the same copy).
+// decision table, so route() is a strided load plus a candidate copy. Read
+// it against BM_Decision_RouteC_Vm, which runs the bytecode every time.
 void BM_Decision_RouteC_Aot(benchmark::State& state) {
   decision_bench(state, Hypercube(6),
-                 [] { return make_route_c_rules(ExecMode::Aot); }, true);
+                 [] { return make_route_c_rules(ExecMode::Aot); });
 }
 BENCHMARK(BM_Decision_RouteC_Aot);
 
 // -------------------------------------------- F7c: full premise-space sweep
-// The 64-point loop above revisits one premise point per node, so the warm
-// VM's per-node decision hash stays entirely in L1 and undersells the AOT
-// gap. Random traffic presents the whole premise space — every
-// (node, dest, arrival port, non-escape vc) — which blows the hash tier
-// out to ~1.5k 600-byte decisions per node while the dense LUT stays a
-// strided 16-byte load. This sweep is the workload the >= 3x AOT-over-
-// warm-VM acceptance is read from. Escape-VC arrivals are excluded: at
-// premise points the escape phase cannot reach they throw by design, and
-// both tiers agree on that (the AOT fill marks them unreachable).
+// The 64-point loop above revisits one premise point per node, so the
+// table rows stay entirely in L1. Random traffic presents the whole
+// premise space — every (node, dest, arrival port, non-escape vc) — which
+// is what the dense LUT has to serve from its strided 16-byte loads. Read
+// each sweep row against the bare-VM decision row of the same program
+// (BM_Decision_Nafta_Vm / BM_Decision_RouteC_Vm): the VM's cost does not
+// depend on which premise point it evaluates. Escape-VC arrivals are
+// excluded: at premise points the escape phase cannot reach they throw by
+// design, and every tier agrees on that (the AOT fill marks them
+// unreachable).
 std::vector<RouteContext> full_premise_sweep(const Topology& topo,
                                              int sweep_vcs) {
   std::vector<RouteContext> pts;
@@ -279,7 +266,7 @@ void sweep_bench(benchmark::State& state, const Topology& topo,
   auto algo = make_algo();
   algo->attach(topo, f);
   const std::vector<RouteContext> pts = full_premise_sweep(topo, sweep_vcs);
-  for (const RouteContext& ctx : pts) {  // warm pass fills the VM cache
+  for (const RouteContext& ctx : pts) {  // warm pass: caches and TLB
     const auto d = algo->route(ctx);
     benchmark::DoNotOptimize(d.candidates.size());
   }
@@ -291,23 +278,11 @@ void sweep_bench(benchmark::State& state, const Topology& topo,
   }
 }
 
-void BM_Decision_Nafta_VmWarmSweep(benchmark::State& state) {
-  sweep_bench(state, Mesh::two_d(8, 8),
-              [] { return make_nafta_rules(ExecMode::Vm); }, /*sweep_vcs=*/2);
-}
-BENCHMARK(BM_Decision_Nafta_VmWarmSweep);
-
 void BM_Decision_Nafta_AotSweep(benchmark::State& state) {
   sweep_bench(state, Mesh::two_d(8, 8),
               [] { return make_nafta_rules(ExecMode::Aot); }, /*sweep_vcs=*/2);
 }
 BENCHMARK(BM_Decision_Nafta_AotSweep);
-
-void BM_Decision_RouteC_VmWarmSweep(benchmark::State& state) {
-  sweep_bench(state, Hypercube(6),
-              [] { return make_route_c_rules(ExecMode::Vm); }, /*sweep_vcs=*/1);
-}
-BENCHMARK(BM_Decision_RouteC_VmWarmSweep);
 
 void BM_Decision_RouteC_AotSweep(benchmark::State& state) {
   sweep_bench(state, Hypercube(6),
@@ -330,10 +305,12 @@ BENCHMARK(BM_Decision_RouteC_AotSweep);
 // fabric every router probes only its OWN sub-table, which stays resident
 // in that router; round-robining 4096 routers' tables (64MB) through one
 // benchmarking core's cache hierarchy would measure DRAM latency, not the
-// tier. Acceptance: the lazy and compressed tiers keep ns/route within 2x
-// of the small-fabric direct-LUT sweeps above, and the measured loop
-// performs ZERO heap allocations once warm (enforced here under
-// FLEXROUTER_COUNT_ALLOCS — the release CI smoke).
+// tier. Read each row against the bare-VM decision row of the same
+// program family (F7b) for the table's gain, and against the small-fabric
+// direct-LUT sweeps (F7c) for its scaling. Acceptance: the lazy and
+// compressed tiers keep ns/route within 2x of those direct sweeps, and the
+// measured loop performs ZERO heap allocations once warm (enforced here
+// under FLEXROUTER_COUNT_ALLOCS — the release CI smoke).
 std::vector<RouteContext> bounded_premise_sweep(const Topology& topo,
                                                 int sweep_vcs,
                                                 int dests_per_node) {
@@ -422,29 +399,6 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
   }
 }
 
-void BM_Decision_Nafta64x64_VmWarmSweep(benchmark::State& state) {
-  Mesh m = Mesh::two_d(64, 64);
-  FaultSet f(m);
-  auto algo = std::make_unique<RuleDrivenRouting>(
-      rulebases::ft_mesh_route_source(64, 64), 3, ExecMode::Vm, "route",
-      /*escape_vc=*/2);
-  algo->attach(m, f);
-  const std::vector<RouteContext> pts =
-      bounded_premise_sweep(m, /*sweep_vcs=*/2, /*dests_per_node=*/16);
-  for (const RouteContext& ctx : pts) {
-    const auto d = algo->route(ctx);
-    benchmark::DoNotOptimize(d.candidates.size());
-  }
-  const std::size_t span = std::min(pts.size(), kMeasuredSpan);
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const auto d = algo->route(pts[k]);
-    benchmark::DoNotOptimize(d.candidates.size());
-    if (++k == span) k = 0;
-  }
-}
-BENCHMARK(BM_Decision_Nafta64x64_VmWarmSweep);
-
 void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
   large_fabric_bench(
       state, Mesh::two_d(64, 64),
@@ -456,28 +410,6 @@ void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
       /*sweep_vcs=*/2, RuleDrivenRouting::AotTier::Lazy);
 }
 BENCHMARK(BM_Decision_Nafta64x64_LazySweep);
-
-void BM_Decision_Ecube12_VmWarmSweep(benchmark::State& state) {
-  Hypercube topo(12);
-  FaultSet f(topo);
-  auto algo = std::make_unique<RuleDrivenRouting>(
-      rulebases::ecube_route_source(12), 1, ExecMode::Vm);
-  algo->attach(topo, f);
-  const std::vector<RouteContext> pts =
-      bounded_premise_sweep(topo, /*sweep_vcs=*/1, /*dests_per_node=*/16);
-  for (const RouteContext& ctx : pts) {
-    const auto d = algo->route(ctx);
-    benchmark::DoNotOptimize(d.candidates.size());
-  }
-  const std::size_t span = std::min(pts.size(), kMeasuredSpan);
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const auto d = algo->route(pts[k]);
-    benchmark::DoNotOptimize(d.candidates.size());
-    if (++k == span) k = 0;
-  }
-}
-BENCHMARK(BM_Decision_Ecube12_VmWarmSweep);
 
 void BM_Decision_Ecube12_CompressedSweep(benchmark::State& state) {
   large_fabric_bench(

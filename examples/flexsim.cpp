@@ -5,6 +5,10 @@
 //   ./flexsim my.cfg                # read a config file
 //   ./flexsim my.cfg "rate = 0.2"   # extra overrides, last wins
 //
+// A malformed value, an out-of-range setting or a key not listed below is
+// a config error: one `config error: ...` line on stderr, exit status 2,
+// before anything runs.
+//
 // Config keys (all optional):
 //   topology   = mesh | torus | hypercube      (default mesh)
 //   width      = 8      height = 8             (mesh/torus)
@@ -51,11 +55,15 @@
 //
 // Rule-engine keys (need a *-rules algorithm; contract error otherwise):
 //   exec_mode  = interp | vm | aot             (decision backend; default
-//                                               aot, the pre-resolved table;
-//                                               the summary line reports the
-//                                               AOT tier actually chosen —
-//                                               direct/compressed/lazy — or
-//                                               why the VM kept serving)
+//                                               aot, the pre-resolved table
+//                                               ladder — the summary line
+//                                               reports the tier actually
+//                                               chosen, direct/compressed/
+//                                               lazy, or why the VM kept
+//                                               serving; vm = the bare
+//                                               bytecode VM, no table;
+//                                               interp = the AST
+//                                               interpreter)
 //   swap_rules_at = 2000,new_rules.txt         (live hot-swap: at the cycle,
 //                                               load the rule program from
 //                                               the file and commit it under
@@ -74,6 +82,7 @@
 // per-point seeds derived from (seed, point index), results identical at
 // any thread count. A single rate keeps the historical behaviour (the
 // configured seed drives the one replica directly).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -93,19 +102,20 @@ using namespace flexrouter;
 
 namespace {
 
-std::vector<double> parse_rates(const Config& cfg) {
-  std::vector<double> rates;
-  const std::string list = cfg.get_string("rates", "");
-  if (!list.empty()) {
-    std::istringstream is(list);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      if (tok.empty()) continue;
-      rates.push_back(std::stod(tok));
-    }
-  }
-  if (rates.empty()) rates.push_back(cfg.get_double("rate", 0.10));
-  return rates;
+/// The keys documented at the top of this file; anything else is a typo
+/// (`exec_mod = vm` must not silently run the default tier).
+bool known_key(const std::string& key) {
+  static const char* const known[] = {
+      "topology",      "width",           "height",        "dimension",
+      "algorithm",     "traffic",         "rate",          "rates",
+      "threads",       "packet_length",   "warmup",        "measure",
+      "link_faults",   "node_faults",     "seed",          "show_links",
+      "shards",        "shard_threads",   "idle_skip",     "fault_at",
+      "repair_after",  "flap",            "failslow",      "fault_regime",
+      "detection_delay", "max_retries",   "exec_mode",     "swap_rules_at",
+      "swap_policy",   "rolling_shards",
+  };
+  return std::find(std::begin(known), std::end(known), key) != std::end(known);
 }
 
 /// Parse `fault_at = <cycle>:link:<node>:<port>,<cycle>:node:<id>,...`
@@ -288,23 +298,22 @@ std::string tier_summary(const RuleDrivenRouting& rd) {
   return os.str();
 }
 
-/// The *-rules algorithms need the topology's construction parameters (the
-/// corpus generators are parameterised the same way), so they take the
-/// config rather than the built Topology.
+/// The *-rules algorithms are generated for the topology's construction
+/// parameters (the corpus generators are parameterised the same way).
 std::unique_ptr<RoutingAlgorithm> build_rule_algorithm(
-    const std::string& aname, const std::string& tname, const Config& cfg,
-    rules::ExecMode mode) {
-  const int w = static_cast<int>(cfg.get_int("width", 8));
-  const int h = static_cast<int>(cfg.get_int("height", 8));
-  const int d = static_cast<int>(cfg.get_int("dimension", 4));
+    const std::string& aname, const Topology& topo, rules::ExecMode mode) {
   if (aname == "ecube-rules") {
-    if (tname != "hypercube")
+    const auto* cube = dynamic_cast<const Hypercube*>(&topo);
+    if (cube == nullptr)
       throw std::invalid_argument("ecube-rules needs topology = hypercube");
     return std::make_unique<RuleDrivenRouting>(
-        rulebases::ecube_route_source(d), 1, mode);
+        rulebases::ecube_route_source(cube->dimension()), 1, mode);
   }
-  if (tname != "mesh")
+  const auto* mesh = dynamic_cast<const Mesh*>(&topo);
+  if (mesh == nullptr)
     throw std::invalid_argument(aname + " needs topology = mesh");
+  const int w = mesh->radix(0);
+  const int h = mesh->radix(1);
   if (aname == "nara-rules")
     return std::make_unique<RuleDrivenRouting>(
         rulebases::nara_route_source(w, h), 2, mode);
@@ -314,12 +323,9 @@ std::unique_ptr<RoutingAlgorithm> build_rule_algorithm(
 }
 
 std::unique_ptr<RoutingAlgorithm> build_algorithm(const std::string& aname,
-                                                  const std::string& tname,
-                                                  const Config& cfg,
                                                   rules::ExecMode mode,
                                                   const Topology& topo) {
-  if (rule_driven_name(aname))
-    return build_rule_algorithm(aname, tname, cfg, mode);
+  if (rule_driven_name(aname)) return build_rule_algorithm(aname, topo, mode);
   if (aname == "negative-hop")
     return std::make_unique<NegativeHop>(NegativeHop::vcs_needed_for(topo));
   if (aname == "dor-torus") return std::make_unique<DimensionOrderTorus>();
@@ -328,19 +334,22 @@ std::unique_ptr<RoutingAlgorithm> build_algorithm(const std::string& aname,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Everything outside the sweep's own try block reads configuration, so any
+// throw that reaches the handler at the bottom is a config error.
+int main(int argc, char** argv) try {
   Config cfg;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      cfg = cfg.overridden_by(arg.find('=') != std::string::npos
-                                  ? Config::parse(arg)
-                                  : Config::from_file(arg));
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    cfg = cfg.overridden_by(arg.find('=') != std::string::npos
+                                ? Config::parse(arg)
+                                : Config::from_file(arg));
   }
+  for (const std::string& key : cfg.keys())
+    if (!known_key(key))
+      throw std::invalid_argument(
+          "unknown key '" + key +
+          "' (the accepted keys are listed at the top of "
+          "examples/flexsim.cpp)");
 
   // Topology (shared by every replica — it is immutable).
   std::unique_ptr<Topology> topo;
@@ -357,8 +366,7 @@ int main(int argc, char** argv) {
     topo = std::make_unique<Hypercube>(
         static_cast<int>(cfg.get_int("dimension", 4)));
   } else {
-    std::cerr << "unknown topology '" << tname << "'\n";
-    return 2;
+    throw std::invalid_argument("unknown topology '" + tname + "'");
   }
 
   const std::string aname = cfg.get_string("algorithm", "nafta");
@@ -369,52 +377,46 @@ int main(int argc, char** argv) {
   const std::string exec_mode_s = cfg.get_string("exec_mode", "");
   const std::string swap_spec = cfg.get_string("swap_rules_at", "");
   if ((!exec_mode_s.empty() || !swap_spec.empty()) &&
-      !rule_driven_name(aname)) {
-    std::cerr << "config error: "
-              << (!exec_mode_s.empty() ? "exec_mode" : "swap_rules_at")
-              << " needs a rule-driven algorithm (nara-rules, ft-mesh-rules "
-                 "or ecube-rules); algorithm = '"
-              << aname << "' executes no rules\n";
-    return 2;
-  }
+      !rule_driven_name(aname))
+    throw std::invalid_argument(
+        std::string(!exec_mode_s.empty() ? "exec_mode" : "swap_rules_at") +
+        " needs a rule-driven algorithm (nara-rules, ft-mesh-rules or "
+        "ecube-rules); algorithm = '" +
+        aname + "' executes no rules");
   rules::ExecMode exec_mode = rules::ExecMode::Aot;
   Cycle swap_at = 0;
   std::string swap_source;
   auto swap_policy = Simulator::RuleSwapPolicy::Auto;
-  try {
-    if (!exec_mode_s.empty()) exec_mode = parse_exec_mode(exec_mode_s);
-    const std::string policy_s = cfg.get_string("swap_policy", "");
-    if (!policy_s.empty()) {
-      if (swap_spec.empty())
-        throw std::invalid_argument(
-            "swap_policy needs a scheduled swap (swap_rules_at)");
-      swap_policy = parse_swap_policy(policy_s);
-    }
-    if (!swap_spec.empty()) {
-      const std::size_t comma = swap_spec.find(',');
-      if (comma == std::string::npos)
-        throw std::invalid_argument(
-            "swap_rules_at must be <cycle>,<file> (got '" + swap_spec + "')");
-      swap_at = std::stoll(swap_spec.substr(0, comma));
-      const std::string path = swap_spec.substr(comma + 1);
-      std::ifstream in(path);
-      if (!in)
-        throw std::invalid_argument("swap_rules_at: cannot read rule file '" +
-                                    path + "'");
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      swap_source = buf.str();
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  if (!exec_mode_s.empty()) exec_mode = parse_exec_mode(exec_mode_s);
+  const std::string policy_s = cfg.get_string("swap_policy", "");
+  if (!policy_s.empty()) {
+    if (swap_spec.empty())
+      throw std::invalid_argument(
+          "swap_policy needs a scheduled swap (swap_rules_at)");
+    swap_policy = parse_swap_policy(policy_s);
+  }
+  if (!swap_spec.empty()) {
+    const std::size_t comma = swap_spec.find(',');
+    if (comma == std::string::npos)
+      throw std::invalid_argument(
+          "swap_rules_at must be <cycle>,<file> (got '" + swap_spec + "')");
+    swap_at = std::stoll(swap_spec.substr(0, comma));
+    const std::string path = swap_spec.substr(comma + 1);
+    std::ifstream in(path);
+    if (!in)
+      throw std::invalid_argument("swap_rules_at: cannot read rule file '" +
+                                  path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    swap_source = buf.str();
   }
 
   const std::string pattern = cfg.get_string("traffic", "uniform");
   const auto link_faults = static_cast<int>(cfg.get_int("link_faults", 0));
   const auto node_faults = static_cast<int>(cfg.get_int("node_faults", 0));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-  const std::vector<double> rates = parse_rates(cfg);
+  std::vector<double> rates = cfg.get_double_list("rates", {});
+  if (rates.empty()) rates.push_back(cfg.get_double("rate", 0.10));
   const bool single = rates.size() == 1;
 
   SimConfig base;
@@ -429,39 +431,38 @@ int main(int argc, char** argv) {
   NetworkConfig ncfg;
   ncfg.shards = static_cast<int>(cfg.get_int("shards", 1));
   ncfg.shard_threads = static_cast<int>(cfg.get_int("shard_threads", 0));
+  if (ncfg.shards < 1) throw std::invalid_argument("shards must be >= 1");
+  if (ncfg.shard_threads < 0)
+    throw std::invalid_argument("shard_threads must be >= 0 (0 = auto)");
   // Idle skipping needs the event-driven worklists even at one shard.
   ncfg.event_driven = base.idle_skip;
 
-  FaultSchedule schedule;
-  try {
-    schedule = parse_fault_schedule(cfg.get_string("fault_at", ""));
-    const std::string regime = cfg.get_string("fault_regime", "");
-    if (!regime.empty()) {
-      if (!schedule.empty())
-        throw std::invalid_argument(
-            "fault_regime generates its own schedule and conflicts with "
-            "fault_at — pick one");
-      schedule = build_regime_schedule(regime, *topo, base.warmup_cycles,
-                                       base.measure_cycles, seed);
-    }
-    const Cycle repair_after = cfg.get_int("repair_after", 0);
-    if (repair_after < 0)
-      throw std::invalid_argument("repair_after must be >= 0");
-    if (repair_after > 0) {
-      if (cfg.get_string("fault_at", "").empty())
-        throw std::invalid_argument(
-            "repair_after needs fault_at kill events to repair");
-      append_repairs(schedule, repair_after);
-    }
-    const std::string flap_spec = cfg.get_string("flap", "");
-    if (!flap_spec.empty())
-      parse_flap(schedule, flap_spec,
-                 base.warmup_cycles + base.measure_cycles, seed);
-    parse_failslow(schedule, cfg.get_string("failslow", ""));
-  } catch (const std::exception& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  FaultSchedule schedule =
+      parse_fault_schedule(cfg.get_string("fault_at", ""));
+  const std::string regime = cfg.get_string("fault_regime", "");
+  if (!regime.empty()) {
+    if (!schedule.empty())
+      throw std::invalid_argument(
+          "fault_regime generates its own schedule and conflicts with "
+          "fault_at — pick one");
+    schedule = build_regime_schedule(regime, *topo, base.warmup_cycles,
+                                     base.measure_cycles, seed);
   }
+  const Cycle repair_after = cfg.get_int("repair_after", 0);
+  if (repair_after < 0)
+    throw std::invalid_argument("repair_after must be >= 0");
+  if (repair_after > 0) {
+    if (cfg.get_string("fault_at", "").empty())
+      throw std::invalid_argument(
+          "repair_after needs fault_at kill events to repair");
+    append_repairs(schedule, repair_after);
+  }
+  const std::string flap_spec = cfg.get_string("flap", "");
+  if (!flap_spec.empty())
+    parse_flap(schedule, flap_spec, base.warmup_cycles + base.measure_cycles,
+               seed);
+  parse_failslow(schedule, cfg.get_string("failslow", ""));
+  const bool show_links = cfg.get_bool("show_links", false);
 
   // One grid point per offered load. Each replica applies the SAME fault
   // pattern (the fault RNG restarts per point) so the series varies only
@@ -474,7 +475,7 @@ int main(int argc, char** argv) {
     const double rate = rates[i];
     const bool first_point = i == 0;
     points.push_back({[&, rate, first_point](std::uint64_t derived_seed) {
-      auto algo = build_algorithm(aname, tname, cfg, exec_mode, *topo);
+      auto algo = build_algorithm(aname, exec_mode, *topo);
       auto traffic = make_traffic(pattern, *topo, seed);
       Network net(*topo, *algo, ncfg);
       if (link_faults > 0 || node_faults > 0) {
@@ -496,7 +497,7 @@ int main(int argc, char** argv) {
       if (!swap_source.empty())
         sim.schedule_rule_swap(swap_at, swap_source, swap_policy);
       SimResult r = sim.run();
-      if (single && cfg.get_bool("show_links", false)) {
+      if (single && show_links) {
         std::ostringstream os;
         os << "hottest links (flits/cycle):\n";
         const auto loads = net.link_utilization(sim.now());
@@ -561,4 +562,7 @@ int main(int argc, char** argv) {
   }
   if (!link_report.empty()) std::cout << link_report;
   return deadlock ? 1 : 0;
+} catch (const std::exception& e) {
+  std::cerr << "config error: " << e.what() << "\n";
+  return 2;
 }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -28,6 +29,39 @@ std::string strip_comment(const std::string& line) {
       return line.substr(0, i);
   }
   return line;
+}
+
+/// `text` as one whole number: trailing characters ("0.1x", "8abc") are an
+/// error, not a silently truncated value.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* what) {
+  std::size_t used = 0;
+  T v{};
+  try {
+    if constexpr (std::is_same_v<T, double>)
+      v = std::stod(text, &used);
+    else
+      v = std::stoll(text, &used);
+  } catch (...) {
+  }
+  FR_REQUIRE_MSG(used != 0 && used == text.size(),
+                 "config key '" + key + "' " + what + ": " + text);
+  return v;
+}
+
+/// Comma-separated numbers; empty items are skipped.
+template <typename T>
+std::vector<T> parse_list(const std::string& key, const std::string& text,
+                          const char* what) {
+  std::vector<T> out;
+  std::istringstream in(text);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    item = trim(item);
+    if (!item.empty()) out.push_back(parse_number<T>(key, item, what));
+  }
+  return out;
 }
 
 }  // namespace
@@ -88,24 +122,12 @@ std::string Config::get_string(const std::string& key,
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = raw(key);
-  if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (...) {
-    FR_REQUIRE_MSG(false, "config key '" + key + "' is not an int: " + *v);
-  }
-  return fallback;
+  return v ? parse_number<std::int64_t>(key, *v, "is not an int") : fallback;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = raw(key);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    FR_REQUIRE_MSG(false, "config key '" + key + "' is not a double: " + *v);
-  }
-  return fallback;
+  return v ? parse_number<double>(key, *v, "is not a double") : fallback;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -136,21 +158,15 @@ double Config::require_double(const std::string& key) const {
 std::vector<std::int64_t> Config::get_int_list(
     const std::string& key, const std::vector<std::int64_t>& fallback) const {
   const auto v = raw(key);
-  if (!v) return fallback;
-  std::vector<std::int64_t> out;
-  std::istringstream in(*v);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (...) {
-      FR_REQUIRE_MSG(false,
-                     "config key '" + key + "' has non-int element: " + item);
-    }
-  }
-  return out;
+  return v ? parse_list<std::int64_t>(key, *v, "has non-int element")
+           : fallback;
+}
+
+std::vector<double> Config::get_double_list(
+    const std::string& key, const std::vector<double>& fallback) const {
+  const auto v = raw(key);
+  return v ? parse_list<double>(key, *v, "has non-number element")
+           : fallback;
 }
 
 Config Config::overridden_by(const Config& other) const {

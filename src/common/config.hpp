@@ -28,7 +28,8 @@ class Config {
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Required variants: throw ContractViolation if missing/malformed.
+  /// Typed getters throw ContractViolation on a malformed value (numbers
+  /// must be consumed whole). Required variants also throw when missing.
   std::string require_string(const std::string& key) const;
   std::int64_t require_int(const std::string& key) const;
   double require_double(const std::string& key) const;
@@ -36,6 +37,9 @@ class Config {
   /// Comma-separated integer list, e.g. `faults = 0,1,2,4`.
   std::vector<std::int64_t> get_int_list(
       const std::string& key, const std::vector<std::int64_t>& fallback) const;
+  /// Comma-separated number list, e.g. `rates = 0.02,0.06`.
+  std::vector<double> get_double_list(
+      const std::string& key, const std::vector<double>& fallback) const;
 
   /// Merge `other` over this config (other wins).
   Config overridden_by(const Config& other) const;

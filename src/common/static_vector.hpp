@@ -26,8 +26,8 @@ class StaticVector {
     for (const T& v : init) data_[size_++] = v;
   }
 
-  // Copy only the live prefix: decision caches copy these containers on
-  // every hit, and N is sized for the worst case, not the common one.
+  // Copy only the live prefix: decision paths copy these containers per
+  // decision, and N is sized for the worst case, not the common one.
   // The tail stays unspecified — no accessor reaches past size_.
   constexpr StaticVector(const StaticVector& o) : size_(o.size_) {
     for (std::size_t i = 0; i < size_; ++i) data_[i] = o.data_[i];

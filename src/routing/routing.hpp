@@ -23,8 +23,8 @@ namespace flexrouter {
 inline constexpr std::size_t kMaxCandidates = 48;
 
 /// Trivially default-constructible on purpose: RouteDecision embeds 48 of
-/// these in a StaticVector, and per-decision fast paths (the AOT table, the
-/// decision cache) construct/copy RouteDecisions every cycle — an NSDMI here
+/// these in a StaticVector, and per-decision fast paths (the AOT table
+/// tiers) construct/copy RouteDecisions every cycle — an NSDMI here
 /// would zero the whole tail each time. Always aggregate-initialize with all
 /// three fields; the StaticVector never exposes elements past size().
 struct RouteCandidate {

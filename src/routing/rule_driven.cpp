@@ -18,9 +18,9 @@ namespace {
 /// Inputs a tabulated decision may depend on: fully determined by the
 /// premise point (dest, in_port, in_vc), the node, the topology and the
 /// fault epoch. Notably absent: src, path_len, misrouted — they vary per
-/// packet without being part of the premise. The decision cache and the
-/// AOT table share this soundness condition.
-bool cache_safe_input(const std::string& name) {
+/// packet without being part of the premise. Every AOT table tier shares
+/// this soundness condition.
+bool tabulable_input(const std::string& name) {
   static const char* safe[] = {
       "dest",       "dest_reachable", "escape_ok", "escape_port",
       "in_port",    "in_vc",          "injected",  "link_ok",
@@ -149,18 +149,16 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
     im->machines.push_back(std::move(em));
   }
 
-  // Tabulation (decision cache / AOT table) is sound only if no reachable
-  // rule writes registers and every input read is covered by the premise
-  // point + fault epoch.
+  // Tabulation (any AOT table tier) is sound only if no reachable rule
+  // writes registers and every input read is covered by the premise point +
+  // fault epoch.
   const rules::RouteAnalysis analysis =
       rules::analyze_reachable(*im->program, route_base_);
   im->stateless = !analysis.writes_state;
   im->tabulable =
       im->stateless &&
       std::all_of(analysis.inputs_read.begin(), analysis.inputs_read.end(),
-                  cache_safe_input);
-  im->cache_enabled = has_vm && im->tabulable;
-  im->caches.assign(static_cast<std::size_t>(topo_->num_nodes()), NodeCache{});
+                  tabulable_input);
   // Dest-axis classification (syntactic; fill_aot applies host gates). The
   // verdict rides on the image so rulelint / flexsim can explain the tier.
   im->classify = rules::classify_dest_axis(*im->program, route_base_);
@@ -709,10 +707,9 @@ void RuleDrivenRouting::finish_rolling_commit() {
 rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
   FR_REQUIRE(topo_ != nullptr && topo_->valid_node(n));
   // Handing out a machine lets the caller mutate rule state behind the
-  // table's back (the decision cache guards against that with per-lookup
-  // env-version tags; the AOT path deliberately carries no per-decision
-  // check). Drop the table conservatively: decisions fall back to the
-  // VM/cache tiers until the next fill (reconfigure or swap) rebuilds it.
+  // table's back (the table path deliberately carries no per-decision
+  // check). Drop the table conservatively: decisions fall back to the bare
+  // VM until the next fill (reconfigure or swap) rebuilds it.
   if (img_ != nullptr &&
       (!img_->aot.empty() || (img_->lazy != nullptr && img_->lazy_active))) {
     img_->aot.clear();
@@ -720,29 +717,6 @@ rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
     refresh_aot_view();
   }
   return *img_->machines[static_cast<std::size_t>(n)];
-}
-
-std::int64_t RuleDrivenRouting::decision_cache_hits() const {
-  if (img_ == nullptr) return 0;
-  std::int64_t sum = 0;
-  for (const DecisionSlot& s : img_->slots) sum += s.cache_hits;
-  return sum;
-}
-
-std::int64_t RuleDrivenRouting::decision_cache_misses() const {
-  if (img_ == nullptr) return 0;
-  std::int64_t sum = 0;
-  for (const DecisionSlot& s : img_->slots) sum += s.cache_misses;
-  return sum;
-}
-
-void RuleDrivenRouting::clear_decision_cache() const {
-  if (img_ == nullptr) return;
-  for (NodeCache& nc : img_->caches) {
-    nc.entries.clear();
-    nc.epoch_tag = ~std::uint64_t{0};
-    nc.env_tag = ~std::uint64_t{0};
-  }
 }
 
 rules::AotTable::Stats RuleDrivenRouting::aot_stats() const {
@@ -985,7 +959,7 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
     // Reinstall per decision: tests may have swapped the machine's handler
     // (last installed wins), and the slot's copy fits std::function's small
     // buffer — no allocation on this path.
-    em.set_host_handler_fast(slot.cand_handler);
+    em.set_host_handler(slot.cand_handler);
     const auto interpretations_before = em.total_interpretations();
     const rules::FireResult r = em.fire(route_base_, {});
     em.drain();
@@ -1019,10 +993,9 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
   return d;
 }
 
-/// The non-AOT tiers, kept out of route() and filling the caller's object
-/// in place: route()'s AOT hit keeps NRVO (a second named return object in
-/// the same function would defeat it) and the fallback pays no extra
-/// temporary.
+/// Decisions no table tier served, kept out of route() and filling the
+/// caller's object in place: route()'s table hit keeps NRVO (a second named
+/// return object in the same function would defeat it).
 void RuleDrivenRouting::route_fallback(const RouteContext& ctx,
                                        RouteDecision& d) const {
   FR_REQUIRE_MSG(img_ != nullptr, "route() before attach()");
@@ -1035,36 +1008,7 @@ void RuleDrivenRouting::route_fallback(const RouteContext& ctx,
       rolling_ && node_on_pending_[static_cast<std::size_t>(ctx.node)] != 0
           ? *pending_
           : *img_;
-  if (!im.cache_enabled || !cache_wanted_) {
-    d = compute_route(im, ctx);
-    return;
-  }
-
-  NodeCache& nc = im.caches[static_cast<std::size_t>(ctx.node)];
-  const std::uint64_t epoch = faults_->epoch();
-  const std::uint64_t env_ver =
-      im.machines[static_cast<std::size_t>(ctx.node)]->env().version();
-  if (nc.epoch_tag != epoch || nc.env_tag != env_ver) {
-    nc.entries.clear();
-    nc.epoch_tag = epoch;
-    nc.env_tag = env_ver;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx.dest)) << 16) |
-      (static_cast<std::uint64_t>(static_cast<std::uint8_t>(ctx.in_port + 1))
-       << 8) |
-      static_cast<std::uint64_t>(static_cast<std::uint8_t>(ctx.in_vc + 1));
-  const auto it = nc.entries.find(key);
-  if (it != nc.entries.end()) {
-    ++im.slots[static_cast<std::size_t>(ctx.node)].cache_hits;
-    d = it->second;
-    return;
-  }
-  ++im.slots[static_cast<std::size_t>(ctx.node)].cache_misses;
   d = compute_route(im, ctx);
-  // A stateless program cannot have bumped the env version; the fault epoch
-  // cannot change mid-decision. The tags taken above are still valid.
-  nc.entries.emplace(key, d);
 }
 
 }  // namespace flexrouter

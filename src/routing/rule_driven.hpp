@@ -23,28 +23,20 @@
 //  * Each router node owns an independent register file (one EventManager
 //    per node), so stateful programs keep per-node state like real rule
 //    bases. All mutable per-decision state (active context, candidate
-//    sink, event scratch, cache counters) lives in a per-node DecisionSlot,
-//    so concurrent route() calls on *different* nodes — the sharded
-//    network step — never share mutable state. Decisions on one node are
-//    never concurrent (a node belongs to exactly one shard).
+//    sink, event scratch) lives in a per-node DecisionSlot, so concurrent
+//    route() calls on *different* nodes — the sharded network step — never
+//    share mutable state. Decisions on one node are never concurrent (a
+//    node belongs to exactly one shard).
 //
 // Execution tiers:
-//  * ExecMode::Vm (default) compiles the program to bytecode once (shared
-//    by all nodes) and serves inputs/candidate events through id-resolved
-//    fast paths. On top sits a per-node decision cache keyed by
-//    (dest, in_port, in_vc) — the software analogue of the paper's
-//    RBR-kernel table lookup. It is enabled only when static analysis
-//    proves every reachable rule base is stateless and reads only inputs
-//    determined by the key, the topology and the fault set; cached entries
-//    are invalidated by FaultSet::epoch() and by rule-register writes
-//    (RuleEnv::version()).
-//  * ExecMode::Aot additionally pre-resolves premise points
-//    (node, dest, in_port, in_vc) through the VM into decision tables —
-//    route() becomes a strided load plus a candidate copy, bit-identical
-//    to the VM by construction (the tables store what the VM answered).
-//    Tier selection walks a ladder at fill time:
+//  * ExecMode::Aot (default, the production tier) pre-resolves premise
+//    points (node, dest, in_port, in_vc) through the VM into one decision
+//    table — the software analogue of the paper's RBR-kernel lookup.
+//    route() becomes a strided load plus a candidate copy, bit-identical to
+//    the VM by construction (the table stores what the VM answered). Tier
+//    selection walks a ladder at fill time:
 //      1. direct   — a flat LUT over the full premise space, when it fits
-//                    the entry budget (the PR 7 layout, unchanged).
+//                    the entry budget.
 //      2. compressed — when a dest-axis classifier applies (see
 //                    ruleengine/aot_classify.hpp: xor-fold for e-cube
 //                    programs, offset-sign for DOR/NARA-style mesh
@@ -62,10 +54,18 @@
 //      4. VM       — non-tabulable programs only; the chosen tier and the
 //                    reason are recorded on the image and surfaced through
 //                    aot_tier_info() (rulelint --emit-table, flexsim).
-//    The same soundness analysis gates every table tier; out-of-range
-//    premise points fall back per decision, and a machine() poke drops the
-//    tables until the next fill (the conservative analogue of the cache's
-//    env-version tags).
+//    One soundness gate (`tabulable`: every reachable rule base is
+//    stateless and reads only inputs determined by the premise point, the
+//    topology and the fault set) admits a program to any table tier.
+//    Tables are refilled per fault epoch; out-of-range premise points fall
+//    back per decision, and a machine() poke drops the tables until the
+//    next fill.
+//  * ExecMode::Vm is the bare bytecode VM — no table of any kind. It is the
+//    oracle the table tiers are differentially tested against: every
+//    decision runs the compiled program (shared by all nodes) through
+//    id-resolved input and candidate-event fast paths.
+//  * ExecMode::Interpret / Table run the reference AST interpreter or the
+//    compiled ARON rule tables through the EventManager's queue.
 //
 // Hot swap: prepare_swap() parses, compiles and AOT-fills a complete
 // pending execution image for a new program while the active image keeps
@@ -74,13 +74,12 @@
 // a property of the host (topology + fault set), survives the swap.
 //
 // The decision cost (steps) is the number of rule interpretations the
-// decision consumed — exactly the unit Section 5 reports. Cache and AOT
-// hits report the steps of the decision they replay, keeping the paper's
-// metric intact.
+// decision consumed — exactly the unit Section 5 reports. Table hits
+// report the steps of the decision they replay, keeping the paper's metric
+// intact.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "ruleengine/aot.hpp"
@@ -142,7 +141,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// through the escape_* inputs) — the Duato construction that makes
   /// rule-programmed fault tolerance deadlock-free.
   RuleDrivenRouting(std::string program_source, int num_vcs,
-                    rules::ExecMode mode = rules::ExecMode::Vm,
+                    rules::ExecMode mode = rules::ExecMode::Aot,
                     std::string route_base = "route", VcId escape_vc = -1);
   ~RuleDrivenRouting() override;
 
@@ -164,16 +163,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
 
   /// Per-node machine access (tests poke state / post events).
   rules::EventManager& machine(NodeId n) const;
-
-  /// Decision-cache introspection (benches and tests). The setter only
-  /// narrows: caching stays off when static analysis ruled it unsound.
-  bool decision_cache_enabled() const {
-    return img_ != nullptr && img_->cache_enabled && cache_wanted_;
-  }
-  void set_decision_cache_enabled(bool on) { cache_wanted_ = on; }
-  std::int64_t decision_cache_hits() const;
-  std::int64_t decision_cache_misses() const;
-  void clear_decision_cache() const;
 
   /// True when decisions are being served from an AOT tier (direct,
   /// compressed or lazy tables; false also after a machine() poke dropped
@@ -244,15 +233,9 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     Unknown,  // not served by this host configuration: error on read
   };
 
-  struct NodeCache {
-    std::uint64_t epoch_tag = ~std::uint64_t{0};
-    std::uint64_t env_tag = ~std::uint64_t{0};
-    std::unordered_map<std::uint64_t, RouteDecision> entries;
-  };
-
   /// All mutable state one in-flight decision needs, owned per node: the
   /// VM callback context. route() on node n touches only slots_[n] (plus
-  /// the node's machine and cache), which is what makes concurrent
+  /// the node's machine and lazy sub-table), which is what makes concurrent
   /// decisions on distinct nodes race-free. The image-scoped fields the
   /// raw callbacks need (input-code array, cand event id) are flattened in
   /// by value / data pointer so a slot never dereferences its Image —
@@ -264,9 +247,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     const RouteContext* ctx = nullptr;
     RouteDecision* decision = nullptr;
     std::vector<rules::EmittedEvent> scratch;
-    rules::EventManager::HostHandlerFast cand_handler;
-    std::int64_t cache_hits = 0;
-    std::int64_t cache_misses = 0;
+    rules::EventManager::HostHandler cand_handler;
   };
 
   /// One lazy sub-table slot: a tagged AOT entry. tag == 0 is empty; a
@@ -309,7 +290,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Everything scoped to one rule program: the unit of hot swap. The
   /// active image serves traffic; prepare_swap() builds a pending one on
   /// the side and commit_swap() exchanges the unique_ptrs. Host-scoped
-  /// state — topology, fault set, the escape layer, the cache switch —
+  /// state — topology, fault set, the escape layer, the table budget —
   /// lives outside and survives the swap.
   struct Image {
     std::string source;
@@ -322,12 +303,10 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     /// immediate (zero-downtime) swap policy.
     bool stateless = false;
     /// Stateless and every input read is premise-keyed — the soundness
-    /// condition shared by the decision cache and the AOT table.
+    /// condition every AOT table tier shares.
     bool tabulable = false;
-    bool cache_enabled = false;
     std::vector<std::unique_ptr<rules::EventManager>> machines;
-    std::vector<DecisionSlot> slots;    // one per node
-    std::vector<NodeCache> caches;      // one per node
+    std::vector<DecisionSlot> slots;  // one per node
     // AOT tier ladder (ExecMode::Aot + tabulable only). `aot` holds the
     // direct or compressed table; `lazy` the per-node sub-tables. The
     // chosen tier and why are recorded for aot_tier_info().
@@ -404,10 +383,13 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Re-point aot_view_ at the active image's table (null when it has
   /// none). Call after anything that changes img_ or its table.
   void refresh_aot_view() const;
-  /// Decision-cache + VM/interpreter tiers, out of line so route()'s AOT
-  /// hit keeps NRVO (see the definition). Fills `d` in place.
-  void route_fallback(const RouteContext& ctx, RouteDecision& d) const;
+  /// The engine itself — the VM, interpreter or ARON tables of `im`, no
+  /// table tier. Fill, miss and fallback paths all decide through it.
   RouteDecision compute_route(Image& im, const RouteContext& ctx) const;
+  /// Every decision no table tier served: computes on the image that owns
+  /// the node (the pending one for nodes a rolling commit already flipped).
+  /// Out of line so route()'s table hit keeps NRVO (see the definition).
+  void route_fallback(const RouteContext& ctx, RouteDecision& d) const;
 
   std::string source_;  // pre-attach program; updated on commit_swap()
   std::string route_base_;
@@ -418,7 +400,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   const Topology* topo_ = nullptr;
   const Mesh* mesh_ = nullptr;  // non-null on 2-D meshes
   const FaultSet* faults_ = nullptr;
-  bool cache_wanted_ = true;  // host switch (benches measure cold paths)
   std::uint64_t aot_budget_ = kAotMaxEntries;
   bool compress_wanted_ = true;
   /// Node coordinates flattened for the OffsetSign2D hot path (2-D meshes

@@ -133,9 +133,9 @@ class BytecodeProgram {
 /// (same lifetime contract as Interpreter/RuleEnv).
 std::shared_ptr<const BytecodeProgram> compile_bytecode(const Program& prog);
 
-/// Static reachability analysis for the per-node decision cache: everything
-/// transitively reachable from `root` (subbase calls in expressions and
-/// emitted events that land on rule bases).
+/// Static reachability analysis behind the AOT table's soundness gate:
+/// everything transitively reachable from `root` (subbase calls in
+/// expressions and emitted events that land on rule bases).
 struct RouteAnalysis {
   bool writes_state = false;         // any reachable Assign command
   std::vector<std::string> inputs_read;  // input names read (sorted, unique)

@@ -103,10 +103,7 @@ int EventManager::drain(int max_steps) {
             ? &prog_->rule_bases[static_cast<std::size_t>(ev.target_rb)]
             : (ev.target_rb == -1 ? nullptr : prog_->find_rule_base(ev.name));
     if (rb == nullptr) {
-      if (host_fast_)
-        host_fast_(ev);
-      else if (host_)
-        host_(ev.name, ev.args);
+      if (host_) host_(ev);
       continue;
     }
     FireResult r = dispatch(*rb, ev.args);

@@ -47,32 +47,18 @@ class EventManager {
     interp_.set_input_provider(fn);
     if (vm_) vm_->set_input_provider(std::move(fn));
   }
-  /// Pre-resolved provider for the VM hot path (input ids, no name lookup).
-  /// Interpret/Table dispatch still uses the string-keyed provider.
-  void set_input_provider_fast(FastInputFn fn) {
-    if (vm_) vm_->set_input_provider_fast(std::move(fn));
-  }
-  /// Raw pre-resolved provider (function pointer + context) — the cheapest
-  /// per-read dispatch; wins over both std::function providers in Vm mode.
+  /// Raw pre-resolved provider (function pointer + context) for the VM hot
+  /// path: input ids, no name lookup; wins over the string-keyed provider
+  /// in Vm mode. Interpret/Table dispatch always uses the string-keyed one.
   void set_input_provider_raw(RawInputFn fn, void* ctx) {
     if (vm_) vm_->set_input_provider_raw(fn, ctx);
   }
 
-  /// Receives events that no rule base handles (host-bound outputs).
-  using HostHandler =
-      std::function<void(const std::string&, const std::vector<Value>&)>;
-  void set_host_handler(HostHandler fn) {
-    host_ = std::move(fn);
-    host_fast_ = nullptr;
-  }
-  /// Pre-resolved host handler: receives the full EmittedEvent so hosts can
-  /// dispatch on the interned `name_id` instead of the name string. Mutually
-  /// exclusive with set_host_handler (last installed wins).
-  using HostHandlerFast = std::function<void(const EmittedEvent&)>;
-  void set_host_handler_fast(HostHandlerFast fn) {
-    host_fast_ = std::move(fn);
-    host_ = nullptr;
-  }
+  /// Receives events that no rule base handles (host-bound outputs). The
+  /// full EmittedEvent lets hosts dispatch on the interned `name_id` (VM
+  /// events) or on `name`; the last handler installed wins.
+  using HostHandler = std::function<void(const EmittedEvent&)>;
+  void set_host_handler(HostHandler fn) { host_ = std::move(fn); }
 
   /// Firing trace: called after every rule interpretation with the rule
   /// base, its arguments and the result — the rule-program debugger's hook.
@@ -136,7 +122,6 @@ class EventManager {
   std::unique_ptr<Vm> vm_;
   std::deque<EmittedEvent> queue_;
   HostHandler host_;
-  HostHandlerFast host_fast_;
   TraceFn trace_;
   std::int64_t interpretations_ = 0;
 };

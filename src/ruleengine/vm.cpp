@@ -172,8 +172,6 @@ void Vm::run(int rb_index, const Value* args, std::size_t nargs,
         if (raw_inputs_ != nullptr) {
           v = raw_inputs_(raw_inputs_ctx_, in.b, &r(in.c),
                           static_cast<std::size_t>(in.aux));
-        } else if (fast_inputs_) {
-          v = fast_inputs_(in.b, &r(in.c), static_cast<std::size_t>(in.aux));
         } else if (inputs_) {
           const std::vector<Value> idx(
               regs_.begin() + static_cast<std::ptrdiff_t>(base + in.c),
@@ -200,8 +198,6 @@ void Vm::run(int rb_index, const Value* args, std::size_t nargs,
         Value v;
         if (raw_inputs_ != nullptr) {
           v = raw_inputs_(raw_inputs_ctx_, in.b, nullptr, 0);
-        } else if (fast_inputs_) {
-          v = fast_inputs_(in.b, nullptr, 0);
         } else if (inputs_) {
           v = inputs_(decl.name, {});
         } else {

@@ -22,14 +22,9 @@
 namespace flexrouter::rules {
 
 /// Pre-resolved input provider: `input_id` is the position of the input in
-/// Program::inputs, `idx` the evaluated (domain-checked) index values. The
-/// fast path replaces InputFn's per-read name dispatch and vector build.
-using FastInputFn =
-    std::function<Value(std::int32_t input_id, const Value* idx,
-                        std::size_t nidx)>;
-
-/// Raw variant of FastInputFn: a plain function pointer plus context, so the
-/// per-read call costs one indirect call instead of a std::function dispatch.
+/// Program::inputs, `idx` the evaluated (domain-checked) index values. A
+/// plain function pointer plus context, so the per-read call costs one
+/// indirect call — no name dispatch, no vector build, no std::function.
 using RawInputFn = Value (*)(void* ctx, std::int32_t input_id,
                              const Value* idx, std::size_t nidx);
 
@@ -48,11 +43,7 @@ class Vm {
 
   /// String-keyed fallback provider (same contract as Interpreter's).
   void set_input_provider(InputFn fn) { inputs_ = std::move(fn); }
-  /// Pre-resolved provider; takes precedence over the string fallback.
-  void set_input_provider_fast(FastInputFn fn) {
-    fast_inputs_ = std::move(fn);
-  }
-  /// Raw provider; takes precedence over both std::function providers.
+  /// Raw provider; takes precedence over the string-keyed one.
   void set_input_provider_raw(RawInputFn fn, void* ctx) {
     raw_inputs_ = fn;
     raw_inputs_ctx_ = ctx;
@@ -104,7 +95,6 @@ class Vm {
   const Program* prog_;
   RuleEnv* env_;
   InputFn inputs_;
-  FastInputFn fast_inputs_;
   RawInputFn raw_inputs_ = nullptr;
   void* raw_inputs_ctx_ = nullptr;
   HostSinkFn sink_ = nullptr;  // live only while a sinked fire runs

@@ -14,6 +14,11 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
       cfg_(cfg),
       faults_(topo),
       store_(cfg.expected_in_flight) {
+  // Validated up front: the legacy serial path never reads these, so a bad
+  // value must not slip through just because it would go unused.
+  FR_REQUIRE_MSG(cfg_.shards >= 1, "NetworkConfig::shards must be >= 1");
+  FR_REQUIRE_MSG(cfg_.shard_threads >= 0,
+                 "NetworkConfig::shard_threads must be >= 0 (0 = auto)");
   algo_->attach(topo, faults_);
 
   const auto n = static_cast<std::size_t>(topo.num_nodes());
@@ -64,7 +69,6 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
   // path keeps running through the original members when this is off.
   unified_ = cfg_.shards > 1 || cfg_.event_driven;
   if (!unified_) return;
-  FR_REQUIRE(cfg_.shards >= 1);
   plan_ = plan_shards(topo, cfg_.shards);
   shards_.resize(static_cast<std::size_t>(cfg_.shards));
   link_busy_.assign(links_.size(), 0);

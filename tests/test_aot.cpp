@@ -23,6 +23,11 @@
 //  * Rolling swap commits: per-shard commits produce bit-identical
 //    SimResults at 1/2/4/8 execution shards and gate strictly fewer
 //    node-cycles than a quiescent drain of the same swap.
+//  * The soundness gate and table invalidation: stateful programs and
+//    programs reading packet-local inputs keep the VM tier (with a reason),
+//    the interpreter never builds a table, a lazy hit replays the stored
+//    decision, a fault epoch never replays a stale one, and a register
+//    poke through machine() is seen by the very next decision.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -696,6 +701,181 @@ TEST(AotHotSwap, MachinePokeDropsTableUntilNextFill) {
     EXPECT_EQ(before.candidates[i].port, after.candidates[i].port);
     EXPECT_EQ(before.candidates[i].vc, after.candidates[i].vc);
   }
+}
+
+// ------------------------------------ soundness gate and table invalidation
+RouteContext injected_ctx(const Mesh& m, NodeId node, NodeId dest, VcId vc) {
+  RouteContext ctx;
+  ctx.node = node;
+  ctx.dest = dest;
+  ctx.src = node;
+  ctx.in_port = m.degree();
+  ctx.in_vc = vc;
+  return ctx;
+}
+
+TEST(AotSoundnessGate, StatefulProgramKeepsTheVmTier) {
+  // The decision rule base writes a register: a table would skip the
+  // write, so the gate must refuse every table tier.
+  static const char* kSource =
+      "PROGRAM statef;\n"
+      "VARIABLE count IN 0 TO 7\n"
+      "INPUT node IN 0 TO 35\n"
+      "INPUT dest IN 0 TO 35\n"
+      "ON route RETURNS 0 TO 4\n"
+      "  IF node >= 0 THEN count <- min(count + 1, 7), RETURN(4);\n"
+      "END route\n";
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting algo(kSource, 2, ExecMode::Aot);
+  algo.attach(m, f);
+  const RuleDrivenRouting::AotTierInfo ti = algo.aot_tier_info();
+  EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Vm);
+  EXPECT_EQ(ti.reason, "program writes rule state");
+  EXPECT_FALSE(algo.aot_active());
+
+  const RouteContext ctx = injected_ctx(m, m.at(2, 2), m.at(2, 2), 0);
+  algo.route(ctx);
+  algo.route(ctx);
+  // Every decision really executed: the register advanced twice.
+  EXPECT_EQ(algo.machine(ctx.node).env().get("count").as_int(), 2);
+}
+
+TEST(AotSoundnessGate, PacketLocalInputKeepsTheVmTier) {
+  // path_len varies per packet without being part of the premise point, so
+  // a program reading it must never be tabulated.
+  static const char* kSource =
+      "PROGRAM plen;\n"
+      "INPUT path_len IN 0 TO 255\n"
+      "ON route RETURNS 0 TO 4\n"
+      "  IF path_len >= 0 THEN RETURN(4);\n"
+      "END route\n";
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting algo(kSource, 2, ExecMode::Aot);
+  algo.attach(m, f);
+  const RuleDrivenRouting::AotTierInfo ti = algo.aot_tier_info();
+  EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Vm);
+  EXPECT_EQ(ti.reason, "reads inputs outside the premise point");
+  EXPECT_FALSE(algo.aot_active());
+}
+
+TEST(AotSoundnessGate, InterpretModeBuildsNoTable) {
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting interp(rulebases::nara_route_source(6, 6), 2,
+                           ExecMode::Interpret);
+  interp.attach(m, f);
+  const RuleDrivenRouting::AotTierInfo ti = interp.aot_tier_info();
+  EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Vm);
+  EXPECT_EQ(ti.reason, "exec mode is not Aot");
+  EXPECT_FALSE(interp.aot_active());
+  EXPECT_EQ(ti.table_entries, 0u);
+}
+
+TEST(AotLazyTier, HitReplaysTheSameDecision) {
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting vm(rulebases::nara_route_source(6, 6), 2, ExecMode::Vm);
+  RuleDrivenRouting lazy(rulebases::nara_route_source(6, 6), 2,
+                         ExecMode::Aot);
+  lazy.set_aot_compression_enabled(false);
+  lazy.set_aot_budget(1 << 10);
+  vm.attach(m, f);
+  lazy.attach(m, f);
+  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
+      << lazy.aot_tier_info().reason;
+
+  RouteContext ctx = injected_ctx(m, m.at(1, 1), m.at(4, 3), 0);
+  const PointResult first = route_point(lazy, ctx);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 1);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 0);
+  const PointResult second = route_point(lazy, ctx);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+  // The hit replays the candidates AND the recorded step count, so the
+  // paper's decision-cost metric is unchanged by tabulation.
+  expect_same(first, second, "lazy hit", ctx);
+  expect_same(route_point(vm, ctx), second, "lazy hit vs vm", ctx);
+
+  // A different key computes fresh.
+  ctx.in_vc = 1;
+  route_point(lazy, ctx);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 2);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+}
+
+TEST(AotLazyTier, FaultEpochNeverReplaysAStaleDecision) {
+  Mesh m = Mesh::two_d(5, 5);
+  FaultSet f(m);
+  RuleDrivenRouting lazy(rulebases::ft_mesh_route_source(5, 5), 3,
+                         ExecMode::Aot, "route", /*escape_vc=*/2);
+  lazy.set_aot_budget(1 << 10);
+  lazy.attach(m, f);
+  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
+      << lazy.aot_tier_info().reason;
+
+  const RouteContext ctx = injected_ctx(m, m.at(0, 0), m.at(3, 3), 0);
+  lazy.route(ctx);
+  lazy.route(ctx);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 1);
+
+  Rng rng(7);
+  inject_random_link_faults(f, 2, rng);
+  lazy.reconfigure();
+  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy);
+  const PointResult after = route_point(lazy, ctx);
+  // New epoch: the stored entry was dropped, the decision recomputed.
+  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 2);
+
+  // A fresh instance attached to the already-faulty network agrees — the
+  // refilled tier did not leak a stale decision.
+  RuleDrivenRouting fresh(rulebases::ft_mesh_route_source(5, 5), 3,
+                          ExecMode::Aot, "route", /*escape_vc=*/2);
+  fresh.set_aot_budget(1 << 10);
+  fresh.attach(m, f);
+  expect_same(route_point(fresh, ctx), after, "refilled lazy vs fresh", ctx);
+}
+
+TEST(AotHotSwap, RegisterPokeIsSeenByTheNextDecision) {
+  // A stateless decision program may still *read* registers that the host
+  // (or another rule base) writes. The table stores what the VM answered
+  // at fill time, so a poke through machine() must reach the next decision
+  // — and the refill after it.
+  static const char* kSource =
+      "PROGRAM regread;\n"
+      "VARIABLE pref IN 0 TO 4\n"
+      "INPUT node IN 0 TO 35\n"
+      "INPUT dest IN 0 TO 35\n"
+      "ON route RETURNS 0 TO 4\n"
+      "  IF node = dest THEN RETURN(4);\n"
+      "  IF node <> dest THEN RETURN(pref);\n"
+      "END route\n";
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting algo(kSource, 2, ExecMode::Aot);
+  algo.attach(m, f);
+  ASSERT_EQ(algo.aot_tier_info().tier, RuleDrivenRouting::AotTier::Direct)
+      << algo.aot_tier_info().reason;
+
+  const RouteContext ctx = injected_ctx(m, m.at(1, 1), m.at(4, 1), 0);
+  const RouteDecision before = algo.route(ctx);
+  ASSERT_FALSE(before.candidates.empty());
+  EXPECT_EQ(before.candidates[0].port, 0);  // pref = 0 -> east
+
+  // Host pokes the register: the next decision must see the new value.
+  algo.machine(ctx.node).env().set("pref", 0, rules::Value::make_int(4));
+  const RouteDecision after = algo.route(ctx);
+  ASSERT_FALSE(after.candidates.empty());
+  EXPECT_EQ(after.candidates[0].port, m.degree());  // pref = 4 -> local
+
+  // The refill tabulates the poked register file.
+  algo.reconfigure();
+  EXPECT_TRUE(algo.aot_active());
+  const RouteDecision refilled = algo.route(ctx);
+  ASSERT_FALSE(refilled.candidates.empty());
+  EXPECT_EQ(refilled.candidates[0].port, m.degree());
 }
 
 }  // namespace

@@ -237,7 +237,22 @@ TEST(Config, RequireMissingThrows) {
 TEST(Config, MalformedValueThrows) {
   const auto cfg = Config::parse("x = banana");
   EXPECT_THROW(cfg.get_int("x", 0), ContractViolation);
+  EXPECT_THROW(cfg.get_double("x", 0.0), ContractViolation);
   EXPECT_THROW(cfg.get_bool("x", false), ContractViolation);
+  // Numbers are consumed whole: a trailing typo is an error, not a
+  // silently truncated value.
+  const auto trailing = Config::parse("n = 8abc; r = 0.1x; l = 0.1,x");
+  EXPECT_THROW(trailing.get_int("n", 0), ContractViolation);
+  EXPECT_THROW(trailing.get_double("r", 0.0), ContractViolation);
+  EXPECT_THROW(trailing.get_double_list("l", {}), ContractViolation);
+}
+
+TEST(Config, DoubleList) {
+  const auto cfg = Config::parse("rates = 0.02, 0.06,1e-1");
+  EXPECT_EQ(cfg.get_double_list("rates", {}),
+            (std::vector<double>{0.02, 0.06, 0.1}));
+  EXPECT_EQ(cfg.get_double_list("missing", {0.5}),
+            (std::vector<double>{0.5}));
 }
 
 TEST(Config, MalformedLineThrows) {

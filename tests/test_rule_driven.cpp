@@ -394,9 +394,8 @@ TEST(Corpus, RouteCUpdateStatePropagates) {
   EXPECT_EQ(p.syms.name(em.env().get("state").as_sym()), "ounsafe");
   // Propagation: one message per dimension.
   int sends = 0;
-  em.set_host_handler([&](const std::string& name,
-                          const std::vector<rules::Value>&) {
-    if (name == "send_newmessage") ++sends;
+  em.set_host_handler([&](const rules::EmittedEvent& ev) {
+    if (ev.name == "send_newmessage") ++sends;
   });
   em.drain();
   EXPECT_EQ(sends, 4);
@@ -445,9 +444,9 @@ TEST(Corpus, DistributedStatePropagationOverHypercube) {
   };
   for (NodeId n = 0; n < cube.num_nodes(); ++n) {
     machines[static_cast<std::size_t>(n)]->set_host_handler(
-        [&, n](const std::string& event, const std::vector<rules::Value>& args) {
-          if (event != "send_newmessage") return;
-          deliver(n, static_cast<PortId>(args[0].as_int()), args[1]);
+        [&, n](const rules::EmittedEvent& ev) {
+          if (ev.name != "send_newmessage") return;
+          deliver(n, static_cast<PortId>(ev.args[0].as_int()), ev.args[1]);
         });
   }
   auto drain_network = [&]() {

@@ -601,10 +601,9 @@ TEST(EventManager, HostHandlerReceivesUnboundEvents) {
       "ON go IF 1 = 1 THEN !send(3), !send(5); END");
   EventManager em(p);
   std::vector<std::int64_t> sent;
-  em.set_host_handler([&](const std::string& name,
-                          const std::vector<Value>& args) {
-    EXPECT_EQ(name, "send");
-    sent.push_back(args[0].as_int());
+  em.set_host_handler([&](const EmittedEvent& ev) {
+    EXPECT_EQ(ev.name, "send");
+    sent.push_back(ev.args[0].as_int());
   });
   em.fire("go", {});
   em.drain();

@@ -103,6 +103,28 @@ TEST(ShardPlan, RejectsBadShardCounts) {
   EXPECT_THROW(plan_shards(m, 17), ContractViolation);
 }
 
+// The network validates its shard settings on every path — the legacy
+// serial step (shards = 1, event-driven off) never plans shards, so the
+// check must not hide behind the unified-path setup.
+TEST(ShardPlan, NetworkRejectsBadShardConfigOnEveryPath) {
+  Mesh m = Mesh::two_d(4, 4);
+  auto algo = make_algorithm("nafta");
+  for (const bool event_driven : {false, true}) {
+    for (const int shards : {0, -1}) {
+      NetworkConfig cfg;
+      cfg.shards = shards;
+      cfg.event_driven = event_driven;
+      EXPECT_THROW(Network(m, *algo, cfg), ContractViolation)
+          << "shards=" << shards << " event_driven=" << event_driven;
+    }
+    NetworkConfig cfg;
+    cfg.shard_threads = -1;
+    cfg.event_driven = event_driven;
+    EXPECT_THROW(Network(m, *algo, cfg), ContractViolation)
+        << "shard_threads=-1 event_driven=" << event_driven;
+  }
+}
+
 // ------------------------------------------------------- identity harness
 
 /// Bit-exact SimResult comparison over every field (memcmp on doubles:

@@ -2,9 +2,8 @@
 // interpreter exhibits — fired rule, RETURN value, emitted events, register
 // effects, contract violations — must be reproduced bit-identically by the
 // compiled bytecode, over the shipped corpora and over runnable routing
-// programs driving RuleDrivenRouting. Also covers the per-node decision
-// cache: hit parity, fault-epoch and register-write invalidation, and the
-// static-analysis gate that disables caching for unsafe programs.
+// programs driving RuleDrivenRouting (ExecMode::Vm, the bare-VM oracle the
+// AOT table tiers in test_aot.cpp are checked against).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -234,7 +233,7 @@ TEST(VmRouting, FtMeshVmMatchesInterpretUnderFaults) {
 }
 
 TEST(VmRouting, VmDrivesAFullNetwork) {
-  // End-to-end: the VM (with the decision cache) routes real traffic.
+  // End-to-end: the bare VM routes real traffic.
   Mesh m = Mesh::two_d(5, 5);
   RuleDrivenRouting algo(rulebases::nara_route_source(5, 5), 2, ExecMode::Vm);
   Network net(m, algo);
@@ -249,165 +248,7 @@ TEST(VmRouting, VmDrivesAFullNetwork) {
   EXPECT_GT(r.injected_packets, 30);
   EXPECT_EQ(r.delivered_packets, r.injected_packets);
   EXPECT_DOUBLE_EQ(r.min_hops_ratio, 1.0);
-  // Cache hits replay the recorded step count, so the paper's decision-cost
-  // metric is unchanged by caching.
   EXPECT_DOUBLE_EQ(r.avg_decision_steps, 1.0);
-  EXPECT_GT(algo.decision_cache_hits(), 0);
-}
-
-// ------------------------------------------------------------ decision cache
-TEST(DecisionCache, HitsReplayTheSameDecision) {
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting vm(rulebases::nara_route_source(6, 6), 2, ExecMode::Vm);
-  vm.attach(m, f);
-  ASSERT_TRUE(vm.decision_cache_enabled());
-
-  RouteContext ctx;
-  ctx.node = m.at(1, 1);
-  ctx.dest = m.at(4, 3);
-  ctx.src = ctx.node;
-  ctx.in_port = m.degree();
-  ctx.in_vc = 0;
-  const RouteDecision first = vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_misses(), 1);
-  EXPECT_EQ(vm.decision_cache_hits(), 0);
-  const RouteDecision second = vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_hits(), 1);
-  EXPECT_EQ(cands(first), cands(second));
-  EXPECT_EQ(first.steps, second.steps);
-
-  // A different key computes fresh.
-  ctx.in_vc = 1;
-  vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_misses(), 2);
-}
-
-TEST(DecisionCache, FaultEpochInvalidates) {
-  Mesh m = Mesh::two_d(5, 5);
-  FaultSet f(m);
-  RuleDrivenRouting vm(rulebases::ft_mesh_route_source(5, 5), 3, ExecMode::Vm,
-                       "route", /*escape_vc=*/2);
-  vm.attach(m, f);
-  ASSERT_TRUE(vm.decision_cache_enabled());
-
-  RouteContext ctx;
-  ctx.node = m.at(0, 0);
-  ctx.dest = m.at(3, 3);
-  ctx.src = ctx.node;
-  ctx.in_port = m.degree();
-  ctx.in_vc = 0;
-  vm.route(ctx);
-  vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_hits(), 1);
-  EXPECT_EQ(vm.decision_cache_misses(), 1);
-
-  Rng rng(7);
-  inject_random_link_faults(f, 2, rng);
-  vm.reconfigure();
-  vm.route(ctx);  // new epoch: the cached entry must not be replayed
-  EXPECT_EQ(vm.decision_cache_hits(), 1);
-  EXPECT_EQ(vm.decision_cache_misses(), 2);
-
-  // Fresh instance attached to the already-faulty network agrees — the
-  // invalidated cache did not leak a stale decision.
-  RuleDrivenRouting fresh(rulebases::ft_mesh_route_source(5, 5), 3,
-                          ExecMode::Vm, "route", 2);
-  fresh.attach(m, f);
-  EXPECT_EQ(cands(vm.route(ctx)), cands(fresh.route(ctx)));
-}
-
-TEST(DecisionCache, RegisterWriteInvalidates) {
-  // A stateless decision program may still *read* registers that the host
-  // (or another rule base) writes; RuleEnv::version() must invalidate.
-  static const char* kSource =
-      "PROGRAM regread;\n"
-      "VARIABLE pref IN 0 TO 4\n"
-      "INPUT node IN 0 TO 35\n"
-      "INPUT dest IN 0 TO 35\n"
-      "ON route RETURNS 0 TO 4\n"
-      "  IF node = dest THEN RETURN(4);\n"
-      "  IF node <> dest THEN RETURN(pref);\n"
-      "END route\n";
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting vm(kSource, 2, ExecMode::Vm);
-  vm.attach(m, f);
-  ASSERT_TRUE(vm.decision_cache_enabled());
-
-  RouteContext ctx;
-  ctx.node = m.at(1, 1);
-  ctx.dest = m.at(4, 1);
-  ctx.src = ctx.node;
-  ctx.in_port = m.degree();
-  ctx.in_vc = 0;
-  const RouteDecision before = vm.route(ctx);
-  ASSERT_FALSE(before.candidates.empty());
-  EXPECT_EQ(before.candidates[0].port, 0);  // pref = 0 -> east
-  vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_hits(), 1);
-
-  // Host pokes the register: the next decision must see the new value.
-  vm.machine(ctx.node).env().set("pref", 0, Value::make_int(4));
-  const RouteDecision after = vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_misses(), 2);
-  ASSERT_FALSE(after.candidates.empty());
-  EXPECT_EQ(after.candidates[0].port, m.degree());  // pref = 4 -> local
-}
-
-TEST(DecisionCache, StatefulProgramDisablesCache) {
-  // The decision rule base writes a register: caching would skip the write,
-  // so the static-analysis gate must refuse.
-  static const char* kSource =
-      "PROGRAM statef;\n"
-      "VARIABLE count IN 0 TO 7\n"
-      "INPUT node IN 0 TO 35\n"
-      "INPUT dest IN 0 TO 35\n"
-      "ON route RETURNS 0 TO 4\n"
-      "  IF node >= 0 THEN count <- min(count + 1, 7), RETURN(4);\n"
-      "END route\n";
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting vm(kSource, 2, ExecMode::Vm);
-  vm.attach(m, f);
-  EXPECT_FALSE(vm.decision_cache_enabled());
-
-  RouteContext ctx;
-  ctx.node = m.at(2, 2);
-  ctx.dest = m.at(2, 2);
-  ctx.src = ctx.node;
-  ctx.in_port = m.degree();
-  ctx.in_vc = 0;
-  vm.route(ctx);
-  vm.route(ctx);
-  EXPECT_EQ(vm.decision_cache_hits(), 0);
-  // Every decision really executed: the register advanced twice.
-  EXPECT_EQ(vm.machine(ctx.node).env().get("count").as_int(), 2);
-}
-
-TEST(DecisionCache, PacketLocalInputDisablesCache) {
-  // path_len varies per packet without being part of the cache key, so a
-  // program reading it must never be cached.
-  static const char* kSource =
-      "PROGRAM plen;\n"
-      "INPUT path_len IN 0 TO 255\n"
-      "ON route RETURNS 0 TO 4\n"
-      "  IF path_len >= 0 THEN RETURN(4);\n"
-      "END route\n";
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting vm(kSource, 2, ExecMode::Vm);
-  vm.attach(m, f);
-  EXPECT_FALSE(vm.decision_cache_enabled());
-}
-
-TEST(DecisionCache, InterpretModeNeverCaches) {
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting interp(rulebases::nara_route_source(6, 6), 2,
-                           ExecMode::Interpret);
-  interp.attach(m, f);
-  EXPECT_FALSE(interp.decision_cache_enabled());
 }
 
 // ----------------------------------------------- static reachability analysis
@@ -455,7 +296,7 @@ TEST(VmEvents, EmittedEventsCarryResolvedIds) {
   EXPECT_GE(r.events[0].target_rb, 0);
   EXPECT_EQ(r.events[1].target_rb, -1);
   int host_calls = 0;
-  vm.set_host_handler_fast([&](const rules::EmittedEvent& ev) {
+  vm.set_host_handler([&](const rules::EmittedEvent& ev) {
     EXPECT_EQ(ev.name, "host_only");
     ++host_calls;
   });
