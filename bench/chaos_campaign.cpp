@@ -29,11 +29,13 @@
 //   ./chaos_campaign --patterns N   # override patterns per cell
 //   ./chaos_campaign --json FILE    # write the scorecard
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "common/alloc_counter.hpp"
@@ -420,14 +422,34 @@ int main(int argc, char** argv) {
   bool smoke = false;
   int patterns = 0;
   std::string json_path;
+  // A malformed command line exits 2 with one `usage error:` line before
+  // anything runs, like flexsim's config errors.
+  const auto usage_error = [](const std::string& what) {
+    std::cerr << "usage error: " << what << "\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    if (std::strcmp(argv[i], "--patterns") == 0 && i + 1 < argc)
-      patterns = std::atoi(argv[++i]);
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      smoke = true;
+      continue;
+    }
+    if (arg != "--json" && arg != "--patterns")
+      return usage_error("unknown argument '" + std::string(arg) + "'");
+    if (i + 1 >= argc)
+      return usage_error(std::string(arg) + " needs a value");
+    const std::string_view value = argv[++i];
+    if (arg == "--json") {
+      json_path = value;
+      continue;
+    }
+    const char* end = value.data() + value.size();
+    const auto [parsed_to, ec] = std::from_chars(value.data(), end, patterns);
+    if (ec != std::errc() || parsed_to != end || patterns <= 0)
+      return usage_error("--patterns wants a positive integer, got '" +
+                         std::string(value) + "'");
   }
-  if (patterns <= 0) patterns = smoke ? 8 : 1000;
+  if (patterns == 0) patterns = smoke ? 8 : 1000;
   const Cycle warmup = smoke ? 150 : 200;
   const Cycle measure = smoke ? 600 : 1200;
 

@@ -51,6 +51,8 @@ RuleDrivenRouting::~RuleDrivenRouting() = default;
 int RuleDrivenRouting::reconfigure() {
   int exchanges = 0;
   if (escape_vc_ >= 0) exchanges = escape_.rebuild(*faults_);
+  comp_ = components(*faults_);
+  comp_epoch_ = faults_->epoch();
   // The AOT table is a function of the fault epoch (link_ok,
   // dest_reachable, escape_*): refill it during the same quiescent phase
   // that rebuilds the escape layer. Local recomputation — no exchanges.
@@ -185,6 +187,8 @@ void RuleDrivenRouting::attach(const Topology& topo, const FaultSet& faults) {
     }
   }
   if (escape_vc_ >= 0) escape_.rebuild(faults);
+  comp_ = components(faults);
+  comp_epoch_ = faults.epoch();
   pending_.reset();
   rolling_ = false;
   node_on_pending_.clear();
@@ -787,7 +791,7 @@ Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
       return Value::make_bool(faults_->link_usable(ctx.node, p));
     }
     case InCode::DestReachable:
-      return Value::make_bool(connected(*faults_, ctx.node, ctx.dest));
+      return Value::make_bool(dest_reachable(ctx.node, ctx.dest));
     case InCode::OnEscape:
       return Value::make_bool(ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
                               ctx.in_port < topo_->degree());
@@ -818,6 +822,14 @@ Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
   }
   FR_REQUIRE_MSG(false, "rule program input is not in the host catalog");
   return Value::make_int(0);
+}
+
+bool RuleDrivenRouting::dest_reachable(NodeId node, NodeId dest) const {
+  FR_REQUIRE_MSG(comp_epoch_ == faults_->epoch(),
+                 "stale component ids: reconfigure() missed an epoch");
+  if (node == dest) return faults_->node_ok(node);
+  const int c = comp_[static_cast<std::size_t>(node)];
+  return c >= 0 && c == comp_[static_cast<std::size_t>(dest)];
 }
 
 Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
@@ -875,7 +887,7 @@ Value RuleDrivenRouting::input_value(const RouteContext& ctx,
     return Value::make_bool(faults_->link_usable(ctx.node, p));
   }
   if (name == "dest_reachable")
-    return Value::make_bool(connected(*faults_, ctx.node, ctx.dest));
+    return Value::make_bool(dest_reachable(ctx.node, ctx.dest));
   if (escape_vc_ >= 0) {
     const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
                            ctx.in_port < topo_->degree();

@@ -390,6 +390,8 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// the node (the pending one for nodes a rolling commit already flipped).
   /// Out of line so route()'s table hit keeps NRVO (see the definition).
   void route_fallback(const RouteContext& ctx, RouteDecision& d) const;
+  /// dest_reachable: `dest` is healthy and in `node`'s component.
+  bool dest_reachable(NodeId node, NodeId dest) const;
 
   std::string source_;  // pre-attach program; updated on commit_swap()
   std::string route_base_;
@@ -397,6 +399,11 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   int vcs_;
   VcId escape_vc_;
   UpDownTable escape_;
+  /// Healthy-component id per node (-1 for faulty nodes), the answer to
+  /// dest_reachable; recomputed once per fault epoch by attach() and
+  /// reconfigure(), like the escape table.
+  std::vector<int> comp_;
+  std::uint64_t comp_epoch_ = 0;
   const Topology* topo_ = nullptr;
   const Mesh* mesh_ = nullptr;  // non-null on 2-D meshes
   const FaultSet* faults_ = nullptr;

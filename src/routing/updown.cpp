@@ -1,79 +1,134 @@
 #include "routing/updown.hpp"
 
-#include <deque>
-#include <limits>
+#include <algorithm>
 
 namespace flexrouter {
 
-namespace {
-constexpr int kUnreachable = std::numeric_limits<int>::max() / 4;
-}
-
 int UpDownTable::rebuild(const FaultSet& faults) {
-  topo_ = &faults.topology();
+  const Topology& topo = faults.topology();
+  const NodeId n_nodes = topo.num_nodes();
+  FR_REQUIRE_MSG(2 * static_cast<std::int64_t>(n_nodes) < kFar,
+                 "fabric too large for 16-bit up*/down* distances");
+  const PortId deg = topo.degree();
+  const NodeId root = choose_tree_root(faults);
   faults_ = &faults;
   epoch_ = faults.epoch();
-  num_nodes_ = topo_->num_nodes();
-  const auto n = static_cast<std::size_t>(num_nodes_);
+  num_nodes_ = n_nodes;
+  degree_ = deg;
+  const auto n = static_cast<std::size_t>(n_nodes);
+  const auto d = static_cast<std::size_t>(deg);
 
-  const NodeId root = choose_tree_root(faults);
-  const SpanningTree tree = bfs_spanning_tree(faults, root);
-  order_ = tree.order;
+  // One pass over the topology and the fault set: every later step reads
+  // these flat arrays instead of the virtual neighbor() and link_usable().
+  nbr_.resize(n * d);
+  port_.resize(n * d);
+  int usable_links = 0;
+  for (NodeId u = 0; u < n_nodes; ++u)
+    for (PortId p = 0; p < deg; ++p) {
+      const std::size_t i = static_cast<std::size_t>(u) * d +
+                            static_cast<std::size_t>(p);
+      nbr_[i] = topo.neighbor(u, p);
+      const bool usable = faults.link_usable(u, p);
+      port_[i] = usable ? kPortUsable : 0;
+      usable_links += usable ? 1 : 0;
+    }
 
-  dist_up_.assign(n * n, kUnreachable);
-  dist_down_.assign(n * n, kUnreachable);
+  // BFS spanning tree from the root, ranking nodes in visit order (the
+  // order bfs_spanning_tree assigns) and counting its levels.
+  order_.assign(n, -1);
+  queue_.resize(2 * n);
+  int rank = 0;
+  int levels = 0;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  order_[static_cast<std::size_t>(root)] = rank++;
+  queue_[tail++] = static_cast<std::uint32_t>(root);
+  while (head < tail) {
+    const std::size_t level_end = tail;
+    for (; head < level_end; ++head) {
+      const std::size_t base = queue_[head] * d;
+      for (std::size_t p = 0; p < d; ++p) {
+        if ((port_[base + p] & kPortUsable) == 0) continue;
+        const auto v = static_cast<std::size_t>(nbr_[base + p]);
+        if (order_[v] >= 0) continue;
+        order_[v] = rank++;
+        queue_[tail++] = static_cast<std::uint32_t>(v);
+      }
+    }
+    if (tail > level_end) ++levels;
+  }
 
-  // Backward BFS per destination over the phase automaton. A router in
-  // state (node, Up) may take an up move (stay Up) or a down move (enter
-  // Down); in state (node, Down) only down moves remain. We therefore walk
-  // predecessors: who can reach `dest` next?
-  int exchanges = 0;
-  for (NodeId dest = 0; dest < num_nodes_; ++dest) {
+  // Orient every link (from -> to is up when order(to) < order(from)) and
+  // list predecessors: u reaches v by the usable move u -> v, which is the
+  // reverse of v's port toward u. Moves into v that are up come first.
+  pred_off_.resize(n + 1);
+  pred_split_.resize(n);
+  pred_.resize(static_cast<std::size_t>(usable_links));
+  std::uint32_t k = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t base = v * d;
+    for (std::size_t p = 0; p < d; ++p) {
+      const NodeId to = nbr_[base + p];
+      if (to != kInvalidNode &&
+          order_[static_cast<std::size_t>(to)] < order_[v])
+        port_[base + p] |= kPortUp;
+    }
+    const auto list = [&](bool into_v_up) {
+      for (std::size_t p = 0; p < d; ++p) {
+        if ((port_[base + p] & kPortUsable) == 0) continue;
+        const NodeId u = nbr_[base + p];
+        if ((order_[v] < order_[static_cast<std::size_t>(u)]) == into_v_up)
+          pred_[k++] = u;
+      }
+    };
+    pred_off_[v] = k;
+    list(true);
+    pred_split_[v] = k;
+    list(false);
+  }
+  pred_off_[n] = k;
+
+  // Backward BFS per destination over the phase automaton, into that
+  // destination's slab. A router in state (node, Up) may take an up move
+  // (stay Up) or a down move (enter Down); in state (node, Down) only down
+  // moves remain. We therefore walk predecessors: who can reach `dest`
+  // next? Unit weights and a FIFO make the first write of a state final,
+  // so each state enters the queue at most once.
+  dist_.resize(n * 2 * n);
+  for (NodeId dest = 0; dest < n_nodes; ++dest) {
+    std::uint16_t* dist = dist_.data() + static_cast<std::size_t>(dest) * 2 * n;
+    std::fill(dist, dist + 2 * n, kFar);
     if (faults.node_faulty(dest)) continue;
-    auto up = [&](NodeId node) -> int& {
-      return dist_up_[static_cast<std::size_t>(idx(node, dest))];
-    };
-    auto down = [&](NodeId node) -> int& {
-      return dist_down_[static_cast<std::size_t>(idx(node, dest))];
-    };
-    // (node, phase): phase 0 = Up, 1 = Down.
-    std::deque<std::pair<NodeId, int>> queue;
-    up(dest) = 0;
-    down(dest) = 0;
-    queue.emplace_back(dest, 0);
-    queue.emplace_back(dest, 1);
-    while (!queue.empty()) {
-      const auto [v, phase] = queue.front();
-      queue.pop_front();
-      const int dv = phase == 0 ? up(v) : down(v);
-      // Predecessor u reaches state (v, phase) by the move u -> v.
-      for (PortId pv = 0; pv < topo_->degree(); ++pv) {
-        if (!faults.link_usable(v, pv)) continue;
-        const NodeId u = topo_->neighbor(v, pv);
-        const bool move_is_up =
-            order_[static_cast<std::size_t>(v)] <
-            order_[static_cast<std::size_t>(u)];
-        if (move_is_up) {
-          // An up move keeps the walker in Up phase, so it only explains
-          // state (u, Up) reaching (v, Up).
-          if (phase == 0 && up(u) > dv + 1) {
-            up(u) = dv + 1;
-            queue.emplace_back(u, 0);
+    const auto t = static_cast<std::uint32_t>(dest);
+    dist[2 * t] = 0;
+    dist[2 * t + 1] = 0;
+    queue_[0] = 2 * t;
+    queue_[1] = 2 * t + 1;
+    head = 0;
+    tail = 2;
+    while (head < tail) {
+      const std::uint32_t s = queue_[head++];
+      const std::uint32_t v = s >> 1;
+      const auto next = static_cast<std::uint16_t>(dist[s] + 1);
+      if ((s & 1) == 0) {
+        // (v, Up) is reached by up moves only, from (u, Up).
+        for (std::uint32_t j = pred_off_[v]; j < pred_split_[v]; ++j) {
+          const auto u = static_cast<std::uint32_t>(pred_[j]);
+          if (dist[2 * u] != kFar) continue;
+          dist[2 * u] = next;
+          queue_[tail++] = 2 * u;
+        }
+      } else {
+        // (v, Down) is reached by down moves, from (u, Down) or (u, Up).
+        for (std::uint32_t j = pred_split_[v]; j < pred_off_[v + 1]; ++j) {
+          const auto u = static_cast<std::uint32_t>(pred_[j]);
+          if (dist[2 * u + 1] == kFar) {
+            dist[2 * u + 1] = next;
+            queue_[tail++] = 2 * u + 1;
           }
-        } else {
-          // A down move: u may have been in Up (entering Down) or Down.
-          // Arriving state at v is Down, so only phase == 1 applies...
-          // unless v == dest where both seeds exist; using the Down seed is
-          // correct because the walk ends there.
-          if (phase == 1) {
-            if (down(u) > dv + 1) {
-              down(u) = dv + 1;
-              queue.emplace_back(u, 1);
-            }
-            if (up(u) > dv + 1) {
-              up(u) = dv + 1;
-              queue.emplace_back(u, 0);
-            }
+          if (dist[2 * u] == kFar) {
+            dist[2 * u] = next;
+            queue_[tail++] = 2 * u;
           }
         }
       }
@@ -82,37 +137,30 @@ int UpDownTable::rebuild(const FaultSet& faults) {
 
   // Distributed construction cost: one BFS wave round per tree level, one
   // exchange per usable directed link per wave.
-  int usable_links = 0;
-  for (NodeId u = 0; u < num_nodes_; ++u)
-    for (PortId p = 0; p < topo_->degree(); ++p)
-      if (faults.link_usable(u, p)) ++usable_links;
-  int levels = 0;
-  for (NodeId u = 0; u < num_nodes_; ++u)
-    levels = std::max(levels, tree.level[static_cast<std::size_t>(u)]);
-  exchanges = usable_links * std::max(1, levels);
-  return exchanges;
+  return usable_links * std::max(1, levels);
 }
 
 StaticVector<PortId, 16> UpDownTable::next_hops(NodeId node, NodeId dest,
                                                 Phase phase) const {
   FR_REQUIRE(ready());
-  FR_REQUIRE(topo_->valid_node(node) && topo_->valid_node(dest));
+  FR_REQUIRE(node >= 0 && node < num_nodes_ && dest >= 0 &&
+             dest < num_nodes_);
   StaticVector<PortId, 16> out;
   if (node == dest) return out;
-  const int here =
-      phase == Phase::Up
-          ? dist_up_[static_cast<std::size_t>(idx(node, dest))]
-          : dist_down_[static_cast<std::size_t>(idx(node, dest))];
-  if (here >= kUnreachable) return out;
-  for (PortId p = 0; p < topo_->degree(); ++p) {
-    if (!faults_->link_usable(node, p)) continue;
-    const NodeId m = topo_->neighbor(node, p);
-    const bool up_move = is_up_move(node, p);
+  const std::uint16_t* dist = slab(dest);
+  const std::uint16_t here = dist[state(node, phase)];
+  if (here == kFar) return out;
+  const std::size_t base =
+      static_cast<std::size_t>(node) * static_cast<std::size_t>(degree_);
+  for (PortId p = 0; p < degree_; ++p) {
+    const std::uint8_t flags = port_[base + static_cast<std::size_t>(p)];
+    if ((flags & kPortUsable) == 0) continue;
+    const bool up_move = (flags & kPortUp) != 0;
     if (phase == Phase::Down && up_move) continue;
-    const int next =
-        up_move ? dist_up_[static_cast<std::size_t>(idx(m, dest))]
-                : dist_down_[static_cast<std::size_t>(idx(m, dest))];
-    if (next == here - 1 && !out.full()) out.push_back(p);
+    const NodeId m = nbr_[base + static_cast<std::size_t>(p)];
+    if (dist[state(m, up_move ? Phase::Up : Phase::Down)] + 1 == here &&
+        !out.full())
+      out.push_back(p);
   }
   FR_ENSURE_MSG(!out.empty(), "up*/down* table inconsistent: no next hop");
   return out;
@@ -124,24 +172,24 @@ UpDownTable::Phase UpDownTable::phase_after(NodeId from, PortId port) const {
 
 bool UpDownTable::is_up_move(NodeId from, PortId port) const {
   FR_REQUIRE(ready());
-  const NodeId to = topo_->neighbor(from, port);
-  FR_REQUIRE(to != kInvalidNode);
-  return order_[static_cast<std::size_t>(to)] <
-         order_[static_cast<std::size_t>(from)];
+  FR_REQUIRE(from >= 0 && from < num_nodes_ && port >= 0 && port < degree_);
+  const std::size_t i =
+      static_cast<std::size_t>(from) * static_cast<std::size_t>(degree_) +
+      static_cast<std::size_t>(port);
+  FR_REQUIRE(nbr_[i] != kInvalidNode);
+  return (port_[i] & kPortUp) != 0;
 }
 
 bool UpDownTable::reachable(NodeId from, NodeId to) const {
   FR_REQUIRE(ready());
   if (from == to) return faults_->node_ok(from);
-  return dist_up_[static_cast<std::size_t>(idx(from, to))] < kUnreachable;
+  return slab(to)[state(from, Phase::Up)] != kFar;
 }
 
 int UpDownTable::distance(NodeId from, NodeId to, Phase phase) const {
   FR_REQUIRE(ready());
-  const int d = phase == Phase::Up
-                    ? dist_up_[static_cast<std::size_t>(idx(from, to))]
-                    : dist_down_[static_cast<std::size_t>(idx(from, to))];
-  return d >= kUnreachable ? -1 : d;
+  const std::uint16_t d = slab(to)[state(from, phase)];
+  return d == kFar ? -1 : d;
 }
 
 RouteDecision UpDownRouting::route(const RouteContext& ctx) const {

@@ -15,6 +15,7 @@
 // grants.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -30,6 +31,8 @@ class UpDownTable {
   /// state. Returns the number of node-to-node information exchanges the
   /// distributed construction would need (tree building is a BFS wave:
   /// one exchange per usable directed link, plus one wave round per level).
+  /// Contract: 2 * num_nodes < 0xffff (distances are 16-bit), checked
+  /// before anything is touched.
   int rebuild(const FaultSet& faults);
 
   bool ready() const { return !order_.empty(); }
@@ -54,19 +57,43 @@ class UpDownTable {
   int distance(NodeId from, NodeId to, Phase phase) const;
 
  private:
-  int idx(NodeId node, NodeId dest) const {
-    return static_cast<int>(node) * num_nodes_ + static_cast<int>(dest);
+  /// 16-bit distance meaning "unreachable".
+  static constexpr std::uint16_t kFar = 0xffff;
+  /// port_ flag bits.
+  static constexpr std::uint8_t kPortUsable = 1;
+  static constexpr std::uint8_t kPortUp = 2;
+
+  /// Destination `dest`'s slab of 2N distances, indexed by state().
+  const std::uint16_t* slab(NodeId dest) const {
+    return dist_.data() + static_cast<std::size_t>(dest) * 2 *
+                              static_cast<std::size_t>(num_nodes_);
+  }
+  static std::size_t state(NodeId node, Phase phase) {
+    return 2 * static_cast<std::size_t>(node) + (phase == Phase::Up ? 0 : 1);
   }
 
-  const Topology* topo_ = nullptr;
   const FaultSet* faults_ = nullptr;
   std::uint64_t epoch_ = 0;
-  int num_nodes_ = 0;
+  NodeId num_nodes_ = 0;
+  PortId degree_ = 0;
+  /// BFS visit rank per node (-1 when the tree does not reach it).
   std::vector<int> order_;
-  /// dist_up[node * N + dest]: shortest legal path length starting in Up
-  /// phase; dist_down: starting in Down phase (only down moves remain).
-  std::vector<int> dist_up_;
-  std::vector<int> dist_down_;
+  /// Per (node, port), node-major: the neighbour (kInvalidNode where the
+  /// topology has no link) and kPortUsable | kPortUp flags.
+  std::vector<NodeId> nbr_;
+  std::vector<std::uint8_t> port_;
+  /// Dest-major distance slabs: dest's slab holds 2N entries, the shortest
+  /// legal path length from (node, Up) at 2 * node and from (node, Down)
+  /// at 2 * node + 1; kFar when unreachable.
+  std::vector<std::uint16_t> dist_;
+  /// Rebuild scratch, kept to reuse its storage across rebuilds: the
+  /// predecessors of v in pred_[pred_off_[v], pred_off_[v + 1]), those
+  /// whose move into v is up first (up to pred_split_[v]), and one FIFO
+  /// of (node, phase) states shared by the tree BFS and the per-dest BFS.
+  std::vector<std::uint32_t> pred_off_;
+  std::vector<std::uint32_t> pred_split_;
+  std::vector<NodeId> pred_;
+  std::vector<std::uint32_t> queue_;
 };
 
 /// Standalone up*/down* routing algorithm (single virtual channel).

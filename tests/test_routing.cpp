@@ -3,8 +3,11 @@
 // mechanical deadlock-freedom checks via channel dependency graphs.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
 #include <set>
 
+#include "common/alloc_counter.hpp"
 #include "routing/cdg.hpp"
 #include "routing/dor.hpp"
 #include "routing/nafta.hpp"
@@ -14,6 +17,8 @@
 #include "routing/updown.hpp"
 #include "sim/fault_injector.hpp"
 #include "topology/graph_algo.hpp"
+#include "topology/hypercube.hpp"
+#include "topology/torus.hpp"
 
 namespace flexrouter {
 namespace {
@@ -193,6 +198,272 @@ TEST(UpDown, CdgAcyclicUnderRandomFaults) {
     const CdgReport rep = check_full_cdg(m, f, algo);
     EXPECT_TRUE(rep.acyclic) << "trial " << trial << ": " << rep.to_string();
   }
+}
+
+// Reference up*/down* tables: the straightforward per-destination deque BFS
+// over (node, phase) states with node-major int tables, reading the
+// topology and the fault set directly. UpDownTable must agree with it on
+// every distance, reachability bit, next-hop list (order included), link
+// orientation and exchange count.
+struct UpDownOracle {
+  static constexpr int kUnreachable = std::numeric_limits<int>::max() / 4;
+
+  explicit UpDownOracle(const FaultSet& f) : faults(f), topo(f.topology()) {
+    const NodeId n_nodes = topo.num_nodes();
+    const auto n = static_cast<std::size_t>(n_nodes);
+    const SpanningTree tree = bfs_spanning_tree(f, choose_tree_root(f));
+    order = tree.order;
+    dist_up.assign(n * n, kUnreachable);
+    dist_down.assign(n * n, kUnreachable);
+    for (NodeId dest = 0; dest < n_nodes; ++dest) {
+      if (f.node_faulty(dest)) continue;
+      auto up = [&](NodeId node) -> int& { return dist_up[idx(node, dest)]; };
+      auto down = [&](NodeId node) -> int& {
+        return dist_down[idx(node, dest)];
+      };
+      std::deque<std::pair<NodeId, int>> queue;  // phase 0 = Up, 1 = Down
+      up(dest) = 0;
+      down(dest) = 0;
+      queue.emplace_back(dest, 0);
+      queue.emplace_back(dest, 1);
+      while (!queue.empty()) {
+        const auto [v, phase] = queue.front();
+        queue.pop_front();
+        const int dv = phase == 0 ? up(v) : down(v);
+        for (PortId pv = 0; pv < topo.degree(); ++pv) {
+          if (!f.link_usable(v, pv)) continue;
+          const NodeId u = topo.neighbor(v, pv);
+          if (order[static_cast<std::size_t>(v)] <
+              order[static_cast<std::size_t>(u)]) {
+            if (phase == 0 && up(u) > dv + 1) {
+              up(u) = dv + 1;
+              queue.emplace_back(u, 0);
+            }
+          } else if (phase == 1) {
+            if (down(u) > dv + 1) {
+              down(u) = dv + 1;
+              queue.emplace_back(u, 1);
+            }
+            if (up(u) > dv + 1) {
+              up(u) = dv + 1;
+              queue.emplace_back(u, 0);
+            }
+          }
+        }
+      }
+    }
+    int usable_links = 0;
+    for (NodeId u = 0; u < n_nodes; ++u)
+      for (PortId p = 0; p < topo.degree(); ++p)
+        if (f.link_usable(u, p)) ++usable_links;
+    int levels = 0;
+    for (const int l : tree.level) levels = std::max(levels, l);
+    exchanges = usable_links * std::max(1, levels);
+  }
+
+  std::size_t idx(NodeId node, NodeId dest) const {
+    return static_cast<std::size_t>(node) *
+               static_cast<std::size_t>(topo.num_nodes()) +
+           static_cast<std::size_t>(dest);
+  }
+  bool up_move(NodeId from, PortId port) const {
+    return order[static_cast<std::size_t>(topo.neighbor(from, port))] <
+           order[static_cast<std::size_t>(from)];
+  }
+  int dist(NodeId node, NodeId dest, UpDownTable::Phase phase) const {
+    return phase == UpDownTable::Phase::Up ? dist_up[idx(node, dest)]
+                                           : dist_down[idx(node, dest)];
+  }
+  int distance(NodeId node, NodeId dest, UpDownTable::Phase phase) const {
+    const int d = dist(node, dest, phase);
+    return d >= kUnreachable ? -1 : d;
+  }
+  bool reachable(NodeId from, NodeId to) const {
+    if (from == to) return faults.node_ok(from);
+    return dist_up[idx(from, to)] < kUnreachable;
+  }
+  std::vector<PortId> next_hops(NodeId node, NodeId dest,
+                                UpDownTable::Phase phase) const {
+    std::vector<PortId> out;
+    const int here = dist(node, dest, phase);
+    if (node == dest || here >= kUnreachable) return out;
+    for (PortId p = 0; p < topo.degree(); ++p) {
+      if (!faults.link_usable(node, p)) continue;
+      const bool up = up_move(node, p);
+      if (phase == UpDownTable::Phase::Down && up) continue;
+      const NodeId m = topo.neighbor(node, p);
+      const int next = up ? dist_up[idx(m, dest)] : dist_down[idx(m, dest)];
+      if (next == here - 1) out.push_back(p);
+    }
+    return out;
+  }
+
+  const FaultSet& faults;
+  const Topology& topo;
+  std::vector<int> order;
+  std::vector<int> dist_up;
+  std::vector<int> dist_down;
+  int exchanges = 0;
+};
+
+void expect_matches_oracle(const FaultSet& f, const std::string& what) {
+  SCOPED_TRACE(what);
+  const Topology& topo = f.topology();
+  const UpDownOracle oracle(f);
+  UpDownTable table;
+  ASSERT_EQ(table.rebuild(f), oracle.exchanges);
+  ASSERT_EQ(table.built_for_epoch(), f.epoch());
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    ASSERT_EQ(table.order(n), oracle.order[static_cast<std::size_t>(n)]);
+    for (PortId p = 0; p < topo.degree(); ++p) {
+      if (topo.neighbor(n, p) == kInvalidNode) {
+        EXPECT_THROW(table.is_up_move(n, p), ContractViolation);
+        continue;
+      }
+      ASSERT_EQ(table.is_up_move(n, p), oracle.up_move(n, p))
+          << "node " << n << " port " << p;
+    }
+  }
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    for (NodeId t = 0; t < topo.num_nodes(); ++t) {
+      ASSERT_EQ(table.reachable(n, t), oracle.reachable(n, t))
+          << n << " -> " << t;
+      for (const auto phase :
+           {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
+        ASSERT_EQ(table.distance(n, t, phase), oracle.distance(n, t, phase))
+            << n << " -> " << t << " phase " << static_cast<int>(phase);
+        const auto hops = table.next_hops(n, t, phase);
+        ASSERT_EQ(std::vector<PortId>(hops.begin(), hops.end()),
+                  oracle.next_hops(n, t, phase))
+            << n << " -> " << t << " phase " << static_cast<int>(phase);
+      }
+    }
+  }
+}
+
+// Fail every link between nodes below `split` and the rest.
+void cut_below(FaultSet& f, NodeId split) {
+  const Topology& topo = f.topology();
+  for (NodeId u = 0; u < split; ++u)
+    for (PortId p = 0; p < topo.degree(); ++p) {
+      const NodeId v = topo.neighbor(u, p);
+      if (v != kInvalidNode && v >= split) f.fail_link(u, p);
+    }
+}
+
+void expect_matches_oracle_under_faults(const Topology& topo,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  {
+    FaultSet f(topo);
+    expect_matches_oracle(f, topo.name() + " fault-free");
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    FaultSet f(topo);
+    inject_random_link_faults(f, 3 + 2 * trial, rng, trial % 2 == 0);
+    expect_matches_oracle(f, topo.name() + " random link faults");
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    FaultSet f(topo);
+    inject_random_node_faults(f, 1 + trial, rng, false);
+    inject_random_link_faults(f, 2, rng, false);
+    expect_matches_oracle(f, topo.name() + " node faults");
+  }
+  {
+    FaultSet f(topo);
+    cut_below(f, topo.num_nodes() / 2);
+    ASSERT_FALSE(all_healthy_connected(f));
+    expect_matches_oracle(f, topo.name() + " partitioning cut");
+    f.fail_node(topo.num_nodes() - 1);
+    expect_matches_oracle(f, topo.name() + " cut plus a faulty node");
+  }
+}
+
+TEST(UpDown, FlatTableMatchesOracleOnMesh) {
+  Mesh m = Mesh::two_d(6, 6);
+  expect_matches_oracle_under_faults(m, 0x6d657368);
+}
+
+TEST(UpDown, FlatTableMatchesOracleOnTorus) {
+  Torus t = Torus::two_d(4, 4);
+  expect_matches_oracle_under_faults(t, 0x746f7273);
+}
+
+TEST(UpDown, FlatTableMatchesOracleOnHypercube) {
+  Hypercube h(5);
+  expect_matches_oracle_under_faults(h, 0x63756265);
+}
+
+TEST(UpDown, ReusedTableMatchesOracleAcrossRebuilds) {
+  // One table rebuilt through a fault sequence, as reconfigure() does at
+  // every commit, and onto a fabric of another size: the reused arrays
+  // must carry nothing over from the previous build.
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  UpDownTable table;
+  Rng rng(7);
+  for (int step = 0; step < 4; ++step) {
+    inject_random_link_faults(f, 2, rng, false);
+    const UpDownOracle oracle(f);
+    ASSERT_EQ(table.rebuild(f), oracle.exchanges);
+    for (NodeId n = 0; n < m.num_nodes(); ++n)
+      for (NodeId t = 0; t < m.num_nodes(); ++t)
+        ASSERT_EQ(table.distance(n, t, UpDownTable::Phase::Down),
+                  oracle.distance(n, t, UpDownTable::Phase::Down));
+  }
+  Hypercube h(3);
+  FaultSet fh(h);
+  fh.fail_node(5);
+  const UpDownOracle oracle(fh);
+  ASSERT_EQ(table.rebuild(fh), oracle.exchanges);
+  for (NodeId n = 0; n < h.num_nodes(); ++n)
+    for (NodeId t = 0; t < h.num_nodes(); ++t) {
+      ASSERT_EQ(table.distance(n, t, UpDownTable::Phase::Up),
+                oracle.distance(n, t, UpDownTable::Phase::Up));
+      const auto hops = table.next_hops(n, t, UpDownTable::Phase::Up);
+      ASSERT_EQ(std::vector<PortId>(hops.begin(), hops.end()),
+                oracle.next_hops(n, t, UpDownTable::Phase::Up));
+    }
+}
+
+TEST(UpDown, RebuildOnTheSameFabricDoesNotAllocate) {
+  // Every fault commit rebuilds the table. On a fabric of unchanged size
+  // its arrays are reused, so only the first rebuild touches the heap
+  // (checked in FLEXROUTER_COUNT_ALLOCS builds; elsewhere the counter
+  // reads zero). The fault mutations allocate, so they stay outside.
+  Mesh m = Mesh::two_d(4, 4);
+  FaultSet f(m);
+  UpDownTable table;
+  table.rebuild(f);
+  f.fail_link(m.at(1, 1), port_of(Compass::East));
+  std::int64_t before = heap_alloc_count();
+  table.rebuild(f);
+  EXPECT_EQ(heap_alloc_count() - before, 0);
+  f.fail_node(m.at(2, 2));
+  before = heap_alloc_count();
+  table.rebuild(f);
+  EXPECT_EQ(heap_alloc_count() - before, 0);
+  EXPECT_FALSE(table.reachable(m.at(0, 0), m.at(2, 2)));
+}
+
+TEST(UpDown, SixteenBitDistanceGuardFiresBeforeTouchingTheTable) {
+  // 2^15 nodes: 2N = 65536 does not fit below the 0xffff sentinel. The
+  // guard must reject the fabric before allocating (the tables would be
+  // 4 GiB) and leave a previously built table answering as before.
+  Mesh small = Mesh::two_d(4, 4);
+  FaultSet fs(small);
+  UpDownTable table;
+  table.rebuild(fs);
+  const int before = table.distance(0, 15, UpDownTable::Phase::Up);
+  Hypercube big(15);
+  FaultSet fb(big);
+  EXPECT_THROW(table.rebuild(fb), ContractViolation);
+  EXPECT_EQ(table.built_for_epoch(), fs.epoch());
+  EXPECT_EQ(table.distance(0, 15, UpDownTable::Phase::Up), before);
+  EXPECT_EQ(table.next_hops(0, 15, UpDownTable::Phase::Up).size(), 2u);
+  UpDownTable fresh;
+  EXPECT_THROW(fresh.rebuild(fb), ContractViolation);
+  EXPECT_FALSE(fresh.ready());
 }
 
 // ------------------------------------------------------------ spanning tree

@@ -13,6 +13,7 @@
 #include "ruleengine/parser.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
+#include "topology/graph_algo.hpp"
 
 namespace flexrouter {
 namespace {
@@ -117,6 +118,78 @@ TEST(RuleDrivenNet, InterpretAndTableModesAgree) {
 }
 
 // ------------------------------------------------- e-cube-in-rules differential
+TEST(RuleDrivenNet, DestReachableMatchesConnectivityInEveryMode) {
+  // A 6x6 mesh cut in two between columns 2 and 3, plus one faulty router:
+  // dest_reachable is served from per-epoch component ids, and the
+  // interpreter, the bare VM and the AOT table must each answer exactly
+  // what a fresh connectivity search does.
+  const std::string source =
+      "PROGRAM reach;\n"
+      "CONSTANT deg = 4\n"
+      "INPUT node IN 0 TO 35\n"
+      "INPUT dest IN 0 TO 35\n"
+      "INPUT dest_reachable IN 0 TO 1\n"
+      "ON route\n"
+      "  IF dest_reachable = 1 THEN !cand(deg, 0, 0);\n"
+      "  IF dest_reachable = 0 THEN !cand(deg, 1, 0);\n"
+      "END route;\n";
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting interp(source, 2, rules::ExecMode::Interpret);
+  RuleDrivenRouting vm(source, 2, rules::ExecMode::Vm);
+  RuleDrivenRouting aot(source, 2, rules::ExecMode::Aot);
+  interp.attach(m, f);
+  vm.attach(m, f);
+  aot.attach(m, f);
+  for (int y = 0; y < 6; ++y) f.fail_link(m.at(2, y), port_of(Compass::East));
+  f.fail_node(m.at(4, 4));
+  ASSERT_FALSE(all_healthy_connected(f));
+
+  const auto check_all = [&](const char* when) {
+    SCOPED_TRACE(when);
+    int unreachable = 0;
+    for (NodeId s = 0; s < m.num_nodes(); ++s) {
+      if (f.node_faulty(s)) continue;
+      for (NodeId t = 0; t < m.num_nodes(); ++t) {
+        RouteContext ctx;
+        ctx.node = s;
+        ctx.dest = t;
+        ctx.src = s;
+        ctx.in_port = m.degree();
+        ctx.in_vc = 0;
+        const bool want = connected(f, s, t);
+        unreachable += want ? 0 : 1;
+        const std::set<std::pair<PortId, VcId>> expect{
+            {m.degree(), want ? 0 : 1}};
+        if (candidate_set(interp.route(ctx)) != expect ||
+            candidate_set(vm.route(ctx)) != expect ||
+            candidate_set(aot.route(ctx)) != expect) {
+          ADD_FAILURE() << "dest_reachable disagrees at " << s << " -> " << t;
+          return -1;
+        }
+      }
+    }
+    return unreachable;
+  };
+  // Reading the input before reconfigure() would answer for a past epoch.
+  RouteContext probe;
+  probe.node = m.at(0, 0);
+  probe.dest = m.at(5, 0);
+  probe.in_port = m.degree();
+  EXPECT_THROW(vm.route(probe), ContractViolation);
+
+  interp.reconfigure();
+  vm.reconfigure();
+  aot.reconfigure();
+  EXPECT_GT(check_all("cut"), 0);
+  for (int y = 0; y < 6; ++y) f.repair_link(m.at(2, y), port_of(Compass::East));
+  interp.reconfigure();
+  vm.reconfigure();
+  aot.reconfigure();
+  // Only the faulty router is unreachable now: once per healthy source.
+  EXPECT_EQ(check_all("repaired"), m.num_nodes() - 1);
+}
+
 TEST(EcubeRules, MatchesNativeOnEveryPair) {
   Hypercube h(5);
   FaultSet f(h);
