@@ -6,7 +6,9 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/fault_injector.hpp"
@@ -19,6 +21,41 @@ inline void print_header(const std::string& title) {
   std::cout << "\n" << std::string(78, '=') << "\n"
             << title << "\n"
             << std::string(78, '=') << "\n";
+}
+
+/// Reject a malformed command line: one `usage error:` line on stderr;
+/// returns the exit status (2) for main to return before anything runs.
+inline int usage_error(const std::string& what) {
+  std::cerr << "usage error: " << what << "\n";
+  return 2;
+}
+
+/// The command line of the smoke-capable benches: [--smoke] [--json FILE].
+struct SmokeArgs {
+  bool smoke = false;
+  std::string json_path;
+};
+
+/// Parse [--smoke] [--json FILE]; nullopt (after the usage error line) on
+/// an unknown argument or a --json without its file.
+inline std::optional<SmokeArgs> parse_smoke_args(int argc, char** argv) {
+  SmokeArgs a;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      a.smoke = true;
+    } else if (arg == "--json") {
+      if (i + 1 >= argc) {
+        usage_error("--json needs a value");
+        return std::nullopt;
+      }
+      a.json_path = argv[++i];
+    } else {
+      usage_error("unknown argument '" + std::string(arg) + "'");
+      return std::nullopt;
+    }
+  }
+  return a;
 }
 
 inline void print_row(const std::vector<std::string>& cells, int width = 14) {

@@ -424,10 +424,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   // A malformed command line exits 2 with one `usage error:` line before
   // anything runs, like flexsim's config errors.
-  const auto usage_error = [](const std::string& what) {
-    std::cerr << "usage error: " << what << "\n";
-    return 2;
-  };
+  using bench::usage_error;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--smoke") {

@@ -211,13 +211,11 @@ bool run_alloc_guard() {
 
 int main(int argc, char** argv) {
   using namespace flexrouter;
-  bool smoke = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const std::optional<bench::SmokeArgs> args =
+      bench::parse_smoke_args(argc, argv);
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   const Cycle warmup = smoke ? 200 : 1000;
   const Cycle measure = smoke ? 800 : 4000;

@@ -503,9 +503,9 @@ bool rewrite_build_type(const std::string& path) {
 
 }  // namespace
 
-// Writes BENCH_interp_speed.json next to the working directory unless the
-// caller already picked an output file — the checked-in artifact the VM/AOT
-// speedup acceptance criteria are read from. `--smoke` runs shortened
+// Writes BENCH_interp_speed.json in the working directory unless the
+// caller already picked an output file — a local capture for comparing
+// runs taken on one machine (git ignores it). `--smoke` runs shortened
 // benches and hard-fails when the measured code was built without NDEBUG
 // (a debug baseline must never be recorded again), so it belongs in the
 // release CI job only.

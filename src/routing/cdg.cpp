@@ -65,25 +65,35 @@ bool find_cycle(const std::vector<std::vector<int>>& adj,
 
 }  // namespace
 
+std::uint64_t ChannelDepGraph::key(const Channel& c) {
+  FR_REQUIRE(c.node >= 0 && c.port >= 0 && c.port <= 0xffff && c.vc >= 0 &&
+             c.vc <= 0xffff);
+  return static_cast<std::uint64_t>(c.node) << 32 |
+         static_cast<std::uint64_t>(c.port) << 16 |
+         static_cast<std::uint64_t>(c.vc);
+}
+
 int ChannelDepGraph::channel_id(const Channel& c) {
-  const auto [it, inserted] =
-      index_.emplace(c, static_cast<int>(channels_.size()));
+  const auto [id, inserted] =
+      index_.insert(key(c), static_cast<int>(channels_.size()));
   if (inserted) {
     channels_.push_back(c);
     adj_.emplace_back();
   }
-  return it->second;
+  return id;
 }
 
 int ChannelDepGraph::find_channel(const Channel& c) const {
-  const auto it = index_.find(c);
-  return it == index_.end() ? -1 : it->second;
+  if (c.node < 0 || c.port < 0 || c.vc < 0) return -1;  // never interned
+  return index_.find(key(c));
 }
 
 void ChannelDepGraph::add_edge(int from, int to) {
   FR_REQUIRE(from >= 0 && from < num_channels());
   FR_REQUIRE(to >= 0 && to < num_channels());
-  adj_[static_cast<std::size_t>(from)].insert(to);
+  std::vector<int>& out = adj_[static_cast<std::size_t>(from)];
+  const auto it = std::lower_bound(out.begin(), out.end(), to);
+  if (it == out.end() || *it != to) out.insert(it, to);
 }
 
 std::int64_t ChannelDepGraph::num_edges() const {
@@ -97,12 +107,8 @@ CdgReport ChannelDepGraph::check() const {
   report.num_channels = num_channels();
   report.num_edges = num_edges();
 
-  std::vector<std::vector<int>> adj_v(adj_.size());
-  for (std::size_t i = 0; i < adj_.size(); ++i)
-    adj_v[i].assign(adj_[i].begin(), adj_[i].end());
-
   std::vector<int> witness;
-  if (find_cycle(adj_v, witness)) {
+  if (find_cycle(adj_, witness)) {
     report.acyclic = false;
     for (const int i : witness)
       report.cycle.push_back(channels_[static_cast<std::size_t>(i)]);

@@ -11,11 +11,11 @@
 // claim deadlock freedom without an escape layer, e.g. NARA or DOR).
 #pragma once
 
-#include <map>
-#include <set>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "routing/routing.hpp"
 
 namespace flexrouter {
@@ -66,9 +66,12 @@ class ChannelDepGraph {
   CdgReport check() const;
 
  private:
-  std::map<Channel, int> index_;
+  /// (node, port, vc) packed into one FlatIndex key.
+  static std::uint64_t key(const Channel& c);
+
+  FlatIndex index_;
   std::vector<Channel> channels_;
-  std::vector<std::set<int>> adj_;
+  std::vector<std::vector<int>> adj_;  // per channel: sorted, unique
 };
 
 /// Build the dependency graph restricted to channels for which

@@ -12,6 +12,13 @@ namespace {
 constexpr std::uint64_t kMaxCombos = 4096;
 constexpr std::uint64_t kMaxUnknownCardinality = 16;
 
+/// Candidate sets are short sorted vectors: set order without a node
+/// allocation per candidate.
+void insert_cand(std::vector<Cand>& set, const Cand& c) {
+  const auto it = std::lower_bound(set.begin(), set.end(), c);
+  if (it == set.end() || *it != c) set.insert(it, c);
+}
+
 bool is_escape_port_ref(const rules::ExprPtr& e) {
   return e != nullptr && e->kind == rules::Expr::Kind::Ref &&
          e->name == "escape_port" && e->args.empty();
@@ -54,12 +61,13 @@ DecisionEnumerator::DecisionEnumerator(const rules::Program& prog,
   } else {
     for (int v = 0; v < model_.num_vcs; ++v) included_vcs_.insert(v);
   }
+  key_vcs_ = static_cast<VcId>(model_.num_vcs);
+  if (!included_vcs_.empty())
+    key_vcs_ = std::max<VcId>(key_vcs_, *included_vcs_.rbegin() + 1);
   comp_ = components(faults_);
   if (model_.escape_vc >= 0) escape_.rebuild(faults_);
-  interp_.set_input_provider(
-      [this](const std::string& n, const std::vector<rules::Value>& i) {
-        return provide(n, i);
-      });
+  classify_inputs();
+  interp_.set_input_provider_raw(&DecisionEnumerator::provide_raw, this);
   scan_axes();
   audit_escape_port();
 }
@@ -68,6 +76,7 @@ void DecisionEnumerator::set_faults(const FaultSet& faults) {
   faults_ = faults;
   comp_ = components(faults_);
   if (model_.escape_vc >= 0) escape_.rebuild(faults_);
+  overlay_ix_.clear();
   overlay_.clear();
   overlay_owned_.clear();
 }
@@ -79,58 +88,132 @@ void DecisionEnumerator::merge_notes(const DecisionEnumerator& other) {
   if (!other.modeled_) modeled_ = false;
 }
 
+PortId DecisionEnumerator::key_port(PortId in_port) const {
+  if (model_.escape_vc >= 0) return in_port;
+  return in_port < 0 || in_port >= topo_.degree() ? topo_.degree()
+                                                  : PortId{0};
+}
+
 DecisionEnumerator::DecisionKey DecisionEnumerator::make_key(
-    NodeId node, NodeId dest, PortId in_port, VcId in_vc) const {
-  // Programs without an escape layer never read in_port directly, so the
-  // memo key only needs the injected/in-flight distinction.
-  const PortId key_port =
-      model_.escape_vc >= 0
-          ? in_port
-          : (in_port < 0 || in_port >= topo_.degree() ? topo_.degree()
-                                                      : PortId{0});
-  return {node, dest, key_port, in_vc};
+    NodeId node, NodeId dest, PortId port, VcId in_vc) const {
+  const auto n = static_cast<std::uint64_t>(topo_.num_nodes());
+  const PortId degree = topo_.degree();
+  FR_REQUIRE(node >= 0 && dest >= 0 && static_cast<std::uint64_t>(node) < n &&
+             static_cast<std::uint64_t>(dest) < n);
+  FR_REQUIRE(port >= 0 && port <= degree && in_vc >= 0 && in_vc < key_vcs_);
+  return ((static_cast<std::uint64_t>(node) * n +
+           static_cast<std::uint64_t>(dest)) *
+              static_cast<std::uint64_t>(degree + 1) +
+          static_cast<std::uint64_t>(port)) *
+             static_cast<std::uint64_t>(key_vcs_) +
+         static_cast<std::uint64_t>(in_vc);
 }
 
 // ---- input model ---------------------------------------------------------
 
-std::optional<rules::Value> DecisionEnumerator::known_input(
-    const std::string& name, const std::vector<rules::Value>& idx) {
+void DecisionEnumerator::classify_inputs() {
+  using K = InputKind;
+  // Catalog names the header model computes; any other input is free.
+  // Some only apply where the model has what they describe.
+  static constexpr std::pair<const char*, K> kCatalog[] = {
+      {"node", K::Node},
+      {"dest", K::Dest},
+      {"in_port", K::InPort},
+      {"in_vc", K::InVc},
+      {"injected", K::Injected},
+      {"link_ok", K::LinkOk},
+      {"link_fault", K::LinkFault},
+      {"dest_reachable", K::DestReachable},
+      {"on_escape", K::OnEscape},
+      {"escape_ok", K::EscapeOk},
+      {"escape_port", K::EscapePort},
+      {"xpos", K::Xpos},
+      {"ypos", K::Ypos},
+      {"xdes", K::Xdes},
+      {"ydes", K::Ydes},
+      {"up_mask", K::UpMask},
+      {"down_mask", K::DownMask},
+  };
+  const bool escape = model_.escape_vc >= 0;
+  const bool mesh2d = mesh_ != nullptr && mesh_->dims() == 2;
+  input_kind_.clear();
+  for (const rules::InputDecl& in : prog_.inputs) {
+    K k = K::Free;
+    for (const auto& [name, kind] : kCatalog)
+      if (in.name == name) k = kind;
+    switch (k) {
+      case K::LinkOk:
+      case K::LinkFault:
+        if (in.index_domains.size() != 1) k = K::Free;
+        break;
+      case K::OnEscape:
+      case K::EscapeOk:
+      case K::EscapePort:
+        if (!escape) k = K::Free;
+        break;
+      case K::Xpos:
+      case K::Ypos:
+      case K::Xdes:
+      case K::Ydes:
+        if (!mesh2d) k = K::Free;
+        break;
+      default:
+        break;
+    }
+    input_kind_.push_back(k);
+  }
+}
+
+rules::Value DecisionEnumerator::provide_raw(void* self,
+                                             std::int32_t input_id,
+                                             const rules::Value* idx,
+                                             std::size_t /*nidx*/) {
+  // The interpreter checked the index count against the declaration.
+  return static_cast<DecisionEnumerator*>(self)->provide(input_id, idx);
+}
+
+rules::Value DecisionEnumerator::provide(std::int32_t input_id,
+                                         const rules::Value* idx) {
   using rules::Value;
+  using K = InputKind;
   const PortId degree = topo_.degree();
-  if (name == "node") return Value::make_int(node_);
-  if (name == "dest") return Value::make_int(dest_);
-  if (name == "in_port") return Value::make_int(in_port_);
-  if (name == "in_vc") return Value::make_int(std::max<VcId>(in_vc_, 0));
-  if (name == "injected")
-    return Value::make_bool(in_port_ < 0 || in_port_ >= degree);
-  if ((name == "link_ok" || name == "link_fault") && idx.size() == 1) {
-    const bool want_ok = name == "link_ok";
-    const auto p = static_cast<PortId>(idx[0].as_int());
-    if (p < 0 || p >= degree) return Value::make_bool(!want_ok);
-    bool ok;
-    if (abstract_) {
-      ok = ((valuation_ >> p) & 1u) != 0;
-    } else {
-      ok = faults_.link_usable(node_, p);
-      record(CatalogRead::Kind::LinkOk, p, ok ? 1 : 0);
+  const bool on_escape =
+      in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree;
+  const std::int64_t all = (std::int64_t{1} << degree) - 1;
+  switch (input_kind_[static_cast<std::size_t>(input_id)]) {
+    case K::Node: return Value::make_int(node_);
+    case K::Dest: return Value::make_int(dest_);
+    case K::InPort: return Value::make_int(in_port_);
+    case K::InVc: return Value::make_int(std::max<VcId>(in_vc_, 0));
+    case K::Injected:
+      return Value::make_bool(in_port_ < 0 || in_port_ >= degree);
+    case K::LinkOk:
+    case K::LinkFault: {
+      const bool want_ok =
+          input_kind_[static_cast<std::size_t>(input_id)] == K::LinkOk;
+      const auto p = static_cast<PortId>(idx[0].as_int());
+      if (p < 0 || p >= degree) return Value::make_bool(!want_ok);
+      bool ok;
+      if (abstract_) {
+        ok = ((valuation_ >> p) & 1u) != 0;
+      } else {
+        ok = faults_.link_usable(node_, p);
+        record(CatalogRead::Kind::LinkOk, p, ok ? 1 : 0);
+      }
+      return Value::make_bool(want_ok ? ok : !ok);
     }
-    return Value::make_bool(want_ok ? ok : !ok);
-  }
-  if (name == "dest_reachable") {
-    bool ok;
-    if (abstract_) {
-      ok = ((valuation_ >> degree) & 1u) != 0;
-    } else {
-      ok = connected_now(node_, dest_);
-      record(CatalogRead::Kind::DestReachable, kInvalidPort, ok ? 1 : 0);
+    case K::DestReachable: {
+      bool ok;
+      if (abstract_) {
+        ok = ((valuation_ >> degree) & 1u) != 0;
+      } else {
+        ok = connected_now(node_, dest_);
+        record(CatalogRead::Kind::DestReachable, kInvalidPort, ok ? 1 : 0);
+      }
+      return Value::make_bool(ok);
     }
-    return Value::make_bool(ok);
-  }
-  if (model_.escape_vc >= 0) {
-    const bool on_escape =
-        in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree;
-    if (name == "on_escape") return Value::make_bool(on_escape);
-    if (name == "escape_ok") {
+    case K::OnEscape: return Value::make_bool(on_escape);
+    case K::EscapeOk: {
       bool ok;
       if (abstract_) {
         ok = ((valuation_ >> (degree + 1)) & 1u) != 0;
@@ -140,73 +223,56 @@ std::optional<rules::Value> DecisionEnumerator::known_input(
       }
       return Value::make_bool(ok);
     }
-    if (name == "escape_port") {
+    case K::EscapePort: {
       // The concrete escape next hop is tree-dependent; in abstract mode
       // the audited token stands in for it.
       if (abstract_) return Value::make_int(kAbstractEscapePort);
-      PortId port = degree;
-      if (dest_ != node_ && escape_.reachable(node_, dest_)) {
-        UpDownTable::Phase phase = UpDownTable::Phase::Up;
-        if (on_escape) {
-          const NodeId prev = topo_.neighbor(node_, in_port_);
-          phase =
-              escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
-                  ? UpDownTable::Phase::Up
-                  : UpDownTable::Phase::Down;
-        }
-        port = escape_.next_hops(node_, dest_, phase)[0];
-      }
+      const PortId port = escape_next_hop();
       record(CatalogRead::Kind::EscapePort, kInvalidPort, port);
       return Value::make_int(port);
     }
+    case K::Xpos: return Value::make_int(mesh_->x_of(node_));
+    case K::Ypos: return Value::make_int(mesh_->y_of(node_));
+    case K::Xdes: return Value::make_int(mesh_->x_of(dest_));
+    case K::Ydes: return Value::make_int(mesh_->y_of(dest_));
+    // Hypercube dimension-correction masks (ROUTE_C, [Kon90] convention:
+    // ascending sets 0->1 bits, descending clears 1->0 bits).
+    case K::UpMask: return Value::make_int(dest_ & ~node_ & all);
+    case K::DownMask: return Value::make_int(node_ & ~dest_ & all);
+    case K::Free: break;
   }
-  if (mesh_ != nullptr && mesh_->dims() == 2) {
-    if (name == "xpos") return Value::make_int(mesh_->x_of(node_));
-    if (name == "ypos") return Value::make_int(mesh_->y_of(node_));
-    if (name == "xdes") return Value::make_int(mesh_->x_of(dest_));
-    if (name == "ydes") return Value::make_int(mesh_->y_of(dest_));
-  }
-  // Hypercube dimension-correction masks (ROUTE_C, [Kon90] convention:
-  // ascending sets 0->1 bits, descending clears 1->0 bits).
-  const std::int64_t all = (std::int64_t{1} << degree) - 1;
-  if (name == "up_mask") return Value::make_int(dest_ & ~node_ & all);
-  if (name == "down_mask") return Value::make_int(node_ & ~dest_ & all);
-  return std::nullopt;
+  return provide_free(input_id, idx);
 }
 
-rules::Value DecisionEnumerator::provide(const std::string& name,
-                                         const std::vector<rules::Value>& idx) {
-  if (auto v = known_input(name, idx)) return *v;
-  const rules::InputDecl* decl = prog_.find_input(name);
-  FR_REQUIRE(decl != nullptr);  // eval_ref resolved it as an input
+rules::Value DecisionEnumerator::provide_free(std::int32_t input_id,
+                                              const rules::Value* idx) {
+  const rules::InputDecl& decl =
+      prog_.inputs[static_cast<std::size_t>(input_id)];
   std::int64_t flat = -1;
-  if (!decl->index_domains.empty()) {
+  if (!decl.index_domains.empty()) {
     flat = 0;
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const rules::Domain& d = decl->index_domains[i];
+    for (std::size_t i = 0; i < decl.index_domains.size(); ++i) {
+      const rules::Domain& d = decl.index_domains[i];
       flat = flat * static_cast<std::int64_t>(d.cardinality()) +
              static_cast<std::int64_t>(d.index_of(idx[i]));
     }
   }
-  const auto key = std::make_pair(name, flat);
-  auto it = uix_.find(key);
-  if (it == uix_.end()) {
-    Unknown u;
-    u.name = name;
-    u.flat = flat;
-    if (decl->domain.cardinality() <= kMaxUnknownCardinality) {
-      u.vals = decl->domain.enumerate();
-    } else {
-      u.vals = {decl->domain.value_at(0)};
-      note_unmodeled("free input '" + name +
-                     "' has a domain too large to enumerate");
-    }
-    it = uix_.emplace(key, unknowns_.size()).first;
-    unknowns_.push_back(std::move(u));
-    discovered_ = true;
+  // A premise touches a handful of free inputs: a linear scan beats a map.
+  for (const Unknown& u : unknowns_)
+    if (u.input == input_id && u.flat == flat) return u.vals[u.cur];
+  Unknown u;
+  u.input = input_id;
+  u.flat = flat;
+  if (decl.domain.cardinality() <= kMaxUnknownCardinality) {
+    u.vals = decl.domain.enumerate();
+  } else {
+    u.vals = {decl.domain.value_at(0)};
+    note_unmodeled("free input '" + decl.name +
+                   "' has a domain too large to enumerate");
   }
-  const Unknown& u = unknowns_[it->second];
-  return u.vals[u.cur];
+  unknowns_.push_back(std::move(u));
+  discovered_ = true;
+  return unknowns_.back().vals[0];
 }
 
 bool DecisionEnumerator::advance() {
@@ -227,13 +293,12 @@ void DecisionEnumerator::record(CatalogRead::Kind kind, PortId port,
 // ---- decision enumeration ------------------------------------------------
 
 void DecisionEnumerator::enumerate_base(const rules::RuleBase& rb, bool is_ft,
-                                        std::set<Cand>& out) {
+                                        std::vector<Cand>& out) {
   for (const rules::Rule& r : rb.rules) {
     bool may = false;
     bool must = true;
-    std::set<Cand> cs;
+    std::vector<Cand>& cs = rule_cands_;
     unknowns_.clear();
-    uix_.clear();
     // Fixpoint: free inputs are discovered while evaluating, so re-sweep
     // until a full enumeration pass discovers nothing new.
     for (int iter = 0; iter < 8; ++iter) {
@@ -273,7 +338,8 @@ void DecisionEnumerator::enumerate_base(const rules::RuleBase& rb, bool is_ft,
       }
       if (!discovered_) break;
     }
-    if (may) out.insert(cs.begin(), cs.end());
+    if (may)
+      for (const Cand& c : cs) insert_cand(out, c);
     if (may && must) break;  // later rules are unreachable
   }
 }
@@ -283,12 +349,12 @@ rules::Value DecisionEnumerator::eval(const rules::ExprPtr& e) {
 }
 
 void DecisionEnumerator::collect_cmds(const std::vector<rules::Cmd>& cmds,
-                                      bool is_ft, std::set<Cand>& out) {
+                                      bool is_ft, std::vector<Cand>& out) {
   for (const rules::Cmd& c : cmds) collect_cmd(c, is_ft, out);
 }
 
 void DecisionEnumerator::collect_cmd(const rules::Cmd& c, bool is_ft,
-                                     std::set<Cand>& out) {
+                                     std::vector<Cand>& out) {
   using CK = rules::Cmd::Kind;
   // The ft companion base expresses its decision as RETURN <direction>
   // whatever the primary style is (NAFTA's in_message_ft).
@@ -353,9 +419,9 @@ void DecisionEnumerator::collect_cmd(const rules::Cmd& c, bool is_ft,
   }
 }
 
-void DecisionEnumerator::add_cand(PortId port, VcId vc, std::set<Cand>& out) {
+void DecisionEnumerator::add_cand(PortId port, VcId vc, std::vector<Cand>& out) {
   if (abstract_ && port == kAbstractEscapePort) {
-    out.insert({port, vc});
+    insert_cand(out, {port, vc});
     return;
   }
   if (port == topo_.degree()) {
@@ -376,39 +442,33 @@ void DecisionEnumerator::add_cand(PortId port, VcId vc, std::set<Cand>& out) {
   if (!included_vcs_.count(vc)) return;
   if (abstract_ && model_.escape_vc >= 0 && vc == model_.escape_vc)
     escape_violation_ = true;  // escape-VC cand bypassing the audited token
-  out.insert({port, vc});
+  insert_cand(out, {port, vc});
 }
 
 const EnumeratedDecision& DecisionEnumerator::decide(NodeId node, NodeId dest,
                                                      PortId in_port,
                                                      VcId in_vc) {
-  const DecisionKey key = make_key(node, dest, in_port, in_vc);
+  const PortId port = key_port(in_port);
+  const DecisionKey key = make_key(node, dest, port, in_vc);
   const bool healthy = faults_.fault_free();
   if (healthy) {
     if (shared_ != nullptr) {
-      if (const auto it = shared_->baseline_.find(key);
-          it != shared_->baseline_.end()) {
+      if (const EnumeratedDecision* base = shared_->find_baseline(key)) {
         ++reused_;
-        return it->second;
+        return *base;
       }
-    } else if (const auto it = baseline_.find(key); it != baseline_.end()) {
-      return it->second;
+    } else if (const EnumeratedDecision* base = find_baseline(key)) {
+      return *base;
     }
   } else {
-    if (const auto it = overlay_.find(key); it != overlay_.end())
-      return *it->second;
-    const EnumeratedDecision* base = nullptr;
-    if (const auto it = baseline_.find(key); it != baseline_.end())
-      base = &it->second;
-    if (base == nullptr && shared_ != nullptr) {
-      if (const auto it = shared_->baseline_.find(key);
-          it != shared_->baseline_.end())
-        base = &it->second;
-    }
-    if (base != nullptr && validate(key, *base)) {
+    if (const std::int32_t slot = overlay_ix_.find(key); slot >= 0)
+      return *overlay_[static_cast<std::size_t>(slot)];
+    const EnumeratedDecision* base = find_baseline(key);
+    if (base == nullptr && shared_ != nullptr)
+      base = shared_->find_baseline(key);
+    if (base != nullptr && validate(node, dest, port, in_vc, *base)) {
       ++reused_;
-      overlay_.emplace(key, base);
-      return *base;
+      return keep_overlay(key, base);
     }
   }
 
@@ -421,37 +481,40 @@ const EnumeratedDecision& DecisionEnumerator::decide(NodeId node, NodeId dest,
   delivers_ = false;
   reads_.clear();
   EnumeratedDecision d;
-  std::set<Cand> acc;
-  enumerate_base(*rb_, /*is_ft=*/false, acc);
-  d.cands.assign(acc.begin(), acc.end());
-  if (ft_rb_ != nullptr) {
-    std::set<Cand> ft;
-    enumerate_base(*ft_rb_, /*is_ft=*/true, ft);
-    d.ft_cands.assign(ft.begin(), ft.end());
-  }
+  enumerate_base(*rb_, /*is_ft=*/false, d.cands);
+  if (ft_rb_ != nullptr) enumerate_base(*ft_rb_, /*is_ft=*/true, d.ft_cands);
   d.delivers = delivers_;
   d.reads = reads_;
   ++evaluated_;
-  if (healthy) {
-    if (shared_ == nullptr)
-      return baseline_.emplace(key, std::move(d)).first->second;
-    // A shared-baseline miss (shouldn't happen after warmup, but harmless):
-    // keep the result locally.
-    overlay_owned_.push_back(std::move(d));
-    overlay_.emplace(key, &overlay_owned_.back());
-    return overlay_owned_.back();
+  if (healthy && shared_ == nullptr) {
+    baseline_ix_.insert(key, static_cast<std::int32_t>(baseline_.size()));
+    baseline_.push_back(std::move(d));
+    return baseline_.back();
   }
+  // Faulted, or a shared-baseline miss (shouldn't happen after warmup, but
+  // harmless): keep the result locally.
   overlay_owned_.push_back(std::move(d));
-  overlay_.emplace(key, &overlay_owned_.back());
-  return overlay_owned_.back();
+  return keep_overlay(key, &overlay_owned_.back());
+}
+
+const EnumeratedDecision& DecisionEnumerator::keep_overlay(
+    DecisionKey key, const EnumeratedDecision* d) {
+  overlay_ix_.insert(key, static_cast<std::int32_t>(overlay_.size()));
+  overlay_.push_back(d);
+  return *d;
 }
 
 const AbstractDecision& DecisionEnumerator::decide_abstract(
     NodeId node, NodeId dest, PortId in_port, VcId in_vc,
     std::uint32_t valuation) {
-  const AbstractKey key{make_key(node, dest, in_port, in_vc), valuation};
-  if (const auto it = abs_memo_.find(key); it != abs_memo_.end())
-    return it->second;
+  // Valuation bits: one per port, then dest_reachable and escape_ok.
+  const unsigned val_bits = static_cast<unsigned>(topo_.degree()) + 2;
+  FR_REQUIRE(val_bits < 32 && (valuation >> val_bits) == 0);
+  const AbstractKey key =
+      (make_key(node, dest, key_port(in_port), in_vc) << val_bits) |
+      valuation;
+  if (const std::int32_t slot = abs_ix_.find(key); slot >= 0)
+    return abs_memo_[static_cast<std::size_t>(slot)];
   node_ = node;
   dest_ = dest;
   in_port_ = in_port;
@@ -461,14 +524,8 @@ const AbstractDecision& DecisionEnumerator::decide_abstract(
   delivers_ = false;
   escape_violation_ = false;
   AbstractDecision d;
-  std::set<Cand> acc;
-  enumerate_base(*rb_, /*is_ft=*/false, acc);
-  d.cands.assign(acc.begin(), acc.end());
-  if (ft_rb_ != nullptr) {
-    std::set<Cand> ft;
-    enumerate_base(*ft_rb_, /*is_ft=*/true, ft);
-    d.ft_cands.assign(ft.begin(), ft.end());
-  }
+  enumerate_base(*rb_, /*is_ft=*/false, d.cands);
+  if (ft_rb_ != nullptr) enumerate_base(*ft_rb_, /*is_ft=*/true, d.ft_cands);
   d.delivers = delivers_;
   // Stickiness: an on-escape header at a foreign node must stay on the
   // escape VC, otherwise escape -> adaptive dependency edges exist and the
@@ -480,10 +537,25 @@ const AbstractDecision& DecisionEnumerator::decide_abstract(
   }
   d.escape_violation = escape_violation_;
   abstract_ = false;
-  return abs_memo_.emplace(key, std::move(d)).first->second;
+  abs_ix_.insert(key, static_cast<std::int32_t>(abs_memo_.size()));
+  abs_memo_.push_back(std::move(d));
+  return abs_memo_.back();
 }
 
 // ---- incremental revalidation --------------------------------------------
+
+PortId DecisionEnumerator::escape_next_hop() const {
+  const PortId degree = topo_.degree();
+  if (dest_ == node_ || !escape_.reachable(node_, dest_)) return degree;
+  UpDownTable::Phase phase = UpDownTable::Phase::Up;
+  if (in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree) {
+    const NodeId prev = topo_.neighbor(node_, in_port_);
+    phase = escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
+                ? UpDownTable::Phase::Up
+                : UpDownTable::Phase::Down;
+  }
+  return escape_.next_hops(node_, dest_, phase)[0];
+}
 
 std::int32_t DecisionEnumerator::recompute(const CatalogRead& r) const {
   switch (r.kind) {
@@ -493,28 +565,18 @@ std::int32_t DecisionEnumerator::recompute(const CatalogRead& r) const {
       return connected_now(node_, dest_) ? 1 : 0;
     case CatalogRead::Kind::EscapeOk:
       return escape_.reachable(node_, dest_) ? 1 : 0;
-    case CatalogRead::Kind::EscapePort: {
-      const PortId degree = topo_.degree();
-      if (dest_ == node_ || !escape_.reachable(node_, dest_)) return degree;
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree) {
-        const NodeId prev = topo_.neighbor(node_, in_port_);
-        phase = escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return escape_.next_hops(node_, dest_, phase)[0];
-    }
+    case CatalogRead::Kind::EscapePort:
+      return escape_next_hop();
   }
   return 0;
 }
 
-bool DecisionEnumerator::validate(const DecisionKey& key,
-                                  const EnumeratedDecision& d) {
-  node_ = std::get<0>(key);
-  dest_ = std::get<1>(key);
-  in_port_ = std::get<2>(key);
-  in_vc_ = std::get<3>(key);
+bool DecisionEnumerator::validate(NodeId node, NodeId dest, PortId port,
+                                  VcId in_vc, const EnumeratedDecision& d) {
+  node_ = node;
+  dest_ = dest;
+  in_port_ = port;
+  in_vc_ = in_vc;
   for (const CatalogRead& r : d.reads)
     if (recompute(r) != r.value) return false;
   return true;

@@ -25,14 +25,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "routing/updown.hpp"
 #include "ruleanalysis/deadlock.hpp"
 #include "ruleengine/ast.hpp"
@@ -177,34 +176,75 @@ class DecisionEnumerator {
   void merge_notes(const DecisionEnumerator& other);
 
  private:
+  /// How the header model serves each declared input, by input id: a
+  /// catalog signal computed from the header, or a free input enumerated
+  /// over its domain.
+  enum class InputKind : std::uint8_t {
+    Node,
+    Dest,
+    InPort,
+    InVc,
+    Injected,
+    LinkOk,
+    LinkFault,
+    DestReachable,
+    OnEscape,
+    EscapeOk,
+    EscapePort,
+    Xpos,
+    Ypos,
+    Xdes,
+    Ydes,
+    UpMask,
+    DownMask,
+    Free,
+  };
   struct Unknown {
-    std::string name;
-    std::int64_t flat = -1;  // flattened index, -1 = scalar
+    std::int32_t input = -1;  // input id
+    std::int64_t flat = -1;   // flattened index, -1 = scalar
     std::vector<rules::Value> vals;
     std::size_t cur = 0;
   };
-  using DecisionKey = std::tuple<NodeId, NodeId, PortId, VcId>;
-  using AbstractKey = std::pair<DecisionKey, std::uint32_t>;
+  /// Flat header index ((node * N + dest) * (degree + 1) + port) * vcs + vc
+  /// (see make_key); abstract keys append the valuation bits below it.
+  using DecisionKey = std::uint64_t;
+  using AbstractKey = std::uint64_t;
 
-  DecisionKey make_key(NodeId node, NodeId dest, PortId in_port,
+  /// The memo port of a header: programs without an escape layer never read
+  /// in_port directly, so they only keep the injected/in-flight distinction.
+  PortId key_port(PortId in_port) const;
+  DecisionKey make_key(NodeId node, NodeId dest, PortId key_port,
                        VcId in_vc) const;
-  std::optional<rules::Value> known_input(const std::string& name,
-                                          const std::vector<rules::Value>& idx);
-  rules::Value provide(const std::string& name,
-                       const std::vector<rules::Value>& idx);
+  void classify_inputs();
+  static rules::Value provide_raw(void* self, std::int32_t input_id,
+                                  const rules::Value* idx, std::size_t nidx);
+  rules::Value provide(std::int32_t input_id, const rules::Value* idx);
+  rules::Value provide_free(std::int32_t input_id, const rules::Value* idx);
+  /// The healthy baseline decision of `key`, or nullptr.
+  const EnumeratedDecision* find_baseline(DecisionKey key) const {
+    const std::int32_t slot = baseline_ix_.find(key);
+    return slot < 0 ? nullptr : &baseline_[static_cast<std::size_t>(slot)];
+  }
+  /// Memoize `d` for `key` under the current fault set.
+  const EnumeratedDecision& keep_overlay(DecisionKey key,
+                                         const EnumeratedDecision* d);
   bool advance();
   void enumerate_base(const rules::RuleBase& rb, bool is_ft,
-                      std::set<Cand>& out);
+                      std::vector<Cand>& out);
   rules::Value eval(const rules::ExprPtr& e);
   void collect_cmds(const std::vector<rules::Cmd>& cmds, bool is_ft,
-                    std::set<Cand>& out);
-  void collect_cmd(const rules::Cmd& c, bool is_ft, std::set<Cand>& out);
-  void add_cand(PortId port, VcId vc, std::set<Cand>& out);
+                    std::vector<Cand>& out);
+  void collect_cmd(const rules::Cmd& c, bool is_ft, std::vector<Cand>& out);
+  void add_cand(PortId port, VcId vc, std::vector<Cand>& out);
   void record(CatalogRead::Kind kind, PortId port, std::int32_t value);
-  /// Recompute every recorded read under the current fault state; true iff
-  /// all values match (the baseline decision transfers).
-  bool validate(const DecisionKey& key, const EnumeratedDecision& d);
+  /// Recompute every recorded read of the header (node, dest, key port,
+  /// in_vc) under the current fault state; true iff all values match (the
+  /// baseline decision transfers).
+  bool validate(NodeId node, NodeId dest, PortId port, VcId in_vc,
+                const EnumeratedDecision& d);
   std::int32_t recompute(const CatalogRead& r) const;
+  /// The escape next hop of the current header (degree when unroutable).
+  PortId escape_next_hop() const;
   void note_unmodeled(const std::string& msg);
   void scan_axes();
   /// Audit that `escape_port` only ever appears verbatim as the port of an
@@ -238,17 +278,24 @@ class DecisionEnumerator {
   bool escape_violation_ = false;
   std::vector<CatalogRead> reads_;
 
-  std::vector<Unknown> unknowns_;
-  std::map<std::pair<std::string, std::int64_t>, std::size_t> uix_;
+  std::vector<InputKind> input_kind_;  // by input id
+  std::vector<Unknown> unknowns_;      // discovery order = enumeration order
+  std::vector<Cand> rule_cands_;       // enumerate_base scratch
   bool discovered_ = false;
   std::vector<std::pair<std::string, rules::Value>> binds_;
 
   std::set<VcId> included_vcs_;
-  std::map<DecisionKey, EnumeratedDecision> baseline_;
+  VcId key_vcs_ = 0;  // VC span of the flat key
+  // Memos: a FlatIndex from the integer key to a slot of the store beside
+  // it (deques, so references handed out stay valid as they grow).
+  FlatIndex baseline_ix_;
+  std::deque<EnumeratedDecision> baseline_;
   const DecisionEnumerator* shared_ = nullptr;
-  std::map<DecisionKey, const EnumeratedDecision*> overlay_;
+  FlatIndex overlay_ix_;
+  std::vector<const EnumeratedDecision*> overlay_;
   std::deque<EnumeratedDecision> overlay_owned_;
-  std::map<AbstractKey, AbstractDecision> abs_memo_;
+  FlatIndex abs_ix_;
+  std::deque<AbstractDecision> abs_memo_;
 
   std::uint64_t evaluated_ = 0;
   std::uint64_t reused_ = 0;

@@ -430,12 +430,15 @@ class MemberCertifier {
                   int claim)
       : en_(en), opts_(opts), claim_(claim), topo_(en.topo()) {}
 
+  DecisionEnumerator& enumerator() { return en_; }
+
   MemberResult run(const FaultPattern& pat) {
     pat_ = &pat;
     const FaultSet fs = pat.to_fault_set(topo_);
     en_.set_faults(fs);
     graph_ = ChannelDepGraph{};
-    state_ix_.clear();
+    for (const auto& [cid, dest] : states_)  // reset only what was used
+      state_ix_[slot(cid, dest)] = -1;
     states_.clear();
     adj_.clear();
     frontier_.clear();
@@ -495,20 +498,31 @@ class MemberCertifier {
   }
 
  private:
+  std::size_t slot(int cid, NodeId dest) const {
+    return static_cast<std::size_t>(cid) *
+               static_cast<std::size_t>(topo_.num_nodes()) +
+           static_cast<std::size_t>(dest);
+  }
+
   int intern_state(int cid, NodeId dest, bool* fresh) {
-    const auto [it, inserted] =
-        state_ix_.emplace(std::make_pair(cid, dest), states_.size());
-    if (inserted) {
+    const std::size_t ix = slot(cid, dest);
+    if (ix >= state_ix_.size()) state_ix_.resize(ix + 1, -1);
+    int& st = state_ix_[ix];
+    *fresh = st < 0;
+    if (st < 0) {
+      st = static_cast<int>(states_.size());
       states_.push_back({cid, dest});
       adj_.emplace_back();
     }
-    *fresh = inserted;
-    return static_cast<int>(it->second);
+    return st;
   }
 
-  void witness_conn(const std::string& w) {
+  /// Record a connectivity failure; `describe` builds the witness text,
+  /// and only runs while the per-set list is under its cap.
+  template <typename Describe>
+  void witness_conn(const Describe& describe) {
     if (witnesses_.size() < opts_.max_witnesses_per_fault_set)
-      witnesses_.push_back(w);
+      witnesses_.push_back(describe());
     else
       ++suppressed_;
     res_.conn_failed = true;
@@ -547,9 +561,11 @@ class MemberCertifier {
           bool ft_covers = false;
           usable_cands(dec, s, fs, usable, &ft_covers);
           if (usable.empty() && !ft_covers)
-            witness_conn("injection at " + std::to_string(s) + " for dest " +
-                         std::to_string(d) + " on vc " + std::to_string(vc) +
-                         " has no usable candidate");
+            witness_conn([&] {
+              return "injection at " + std::to_string(s) + " for dest " +
+                     std::to_string(d) + " on vc " + std::to_string(vc) +
+                     " has no usable candidate";
+            });
           for (const Cand& c : usable) {
             const int to = graph_.channel_id({s, c.first, c.second});
             bool fresh = false;
@@ -571,17 +587,19 @@ class MemberCertifier {
       // Arrival state: a delivery rule must consume the header; candidates
       // past the destination are not followed (consumption assumption).
       if (!dec.delivers)
-        witness_conn("arrival " + state_str(c, dest) +
-                     " is not consumed by any delivery rule");
+        witness_conn([&] {
+          return "arrival " + state_str(c, dest) +
+                 " is not consumed by any delivery rule";
+        });
       return;
     }
     bool ft_covers = false;
-    std::vector<Cand> usable;
-    usable_cands(dec, m, fs, usable, &ft_covers);
-    if (usable.empty() && !ft_covers)
-      witness_conn("state " + state_str(c, dest) +
-                   " dead-ends: no usable candidate");
-    for (const Cand& cc : usable) {
+    usable_cands(dec, m, fs, usable_, &ft_covers);
+    if (usable_.empty() && !ft_covers)
+      witness_conn([&] {
+        return "state " + state_str(c, dest) + " dead-ends: no usable candidate";
+      });
+    for (const Cand& cc : usable_) {
       const int to = graph_.channel_id({m, cc.first, cc.second});
       graph_.add_edge(cid, to);
       bool fresh = false;
@@ -623,10 +641,13 @@ class MemberCertifier {
   const FaultPattern* pat_ = nullptr;
 
   ChannelDepGraph graph_;
-  std::map<std::pair<int, NodeId>, std::size_t> state_ix_;
+  /// State id by (channel id, dest), dense; -1 = not reached. Sized by the
+  /// largest channel id seen and kept across members.
+  std::vector<int> state_ix_;
   std::vector<std::pair<int, NodeId>> states_;  // (channel id, dest)
   std::vector<std::vector<int>> adj_;
   std::vector<int> frontier_;
+  std::vector<Cand> usable_;  // expand() scratch
   std::vector<std::string> witnesses_;
   std::size_t suppressed_ = 0;
   MemberResult res_;
@@ -676,12 +697,12 @@ void merge_member(OrbitOutcome& out, MemberResult&& mr,
   ++out.members_checked;
 }
 
-OrbitOutcome certify_orbit(DecisionEnumerator& en, const Orbit& orbit,
-                           const FaultCertOptions& opts, int claim) {
+OrbitOutcome certify_orbit(MemberCertifier& cert, const Orbit& orbit,
+                           const FaultCertOptions& opts) {
   OrbitOutcome out;
+  DecisionEnumerator& en = cert.enumerator();
   const std::uint64_t ev0 = en.evaluated();
   const std::uint64_t ru0 = en.reused();
-  MemberCertifier cert(en, opts, claim);
   const FaultSet rep_fs = orbit.rep.to_fault_set(en.topo());
   if (orbit.members.size() <= 1 || transport_safe(en, rep_fs)) {
     merge_member(out, cert.run(orbit.rep), orbit.rep, opts.max_findings);
@@ -801,9 +822,9 @@ FaultCertReport certify_faults(const rules::Program& prog,
     rep.regimes.push_back(std::move(s));
   }
   const int claim = model.fault_tolerance;
-  OrbitOutcome healthy =
-      certify_orbit(main_en, Orbit{FaultPattern{}, {FaultPattern{}}, 0}, opts,
-                    claim);
+  MemberCertifier main_cert(main_en, opts, claim);
+  OrbitOutcome healthy = certify_orbit(
+      main_cert, Orbit{FaultPattern{}, {FaultPattern{}}, 0}, opts);
 
   // Build the program's symmetry group: every verified topology
   // automorphism generator survives only if the program is provably
@@ -853,17 +874,19 @@ FaultCertReport certify_faults(const rules::Program& prog,
     const std::size_t workers = std::min<std::size_t>(
         static_cast<std::size_t>(runner.num_threads()), orbits.size() - 1);
     std::vector<std::unique_ptr<DecisionEnumerator>> wens;
+    std::vector<std::unique_ptr<MemberCertifier>> certs;
     for (std::size_t w = 0; w < workers; ++w) {
       auto en = std::make_unique<DecisionEnumerator>(prog, model, topo);
       FR_REQUIRE(en->ok());
       en->share_baseline(&main_en);
+      certs.push_back(std::make_unique<MemberCertifier>(*en, opts, claim));
       wens.push_back(std::move(en));
     }
     std::vector<std::function<void()>> tasks;
     for (std::size_t w = 0; w < workers; ++w)
       tasks.push_back([&, w] {
         for (std::size_t i = 1 + w; i < orbits.size(); i += workers)
-          outcomes[i] = certify_orbit(*wens[w], orbits[i], opts, claim);
+          outcomes[i] = certify_orbit(*certs[w], orbits[i], opts);
       });
     runner.run_tasks(tasks);
     for (const auto& en : wens) main_en.merge_notes(*en);

@@ -1,7 +1,6 @@
 #include "ruleengine/bytecode.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <set>
@@ -12,15 +11,9 @@ namespace flexrouter::rules {
 
 namespace {
 
-/// Same catalogue as Interpreter::is_builtin (kept sorted for reading; the
-/// compiler resolves names once, so lookup speed is irrelevant here).
+/// The interpreter's builtin catalogue: both engines accept the same names.
 bool is_builtin_name(const std::string& name) {
-  static const char* names[] = {"abs",      "bit",    "bitand", "card",
-                                "max",      "meshdist", "min",  "popcount",
-                                "signum",   "xor"};
-  return std::binary_search(
-      std::begin(names), std::end(names), name.c_str(),
-      [](const char* a, const char* b) { return std::strcmp(a, b) < 0; });
+  return Interpreter::builtin_id(name) >= 0;
 }
 
 /// Compile-time shape of an expression subtree: whether it mentions a name

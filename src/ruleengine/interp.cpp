@@ -20,13 +20,74 @@ const SetValue& want_set(const Value& v, int line, const char* what) {
 
 }  // namespace
 
-bool Interpreter::is_builtin(const std::string& name) {
-  static const char* names[] = {"abs",      "bit",      "bitand", "card",
-                                "max",      "meshdist", "min",    "popcount",
-                                "signum",   "xor"};
-  return std::binary_search(
-      std::begin(names), std::end(names), name.c_str(),
+namespace {
+
+// Sorted, so builtin_id can binary-search; the id is the table position.
+constexpr const char* kBuiltins[] = {"abs",    "bit",      "bitand", "card",
+                                     "max",    "meshdist", "min",    "popcount",
+                                     "signum", "xor"};
+enum Builtin : std::int32_t {
+  kAbs,
+  kBit,
+  kBitand,
+  kCard,
+  kMax,
+  kMeshdist,
+  kMin,
+  kPopcount,
+  kSignum,
+  kXor,
+};
+
+}  // namespace
+
+std::int32_t Interpreter::builtin_id(const std::string& name) {
+  const auto* it = std::lower_bound(
+      std::begin(kBuiltins), std::end(kBuiltins), name.c_str(),
       [](const char* a, const char* b) { return std::strcmp(a, b) < 0; });
+  if (it == std::end(kBuiltins) || name != *it) return -1;
+  return static_cast<std::int32_t>(it - std::begin(kBuiltins));
+}
+
+Interpreter::RefSlot Interpreter::resolve(const Expr& e) const {
+  using K = RefSlot::Kind;
+  const auto index_of = [](const auto& vec, const auto* elem) {
+    return static_cast<std::int32_t>(elem - vec.data());
+  };
+  if (const VarDecl* d = prog_->find_variable(e.name))
+    return {K::Variable, index_of(prog_->variables, d), nullptr};
+  if (const InputDecl* in = prog_->find_input(e.name))
+    return {K::Input, index_of(prog_->inputs, in), nullptr};
+  if (e.args.empty()) {
+    const auto it = prog_->constants.find(e.name);
+    if (it != prog_->constants.end()) return {K::Constant, -1, &it->second};
+  }
+  if (const std::int32_t b = builtin_id(e.name); b >= 0)
+    return {K::Builtin, b, nullptr};
+  if (const RuleBase* rb = prog_->find_rule_base(e.name))
+    return {K::Subbase, index_of(prog_->rule_bases, rb), nullptr};
+  return {K::Unknown, -1, nullptr};
+}
+
+Interpreter::RefSlot Interpreter::slot_of(const Expr& e) const {
+  const auto key = [](const Expr& x) {
+    return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&x));
+  };
+  if (refs_ == nullptr) {
+    auto table = std::make_unique<RefTable>();
+    for (const RuleBase& rb : prog_->rule_bases)
+      for (const Rule& r : rb.rules)
+        for_each_expr(r, [&](const Expr& x) {
+          if (x.kind != Expr::Kind::Ref) return;
+          const auto slot = static_cast<std::int32_t>(table->slots.size());
+          if (table->index.insert(key(x), slot).second)
+            table->slots.push_back(resolve(x));
+        });
+    refs_ = std::move(table);
+  }
+  const std::int32_t slot = refs_->index.find(key(e));
+  return slot >= 0 ? refs_->slots[static_cast<std::size_t>(slot)]
+                   : resolve(e);
 }
 
 FireResult Interpreter::fire(RuleEnv& env, const std::string& rule_base,
@@ -270,154 +331,176 @@ Value Interpreter::eval_ref(const Expr& e, Ctx& ctx) {
     for (auto it = ctx.bindings.rbegin(); it != ctx.bindings.rend(); ++it)
       if (it->first == e.name) return it->second;
   }
-  // 2. Program variables (registers).
-  if (const VarDecl* decl = prog_->find_variable(e.name)) {
-    if (ctx.env == nullptr)
-      throw EvalError("state access to '" + e.name + "' not allowed here",
-                      e.line);
-    std::int64_t index = 0;
-    if (decl->is_array()) {
-      if (e.args.size() != 1)
-        throw EvalError("array '" + e.name + "' needs exactly one index",
+  // 2.-6. Declarations, in the order resolve() tries them.
+  const RefSlot slot = slot_of(e);
+  switch (slot.kind) {
+    case RefSlot::Kind::Variable: {  // program variables (registers)
+      if (ctx.env == nullptr)
+        throw EvalError("state access to '" + e.name + "' not allowed here",
                         e.line);
-      index = want_int(eval(e.args[0], ctx), e.line, "array index");
-    } else if (!e.args.empty()) {
-      throw EvalError("scalar variable '" + e.name + "' is not indexed",
-                      e.line);
-    }
-    return ctx.env->get(e.name, index);
-  }
-  // 3. Inputs (host signals).
-  if (const InputDecl* in = prog_->find_input(e.name)) {
-    if (!ctx.allow_inputs)
-      throw EvalError("input access to '" + e.name + "' not allowed here",
-                      e.line);
-    if (!inputs_)
-      throw EvalError("no input provider installed (input '" + e.name + "')",
-                      e.line);
-    if (e.args.size() != in->index_domains.size())
-      throw EvalError("wrong number of indices for input '" + e.name + "'",
-                      e.line);
-    std::vector<Value> idx;
-    idx.reserve(e.args.size());
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      Value v = eval(e.args[i], ctx);
-      if (!in->index_domains[i].contains(v))
-        throw EvalError("index outside domain for input '" + e.name + "'",
+      const VarDecl& decl = prog_->variables[static_cast<std::size_t>(slot.id)];
+      std::int64_t index = 0;
+      if (decl.is_array()) {
+        if (e.args.size() != 1)
+          throw EvalError("array '" + e.name + "' needs exactly one index",
+                          e.line);
+        index = want_int(eval(e.args[0], ctx), e.line, "array index");
+      } else if (!e.args.empty()) {
+        throw EvalError("scalar variable '" + e.name + "' is not indexed",
                         e.line);
-      idx.push_back(std::move(v));
+      }
+      // The id path skips the name lookup; it is only valid for a register
+      // file laid out from this very program.
+      if (&ctx.env->program() == prog_)
+        return ctx.env->get_by_id(slot.id, index);
+      return ctx.env->get(e.name, index);
     }
-    Value v = inputs_(e.name, idx);
-    if (!in->domain.contains(v))
-      throw EvalError("host returned value outside domain of input '" +
-                          e.name + "'",
-                      e.line);
-    return v;
-  }
-  // 4. Named constants.
-  if (e.args.empty()) {
-    const auto it = prog_->constants.find(e.name);
-    if (it != prog_->constants.end()) return it->second;
-  }
-  // 5. Builtin functions.
-  if (is_builtin(e.name)) {
-    std::vector<Value> args;
-    args.reserve(e.args.size());
-    for (const ExprPtr& a : e.args) args.push_back(eval(a, ctx));
-    return eval_builtin(e, args, ctx);
-  }
-  // 6. Subbases: a rule base used as a function; its RETURN is the value.
-  if (const RuleBase* rb = prog_->find_rule_base(e.name)) {
-    if (ctx.env == nullptr)
-      throw EvalError("subbase call not allowed here", e.line);
-    std::vector<Value> args;
-    args.reserve(e.args.size());
-    for (const ExprPtr& a : e.args) args.push_back(eval(a, ctx));
-    // Subbases used in expressions must be pure ("fully functional
-    // interpretation" per the paper): fire on a scratch copy and reject any
-    // state change or generated event.
-    RuleEnv scratch = *ctx.env;
-    FireResult r = fire(scratch, *rb, args);
-    if (!(scratch == *ctx.env))
-      throw EvalError("subbase '" + e.name + "' modified state inside an "
-                      "expression",
-                      e.line);
-    if (!r.events.empty())
-      throw EvalError("subbase '" + e.name + "' emitted events inside an "
-                      "expression",
-                      e.line);
-    if (!r.returned)
-      throw EvalError("subbase '" + e.name + "' did not RETURN a value",
-                      e.line);
-    return *r.returned;
+    case RefSlot::Kind::Input:  // host signals
+      return eval_input(e, slot.id, ctx);
+    case RefSlot::Kind::Constant:
+      return *slot.constant;
+    case RefSlot::Kind::Builtin: {
+      std::vector<Value> args;
+      args.reserve(e.args.size());
+      for (const ExprPtr& a : e.args) args.push_back(eval(a, ctx));
+      return eval_builtin(e, slot.id, args);
+    }
+    case RefSlot::Kind::Subbase: {
+      // A rule base used as a function; its RETURN is the value.
+      if (ctx.env == nullptr)
+        throw EvalError("subbase call not allowed here", e.line);
+      std::vector<Value> args;
+      args.reserve(e.args.size());
+      for (const ExprPtr& a : e.args) args.push_back(eval(a, ctx));
+      // Subbases used in expressions must be pure ("fully functional
+      // interpretation" per the paper): fire on a scratch copy and reject
+      // any state change or generated event.
+      RuleEnv scratch = *ctx.env;
+      FireResult r = fire(
+          scratch, prog_->rule_bases[static_cast<std::size_t>(slot.id)], args);
+      if (!(scratch == *ctx.env))
+        throw EvalError("subbase '" + e.name + "' modified state inside an "
+                        "expression",
+                        e.line);
+      if (!r.events.empty())
+        throw EvalError("subbase '" + e.name + "' emitted events inside an "
+                        "expression",
+                        e.line);
+      if (!r.returned)
+        throw EvalError("subbase '" + e.name + "' did not RETURN a value",
+                        e.line);
+      return *r.returned;
+    }
+    case RefSlot::Kind::Unknown:
+      break;
   }
   throw EvalError("unknown name '" + e.name + "'", e.line);
 }
 
-Value Interpreter::eval_builtin(const Expr& e, const std::vector<Value>& args,
-                                Ctx&) {
+Value Interpreter::eval_input(const Expr& e, std::int32_t input_id,
+                              Ctx& ctx) {
+  const InputDecl& in = prog_->inputs[static_cast<std::size_t>(input_id)];
+  if (!ctx.allow_inputs)
+    throw EvalError("input access to '" + e.name + "' not allowed here",
+                    e.line);
+  if (raw_inputs_ == nullptr && !inputs_)
+    throw EvalError("no input provider installed (input '" + e.name + "')",
+                    e.line);
+  const std::size_t n = e.args.size();
+  if (n != in.index_domains.size())
+    throw EvalError("wrong number of indices for input '" + e.name + "'",
+                    e.line);
+  // Index tuples are short (link_ok(port), credits(port, vc)): keep them on
+  // the stack unless a declaration asks for more.
+  constexpr std::size_t kInlineIdx = 4;
+  Value inline_idx[kInlineIdx];
+  std::vector<Value> heap_idx;
+  Value* idx = inline_idx;
+  if (n > kInlineIdx) {
+    heap_idx.resize(n);
+    idx = heap_idx.data();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[i] = eval(e.args[i], ctx);
+    if (!in.index_domains[i].contains(idx[i]))
+      throw EvalError("index outside domain for input '" + e.name + "'",
+                      e.line);
+  }
+  Value v = raw_inputs_ != nullptr
+                ? raw_inputs_(raw_inputs_ctx_, input_id, idx, n)
+                : inputs_(e.name, std::vector<Value>(idx, idx + n));
+  if (!in.domain.contains(v))
+    throw EvalError("host returned value outside domain of input '" + e.name +
+                        "'",
+                    e.line);
+  return v;
+}
+
+Value Interpreter::eval_builtin(const Expr& e, std::int32_t builtin,
+                                const std::vector<Value>& args) {
   auto need = [&](std::size_t n) {
     if (args.size() != n)
       throw EvalError("builtin '" + e.name + "' expects " + std::to_string(n) +
                           " arguments",
                       e.line);
   };
-  if (e.name == "abs") {
-    need(1);
-    const auto v = want_int(args[0], e.line, "abs argument");
-    return Value::make_int(v < 0 ? -v : v);
-  }
-  if (e.name == "signum") {
-    need(1);
-    const auto v = want_int(args[0], e.line, "signum argument");
-    return Value::make_int(v < 0 ? -1 : (v > 0 ? 1 : 0));
-  }
-  if (e.name == "min" || e.name == "max") {
-    if (args.empty())
-      throw EvalError("builtin '" + e.name + "' needs arguments", e.line);
-    std::int64_t acc = want_int(args[0], e.line, "min/max argument");
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      const auto v = want_int(args[i], e.line, "min/max argument");
-      acc = e.name == "min" ? std::min(acc, v) : std::max(acc, v);
+  switch (builtin) {
+    case kAbs: {
+      need(1);
+      const auto v = want_int(args[0], e.line, "abs argument");
+      return Value::make_int(v < 0 ? -v : v);
     }
-    return Value::make_int(acc);
-  }
-  if (e.name == "card") {
-    need(1);
-    return Value::make_int(static_cast<std::int64_t>(
-        want_set(args[0], e.line, "card argument").size()));
-  }
-  if (e.name == "xor") {
-    need(2);
-    return Value::make_int(want_int(args[0], e.line, "xor argument") ^
-                           want_int(args[1], e.line, "xor argument"));
-  }
-  if (e.name == "bitand") {
-    need(2);
-    return Value::make_int(want_int(args[0], e.line, "bitand argument") &
-                           want_int(args[1], e.line, "bitand argument"));
-  }
-  if (e.name == "bit") {
-    need(2);
-    const auto x = want_int(args[0], e.line, "bit argument");
-    const auto i = want_int(args[1], e.line, "bit index");
-    if (i < 0 || i > 62) throw EvalError("bit index out of range", e.line);
-    return Value::make_int((x >> i) & 1);
-  }
-  if (e.name == "popcount") {
-    need(1);
-    const auto x = want_int(args[0], e.line, "popcount argument");
-    if (x < 0) throw EvalError("popcount of negative value", e.line);
-    return Value::make_int(
-        std::popcount(static_cast<std::uint64_t>(x)));
-  }
-  if (e.name == "meshdist") {
-    need(4);
-    const auto x1 = want_int(args[0], e.line, "meshdist argument");
-    const auto y1 = want_int(args[1], e.line, "meshdist argument");
-    const auto x2 = want_int(args[2], e.line, "meshdist argument");
-    const auto y2 = want_int(args[3], e.line, "meshdist argument");
-    return Value::make_int(std::abs(x1 - x2) + std::abs(y1 - y2));
+    case kSignum: {
+      need(1);
+      const auto v = want_int(args[0], e.line, "signum argument");
+      return Value::make_int(v < 0 ? -1 : (v > 0 ? 1 : 0));
+    }
+    case kMin:
+    case kMax: {
+      if (args.empty())
+        throw EvalError("builtin '" + e.name + "' needs arguments", e.line);
+      std::int64_t acc = want_int(args[0], e.line, "min/max argument");
+      for (std::size_t i = 1; i < args.size(); ++i) {
+        const auto v = want_int(args[i], e.line, "min/max argument");
+        acc = builtin == kMin ? std::min(acc, v) : std::max(acc, v);
+      }
+      return Value::make_int(acc);
+    }
+    case kCard:
+      need(1);
+      return Value::make_int(static_cast<std::int64_t>(
+          want_set(args[0], e.line, "card argument").size()));
+    case kXor:
+      need(2);
+      return Value::make_int(want_int(args[0], e.line, "xor argument") ^
+                             want_int(args[1], e.line, "xor argument"));
+    case kBitand:
+      need(2);
+      return Value::make_int(want_int(args[0], e.line, "bitand argument") &
+                             want_int(args[1], e.line, "bitand argument"));
+    case kBit: {
+      need(2);
+      const auto x = want_int(args[0], e.line, "bit argument");
+      const auto i = want_int(args[1], e.line, "bit index");
+      if (i < 0 || i > 62) throw EvalError("bit index out of range", e.line);
+      return Value::make_int((x >> i) & 1);
+    }
+    case kPopcount: {
+      need(1);
+      const auto x = want_int(args[0], e.line, "popcount argument");
+      if (x < 0) throw EvalError("popcount of negative value", e.line);
+      return Value::make_int(std::popcount(static_cast<std::uint64_t>(x)));
+    }
+    case kMeshdist: {
+      need(4);
+      const auto x1 = want_int(args[0], e.line, "meshdist argument");
+      const auto y1 = want_int(args[1], e.line, "meshdist argument");
+      const auto x2 = want_int(args[2], e.line, "meshdist argument");
+      const auto y2 = want_int(args[3], e.line, "meshdist argument");
+      return Value::make_int(std::abs(x1 - x2) + std::abs(y1 - y2));
+    }
+    default:
+      break;
   }
   throw EvalError("unknown builtin '" + e.name + "'", e.line);
 }

@@ -10,11 +10,14 @@
 // are handed to the caller (the event manager) for asynchronous processing.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "ruleengine/ast.hpp"
 #include "ruleengine/env.hpp"
 
@@ -43,6 +46,14 @@ struct FireResult {
 using InputFn =
     std::function<Value(const std::string&, const std::vector<Value>&)>;
 
+/// Pre-resolved input provider, shared by the interpreter and the VM:
+/// `input_id` is the position of the input in Program::inputs, `idx` the
+/// evaluated (domain-checked) index values. A plain function pointer plus
+/// context, so the per-read call costs one indirect call — no name
+/// dispatch, no vector build, no std::function.
+using RawInputFn = Value (*)(void* ctx, std::int32_t input_id,
+                             const Value* idx, std::size_t nidx);
+
 /// Optional expression override used by the rule compiler: called on every
 /// Ref/atom before normal resolution; a non-nullopt result short-circuits.
 using ResolveFn = std::function<std::optional<Value>(const Expr&)>;
@@ -60,6 +71,11 @@ class Interpreter {
   explicit Interpreter(const Program& prog) : prog_(&prog) {}
 
   void set_input_provider(InputFn fn) { inputs_ = std::move(fn); }
+  /// Raw provider; takes precedence over the string-keyed one.
+  void set_input_provider_raw(RawInputFn fn, void* ctx) {
+    raw_inputs_ = fn;
+    raw_inputs_ctx_ = ctx;
+  }
   const Program& program() const { return *prog_; }
 
   /// Fire a rule base: bind `args` to its parameters, select the first
@@ -100,6 +116,10 @@ class Interpreter {
   std::int64_t total_fires() const { return total_fires_; }
   void reset_counters() { total_fires_ = 0; }
 
+  /// Builtin function id of `name` (its position in the builtin catalogue),
+  /// or -1 when `name` is no builtin.
+  static std::int32_t builtin_id(const std::string& name);
+
  private:
   struct Ctx {
     const RuleEnv* env = nullptr;           // nullptr forbids state reads
@@ -109,10 +129,28 @@ class Interpreter {
     int depth = 0;
   };
 
+  /// What a Ref names once bindings are ruled out (the static half of name
+  /// resolution: variable, input, constant, builtin, subbase, unknown).
+  struct RefSlot {
+    enum class Kind : std::uint8_t {
+      Variable,
+      Input,
+      Constant,
+      Builtin,
+      Subbase,
+      Unknown,
+    };
+    Kind kind = Kind::Unknown;
+    std::int32_t id = -1;  // variable / input / builtin / rule-base index
+    const Value* constant = nullptr;
+  };
+
   Value eval(const ExprPtr& e, Ctx& ctx);
   Value eval_ref(const Expr& e, Ctx& ctx);
+  Value eval_input(const Expr& e, std::int32_t input_id, Ctx& ctx);
   Value eval_binary(const Expr& e, Ctx& ctx);
-  Value eval_builtin(const Expr& e, const std::vector<Value>& args, Ctx& ctx);
+  Value eval_builtin(const Expr& e, std::int32_t builtin,
+                     const std::vector<Value>& args);
   std::vector<Value> domain_values(const ExprPtr& domain_expr, Ctx& ctx);
 
   struct PendingWrite {
@@ -124,10 +162,26 @@ class Interpreter {
   void exec_cmds(const std::vector<Cmd>& cmds, Ctx& ctx, FireResult& result,
                  std::vector<PendingWrite>& writes);
 
-  static bool is_builtin(const std::string& name);
+  /// Resolve a Ref by name against the program's declarations.
+  RefSlot resolve(const Expr& e) const;
+  /// The resolution of `e`: from the table for Refs of the program's own
+  /// rule bases (built on first use), by name for any other Expr.
+  RefSlot slot_of(const Expr& e) const;
 
   const Program* prog_;
   InputFn inputs_;
+  RawInputFn raw_inputs_ = nullptr;
+  void* raw_inputs_ctx_ = nullptr;
+  /// The resolution of every Ref the program owns, keyed by its address.
+  /// The program is immutable and outlives the interpreter, so no key can
+  /// be reused by another Expr while the table is alive.
+  struct RefTable {
+    FlatIndex index;
+    std::vector<RefSlot> slots;
+  };
+  /// Built on first use: every router of a rule-driven network owns an
+  /// interpreter that the table tiers may never call.
+  mutable std::unique_ptr<const RefTable> refs_;
   std::int64_t total_fires_ = 0;
 };
 

@@ -21,13 +21,6 @@
 
 namespace flexrouter::rules {
 
-/// Pre-resolved input provider: `input_id` is the position of the input in
-/// Program::inputs, `idx` the evaluated (domain-checked) index values. A
-/// plain function pointer plus context, so the per-read call costs one
-/// indirect call — no name dispatch, no vector build, no std::function.
-using RawInputFn = Value (*)(void* ctx, std::int32_t input_id,
-                             const Value* idx, std::size_t nidx);
-
 /// Raw event sink for the decision path: invoked during Op::Emit for events
 /// emitted by the outermost frame (subbase frames keep pooling so the
 /// "no emissions inside an expression" contract stays enforced). `args`

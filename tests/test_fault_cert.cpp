@@ -12,6 +12,8 @@
 // fully delivering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "rulebases/corpus.hpp"
@@ -151,6 +153,49 @@ TEST(FaultCertCorpus, WitnessesNameTheFaultSetAndElideLongLists) {
   }
   EXPECT_TRUE(saw_fault_set);
   EXPECT_TRUE(saw_elision);
+}
+
+/// FNV-1a over the report text: a compact pin for the certificate bytes.
+std::uint64_t text_hash(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FaultCertCorpus, OneFaultCertificatesArePinned) {
+  // Exact k = 1 figures per program: how much was enumerated fresh, how
+  // much revalidated from the healthy baseline, the baseline size, the
+  // orbit and member counts, and a hash of the whole certificate text. Any
+  // change to what the certifier computes or prints moves one of them.
+  struct Pin {
+    const char* program;
+    std::uint64_t evaluated, reused, baseline, orbits, members, text;
+  };
+  const Pin pins[] = {
+      {"nara_rules", 8416, 547808, 8416, 69, 69, 0x57c4c611e528b5f0ULL},
+      {"ecube_rules", 88, 450, 88, 9, 9, 0x11cce51000503c4dULL},
+      {"ft_mesh_rules", 1566, 9650, 672, 19, 19, 0xe8a350597f23a4e9ULL},
+      {"nafta", 2048, 7336, 560, 19, 19, 0xa3bcb1141ba9121dULL},
+      {"nara", 560, 8824, 560, 19, 19, 0x33c69d9781f57288ULL},
+      {"route_c", 112, 1007, 112, 14, 14, 0xe1371a25dbfa3085ULL},
+      {"route_c_nft", 112, 1007, 112, 14, 14, 0x2c843f75a234ec63ULL},
+  };
+  ASSERT_EQ(corpus_k1().reports.size(), std::size(pins));
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.program);
+    const FaultCertReport* r = report_for(pin.program);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->stats.decisions_evaluated, pin.evaluated);
+    EXPECT_EQ(r->stats.decisions_reused, pin.reused);
+    EXPECT_EQ(r->stats.baseline_decisions, pin.baseline);
+    EXPECT_EQ(r->stats.orbits_checked, pin.orbits);
+    EXPECT_EQ(r->orbit_count, pin.orbits);
+    EXPECT_EQ(r->stats.members_checked, pin.members);
+    EXPECT_EQ(text_hash(r->to_string()), pin.text) << r->to_string();
+  }
 }
 
 // ------------------------------------------------------- bounds + options

@@ -2,19 +2,23 @@
 // programs are executed both by the reference interpreter and through the
 // compiled ARON tables; any divergence in selected rule, state effects,
 // emitted events or RETURN values is a compiler bug. Also fuzzes the lexer/
-// parser for crash-freedom on corrupted sources, and the compressed AOT
+// parser for crash-freedom on corrupted sources, the compressed AOT
 // tier against the VM on randomly generated classifier-eligible routing
-// programs.
+// programs, and the interpreter's input providers (by name and by id)
+// against each other and the VM.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "common/rng.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
+#include "ruleengine/bytecode.hpp"
 #include "ruleengine/event_manager.hpp"
 #include "ruleengine/lexer.hpp"
 #include "ruleengine/parser.hpp"
+#include "ruleengine/vm.hpp"
 #include "topology/hypercube.hpp"
 
 namespace flexrouter::rules {
@@ -556,6 +560,188 @@ TEST(ParserFuzz, RandomTokenSoup) {
     }
   }
   SUCCEED();  // reaching here without a crash is the property
+}
+
+// ------------------------------------- input-provider differential firing
+// The interpreter resolves each Ref of its program once and, with a raw
+// provider installed, reads inputs by id. Fired through the name-keyed
+// provider, the raw provider and the VM, every program must agree on the
+// fired rule, RETURN, events, register commits and fire count — and, when
+// a host signal leaves its declared domain, on the exact error.
+
+/// One host value per (input, indices) per firing, shared by every engine
+/// so all of them observe the same signals. About one read in 64 returns a
+/// value outside the input's domain, driving the error paths.
+class SignalOracle {
+ public:
+  SignalOracle(const Program& prog, std::uint64_t seed)
+      : prog_(prog), rng_(seed) {}
+
+  void next_firing() { memo_.clear(); }
+
+  Value get(std::int32_t id, const Value* idx, std::size_t n) {
+    std::string key = std::to_string(id);
+    for (std::size_t i = 0; i < n; ++i) {
+      key += '/';
+      key += idx[i].to_string(prog_.syms);
+    }
+    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+    const Domain& d = prog_.inputs[static_cast<std::size_t>(id)].domain;
+    const Value v = rng_.next_below(64) == 0
+                        ? Value::make_int(std::int64_t{1} << 40)
+                        : d.value_at(rng_.next_below(d.cardinality()));
+    memo_.emplace(key, v);
+    return v;
+  }
+
+  InputFn by_name() {
+    return [this](const std::string& name, const std::vector<Value>& idx) {
+      const InputDecl* decl = prog_.find_input(name);
+      FR_REQUIRE(decl != nullptr);
+      return get(static_cast<std::int32_t>(decl - prog_.inputs.data()),
+                 idx.data(), idx.size());
+    };
+  }
+
+  static Value raw(void* self, std::int32_t id, const Value* idx,
+                   std::size_t n) {
+    return static_cast<SignalOracle*>(self)->get(id, idx, n);
+  }
+
+ private:
+  const Program& prog_;
+  Rng rng_;
+  std::map<std::string, Value> memo_;
+};
+
+/// What one engine made of one firing: its result, or the error it threw
+/// ("eval: <message>" or "contract: <message>").
+struct Firing {
+  FireResult result;
+  std::string error;
+};
+
+template <typename Fire>
+Firing attempt(const Fire& fire) {
+  Firing f;
+  try {
+    f.result = fire();
+  } catch (const EvalError& e) {
+    f.error = std::string("eval: ") + e.what();
+  } catch (const ContractViolation& e) {
+    f.error = std::string("contract: ") + e.what();
+  }
+  return f;
+}
+
+/// `exact_contract`: contract-violation texts carry the throwing source
+/// location, so only the two interpreters can match them verbatim.
+void expect_same_firing(const Firing& a, const Firing& b, bool exact_contract,
+                        const std::string& where) {
+  const auto is_contract = [](const std::string& e) {
+    return e.rfind("contract: ", 0) == 0;
+  };
+  if (is_contract(a.error) && !exact_contract) {
+    EXPECT_TRUE(is_contract(b.error)) << where << ": " << b.error;
+    return;
+  }
+  ASSERT_EQ(a.error, b.error) << where;
+  if (!a.error.empty()) return;
+  ASSERT_EQ(a.result.rule_index, b.result.rule_index) << where;
+  ASSERT_EQ(a.result.returned.has_value(), b.result.returned.has_value())
+      << where;
+  if (a.result.returned) {
+    ASSERT_TRUE(*a.result.returned == *b.result.returned) << where;
+  }
+  ASSERT_EQ(a.result.events.size(), b.result.events.size()) << where;
+  for (std::size_t e = 0; e < a.result.events.size(); ++e) {
+    ASSERT_EQ(a.result.events[e].name, b.result.events[e].name) << where;
+    ASSERT_EQ(a.result.events[e].args.size(), b.result.events[e].args.size())
+        << where;
+    for (std::size_t k = 0; k < a.result.events[e].args.size(); ++k)
+      ASSERT_TRUE(a.result.events[e].args[k] == b.result.events[e].args[k])
+          << where;
+  }
+}
+
+/// Fires random rule bases of `prog` through all three engines; returns
+/// how many firings threw (identically everywhere).
+int fire_three_ways(const Program& prog, std::uint64_t seed, int iters) {
+  SignalOracle oracle(prog, seed);
+  Interpreter by_name(prog);
+  Interpreter by_id(prog);
+  by_name.set_input_provider(oracle.by_name());
+  by_id.set_input_provider_raw(&SignalOracle::raw, &oracle);
+  RuleEnv env_name(prog), env_id(prog), env_vm(prog);
+  Vm vm(compile_bytecode(prog), env_vm);
+  vm.set_input_provider_raw(&SignalOracle::raw, &oracle);
+
+  Rng rng(seed ^ 0x5eedULL);
+  int errors = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    const std::size_t rb_ix = rng.next_below(prog.rule_bases.size());
+    const RuleBase& rb = prog.rule_bases[rb_ix];
+    std::vector<Value> args;
+    for (const Param& p : rb.params)
+      args.push_back(p.domain.value_at(rng.next_below(p.domain.cardinality())));
+    const std::string where = rb.name + " iteration " + std::to_string(iter);
+
+    oracle.next_firing();
+    const Firing a = attempt([&] { return by_name.fire(env_name, rb, args); });
+    const Firing b = attempt([&] { return by_id.fire(env_id, rb, args); });
+    const Firing c =
+        attempt([&] { return vm.fire(static_cast<int>(rb_ix), args); });
+    expect_same_firing(a, b, /*exact_contract=*/true, where + " (by id)");
+    expect_same_firing(a, c, /*exact_contract=*/false, where + " (vm)");
+    if (::testing::Test::HasFatalFailure()) return errors;
+    if (!a.error.empty()) {
+      ++errors;
+      env_name.reset();
+      env_id.reset();
+      env_vm.reset();
+      continue;
+    }
+    EXPECT_TRUE(env_name == env_id) << where;
+    EXPECT_TRUE(env_name == env_vm) << where;
+  }
+  EXPECT_EQ(by_name.total_fires(), by_id.total_fires());
+  EXPECT_EQ(by_name.total_fires(), vm.total_fires());
+  return errors;
+}
+
+TEST(InputProviderDiff, CorpusProgramsFireAlikeThreeWays) {
+  const std::vector<std::pair<std::string, std::string>> corpus = {
+      {"nafta", flexrouter::rulebases::nafta_program_source(8, 8)},
+      {"nara", flexrouter::rulebases::nara_program_source(8, 8)},
+      {"route_c", flexrouter::rulebases::route_c_program_source(4, 2)},
+      {"route_c_nft", flexrouter::rulebases::route_c_nft_program_source(4, 2)},
+      {"ft_mesh", flexrouter::rulebases::ft_mesh_route_source(4, 4)},
+      {"nara_route", flexrouter::rulebases::nara_route_source(4, 4)},
+      {"ecube", flexrouter::rulebases::ecube_route_source(3)},
+      {"ecube_msb", flexrouter::rulebases::ecube_msb_route_source(3)},
+  };
+  std::uint64_t seed = 0xd1ffULL;
+  for (const auto& [name, source] : corpus) {
+    SCOPED_TRACE(name);
+    const Program prog = parse_program(source);
+    // Every corpus program reads inputs often enough to meet the oracle's
+    // out-of-domain values: the error path is compared, not skipped.
+    EXPECT_GT(fire_three_ways(prog, ++seed, 400), 0);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(InputProviderDiff, FuzzProgramsFireAlikeThreeWays) {
+  int errors = 0;
+  for (const FuzzParam& p : fuzz_seeds()) {
+    ProgramGenerator gen(p.seed);
+    const std::string source = gen.generate();
+    SCOPED_TRACE(source);
+    const Program prog = parse_program(source);
+    errors += fire_three_ways(prog, p.seed, 200);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(errors, 0);
 }
 
 }  // namespace

@@ -350,6 +350,77 @@ TEST(Interp, ArgumentDomainChecked) {
   EXPECT_THROW(interp.fire(env, "f", {}), ContractViolation);
 }
 
+// Name resolution: each Ref of the program is resolved once, but bound
+// names (parameters, quantifier variables) are still looked up first, so
+// they shadow an input or a register of the same name.
+TEST(Interp, BoundNamesShadowInputsAndVariables) {
+  const Program p = parse_program(
+      "CONSTANT dirs = 4\n"
+      "VARIABLE count IN 0 TO 7 INIT 5\n"
+      "INPUT load IN 0 TO 3\n"
+      "ON probe(load IN 0 TO 3) RETURNS 0 TO 7\n"
+      "  IF load = 2 THEN RETURN(count);\n"
+      "  IF EXISTS count IN dirs : count = load + 1 THEN RETURN(count);\n"
+      "END probe\n"
+      "ON scan RETURNS 0 TO 7\n"
+      "  IF EXISTS load IN dirs : load = 3 THEN RETURN(load + count);\n"
+      "END scan");
+  Interpreter interp(p);
+  RuleEnv env(p);
+  int reads = 0;
+  interp.set_input_provider([&](const std::string&, const std::vector<Value>&) {
+    ++reads;
+    return Value::make_int(0);
+  });
+  // Parameter `load` shadows the input; the register `count` is read
+  // outside the quantifier and shadowed inside it.
+  FireResult r = interp.fire(env, "probe", {Value::make_int(2)});
+  ASSERT_TRUE(r.returned.has_value());
+  EXPECT_EQ(r.returned->as_int(), 5);
+  r = interp.fire(env, "probe", {Value::make_int(1)});
+  EXPECT_EQ(r.rule_index, 1);
+  // RETURN(count) sits outside the quantifier: the register again.
+  EXPECT_EQ(r.returned->as_int(), 5);
+  // Quantifier variable `load` shadows the input inside its body; after
+  // it the name is the input again.
+  r = interp.fire(env, "scan", {});
+  ASSERT_TRUE(r.applied());
+  EXPECT_EQ(r.returned->as_int(), 5);  // input load = 0, count = 5
+  EXPECT_EQ(reads, 1);                 // only the RETURN read the input
+}
+
+TEST(Interp, EvalExprOnForeignExprResolvesByName) {
+  // Exprs the program does not own take the by-name path, so a temporary
+  // built after construction evaluates like any program expression.
+  const Program p = parse_program(
+      "VARIABLE count IN 0 TO 7 INIT 3\n"
+      "INPUT load(0 TO 3) IN 0 TO 9\n"
+      "ON go IF load(1) = 4 THEN count <- 1; END go");
+  Interpreter interp(p);
+  RuleEnv env(p);
+  interp.set_input_provider(
+      [](const std::string& name, const std::vector<Value>& idx) {
+        EXPECT_EQ(name, "load");
+        return Value::make_int(idx[0].as_int() + 3);
+      });
+  interp.fire(env, "go", {});  // resolves the program's own Refs
+  EXPECT_EQ(env.get("count").as_int(), 1);
+  const ExprPtr sum = Expr::make_binary(
+      BinOp::Add, Expr::make_ref("count"),
+      Expr::make_ref("load", {Expr::make_int(2)}));
+  EXPECT_EQ(interp.eval_expr(env, sum, {}).as_int(), 6);
+  const ExprPtr bound = Expr::make_ref("count");
+  EXPECT_EQ(interp.eval_expr(env, bound, {{"count", Value::make_int(7)}})
+                .as_int(),
+            7);
+  try {
+    interp.eval_expr(env, Expr::make_ref("nosuch", {}, 9), {});
+    FAIL() << "unknown name evaluated";
+  } catch (const EvalError& e) {
+    EXPECT_STREQ(e.what(), "line 9: unknown name 'nosuch'");
+  }
+}
+
 // --------------------------------------------- the paper's Figure 4 excerpt
 const char* kFigure4 = R"(
   PROGRAM route_c_update_state;
