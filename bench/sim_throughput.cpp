@@ -10,10 +10,10 @@
 //      SweepRunner.
 //   3. Large fabrics (64x64 mesh NAFTA, 12-d hypercube ROUTE_C — 4096
 //      nodes each) at 1/2/4/8 spatial shards, every run bit-checked
-//      against the legacy serial path. A mismatch is a hard failure.
-//   4. Event-driven idle skipping on a lightly loaded 64x64 mesh with a
-//      mid-run link kill and a long detection window: skip-on vs skip-off
-//      wall clock (both bit-identical to serial), cycles skipped reported.
+//      against the one-shard run. A mismatch is a hard failure.
+//   4. Idle skipping on a lightly loaded 64x64 mesh with a mid-run link
+//      kill and a long detection window: skip-on vs skip-off wall clock
+//      (bit-identical results), cycles skipped reported.
 //
 // Usage:
 //   ./sim_throughput              # full run, table to stdout
@@ -123,10 +123,9 @@ std::unique_ptr<Topology> make_fabric_topo(const std::string& kind) {
   return std::make_unique<Hypercube>(12);
 }
 
-/// One timed run of a fabric scenario. `shards == 0` selects the legacy
-/// serial step (the bit-identity reference); any other count runs the
-/// unified sharded/event-driven path. Timing covers only Simulator::run —
-/// topology construction and table building are setup, not throughput.
+/// One timed run of a fabric scenario at `shards` spatial shards. Timing
+/// covers only Simulator::run — topology construction and table building
+/// are setup, not throughput.
 SimResult run_fabric(const FabricScenario& sc, int shards, bool idle_skip,
                      const FaultSchedule* schedule, Cycle detection_delay,
                      Cycle* cycles_out, double* wall_out,
@@ -135,8 +134,7 @@ SimResult run_fabric(const FabricScenario& sc, int shards, bool idle_skip,
   auto algo = make_algorithm(sc.algo);
   UniformTraffic tr(*topo);
   NetworkConfig ncfg;
-  ncfg.shards = shards == 0 ? 1 : shards;
-  ncfg.event_driven = shards != 0;
+  ncfg.shards = shards;
   Network net(*topo, *algo, ncfg);
   SimConfig cfg;
   cfg.injection_rate = sc.rate;
@@ -283,8 +281,8 @@ int main(int argc, char** argv) {
       "Simulator throughput — serial hot loop and parallel sweep engine");
 
   // --- 0. zero-allocation steady-state guard -----------------------------
-  // Both the legacy serial step and the sharded path must reach an
-  // allocation-free steady state (the shard buffers and span lists grow to
+  // The step must reach an allocation-free steady state at one shard and
+  // at four (the shard buffers and span lists grow to
   // the workload's peak during warmup, like every other pool).
   if (heap_alloc_counting_enabled()) {
     for (const int shards : {1, 4})
@@ -295,7 +293,7 @@ int main(int argc, char** argv) {
     for (const int faults : {0, 6})
       if (!run_alloc_guard(faults, 1, /*aot_rules=*/true)) return 1;
     std::cout << "alloc guard: steady-state cycles allocation-free "
-                 "(serial and 4-shard, fault-free and faulted, native and "
+                 "(1-shard and 4-shard, fault-free and faulted, native and "
                  "AOT rule-driven)\n\n";
   }
 
@@ -383,31 +381,29 @@ int main(int argc, char** argv) {
   std::vector<FabricReport> fabric_reports;
   const int shard_counts[] = {1, 2, 4, 8};
 
-  std::cout << "\nlarge fabrics (4096 nodes), bit-checked against the serial "
-               "step:\n";
+  std::cout << "\nlarge fabrics (4096 nodes), bit-checked against one "
+               "shard:\n";
   bench::print_row({"scenario", "shards", "sim cycles", "wall s",
                     "cycles/sec", "bit-identical"});
   for (const FabricScenario& sc : fabrics) {
     FabricReport rep;
     rep.name = sc.name;
-    double ref_wall = 0.0;
-    const SimResult ref =
-        run_fabric(sc, 0, false, nullptr, 0, &rep.cycles, &ref_wall);
-    bench::print_row({sc.name, "serial", std::to_string(rep.cycles),
-                      bench::fmt(ref_wall, 3),
-                      bench::fmt(static_cast<double>(rep.cycles) / ref_wall, 0),
-                      "ref"});
+    SimResult ref;
     for (const int s : shard_counts) {
       Cycle cycles = 0;
       double wall = 0.0;
       const SimResult r = run_fabric(sc, s, false, nullptr, 0, &cycles, &wall);
+      if (s == 1) {
+        ref = r;
+        rep.cycles = cycles;
+      }
       const bool identical = bit_identical(r, ref) && cycles == rep.cycles;
       rep.rows.push_back(
           {s, wall, static_cast<double>(cycles) / wall, identical});
-      bench::print_row({"", std::to_string(s), std::to_string(cycles),
-                        bench::fmt(wall, 3),
+      bench::print_row({s == 1 ? sc.name : "", std::to_string(s),
+                        std::to_string(cycles), bench::fmt(wall, 3),
                         bench::fmt(static_cast<double>(cycles) / wall, 0),
-                        identical ? "yes" : "NO"});
+                        s == 1 ? "ref" : identical ? "yes" : "NO"});
       if (!identical) {
         std::cerr << "DETERMINISM VIOLATION: " << sc.name << " differs at "
                   << s << " shards\n";
@@ -417,15 +413,12 @@ int main(int argc, char** argv) {
     fabric_reports.push_back(std::move(rep));
   }
 
-  // --- 4. event-driven idle skipping on a lightly loaded fabric -----------
+  // --- 4. idle skipping on a lightly loaded fabric ------------------------
   // A mid-run link kill with a long detection window: injection halts while
   // the diagnosis is open, the in-flight worms drain, and the fabric is
-  // provably inert until it fires. The serial tick pays a full link scan
-  // for every one of those dead cycles; the event-driven step sees empty
-  // worklists, and idle skipping jumps the window in one step. The headline
-  // speedup is hybrid (worklists + skip) over the pre-PR serial tick — an
-  // inert event-mode cycle is already so cheap that skip-on vs skip-off
-  // alone is a small delta on top of it.
+  // provably inert until it fires. Without skipping, every one of those
+  // dead cycles still pays the step's link scan; with it, the worklists
+  // certify the fabric inert and the clock jumps the window in one step.
   const FabricScenario skip_sc = {
       "mesh64_low_load_skip", "mesh64",        "nafta",
       0.001,                  smoke ? Cycle{100} : Cycle{200},
@@ -440,44 +433,32 @@ int main(int argc, char** argv) {
     skip_sched.fail_link_at(skip_sc.warmup + (smoke ? 100 : 300),
                             kill_mesh.at(10, 10), port_of(Compass::East));
   }
-  Cycle skip_cycles = 0, noskip_cycles = 0, serial_cycles = 0;
+  Cycle skip_cycles = 0, noskip_cycles = 0;
   Cycle cycles_skipped = 0;
-  double skip_ref_wall = 0.0, wall_off = 0.0, wall_on = 0.0;
-  const SimResult skip_ref = run_fabric(skip_sc, 0, false, &skip_sched,
-                                        skip_detect, &serial_cycles,
-                                        &skip_ref_wall);
+  double wall_off = 0.0, wall_on = 0.0;
   const SimResult skip_off = run_fabric(skip_sc, 1, false, &skip_sched,
                                         skip_detect, &noskip_cycles,
                                         &wall_off);
   const SimResult skip_on = run_fabric(skip_sc, 1, true, &skip_sched,
                                        skip_detect, &skip_cycles, &wall_on,
                                        &cycles_skipped);
-  const bool skip_identical = bit_identical(skip_off, skip_ref) &&
-                              bit_identical(skip_on, skip_ref) &&
-                              skip_cycles == noskip_cycles &&
-                              skip_cycles == serial_cycles;
-  const double cps_serial = static_cast<double>(serial_cycles) / skip_ref_wall;
+  const bool skip_identical =
+      bit_identical(skip_on, skip_off) && skip_cycles == noskip_cycles;
   const double cps_off = static_cast<double>(noskip_cycles) / wall_off;
   const double cps_on = static_cast<double>(skip_cycles) / wall_on;
-  const double skip_speedup = cps_on / cps_serial;
+  const double skip_speedup = cps_on / cps_off;
   std::cout << "\nidle skipping (" << skip_sc.name << ", rate "
             << skip_sc.rate << ", detection window " << skip_detect << "):\n";
   bench::print_row({"variant", "sim cycles", "skipped", "wall s",
                     "cycles/sec", "bit-identical"});
-  bench::print_row({"serial tick", std::to_string(serial_cycles), "0",
-                    bench::fmt(skip_ref_wall, 3), bench::fmt(cps_serial, 0),
-                    "ref"});
-  bench::print_row({"event, no skip", std::to_string(noskip_cycles), "0",
-                    bench::fmt(wall_off, 3), bench::fmt(cps_off, 0),
-                    skip_identical ? "yes" : "NO"});
-  bench::print_row({"event + skip", std::to_string(skip_cycles),
+  bench::print_row({"skip off", std::to_string(noskip_cycles), "0",
+                    bench::fmt(wall_off, 3), bench::fmt(cps_off, 0), "ref"});
+  bench::print_row({"skip on", std::to_string(skip_cycles),
                     std::to_string(cycles_skipped), bench::fmt(wall_on, 3),
                     bench::fmt(cps_on, 0), skip_identical ? "yes" : "NO"});
-  std::cout << "event-skip speedup vs serial tick: "
-            << bench::fmt(skip_speedup, 2) << "x ("
+  std::cout << "idle-skip speedup: " << bench::fmt(skip_speedup, 2) << "x ("
             << cycles_skipped << " of " << skip_cycles
-            << " cycles skipped; " << bench::fmt(wall_off / wall_on, 2)
-            << "x from skipping alone)\n";
+            << " cycles skipped)\n";
   if (!skip_identical) {
     std::cerr << "DETERMINISM VIOLATION: idle skipping changed results\n";
     return 1;
@@ -488,8 +469,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!smoke && skip_speedup <= 1.0) {
-    std::cerr << "EVENT-SKIP REGRESSION: no single-core win over the serial "
-                 "tick\n";
+    std::cerr << "EVENT-SKIP REGRESSION: skipping is not faster than "
+                 "stepping the inert cycles\n";
     return 1;
   }
 
@@ -537,13 +518,9 @@ int main(int argc, char** argv) {
        << "    \"scenario\": \"" << skip_sc.name << "\",\n"
        << "    \"sim_cycles\": " << skip_cycles << ",\n"
        << "    \"events_skipped\": " << cycles_skipped << ",\n"
-       << "    \"cycles_per_sec_serial_tick\": " << cps_serial << ",\n"
-       << "    \"cycles_per_sec_event_no_skip\": " << cps_off << ",\n"
-       << "    \"cycles_per_sec_event_skip\": " << cps_on << ",\n"
-       << "    \"single_core_speedup_vs_serial_tick\": " << skip_speedup
-       << ",\n"
-       << "    \"speedup_from_skipping_alone\": " << wall_off / wall_on
-       << ",\n"
+       << "    \"cycles_per_sec_no_skip\": " << cps_off << ",\n"
+       << "    \"cycles_per_sec_skip\": " << cps_on << ",\n"
+       << "    \"speedup_from_skipping\": " << skip_speedup << ",\n"
        << "    \"bit_identical\": " << (skip_identical ? "true" : "false")
        << "\n  }\n}\n";
     std::cout << "wrote " << json_path << "\n";

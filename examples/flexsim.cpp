@@ -32,7 +32,7 @@
 //                                               bit-identical at any count)
 //   shard_threads = 0                          (shard pool size; 0 = auto)
 //   idle_skip  = false                         (skip provably-inert cycles;
-//                                               implies event-driven mode)
+//                                               results are unchanged)
 //
 // Live fault lifecycle (optional; arms the recovery controller):
 //   fault_at   = 1500:link:27:1,2200:node:12   (timed mid-run kill events:
@@ -434,8 +434,6 @@ int main(int argc, char** argv) try {
   if (ncfg.shards < 1) throw std::invalid_argument("shards must be >= 1");
   if (ncfg.shard_threads < 0)
     throw std::invalid_argument("shard_threads must be >= 0 (0 = auto)");
-  // Idle skipping needs the event-driven worklists even at one shard.
-  ncfg.event_driven = base.idle_skip;
 
   FaultSchedule schedule =
       parse_fault_schedule(cfg.get_string("fault_at", ""));

@@ -6,6 +6,9 @@
 //   $ ./rulec program.rules            # compile a file
 //   $ ./rulec --demo                   # compile the built-in NAFTA corpus
 //   $ echo 'ON go IF 1=1 THEN !x();END' | ./rulec -
+//
+// Exit status: 0 on a clean compile, 1 when the program fails to parse,
+// validate or compile, 2 on a malformed command line or an unreadable file.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,8 +23,10 @@ using namespace flexrouter;
 
 int main(int argc, char** argv) {
   std::string source;
-  if (argc < 2) {
-    std::cerr << "usage: rulec <file.rules | - | --demo>\n";
+  if (argc != 2) {
+    std::cerr << "rulec: usage error: expected one argument, got "
+              << argc - 1 << "\n"
+              << "usage: rulec <file.rules | - | --demo>\n";
     return 2;
   }
   const std::string arg = argv[1];

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "topology/graph_algo.hpp"
@@ -14,8 +15,6 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
       cfg_(cfg),
       faults_(topo),
       store_(cfg.expected_in_flight) {
-  // Validated up front: the legacy serial path never reads these, so a bad
-  // value must not slip through just because it would go unused.
   FR_REQUIRE_MSG(cfg_.shards >= 1, "NetworkConfig::shards must be >= 1");
   FR_REQUIRE_MSG(cfg_.shard_threads >= 0,
                  "NetworkConfig::shard_threads must be >= 0 (0 = auto)");
@@ -30,15 +29,11 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
   injection_pending_.assign(n, 0);
   router_active_.assign(n, 0);
   live_killed_.assign(n, 0);
-  pending_list_.reserve(n);
-  active_list_.reserve(n);
   records_.reserve(cfg.expected_packets);
   // Step scratch, pre-sized unconditionally: deliveries per cycle cannot
-  // exceed the node count, and one router ejects at most a handful of
-  // flits per cycle. Sized to n so steady-state step() never allocates.
+  // exceed the node count. Sized to n so steady-state step() never
+  // allocates.
   delivered_last_cycle_.reserve(n);
-  eject_scratch_.reserve(32);
-  drop_scratch_.reserve(32);
   destroyed_scratch_.reserve(64);
   orphan_scratch_.reserve(16);
   lost_log_.reserve(64);
@@ -65,20 +60,16 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
     }
   }
 
-  // Unified (sharded / event-driven) execution state. The legacy serial
-  // path keeps running through the original members when this is off.
-  unified_ = cfg_.shards > 1 || cfg_.event_driven;
-  if (!unified_) return;
+  // Shard execution state (one shard is the one-tile plan).
   plan_ = plan_shards(topo, cfg_.shards);
   shards_.resize(static_cast<std::size_t>(cfg_.shards));
-  link_busy_.assign(links_.size(), 0);
   merge_pos_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   for (int s = 0; s < cfg_.shards; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     const std::size_t sn = plan_.nodes[static_cast<std::size_t>(s)].size();
     sh.pending_list.reserve(sn);
     sh.active_list.reserve(sn);
-    sh.busy_links.reserve(links_.size());
+    sh.links.reserve(sn * static_cast<std::size_t>(topo.degree()));
     sh.purge_drops.reserve(32);
     sh.purges.reserve(32);
     // One ejection per router per cycle bounds the eject buffer; drops are
@@ -87,29 +78,21 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
     sh.drops.reserve(32);
     sh.spans.reserve(sn);
   }
-  // Boundary links (endpoints in different shards) stage their sends and
-  // flush at the barrier, in ascending link id — the canonical order.
+  // In-shard links join their shard's scan; boundary links (endpoints in
+  // different shards) stage their sends and flush at the barrier. Both
+  // lists are ascending by link id — the boundary order is the canonical
+  // exchange order.
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (plan_.shard(link_sources_[i].node) == plan_.shard(link_dests_[i]))
+    const NodeId src = link_sources_[i].node;
+    const NodeId dst = link_dests_[i];
+    const int s = plan_.shard(src);
+    if (s == plan_.shard(dst)) {
+      shards_[static_cast<std::size_t>(s)].links.push_back(
+          {links_[i].get(), src, dst});
       continue;
+    }
     boundary_links_.push_back(static_cast<std::int32_t>(i));
     links_[i]->set_deferred(true);
-  }
-  // Per-node adjacency over in-shard links only (out-links first, then
-  // in-links): the post-step busy-link discovery walk. Boundary links are
-  // rescanned serially every cycle instead.
-  const auto deg = static_cast<std::size_t>(topo.degree());
-  adj_links_.assign(n * 2 * deg, -1);
-  for (NodeId u = 0; u < topo.num_nodes(); ++u) {
-    for (PortId p = 0; p < topo.degree(); ++p) {
-      const NodeId v = topo.neighbor(u, p);
-      if (v == kInvalidNode || plan_.shard(u) != plan_.shard(v)) continue;
-      const std::size_t base = static_cast<std::size_t>(u) * 2 * deg;
-      adj_links_[base + static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(link_index(u, p));
-      adj_links_[base + deg + static_cast<std::size_t>(p)] =
-          static_cast<std::int32_t>(link_index(v, topo.reverse_port(u, p)));
-    }
   }
   int threads = cfg_.shard_threads;
   if (threads <= 0) {
@@ -173,118 +156,6 @@ PacketId Network::resend(PacketId prior, Cycle now) {
   return id;
 }
 
-void Network::step(Cycle now) {
-  if (unified_) {
-    step_sharded(now);
-  } else {
-    step_serial(now);
-  }
-}
-
-void Network::step_serial(Cycle now) {
-  delivered_last_cycle_.clear();
-
-  // Injection: at most one flit per node per cycle (local link bandwidth).
-  // Only nodes with queued flits are visited, in ascending node order —
-  // identical to a full scan. Sources whose queue empties drop off the
-  // worklist; the rest compact in place (which keeps the list sorted).
-  if (!pending_sorted_) {
-    std::sort(pending_list_.begin(), pending_list_.end());
-    pending_sorted_ = true;
-  }
-  const bool purge = store_.poisoned_live() > 0;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < pending_list_.size(); ++i) {
-    const NodeId u = pending_list_[i];
-    auto& queue = injection_queues_[static_cast<std::size_t>(u)];
-    Router& r = *routers_[static_cast<std::size_t>(u)];
-    // Source-side abort: queued flits of a truncated worm never enter the
-    // network. The whole front run goes at once — dead flits consume no
-    // injection bandwidth.
-    if (purge) {
-      while (!queue.empty() && store_.poisoned(queue.front().slot)) {
-        const Flit f = queue.front();
-        queue.pop_front();
-        ++network_dropped_flits_;
-        account_dropped_flit(f.slot);
-      }
-    }
-    if (!queue.empty() && r.injection_space() > 0) {
-      const Flit f = queue.front();
-      queue.pop_front();
-      if (f.head()) {
-        const Header& hdr = store_.header(f.slot);
-        records_[static_cast<std::size_t>(hdr.packet)].injected = now;
-      }
-      r.inject(f);
-      activate(u);
-    }
-    if (queue.empty())
-      injection_pending_[static_cast<std::size_t>(u)] = 0;
-    else
-      pending_list_[keep++] = u;
-  }
-  pending_list_.resize(keep);
-
-  // Routers: walk the active worklist in ascending node order (identical
-  // to the full scan it replaces). Routers that emptied drop off; the
-  // link pass below re-activates any endpoint of a busy link.
-  if (!active_sorted_) {
-    std::sort(active_list_.begin(), active_list_.end());
-    active_sorted_ = true;
-  }
-  std::size_t akeep = 0;
-  for (std::size_t i = 0; i < active_list_.size(); ++i) {
-    const NodeId u = active_list_[i];
-    eject_scratch_.clear();
-    drop_scratch_.clear();
-    routers_[static_cast<std::size_t>(u)]->step(now, eject_scratch_,
-                                               drop_scratch_);
-    for (const Flit& f : drop_scratch_) account_dropped_flit(f.slot);
-    for (const Flit& f : eject_scratch_) {
-      // Resolve the slot to the full record at the network boundary — the
-      // last reader before the slot is recycled (head == tail for length-1
-      // packets, so read before release).
-      const Header& hdr = store_.header(f.slot);
-      PacketRecord& rec = records_[static_cast<std::size_t>(hdr.packet)];
-      FR_ASSERT_MSG(rec.dest == u, "flit ejected at the wrong node");
-      const bool last = store_.note_flit_gone(f.slot);
-      if (store_.poisoned(f.slot)) {
-        // The worm was truncated after part of it reached the destination;
-        // what does arrive is discarded, not delivered.
-        if (last) finalize_lost(f.slot);
-        continue;
-      }
-      if (f.head()) {
-        rec.hops = hdr.path_len;
-        rec.misrouted = hdr.misrouted;
-      }
-      if (f.tail()) {
-        FR_ASSERT_MSG(last, "tail ejected with flits unaccounted");
-        rec.delivered = now;
-        rec.slot = kInvalidPacketSlot;
-        ++delivered_count_;
-        delivered_last_cycle_.push_back(rec.id);
-        store_.release(f.slot);
-      }
-    }
-    if (routers_[static_cast<std::size_t>(u)]->empty())
-      router_active_[static_cast<std::size_t>(u)] = 0;
-    else
-      active_list_[akeep++] = u;
-  }
-  active_list_.resize(akeep);
-
-  // A busy link keeps both endpoints live for the next cycle: the receiver
-  // must accept arriving flits, the sender must pick up returning credits
-  // the cycle they land.
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i]->idle()) continue;
-    activate(link_sources_[i].node);
-    activate(link_dests_[i]);
-  }
-}
-
 void Network::shard_phase(int s, Cycle now, bool purge) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   sh.purge_drops.clear();
@@ -293,9 +164,13 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   sh.drops.clear();
   sh.spans.clear();
 
-  // Injection, exactly as step_serial — but loss accounting is deferred:
-  // the shared store, lost log and counters mutate only in the epilogue,
-  // in the serial path's node order.
+  // Injection: at most one flit per node per cycle (local link bandwidth),
+  // ascending node order. Sources whose queue empties drop off the
+  // worklist; the rest compact in place (which keeps the list sorted).
+  // Source-side abort: queued flits of a truncated worm never enter the
+  // network — the whole front run goes at once and consumes no injection
+  // bandwidth. Its loss accounting is deferred: the shared store, lost log
+  // and counters mutate only in the epilogue, in ascending node order.
   if (!sh.pending_sorted) {
     std::sort(sh.pending_list.begin(), sh.pending_list.end());
     sh.pending_sorted = true;
@@ -322,7 +197,7 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
         records_[static_cast<std::size_t>(hdr.packet)].injected = now;
       }
       r.inject(f);
-      activate(u);
+      activate(sh, u);
     }
     if (queue.empty())
       injection_pending_[static_cast<std::size_t>(u)] = 0;
@@ -331,16 +206,15 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   }
   sh.pending_list.resize(keep);
 
-  // Routers, ascending node order within the shard. Ejects and drops are
-  // recorded per router and replayed in the epilogue; everything a router
-  // touches here is shard-local, a per-packet slot it exclusively holds
-  // (the head flit lives in exactly one router), or a boundary link's
-  // staging slot.
+  // Routers, ascending node order within the shard; routers that emptied
+  // drop off. Ejects and drops are recorded per router and replayed in the
+  // epilogue; everything a router touches here is shard-local, a
+  // per-packet slot it exclusively holds (the head flit lives in exactly
+  // one router), or a boundary link's staging slot.
   if (!sh.active_sorted) {
     std::sort(sh.active_list.begin(), sh.active_list.end());
     sh.active_sorted = true;
   }
-  const auto deg2 = 2 * static_cast<std::size_t>(topo_->degree());
   std::size_t akeep = 0;
   for (std::size_t i = 0; i < sh.active_list.size(); ++i) {
     const NodeId u = sh.active_list[i];
@@ -353,16 +227,6 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
     span.drop_end = static_cast<std::uint32_t>(sh.drops.size());
     if (span.eject_end != span.eject_begin || span.drop_end != span.drop_begin)
       sh.spans.push_back(span);
-    // Busy-link discovery: a link only turns busy through a send by an
-    // adjacent stepped router, so walking the stepped routers' in-shard
-    // adjacency finds every newly busy link.
-    const std::int32_t* adj = &adj_links_[static_cast<std::size_t>(u) * deg2];
-    for (std::size_t k = 0; k < deg2; ++k) {
-      const std::int32_t l = adj[k];
-      if (l >= 0 && !link_busy_[static_cast<std::size_t>(l)] &&
-          !links_[static_cast<std::size_t>(l)]->idle())
-        mark_link_busy(l);
-    }
     if (routers_[static_cast<std::size_t>(u)]->empty())
       router_active_[static_cast<std::size_t>(u)] = 0;
     else
@@ -370,23 +234,47 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
   }
   sh.active_list.resize(akeep);
 
-  // Busy in-shard links keep both endpoints live for the next cycle (both
-  // endpoints are this shard's nodes); links that went idle drop off.
-  std::size_t lkeep = 0;
-  for (std::size_t i = 0; i < sh.busy_links.size(); ++i) {
-    const std::int32_t l = sh.busy_links[i];
-    if (links_[static_cast<std::size_t>(l)]->idle()) {
-      link_busy_[static_cast<std::size_t>(l)] = 0;
-      continue;
-    }
-    activate(link_sources_[static_cast<std::size_t>(l)].node);
-    activate(link_dests_[static_cast<std::size_t>(l)]);
-    sh.busy_links[lkeep++] = l;
+  // A busy link keeps both endpoints live for the next cycle: the receiver
+  // must accept arriving flits, the sender must pick up returning credits
+  // the cycle they land. Both endpoints of an in-shard link are this
+  // shard's nodes; boundary links are handled in the epilogue.
+  for (const Shard::ScanLink& l : sh.links) {
+    if (l.link->idle()) continue;
+    activate(sh, l.src);
+    activate(sh, l.dst);
   }
-  sh.busy_links.resize(lkeep);
 }
 
-void Network::step_sharded(Cycle now) {
+template <typename Entry, typename Visit>
+void Network::merge_by_node(std::vector<Entry> Shard::*list, Visit&& visit) {
+  // Each shard's list is ascending and the shards' node sets are disjoint:
+  // drain the shard with the lowest head up to the runner-up's head.
+  std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
+  for (;;) {
+    std::size_t best = shards_.size();
+    NodeId best_node = 0;
+    NodeId bound = std::numeric_limits<NodeId>::max();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const std::vector<Entry>& v = shards_[s].*list;
+      if (merge_pos_[s] >= v.size()) continue;
+      const NodeId n = v[merge_pos_[s]].node;
+      if (best == shards_.size() || n < best_node) {
+        if (best != shards_.size()) bound = best_node;
+        best = s;
+        best_node = n;
+      } else if (n < bound) {
+        bound = n;
+      }
+    }
+    if (best == shards_.size()) return;
+    Shard& sh = shards_[best];
+    const std::vector<Entry>& v = sh.*list;
+    std::size_t& pos = merge_pos_[best];
+    while (pos < v.size() && v[pos].node < bound) visit(sh, v[pos++]);
+  }
+}
+
+void Network::step(Cycle now) {
   delivered_last_cycle_.clear();
   const bool purge = store_.poisoned_live() > 0;
 
@@ -413,8 +301,8 @@ void Network::step_sharded(Cycle now) {
   // credits in ascending link id — the canonical order — and keep the
   // endpoints of non-idle boundary links on next cycle's active lists.
   // Link flushes touch no shared packet state, so their order relative to
-  // the replays below is free; the replays themselves reproduce the serial
-  // path's mutation order exactly.
+  // the replays below is free; the replays themselves mutate shared state
+  // in ascending node order whatever the shard count.
   for (const std::int32_t l : boundary_links_) {
     Link& link = *links_[static_cast<std::size_t>(l)];
     link.flush_deferred(now);
@@ -424,65 +312,36 @@ void Network::step_sharded(Cycle now) {
     }
   }
 
-  // 2. Source-side purge accounting, ascending node order across shards
-  // (each shard's groups are already ascending: k-way merge).
+  // 2. Source-side purge accounting, ascending node order across shards.
   if (purge) {
-    std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
-    for (;;) {
-      int best = -1;
-      for (int s = 0; s < num_shards; ++s) {
-        const auto& purges = shards_[static_cast<std::size_t>(s)].purges;
-        const std::size_t pos = merge_pos_[static_cast<std::size_t>(s)];
-        if (pos >= purges.size()) continue;
-        if (best < 0 ||
-            purges[pos].node <
-                shards_[static_cast<std::size_t>(best)]
-                    .purges[merge_pos_[static_cast<std::size_t>(best)]]
-                    .node)
-          best = s;
-      }
-      if (best < 0) break;
-      Shard& sh = shards_[static_cast<std::size_t>(best)];
-      const Shard::PurgeSpan& span =
-          sh.purges[merge_pos_[static_cast<std::size_t>(best)]++];
+    merge_by_node(&Shard::purges, [this](Shard& sh,
+                                         const Shard::PurgeSpan& span) {
       for (std::uint32_t i = span.begin; i < span.end; ++i) {
         ++network_dropped_flits_;
         account_dropped_flit(sh.purge_drops[i].slot);
       }
-    }
+    });
   }
 
-  // 3. Per-router drop/eject replay, ascending node order across shards —
-  // byte for byte the serial path's accounting, so the lost log, the
-  // delivery order and the store's free-list state match exactly.
-  std::fill(merge_pos_.begin(), merge_pos_.end(), 0);
-  for (;;) {
-    int best = -1;
-    for (int s = 0; s < num_shards; ++s) {
-      const auto& spans = shards_[static_cast<std::size_t>(s)].spans;
-      const std::size_t pos = merge_pos_[static_cast<std::size_t>(s)];
-      if (pos >= spans.size()) continue;
-      if (best < 0 ||
-          spans[pos].node < shards_[static_cast<std::size_t>(best)]
-                                .spans[merge_pos_[static_cast<std::size_t>(
-                                    best)]]
-                                .node)
-        best = s;
-    }
-    if (best < 0) break;
-    Shard& sh = shards_[static_cast<std::size_t>(best)];
-    const Shard::RouterSpan& span =
-        sh.spans[merge_pos_[static_cast<std::size_t>(best)]++];
-    const NodeId u = span.node;
+  // 3. Per-router drop/eject replay, ascending node order across shards,
+  // so the lost log, the delivery order and the store's free-list state
+  // are the same at every shard count.
+  merge_by_node(&Shard::spans, [this, now](Shard& sh,
+                                          const Shard::RouterSpan& span) {
     for (std::uint32_t i = span.drop_begin; i < span.drop_end; ++i)
       account_dropped_flit(sh.drops[i].slot);
     for (std::uint32_t i = span.eject_begin; i < span.eject_end; ++i) {
+      // Resolve the slot to the full record at the network boundary — the
+      // last reader before the slot is recycled (head == tail for length-1
+      // packets, so read before release).
       const Flit& f = sh.ejects[i];
       const Header& hdr = store_.header(f.slot);
       PacketRecord& rec = records_[static_cast<std::size_t>(hdr.packet)];
-      FR_ASSERT_MSG(rec.dest == u, "flit ejected at the wrong node");
+      FR_ASSERT_MSG(rec.dest == span.node, "flit ejected at the wrong node");
       const bool last = store_.note_flit_gone(f.slot);
       if (store_.poisoned(f.slot)) {
+        // The worm was truncated after part of it reached the destination;
+        // what does arrive is discarded, not delivered.
         if (last) finalize_lost(f.slot);
         continue;
       }
@@ -499,11 +358,10 @@ void Network::step_sharded(Cycle now) {
         store_.release(f.slot);
       }
     }
-  }
+  });
 }
 
 bool Network::inert() const {
-  if (!unified_) return false;
   // Every router holding flits sits on an active list; every busy link
   // (boundary included) re-activates its endpoints each cycle; every
   // queued injection keeps its source on a pending list. Empty worklists

@@ -24,18 +24,14 @@ struct NetworkConfig {
   /// PacketStore slab). Zero lets the slab grow to the observed peak.
   std::size_t expected_in_flight = 0;
   /// Spatial shards stepped in parallel (plan_shards tiles the topology).
-  /// 1 with event_driven off runs the original serial step, byte for byte;
-  /// any other setting produces bit-identical SimResults — the cycle
-  /// barrier exchanges cross-shard traffic in canonical link order.
+  /// Every count runs the same step and produces bit-identical SimResults —
+  /// the cycle barrier exchanges cross-shard traffic in canonical link
+  /// order. 1 is simply the one-tile plan.
   int shards = 1;
   /// Worker threads for the shard pool, including the stepping thread
   /// (0 = one per shard, capped at hardware_concurrency). Thread count
   /// never affects results, only wall clock.
   int shard_threads = 0;
-  /// Event-driven bookkeeping at shards == 1: busy-link worklists replace
-  /// the per-cycle full link scan, and the network can certify inert
-  /// cycles for the simulator's idle skipping. Implied by shards > 1.
-  bool event_driven = false;
 };
 
 struct PacketRecord {
@@ -94,13 +90,10 @@ class Network {
   /// No queued, buffered or in-flight flits anywhere.
   bool idle() const;
 
-  /// Event-driven mode is on (shards > 1 or cfg.event_driven): inert() and
-  /// skip_cycle() are available.
-  bool event_capable() const { return unified_; }
   /// Cheap certificate that step() would be a provable no-op this cycle:
   /// every worklist is empty — no queued injections, no buffered flits, no
   /// busy links (a busy link keeps both endpoints on the active list).
-  /// O(shards), not O(nodes). Only meaningful in event-driven mode.
+  /// O(shards), not O(nodes).
   bool inert() const;
   /// Stand-in for step() on an inert cycle: clears the delivered-last-cycle
   /// list (its only observable per-cycle effect) and nothing else.
@@ -282,17 +275,28 @@ class Network {
   /// to the lost log, release the slot.
   void finalize_lost(PacketSlot s);
 
-  /// Per-shard execution state. In unified (event-driven / sharded) mode
-  /// each shard owns its slice of the worklists plus deferred-event buffers
-  /// the serial epilogue replays in canonical order; the legacy members
-  /// below stay in use only on the original serial path.
+  /// Per-shard execution state: the shard's slice of the worklists, its
+  /// in-shard links, and deferred-event buffers the serial epilogue replays
+  /// in canonical order.
   struct Shard {
+    /// Nodes with a non-empty injection queue. Invariant:
+    /// injection_pending_[u] != 0 iff u appears exactly once on its shard's
+    /// list; sorted ascending unless pending_sorted is false (new sources
+    /// appended since the last step).
     std::vector<NodeId> pending_list;
     bool pending_sorted = true;
+    /// Routers that may do work this cycle: holding flits, injecting, or on
+    /// either end of a busy link. Everything else is provably a no-op step.
+    /// Same invariant, over router_active_.
     std::vector<NodeId> active_list;
     bool active_sorted = true;
-    /// Non-idle in-shard links (both endpoints in this shard).
-    std::vector<std::int32_t> busy_links;
+    /// Links with both endpoints in this shard, ascending by link id:
+    /// scanned once per cycle after the routers step.
+    struct ScanLink {
+      const Link* link;
+      NodeId src, dst;
+    };
+    std::vector<ScanLink> links;
     /// Deferred source-side purge drops: flits in pop order, grouped per
     /// node (pending_list order is ascending, so groups are too).
     std::vector<Flit> purge_drops;
@@ -311,53 +315,35 @@ class Network {
     std::vector<RouterSpan> spans;
   };
 
-  void step_serial(Cycle now);
-  void step_sharded(Cycle now);
-  /// Parallel phase of one shard: inject, step routers, maintain the
-  /// shard's busy-link list. Touches only shard-local state, per-node /
-  /// per-packet slots of shared tables, and boundary-link staging slots.
+  /// Parallel phase of one shard: inject, step routers, scan the shard's
+  /// links. Touches only shard-local state, per-node / per-packet slots of
+  /// shared tables, and boundary-link staging slots.
   void shard_phase(int s, Cycle now, bool purge);
+  /// Visit the node-tagged entries of `list` across all shards in
+  /// ascending node order (a k-way merge of the per-shard lists).
+  template <typename Entry, typename Visit>
+  void merge_by_node(std::vector<Entry> Shard::*list, Visit&& visit);
 
-  /// Put `u` on the active worklist (idempotent via the flag). In unified
-  /// mode the list is the owning shard's; callers inside shard_phase only
-  /// ever activate nodes of their own shard.
+  /// Put `u`, a node of shard `sh`, on that shard's active worklist
+  /// (idempotent via the flag). Callers inside shard_phase only ever
+  /// activate nodes of their own shard.
+  void activate(Shard& sh, NodeId u) {
+    if (router_active_[static_cast<std::size_t>(u)]) return;
+    router_active_[static_cast<std::size_t>(u)] = 1;
+    sh.active_list.push_back(u);
+    sh.active_sorted = false;
+  }
   void activate(NodeId u) {
-    if (!router_active_[static_cast<std::size_t>(u)]) {
-      router_active_[static_cast<std::size_t>(u)] = 1;
-      if (unified_) {
-        Shard& sh = shards_[static_cast<std::size_t>(plan_.shard(u))];
-        sh.active_list.push_back(u);
-        sh.active_sorted = false;
-      } else {
-        active_list_.push_back(u);
-        active_sorted_ = false;
-      }
-    }
+    activate(shards_[static_cast<std::size_t>(plan_.shard(u))], u);
   }
 
-  /// Queue `u` on the injection worklist (idempotent via the flag).
+  /// Queue `u` on its shard's injection worklist (idempotent via the flag).
   void mark_pending(NodeId u) {
-    if (!injection_pending_[static_cast<std::size_t>(u)]) {
-      injection_pending_[static_cast<std::size_t>(u)] = 1;
-      if (unified_) {
-        Shard& sh = shards_[static_cast<std::size_t>(plan_.shard(u))];
-        sh.pending_list.push_back(u);
-        sh.pending_sorted = false;
-      } else {
-        pending_list_.push_back(u);
-        pending_sorted_ = false;
-      }
-    }
-  }
-
-  /// Track `link` on its shard's busy list (in-shard links only; boundary
-  /// links are rescanned serially each cycle).
-  void mark_link_busy(std::int32_t link) {
-    if (link_busy_[static_cast<std::size_t>(link)]) return;
-    link_busy_[static_cast<std::size_t>(link)] = 1;
-    const int s = plan_.shard(link_sources_[static_cast<std::size_t>(link)]
-                                  .node);
-    shards_[static_cast<std::size_t>(s)].busy_links.push_back(link);
+    if (injection_pending_[static_cast<std::size_t>(u)]) return;
+    injection_pending_[static_cast<std::size_t>(u)] = 1;
+    Shard& sh = shards_[static_cast<std::size_t>(plan_.shard(u))];
+    sh.pending_list.push_back(u);
+    sh.pending_sorted = false;
   }
 
   const Topology* topo_;
@@ -372,24 +358,12 @@ class Network {
   std::vector<PacketRecord> records_;
   /// Flits waiting to enter each source router (one pooled ring per node).
   std::vector<RingBuffer<Flit>> injection_queues_;
-  /// Worklist of nodes with a non-empty injection queue. Invariant:
-  /// injection_pending_[u] != 0 iff u appears exactly once on the list;
-  /// the list is sorted ascending unless pending_sorted_ is false (new
-  /// sources appended since the last step).
+  /// Worklist membership flags per node (see Shard::pending_list and
+  /// Shard::active_list).
   std::vector<char> injection_pending_;
-  std::vector<NodeId> pending_list_;
-  bool pending_sorted_ = true;
-  /// Worklist of routers that may do work this cycle: holding flits,
-  /// injecting, or on either end of a busy link. Everything else is
-  /// provably a no-op step. Same invariant as the injection worklist:
-  /// router_active_[u] != 0 iff u is on active_list_ exactly once.
   std::vector<char> router_active_;
-  std::vector<NodeId> active_list_;
-  bool active_sorted_ = true;
   std::int64_t delivered_count_ = 0;
   std::vector<PacketId> delivered_last_cycle_;
-  std::vector<Flit> eject_scratch_;
-  std::vector<Flit> drop_scratch_;
   /// Live-fault state: directed-link lookup, damage pending control-plane
   /// commit, loss accounting, and kill-time scratch.
   std::vector<std::ptrdiff_t> link_lookup_;  // (node, port) -> links_ index
@@ -400,18 +374,12 @@ class Network {
   std::vector<Flit> destroyed_scratch_;
   std::vector<PacketSlot> orphan_scratch_;
 
-  /// Unified (sharded / event-driven) execution state; unused on the
-  /// legacy serial path so shards == 1 && !event_driven stays byte-exact.
-  bool unified_ = false;
+  /// Shard execution state.
   ShardPlan plan_;
   std::vector<Shard> shards_;
-  std::vector<char> link_busy_;  // in-shard links tracked on busy lists
   /// Directed links whose endpoints live in different shards, ascending by
   /// link id — the canonical cross-shard exchange order.
   std::vector<std::int32_t> boundary_links_;
-  /// Adjacent link ids per node (out-links then in-links, -1 padded,
-  /// 2*degree entries each): the post-step busy-link discovery walk.
-  std::vector<std::int32_t> adj_links_;
   /// Per-shard merge cursors for the epilogue (scratch, reused).
   std::vector<std::size_t> merge_pos_;
   std::unique_ptr<ShardPool> pool_;

@@ -103,9 +103,6 @@ std::string SimResult::to_string() const {
 Simulator::Simulator(Network& net, TrafficPattern& traffic,
                      const SimConfig& cfg)
     : net_(&net), traffic_(&traffic), cfg_(cfg), rng_(cfg.seed) {
-  FR_REQUIRE_MSG(!cfg.idle_skip || net.event_capable(),
-                 "idle_skip requires an event-capable network "
-                 "(NetworkConfig::event_driven or shards > 1)");
   lifecycle_ = cfg.structured_watchdog;
   retry_queue_.reserve(16);
 }

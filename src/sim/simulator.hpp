@@ -53,11 +53,10 @@ struct SimConfig {
   /// whatever parallelism the run uses. Clamped to the node count.
   int rolling_shards = 8;
 
-  // --- Event-driven idle skipping ---------------------------------------
+  // --- Idle skipping ----------------------------------------------------
   /// Skip network steps while the network is inert (no flits, no queued
-  /// injections, no in-flight link traffic). Requires an event-capable
-  /// network (NetworkConfig::event_driven or shards > 1). Results are
-  /// bit-identical with skipping on or off: inert Normal-state cycles elide
+  /// injections, no in-flight link traffic), on any network at any shard
+  /// count. Results are bit-identical with skipping on or off: inert Normal-state cycles elide
   /// only the no-op step (the injection RNG still draws every cycle), and
   /// Detecting-state cycles — where no RNG is consumed — jump straight to
   /// the next scheduled event (detection deadline or fault firing).

@@ -122,6 +122,8 @@ ShardPlan plan_shards(const Topology& topo, int num_shards) {
   }
 
   plan.nodes.resize(static_cast<std::size_t>(num_shards));
+  for (auto& shard_nodes : plan.nodes)
+    shard_nodes.reserve(n / static_cast<std::size_t>(num_shards) + 1);
   for (NodeId u = 0; u < topo.num_nodes(); ++u)
     plan.nodes[static_cast<std::size_t>(plan.shard_of[static_cast<std::size_t>(
                    u)])]

@@ -1,15 +1,19 @@
 // Sharded-execution determinism suite. The contract under test: a Network
 // stepped as 1, 2, 4 or 8 spatial shards — with any thread count — produces
-// a SimResult bit-identical to the legacy serial step, on fault-free,
-// statically-faulted and live-fault-lifecycle scenarios, across every
-// registered routing algorithm; and the simulator's event-driven idle
-// skipping changes wall clock only, never results. Plus unit coverage for
-// the spatial shard planner itself.
+// the pinned SimResult digest, on fault-free, statically-faulted,
+// rule-driven and live-fault-lifecycle scenarios, across every registered
+// routing algorithm; and the simulator's idle skipping changes wall clock
+// only, never results. Plus unit coverage for the spatial shard planner
+// itself.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -103,26 +107,21 @@ TEST(ShardPlan, RejectsBadShardCounts) {
   EXPECT_THROW(plan_shards(m, 17), ContractViolation);
 }
 
-// The network validates its shard settings on every path — the legacy
-// serial step (shards = 1, event-driven off) never plans shards, so the
-// check must not hide behind the unified-path setup.
+// The network validates its shard settings before planning anything,
+// including the thread count, which a one-shard network never uses.
 TEST(ShardPlan, NetworkRejectsBadShardConfigOnEveryPath) {
   Mesh m = Mesh::two_d(4, 4);
   auto algo = make_algorithm("nafta");
-  for (const bool event_driven : {false, true}) {
-    for (const int shards : {0, -1}) {
-      NetworkConfig cfg;
-      cfg.shards = shards;
-      cfg.event_driven = event_driven;
-      EXPECT_THROW(Network(m, *algo, cfg), ContractViolation)
-          << "shards=" << shards << " event_driven=" << event_driven;
-    }
+  for (const int shards : {0, -1}) {
     NetworkConfig cfg;
-    cfg.shard_threads = -1;
-    cfg.event_driven = event_driven;
+    cfg.shards = shards;
     EXPECT_THROW(Network(m, *algo, cfg), ContractViolation)
-        << "shard_threads=-1 event_driven=" << event_driven;
+        << "shards=" << shards;
   }
+  NetworkConfig cfg;
+  cfg.shard_threads = -1;
+  EXPECT_THROW(Network(m, *algo, cfg), ContractViolation)
+      << "shard_threads=-1";
 }
 
 // ------------------------------------------------------- identity harness
@@ -154,10 +153,16 @@ void expect_identical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.packets_retransmitted, b.packets_retransmitted);
   EXPECT_EQ(a.packets_unrecoverable, b.packets_unrecoverable);
   EXPECT_EQ(a.fault_events, b.fault_events);
+  EXPECT_EQ(a.repair_events, b.repair_events);
+  EXPECT_EQ(a.degrade_events, b.degrade_events);
   EXPECT_EQ(a.recovery_events, b.recovery_events);
   EXPECT_EQ(a.recovery_cycles, b.recovery_cycles);
+  EXPECT_EQ(a.recovery_durations, b.recovery_durations);
   EXPECT_EQ(a.worms_killed, b.worms_killed);
   EXPECT_EQ(a.reconfig_exchanges, b.reconfig_exchanges);
+  EXPECT_EQ(a.rule_swaps, b.rule_swaps);
+  EXPECT_EQ(a.swap_gated_cycles, b.swap_gated_cycles);
+  EXPECT_EQ(a.swap_gated_node_cycles, b.swap_gated_node_cycles);
   ASSERT_EQ(a.blocked_chain.size(), b.blocked_chain.size());
   for (std::size_t i = 0; i < a.blocked_chain.size(); ++i) {
     EXPECT_EQ(a.blocked_chain[i].node, b.blocked_chain[i].node);
@@ -197,8 +202,8 @@ std::unique_ptr<Topology> scenario_topo(const Scenario& sc) {
   FR_UNREACHABLE("bad scenario topology");
 }
 
-RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
-                       bool idle_skip, int shard_threads) {
+RunOutput run_scenario(const Scenario& sc, int shards, bool idle_skip,
+                       int shard_threads) {
   auto topo = scenario_topo(sc);
   std::unique_ptr<RoutingAlgorithm> algo;
   if (sc.algo == "rule-ft-mesh") {
@@ -210,7 +215,6 @@ RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
   }
   NetworkConfig ncfg;
   ncfg.shards = shards;
-  ncfg.event_driven = event_driven;
   ncfg.shard_threads = shard_threads;
   Network net(*topo, *algo, ncfg);
 
@@ -251,17 +255,115 @@ RunOutput run_scenario(const Scenario& sc, int shards, bool event_driven,
   return out;
 }
 
-/// Legacy serial run vs unified runs at 1/2/4/8 shards, forced onto a
-/// multi-thread pool (thread count must never matter — and under TSan this
-/// is the data-race certification for the parallel phase).
-void expect_shard_identity(const Scenario& sc) {
-  const RunOutput base = run_scenario(sc, 1, false, false, 0);
+/// FNV-1a over a stream of 64-bit words fed least significant byte first,
+/// so a digest does not depend on the host's byte order.
+class Digest {
+ public:
+  template <typename T>
+  void add(T v) {
+    std::uint64_t w;
+    if constexpr (std::is_floating_point_v<T>) {
+      w = std::bit_cast<std::uint64_t>(static_cast<double>(v));
+    } else {
+      w = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    }
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Every SimResult field (doubles by bit pattern), the lost log, and the
+/// network's created/delivered counts.
+std::uint64_t digest(const RunOutput& out) {
+  const SimResult& r = out.result;
+  Digest d;
+  d.add(r.injected_packets);
+  d.add(r.delivered_packets);
+  for (const double x :
+       {r.avg_latency, r.p50_latency, r.p99_latency, r.avg_hops,
+        r.min_hops_ratio, r.throughput, r.misrouted_fraction,
+        r.avg_latency_misrouted, r.avg_latency_direct, r.avg_decision_steps,
+        r.availability})
+    d.add(x);
+  d.add(r.deadlock_suspected);
+  d.add(r.cycles_run);
+  d.add(r.packets_lost);
+  d.add(r.packets_retransmitted);
+  d.add(r.packets_unrecoverable);
+  d.add(r.fault_events);
+  d.add(r.repair_events);
+  d.add(r.degrade_events);
+  d.add(r.recovery_events);
+  d.add(r.recovery_cycles);
+  d.add(r.recovery_durations.size());
+  for (const Cycle c : r.recovery_durations) d.add(c);
+  d.add(r.worms_killed);
+  d.add(r.reconfig_exchanges);
+  d.add(r.rule_swaps);
+  d.add(r.swap_gated_cycles);
+  d.add(r.swap_gated_node_cycles);
+  d.add(r.blocked_chain.size());
+  for (const SimResult::BlockedChannelInfo& b : r.blocked_chain) {
+    d.add(b.node);
+    d.add(b.port);
+    d.add(b.vc);
+    d.add(b.packet);
+  }
+  d.add(out.lost_log.size());
+  for (const PacketId p : out.lost_log) d.add(p);
+  d.add(out.packets_created);
+  d.add(out.packets_delivered);
+  return d.value();
+}
+
+/// Pinned digests of every identity scenario, keyed by algorithm for the
+/// fault-free cases and by scenario name otherwise. Recorded from the
+/// original serial tick (the one-shard step the network had before it ran
+/// the shard-phase step at every shard count), so they carry that step's
+/// answers forward.
+const std::map<std::string, std::uint64_t>& pinned_digests() {
+  static const std::map<std::string, std::uint64_t> pins = {
+      {"dor-mesh", 0x8ba9399f46d8e57aull},
+      {"ecube", 0x84d118e62fe2a5b5ull},
+      {"nara", 0x776cae3ddc6a5af0ull},
+      {"nafta", 0x776cae3ddc6a5af0ull},
+      {"route_c", 0x11fa834542f09f94ull},
+      {"route_c_nft", 0x2e56bf111e8e371eull},
+      {"updown", 0x658a2bbc916a8522ull},
+      {"spanning-tree", 0xf07ed48eb3eace7cull},
+      {"dor-torus", 0xb189c52ee66ab856ull},
+      {"planar-adaptive", 0x776cae3ddc6a5af0ull},
+      {"planar-adaptive-ft", 0x776cae3ddc6a5af0ull},
+      {"rule-driven", 0x322491ad5d882d4dull},
+      {"static-faults", 0x8cb967f3d0238cb9ull},
+      {"live-lifecycle", 0x5835b40e0a5bfe10ull},
+  };
+  return pins;
+}
+
+/// Runs at 1/2/4/8 shards, forced onto a multi-thread pool (thread count
+/// must never matter — and under TSan this is the data-race certification
+/// for the parallel phase), each checked against the pinned digest and,
+/// for a readable diff, field by field against the one-shard run.
+void expect_shard_identity(const Scenario& sc, const std::string& pin) {
+  const auto it = pinned_digests().find(pin);
+  ASSERT_NE(it, pinned_digests().end()) << "no pinned digest for " << pin;
+  const RunOutput base = run_scenario(sc, 1, false, 4);
   for (const int shards : {1, 2, 4, 8}) {
-    const RunOutput got = run_scenario(sc, shards, true, false, 4);
+    const RunOutput got =
+        shards == 1 ? base : run_scenario(sc, shards, false, 4);
     const std::string label =
-        sc.algo + "/" + sc.topo + " shards=" + std::to_string(shards);
-    expect_identical(base.result, got.result, label);
+        pin + " " + sc.algo + "/" + sc.topo + " shards=" +
+        std::to_string(shards);
     SCOPED_TRACE(label);
+    EXPECT_EQ(digest(got), it->second);
+    expect_identical(base.result, got.result, label);
     EXPECT_EQ(base.lost_log, got.lost_log);
     EXPECT_EQ(base.packets_created, got.packets_created);
     EXPECT_EQ(base.packets_delivered, got.packets_delivered);
@@ -281,7 +383,7 @@ TEST_P(ShardIdentity, FaultFreeBitIdentical) {
   Scenario sc;
   sc.algo = GetParam().algo;
   sc.topo = GetParam().topo;
-  expect_shard_identity(sc);
+  expect_shard_identity(sc, sc.algo);
 }
 
 std::vector<AlgoCase> all_algorithms() {
@@ -316,7 +418,7 @@ TEST(ShardIdentityRuleDriven, FtMeshBitIdentical) {
   Scenario sc;
   sc.algo = "rule-ft-mesh";
   sc.static_link_faults = 4;
-  expect_shard_identity(sc);
+  expect_shard_identity(sc, "rule-driven");
 }
 
 TEST(ShardIdentityFaulted, StaticFaultsBitIdentical) {
@@ -324,7 +426,7 @@ TEST(ShardIdentityFaulted, StaticFaultsBitIdentical) {
   sc.algo = "nafta";
   sc.static_link_faults = 6;
   sc.static_node_faults = 1;
-  expect_shard_identity(sc);
+  expect_shard_identity(sc, "static-faults");
 }
 
 TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
@@ -337,25 +439,15 @@ TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
   sc.measure = 900;
   sc.detection_delay = 40;
   sc.seed = 42;
-  expect_shard_identity(sc);
+  expect_shard_identity(sc, "live-lifecycle");
 }
 
-// --------------------------------------------------- event-driven skipping
-
-TEST(EventSkip, SingleShardEventModeMatchesLegacy) {
-  // event_driven at shards == 1, no pool: the worklist bookkeeping alone
-  // must not change results.
-  Scenario sc;
-  sc.algo = "nafta";
-  const RunOutput base = run_scenario(sc, 1, false, false, 0);
-  const RunOutput ev = run_scenario(sc, 1, true, false, 1);
-  expect_identical(base.result, ev.result, "event_driven shards=1");
-  EXPECT_EQ(base.lost_log, ev.lost_log);
-}
+// ----------------------------------------------------------- idle skipping
 
 TEST(EventSkip, IdleSkipBitIdenticalAndSkipsOnLowLoad) {
   // Low offered load on a live-lifecycle run with a long detection window:
-  // plenty of inert cycles. Skipping must change only the skip counter.
+  // plenty of inert cycles, and Detecting-state jumps over them. Skipping
+  // must change only the skip counter, at one shard and across a barrier.
   Scenario sc;
   sc.topo = "mesh8";
   sc.algo = "nafta";
@@ -365,12 +457,17 @@ TEST(EventSkip, IdleSkipBitIdenticalAndSkipsOnLowLoad) {
   sc.measure = 1500;
   sc.detection_delay = 500;
   sc.seed = 7;
-  const RunOutput off = run_scenario(sc, 2, true, false, 2);
-  const RunOutput on = run_scenario(sc, 2, true, true, 2);
-  expect_identical(off.result, on.result, "idle_skip on/off");
-  EXPECT_EQ(off.lost_log, on.lost_log);
-  EXPECT_EQ(off.skipped, 0);
-  EXPECT_GT(on.skipped, 0);
+  for (const int shards : {1, 2}) {
+    const RunOutput off = run_scenario(sc, shards, false, shards);
+    const RunOutput on = run_scenario(sc, shards, true, shards);
+    const std::string label = "idle_skip on/off shards=" +
+                              std::to_string(shards);
+    expect_identical(off.result, on.result, label);
+    SCOPED_TRACE(label);
+    EXPECT_EQ(off.lost_log, on.lost_log);
+    EXPECT_EQ(off.skipped, 0);
+    EXPECT_GT(on.skipped, 0);
+  }
 }
 
 TEST(EventSkip, FaultFreeIdleSkipBitIdentical) {
@@ -380,20 +477,10 @@ TEST(EventSkip, FaultFreeIdleSkipBitIdentical) {
   sc.algo = "nafta";
   sc.rate = 0.001;
   sc.seed = 3;
-  const RunOutput off = run_scenario(sc, 1, true, false, 1);
-  const RunOutput on = run_scenario(sc, 1, true, true, 1);
+  const RunOutput off = run_scenario(sc, 1, false, 1);
+  const RunOutput on = run_scenario(sc, 1, true, 1);
   expect_identical(off.result, on.result, "fault-free idle_skip");
   EXPECT_GT(on.skipped, 0);
-}
-
-TEST(EventSkip, RequiresEventCapableNetwork) {
-  Mesh m = Mesh::two_d(4, 4);
-  auto algo = make_algorithm("nafta");
-  Network net(m, *algo);  // legacy serial network
-  UniformTraffic traffic(m);
-  SimConfig cfg;
-  cfg.idle_skip = true;
-  EXPECT_THROW(Simulator(net, traffic, cfg), ContractViolation);
 }
 
 }  // namespace

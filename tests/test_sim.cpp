@@ -523,11 +523,10 @@ TEST(SimulatorRegression, DynamicFaultNaftaExactResults) {
 }
 
 TEST(SimulatorRegression, Mesh64ShardedExactResults) {
-  // Large-fabric pin: 4096-node mesh stepped on the sharded/event-driven
-  // path (4 spatial shards). The sharded engine is proven bit-identical to
-  // the serial step in test_shard; this pin additionally freezes the
-  // absolute values so drift in either path is caught even if both drift
-  // together.
+  // Large-fabric pin: 4096-node mesh stepped as 4 spatial shards.
+  // test_shard proves every shard count gives the same answers; this pin
+  // additionally freezes the absolute values so drift is caught even if
+  // every shard count drifts together.
   Mesh m = Mesh::two_d(64, 64);
   Nafta nafta;
   NetworkConfig ncfg;
