@@ -58,9 +58,14 @@ inline std::optional<SmokeArgs> parse_smoke_args(int argc, char** argv) {
   return a;
 }
 
+/// One table row, each cell left-aligned in `width` columns. A cell that
+/// fills its column gets one separating space, so it never runs into the
+/// next cell.
 inline void print_row(const std::vector<std::string>& cells, int width = 14) {
-  for (const std::string& c : cells)
+  for (const std::string& c : cells) {
     std::cout << std::left << std::setw(width) << c;
+    if (static_cast<int>(c.size()) >= width) std::cout << ' ';
+  }
   std::cout << "\n";
 }
 

@@ -35,10 +35,12 @@ std::unique_ptr<EventManager> make_update_state_machine(ExecMode mode) {
       rules::parse_program(rulebases::route_c_program_source(6, 2));
   auto em = std::make_unique<EventManager>(prog, mode);
   static const rules::SymId sunsafe = prog.syms.lookup("sunsafe");
+  // update_state's one input, new_state(dir), reads sunsafe everywhere.
   em->set_input_provider(
-      [](const std::string&, const std::vector<Value>&) {
+      [](void*, std::int32_t, const Value*, std::size_t) {
         return Value::make_sym(sunsafe);
-      });
+      },
+      nullptr);
   return em;
 }
 

@@ -481,9 +481,10 @@ int main(int argc, char** argv) {
        << "    \"num_cpus\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "    \"note\": \"captured on a 1-CPU container: shard and sweep "
-          "rows are determinism checks there, not parallel wins; the "
-          "event-skip speedup is a genuine single-core win\"\n  },\n";
+       << "    \"note\": \"with fewer CPUs (num_cpus) than threads or "
+          "shards, the shard and sweep rows are determinism checks, not "
+          "parallel wins; the event-skip speedup is a single-core win\"\n"
+          "  },\n";
     os << "  \"single_replica\": [\n";
     for (std::size_t i = 0; i < 2; ++i) {
       os << "    {\"scenario\": \"" << singles[i].name

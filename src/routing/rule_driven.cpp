@@ -13,27 +13,6 @@ namespace flexrouter {
 
 using rules::Value;
 
-namespace {
-
-/// Inputs a tabulated decision may depend on: fully determined by the
-/// premise point (dest, in_port, in_vc), the node, the topology and the
-/// fault epoch. Notably absent: src, path_len, misrouted — they vary per
-/// packet without being part of the premise. Every AOT table tier shares
-/// this soundness condition.
-bool tabulable_input(const std::string& name) {
-  static const char* safe[] = {
-      "dest",       "dest_reachable", "escape_ok", "escape_port",
-      "in_port",    "in_vc",          "injected",  "link_ok",
-      "node",       "on_escape",      "xdes",      "xpos",
-      "ydes",       "ypos",
-  };
-  return std::find_if(std::begin(safe), std::end(safe), [&](const char* s) {
-           return name == s;
-         }) != std::end(safe);
-}
-
-}  // namespace
-
 RuleDrivenRouting::RuleDrivenRouting(std::string program_source, int num_vcs,
                                      rules::ExecMode mode,
                                      std::string route_base, VcId escape_vc)
@@ -47,6 +26,44 @@ RuleDrivenRouting::RuleDrivenRouting(std::string program_source, int num_vcs,
 }
 
 RuleDrivenRouting::~RuleDrivenRouting() = default;
+
+/// One input of the host catalog: its name, the slot that serves it and
+/// whether a tabulated decision may depend on it. Tabulable inputs are fully
+/// determined by the premise point (dest, in_port, in_vc), the node, the
+/// topology and the fault epoch; src, path_len and misrouted vary per packet
+/// without being part of the premise. Every AOT table tier shares this
+/// soundness condition.
+struct RuleDrivenRouting::CatalogEntry {
+  const char* name;
+  InCode code;
+  bool tabulable;
+};
+
+const RuleDrivenRouting::CatalogEntry* RuleDrivenRouting::catalog_entry(
+    const std::string& name) {
+  static constexpr CatalogEntry kCatalog[] = {
+      {"node", InCode::Node, true},
+      {"dest", InCode::Dest, true},
+      {"src", InCode::Src, false},
+      {"in_port", InCode::InPort, true},
+      {"in_vc", InCode::InVc, true},
+      {"injected", InCode::Injected, true},
+      {"path_len", InCode::PathLen, false},
+      {"misrouted", InCode::Misrouted, false},
+      {"link_ok", InCode::LinkOk, true},
+      {"dest_reachable", InCode::DestReachable, true},
+      {"on_escape", InCode::OnEscape, true},
+      {"escape_ok", InCode::EscapeOk, true},
+      {"escape_port", InCode::EscapePort, true},
+      {"xpos", InCode::XPos, true},
+      {"ypos", InCode::YPos, true},
+      {"xdes", InCode::XDes, true},
+      {"ydes", InCode::YDes, true},
+  };
+  for (const CatalogEntry& c : kCatalog)
+    if (name == c.name) return &c;
+  return nullptr;
+}
 
 int RuleDrivenRouting::reconfigure() {
   int exchanges = 0;
@@ -79,30 +96,19 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
                      "'");
   im->route_rb = static_cast<int>(route_rb - im->program->rule_bases.data());
 
-  // Resolve every declared input against the host catalog once; unresolved
-  // names keep erroring at read time, exactly like the name-keyed path.
+  // Resolve every declared input against the host catalog once. Inputs
+  // this host does not serve (escape_* without an escape VC, coordinates
+  // off a 2-D mesh, names outside the catalog) resolve to Unknown and
+  // throw, naming the input, when a decision reads them.
   const bool is_mesh2d = mesh_ != nullptr && mesh_->dims() == 2;
   im->input_codes.reserve(im->program->inputs.size());
   for (const rules::InputDecl& in : im->program->inputs) {
-    InCode code = InCode::Unknown;
-    if (in.name == "node") code = InCode::Node;
-    else if (in.name == "dest") code = InCode::Dest;
-    else if (in.name == "src") code = InCode::Src;
-    else if (in.name == "in_port") code = InCode::InPort;
-    else if (in.name == "in_vc") code = InCode::InVc;
-    else if (in.name == "injected") code = InCode::Injected;
-    else if (in.name == "path_len") code = InCode::PathLen;
-    else if (in.name == "misrouted") code = InCode::Misrouted;
-    else if (in.name == "link_ok") code = InCode::LinkOk;
-    else if (in.name == "dest_reachable") code = InCode::DestReachable;
-    else if (escape_vc_ >= 0 && in.name == "on_escape") code = InCode::OnEscape;
-    else if (escape_vc_ >= 0 && in.name == "escape_ok") code = InCode::EscapeOk;
-    else if (escape_vc_ >= 0 && in.name == "escape_port")
-      code = InCode::EscapePort;
-    else if (is_mesh2d && in.name == "xpos") code = InCode::XPos;
-    else if (is_mesh2d && in.name == "ypos") code = InCode::YPos;
-    else if (is_mesh2d && in.name == "xdes") code = InCode::XDes;
-    else if (is_mesh2d && in.name == "ydes") code = InCode::YDes;
+    const CatalogEntry* c = catalog_entry(in.name);
+    InCode code = c != nullptr ? c->code : InCode::Unknown;
+    if ((code >= InCode::OnEscape && code <= InCode::EscapePort &&
+         escape_vc_ < 0) ||
+        (code >= InCode::XPos && code <= InCode::YDes && !is_mesh2d))
+      code = InCode::Unknown;
     im->input_codes.push_back(code);
   }
 
@@ -120,34 +126,20 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
   for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
     DecisionSlot* slot = &im->slots[static_cast<std::size_t>(n)];
     slot->owner = this;
+    slot->program = im->program.get();
     slot->input_codes = im->input_codes.data();
     slot->cand_event_id = im->cand_event_id;
     slot->cand_handler = [slot](const rules::EmittedEvent& ev) {
       const bool is_cand = ev.name_id >= 0
                                ? ev.name_id == slot->cand_event_id
                                : ev.name == "cand";
-      if (!is_cand) return;
-      // Other events (e.g. state propagation to neighbours) are dropped by
-      // this adapter; dedicated tests exercise them through the machines.
-      FR_REQUIRE_MSG(ev.args.size() == 3, "!cand needs (port, vc, priority)");
-      FR_REQUIRE_MSG(slot->decision != nullptr,
-                     "rule program emitted !cand outside a decision");
-      slot->owner->add_candidate(*slot->decision,
-                                 static_cast<PortId>(ev.args[0].as_int()),
-                                 static_cast<VcId>(ev.args[1].as_int()),
-                                 static_cast<int>(ev.args[2].as_int()));
+      if (is_cand) take_candidate(*slot, ev.args.data(), ev.args.size());
     };
     auto em = std::make_unique<rules::EventManager>(
         *im->program, mode_, rules::CompileOptions{}, im->bytecode);
-    // The input providers close over the node's slot; the active context is
-    // installed there per decision.
-    em->set_input_provider(
-        [slot](const std::string& input, const std::vector<Value>& idx) {
-          FR_REQUIRE_MSG(slot->ctx != nullptr,
-                         "rule program read an input outside a decision");
-          return slot->owner->input_value(*slot->ctx, input, idx);
-        });
-    em->set_input_provider_raw(&RuleDrivenRouting::input_raw, slot);
+    // The provider reads the node's slot; the active context is installed
+    // there per decision.
+    em->set_input_provider(&RuleDrivenRouting::input_raw, slot);
     im->machines.push_back(std::move(em));
   }
 
@@ -160,7 +152,10 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
   im->tabulable =
       im->stateless &&
       std::all_of(analysis.inputs_read.begin(), analysis.inputs_read.end(),
-                  tabulable_input);
+                  [](const std::string& name) {
+                    const CatalogEntry* c = catalog_entry(name);
+                    return c != nullptr && c->tabulable;
+                  });
   // Dest-axis classification (syntactic; fill_aot applies host gates). The
   // verdict rides on the image so rulelint / flexsim can explain the tier.
   im->classify = rules::classify_dest_axis(*im->program, route_base_);
@@ -769,10 +764,12 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   return info;
 }
 
-Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
+Value RuleDrivenRouting::input_by_code(const DecisionSlot& slot,
+                                       std::int32_t input_id,
                                        const Value* idx,
                                        std::size_t nidx) const {
-  switch (code) {
+  const RouteContext& ctx = *slot.ctx;
+  switch (slot.input_codes[static_cast<std::size_t>(input_id)]) {
     case InCode::Node: return Value::make_int(ctx.node);
     case InCode::Dest: return Value::make_int(ctx.dest);
     case InCode::Src: return Value::make_int(ctx.src);
@@ -820,7 +817,11 @@ Value RuleDrivenRouting::input_by_code(InCode code, const RouteContext& ctx,
     case InCode::YDes: return Value::make_int(mesh_->y_of(ctx.dest));
     case InCode::Unknown: break;
   }
-  FR_REQUIRE_MSG(false, "rule program input is not in the host catalog");
+  FR_REQUIRE_MSG(false,
+                 "rule program input '" +
+                     slot.program->inputs[static_cast<std::size_t>(input_id)]
+                         .name +
+                     "' is not in the host catalog");
   return Value::make_int(0);
 }
 
@@ -837,9 +838,7 @@ Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
   const auto* slot = static_cast<const DecisionSlot*>(ctx);
   FR_REQUIRE_MSG(slot->ctx != nullptr,
                  "rule program read an input outside a decision");
-  return slot->owner->input_by_code(
-      slot->input_codes[static_cast<std::size_t>(input_id)], *slot->ctx, idx,
-      nidx);
+  return slot->owner->input_by_code(*slot, input_id, idx, nidx);
 }
 
 void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,
@@ -857,68 +856,18 @@ void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,
   }
   // Host-bound events other than !cand are dropped by this adapter (state
   // propagation to neighbours etc. is exercised through the machines).
-  if (name_id != slot->cand_event_id) return;
-  FR_REQUIRE_MSG(nargs == 3, "!cand needs (port, vc, priority)");
-  FR_REQUIRE_MSG(slot->decision != nullptr,
-                 "rule program emitted !cand outside a decision");
-  slot->owner->add_candidate(*slot->decision,
-                             static_cast<PortId>(args[0].as_int()),
-                             static_cast<VcId>(args[1].as_int()),
-                             static_cast<int>(args[2].as_int()));
+  if (name_id == slot->cand_event_id) take_candidate(*slot, args, nargs);
 }
 
-Value RuleDrivenRouting::input_value(const RouteContext& ctx,
-                                     const std::string& name,
-                                     const std::vector<Value>& idx) const {
-  if (name == "node") return Value::make_int(ctx.node);
-  if (name == "dest") return Value::make_int(ctx.dest);
-  if (name == "src") return Value::make_int(ctx.src);
-  if (name == "in_port") return Value::make_int(ctx.in_port);
-  if (name == "in_vc")
-    return Value::make_int(std::max<VcId>(ctx.in_vc, 0));
-  if (name == "injected")
-    return Value::make_bool(ctx.in_port < 0 || ctx.in_port >= topo_->degree());
-  if (name == "path_len") return Value::make_int(ctx.path_len);
-  if (name == "misrouted") return Value::make_bool(ctx.misrouted);
-  if (name == "link_ok") {
-    FR_REQUIRE_MSG(idx.size() == 1, "link_ok takes one direction index");
-    const auto p = static_cast<PortId>(idx[0].as_int());
-    if (p < 0 || p >= topo_->degree()) return Value::make_bool(false);
-    return Value::make_bool(faults_->link_usable(ctx.node, p));
-  }
-  if (name == "dest_reachable")
-    return Value::make_bool(dest_reachable(ctx.node, ctx.dest));
-  if (escape_vc_ >= 0) {
-    const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
-                           ctx.in_port < topo_->degree();
-    if (name == "on_escape") return Value::make_bool(on_escape);
-    if (name == "escape_ok")
-      return Value::make_bool(escape_.reachable(ctx.node, ctx.dest));
-    if (name == "escape_port") {
-      // Deterministic escape hop; the injection port signals "none".
-      if (ctx.dest == ctx.node || !escape_.reachable(ctx.node, ctx.dest))
-        return Value::make_int(topo_->degree());
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (on_escape) {
-        const NodeId prev = topo_->neighbor(ctx.node, ctx.in_port);
-        phase = escape_.is_up_move(
-                    prev, topo_->reverse_port(ctx.node, ctx.in_port))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return Value::make_int(
-          escape_.next_hops(ctx.node, ctx.dest, phase)[0]);
-    }
-  }
-  if (mesh_ != nullptr && mesh_->dims() == 2) {
-    if (name == "xpos") return Value::make_int(mesh_->x_of(ctx.node));
-    if (name == "ypos") return Value::make_int(mesh_->y_of(ctx.node));
-    if (name == "xdes") return Value::make_int(mesh_->x_of(ctx.dest));
-    if (name == "ydes") return Value::make_int(mesh_->y_of(ctx.dest));
-  }
-  FR_REQUIRE_MSG(false, "rule program input '" + name +
-                            "' is not in the host catalog");
-  return Value::make_int(0);
+void RuleDrivenRouting::take_candidate(DecisionSlot& slot, const Value* args,
+                                       std::size_t nargs) {
+  FR_REQUIRE_MSG(nargs == 3, "!cand needs (port, vc, priority)");
+  FR_REQUIRE_MSG(slot.decision != nullptr,
+                 "rule program emitted !cand outside a decision");
+  slot.owner->add_candidate(*slot.decision,
+                            static_cast<PortId>(args[0].as_int()),
+                            static_cast<VcId>(args[1].as_int()),
+                            static_cast<int>(args[2].as_int()));
 }
 
 void RuleDrivenRouting::add_candidate(RouteDecision& d, PortId port, VcId vc,
@@ -973,7 +922,7 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
     // buffer — no allocation on this path.
     em.set_host_handler(slot.cand_handler);
     const auto interpretations_before = em.total_interpretations();
-    const rules::FireResult r = em.fire(route_base_, {});
+    const rules::FireResult r = em.fire(im.route_rb, {});
     em.drain();
     steps = static_cast<int>(em.total_interpretations() -
                              interpretations_before);
@@ -986,7 +935,8 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
     if (r_returned->is_int()) {
       port = static_cast<PortId>(r_returned->as_int());
     } else {
-      const rules::RuleBase& rb = im.program->rule_base(route_base_);
+      const rules::RuleBase& rb =
+          im.program->rule_bases[static_cast<std::size_t>(im.route_rb)];
       FR_REQUIRE_MSG(rb.returns.has_value(),
                      "symbolic RETURN without a RETURNS domain");
       port = static_cast<PortId>(rb.returns->index_of(*r_returned));

@@ -8,7 +8,8 @@
 //    the RETURNS domain is the port index — declare the enum in Compass
 //    order {east, west, north, south, local}), or emit one or more
 //    `!cand(port, vc, priority)` events.
-//  * Inputs are served from a fixed catalog, by name:
+//  * Inputs are served from a fixed host catalog, resolved by name once per
+//    program at build_image() and read by id on every decision:
 //      xpos, ypos, xdes, ydes      mesh coordinates (2-D meshes only)
 //      node, dest, src             node ids
 //      in_port, in_vc              arrival port / VC (degree = injection)
@@ -65,7 +66,9 @@
 //    decision runs the compiled program (shared by all nodes) through
 //    id-resolved input and candidate-event fast paths.
 //  * ExecMode::Interpret / Table run the reference AST interpreter or the
-//    compiled ARON rule tables through the EventManager's queue.
+//    compiled ARON rule tables through the EventManager's queue. Every mode
+//    reads inputs through the same id-keyed provider and hands `!cand` to
+//    the same candidate adapter.
 //
 // Hot swap: prepare_swap() parses, compiles and AOT-fills a complete
 // pending execution image for a new program while the active image keeps
@@ -225,23 +228,32 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   bool rolling_commit_active() const { return rolling_; }
 
  private:
-  /// Catalog slot of one declared input, resolved once at attach().
+  /// Catalog slot of one declared input, resolved once per program at
+  /// build_image(). The escape block (OnEscape..EscapePort) needs an escape
+  /// VC and the coordinate block (XPos..YDes) a 2-D mesh: keep each
+  /// contiguous. Adding an input means one InCode, one catalog row and one
+  /// input_by_code case.
   enum class InCode : std::uint8_t {
     Node, Dest, Src, InPort, InVc, Injected, PathLen, Misrouted,
     LinkOk, DestReachable, OnEscape, EscapeOk, EscapePort,
     XPos, YPos, XDes, YDes,
     Unknown,  // not served by this host configuration: error on read
   };
+  struct CatalogEntry;
+  /// The host catalog row named `name`, or nullptr.
+  static const CatalogEntry* catalog_entry(const std::string& name);
 
   /// All mutable state one in-flight decision needs, owned per node: the
-  /// VM callback context. route() on node n touches only slots_[n] (plus
-  /// the node's machine and lazy sub-table), which is what makes concurrent
-  /// decisions on distinct nodes race-free. The image-scoped fields the
-  /// raw callbacks need (input-code array, cand event id) are flattened in
-  /// by value / data pointer so a slot never dereferences its Image —
-  /// slots stay valid across image moves.
+  /// context of the input provider and the candidate adapter. route() on
+  /// node n touches only slots_[n] (plus the node's machine and lazy
+  /// sub-table), which is what makes concurrent decisions on distinct
+  /// nodes race-free. The image-scoped fields the
+  /// callbacks need (program, input-code array, cand event id) are
+  /// flattened in by value / data pointer so a slot never dereferences its
+  /// Image — slots stay valid across image moves.
   struct DecisionSlot {
     const RuleDrivenRouting* owner = nullptr;
+    const rules::Program* program = nullptr;  // names for catalog errors
     const InCode* input_codes = nullptr;      // this image's resolved inputs
     std::int32_t cand_event_id = -1;          // this image's interned "cand"
     const RouteContext* ctx = nullptr;
@@ -350,16 +362,21 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     LazyState* lazy = nullptr;
   };
 
-  rules::Value input_value(const RouteContext& ctx, const std::string& name,
-                           const std::vector<rules::Value>& idx) const;
-  rules::Value input_by_code(InCode code, const RouteContext& ctx,
+  /// Serve input `input_id` of the slot's program for the slot's active
+  /// decision context, through the code resolved at build_image().
+  rules::Value input_by_code(const DecisionSlot& slot, std::int32_t input_id,
                              const rules::Value* idx, std::size_t nidx) const;
-  /// Raw VM callbacks for the decision path (ctx = DecisionSlot*).
+  /// Input provider of every node's machine, all modes (ctx = DecisionSlot*).
   static rules::Value input_raw(void* ctx, std::int32_t input_id,
                                 const rules::Value* idx, std::size_t nidx);
+  /// VM event sink for the decision path (ctx = DecisionSlot*).
   static void event_sink(void* ctx, std::int32_t name_id,
                          std::int32_t target_rb, const rules::Value* args,
                          std::size_t nargs);
+  /// The candidate adapter of every mode: one `!cand(port, vc, priority)`
+  /// emitted during the slot's decision becomes a route candidate.
+  static void take_candidate(DecisionSlot& slot, const rules::Value* args,
+                             std::size_t nargs);
   void add_candidate(RouteDecision& d, PortId port, VcId vc, int prio) const;
   std::unique_ptr<Image> build_image(std::string program_source) const;
   /// (Re)fill the image's AOT tier for the current fault epoch; no-op when

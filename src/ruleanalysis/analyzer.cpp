@@ -201,33 +201,25 @@ class SignalSpace {
     return out;
   }
 
-  rules::InputFn provider() {
-    return [this](const std::string& name,
-                  const std::vector<Value>& idx) -> Value {
-      if (idx.empty()) {
-        const auto it = scalar_axis_.find(name);
-        if (it != scalar_axis_.end() &&
-            axes_[static_cast<std::size_t>(it->second)].slot ==
-                Axis::Slot::Input)
-          return axes_[static_cast<std::size_t>(it->second)].current();
-      } else {
-        const auto it = arrays_.find(name);
-        if (it != arrays_.end() && it->second.is_input) {
-          const ArrayMeta& m = it->second;
-          if (m.shared)
-            return axes_[static_cast<std::size_t>(m.shared_axis)].current();
-          const auto eit = m.elem_axis.find(flat_of(m, idx));
-          if (eit != m.elem_axis.end())
-            return axes_[static_cast<std::size_t>(eit->second)].current();
-        }
-      }
-      // Read outside the collected footprint (e.g. from a subbase fired
-      // inside an expression): serve a fixed value, drop exactness.
-      fallback_read_ = true;
-      const InputDecl* in = prog_->find_input(name);
-      FR_REQUIRE_MSG(in != nullptr, "provider asked for unknown input");
-      return in->domain.value_at(0);
-    };
+  /// Input provider serving the current point (ctx = this SignalSpace,
+  /// after a successful finalize()).
+  static Value provide(void* self, std::int32_t input_id, const Value* idx,
+                       std::size_t n) {
+    auto* space = static_cast<SignalSpace*>(self);
+    const InputSource& src =
+        space->input_src_[static_cast<std::size_t>(input_id)];
+    if (src.axis >= 0)
+      return space->axes_[static_cast<std::size_t>(src.axis)].current();
+    if (src.array != nullptr) {
+      const auto eit = src.array->elem_axis.find(flat_of(*src.array, idx, n));
+      if (eit != src.array->elem_axis.end())
+        return space->axes_[static_cast<std::size_t>(eit->second)].current();
+    }
+    // Read outside the collected footprint (e.g. from a subbase fired
+    // inside an expression): serve a fixed value, drop exactness.
+    space->fallback_read_ = true;
+    return space->prog_->inputs[static_cast<std::size_t>(input_id)]
+        .domain.value_at(0);
   }
 
   std::string state_string() const {
@@ -378,6 +370,7 @@ class SignalSpace {
                   const std::set<std::string>& force_shared, int thin) {
     axes_.clear();
     scalar_axis_.clear();
+    input_src_.assign(prog_->inputs.size(), InputSource{});
     exact_ = true;
 
     const auto add_axis = [&](Axis a) {
@@ -392,7 +385,9 @@ class SignalSpace {
       a.name = name;
       a.label = name;
       a.dom = sig.dom;
-      scalar_axis_[name] = add_axis(std::move(a));
+      const int axis = add_axis(std::move(a));
+      scalar_axis_[name] = axis;
+      if (sig.slot == Axis::Slot::Input) input_src_[input_id(name)].axis = axis;
     }
     for (auto& [name, m] : arrays_) {
       m.shared = false;
@@ -427,6 +422,11 @@ class SignalSpace {
           a.dom = m.value_dom;
           m.elem_axis[f] = add_axis(std::move(a));
         }
+      }
+      if (m.is_input) {
+        InputSource& src = input_src_[input_id(name)];
+        src.axis = m.shared_axis;  // -1 unless collapsed
+        if (!m.shared) src.array = &m;
       }
     }
 
@@ -495,14 +495,27 @@ class SignalSpace {
     return eit == it->second.elem_axis.end() ? -1 : eit->second;
   }
 
-  std::int64_t flat_of(const ArrayMeta& m,
-                       const std::vector<Value>& idx) const {
+  static std::int64_t flat_of(const ArrayMeta& m, const Value* idx,
+                              std::size_t n) {
     std::int64_t flat = 0;
-    for (std::size_t i = 0; i < idx.size(); ++i)
+    for (std::size_t i = 0; i < n; ++i)
       flat =
           flat * static_cast<std::int64_t>(m.index_doms[i].cardinality()) +
           static_cast<std::int64_t>(m.index_doms[i].index_of(idx[i]));
     return flat;
+  }
+
+  /// Where each declared input's reads are served from once the axes
+  /// exist: one axis (a scalar input or a collapsed array), the element
+  /// axes of an array, or neither (read outside the collected footprint).
+  struct InputSource {
+    int axis = -1;
+    const ArrayMeta* array = nullptr;
+  };
+
+  std::size_t input_id(const std::string& name) const {
+    return static_cast<std::size_t>(prog_->find_input(name) -
+                                    prog_->inputs.data());
   }
 
   void write_vars(RuleEnv& env) {
@@ -532,6 +545,7 @@ class SignalSpace {
   std::vector<StaticOob> static_oob_;
   std::vector<Axis> axes_;
   std::map<std::string, int> scalar_axis_;
+  std::vector<InputSource> input_src_;  // parallel to prog_->inputs
   std::uint64_t num_states_ = 0;
   bool exact_ = true;
   bool fallback_read_ = false;
@@ -610,7 +624,7 @@ void analyze_base(const Program& prog, Interpreter& interp,
   }
 
   RuleEnv env(prog);
-  interp.set_input_provider(space.provider());
+  interp.set_input_provider(&SignalSpace::provide, &space);
 
   std::uint64_t true_any = 0, exclusive = 0, evalfail = 0;
   std::vector<std::uint64_t> always_before(n, ~std::uint64_t{0});
@@ -656,7 +670,7 @@ void analyze_base(const Program& prog, Interpreter& interp,
         always_before[r] &= earlier;
     }
   } while (space.next(env));
-  interp.set_input_provider(nullptr);
+  interp.set_input_provider(nullptr, nullptr);
 
   base.gap_states = gaps;
   base.exact = space.exact();
@@ -729,7 +743,7 @@ void analyze_rule_ranges(const Program& prog, Interpreter& interp,
   }
 
   RuleEnv env(prog);
-  interp.set_input_provider(space.provider());
+  interp.set_input_provider(&SignalSpace::provide, &space);
 
   const auto eval_opt =
       [&](const ExprPtr& e,
@@ -842,7 +856,7 @@ void analyze_rule_ranges(const Program& prog, Interpreter& interp,
     }
     if (fires) walk(rule.conclusion, binds);
   } while (space.next(env));
-  interp.set_input_provider(nullptr);
+  interp.set_input_provider(nullptr, nullptr);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ DecisionEnumerator::DecisionEnumerator(const rules::Program& prog,
   comp_ = components(faults_);
   if (model_.escape_vc >= 0) escape_.rebuild(faults_);
   classify_inputs();
-  interp_.set_input_provider_raw(&DecisionEnumerator::provide_raw, this);
+  interp_.set_input_provider(&DecisionEnumerator::provide_raw, this);
   scan_axes();
   audit_escape_port();
 }

@@ -43,15 +43,12 @@ class EventManager {
   Interpreter& interpreter() { return interp_; }
   ExecMode mode() const { return mode_; }
 
-  void set_input_provider(InputFn fn) {
-    interp_.set_input_provider(fn);
-    if (vm_) vm_->set_input_provider(std::move(fn));
-  }
-  /// Raw pre-resolved provider (function pointer + context) for the VM hot
-  /// path: input ids, no name lookup; wins over the string-keyed provider
-  /// in Vm mode. Interpret/Table dispatch always uses the string-keyed one.
-  void set_input_provider_raw(RawInputFn fn, void* ctx) {
-    if (vm_) vm_->set_input_provider_raw(fn, ctx);
+  /// The input provider (function pointer + context, inputs by id) of
+  /// every mode: the interpreter serves Interpret and Table firings, the
+  /// VM serves Vm and Aot ones.
+  void set_input_provider(InputFn fn, void* ctx) {
+    interp_.set_input_provider(fn, ctx);
+    if (vm_) vm_->set_input_provider(fn, ctx);
   }
 
   /// Receives events that no rule base handles (host-bound outputs). The

@@ -403,7 +403,7 @@ Value Interpreter::eval_input(const Expr& e, std::int32_t input_id,
   if (!ctx.allow_inputs)
     throw EvalError("input access to '" + e.name + "' not allowed here",
                     e.line);
-  if (raw_inputs_ == nullptr && !inputs_)
+  if (inputs_ == nullptr)
     throw EvalError("no input provider installed (input '" + e.name + "')",
                     e.line);
   const std::size_t n = e.args.size();
@@ -426,9 +426,7 @@ Value Interpreter::eval_input(const Expr& e, std::int32_t input_id,
       throw EvalError("index outside domain for input '" + e.name + "'",
                       e.line);
   }
-  Value v = raw_inputs_ != nullptr
-                ? raw_inputs_(raw_inputs_ctx_, input_id, idx, n)
-                : inputs_(e.name, std::vector<Value>(idx, idx + n));
+  Value v = inputs_(inputs_ctx_, input_id, idx, n);
   if (!in.domain.contains(v))
     throw EvalError("host returned value outside domain of input '" + e.name +
                         "'",

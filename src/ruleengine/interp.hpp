@@ -42,17 +42,14 @@ struct FireResult {
   bool applied() const { return rule_index >= 0; }
 };
 
-/// Host-supplied resolver for INPUT signals.
-using InputFn =
-    std::function<Value(const std::string&, const std::vector<Value>&)>;
-
-/// Pre-resolved input provider, shared by the interpreter and the VM:
-/// `input_id` is the position of the input in Program::inputs, `idx` the
-/// evaluated (domain-checked) index values. A plain function pointer plus
-/// context, so the per-read call costs one indirect call — no name
-/// dispatch, no vector build, no std::function.
-using RawInputFn = Value (*)(void* ctx, std::int32_t input_id,
-                             const Value* idx, std::size_t nidx);
+/// Host-supplied resolver for INPUT signals, shared by the interpreter, the
+/// ARON tables and the VM: `input_id` is the position of the input in
+/// Program::inputs, `idx` the evaluated (domain-checked) index values. A
+/// plain function pointer plus context, so the per-read call costs one
+/// indirect call — no name dispatch, no vector build, no std::function.
+/// Hosts resolve names to ids once, when they load the program.
+using InputFn = Value (*)(void* ctx, std::int32_t input_id, const Value* idx,
+                          std::size_t nidx);
 
 /// Optional expression override used by the rule compiler: called on every
 /// Ref/atom before normal resolution; a non-nullopt result short-circuits.
@@ -70,11 +67,10 @@ class Interpreter {
  public:
   explicit Interpreter(const Program& prog) : prog_(&prog) {}
 
-  void set_input_provider(InputFn fn) { inputs_ = std::move(fn); }
-  /// Raw provider; takes precedence over the string-keyed one.
-  void set_input_provider_raw(RawInputFn fn, void* ctx) {
-    raw_inputs_ = fn;
-    raw_inputs_ctx_ = ctx;
+  /// Install the input provider (nullptr removes it: reads then throw).
+  void set_input_provider(InputFn fn, void* ctx) {
+    inputs_ = fn;
+    inputs_ctx_ = ctx;
   }
   const Program& program() const { return *prog_; }
 
@@ -169,9 +165,8 @@ class Interpreter {
   RefSlot slot_of(const Expr& e) const;
 
   const Program* prog_;
-  InputFn inputs_;
-  RawInputFn raw_inputs_ = nullptr;
-  void* raw_inputs_ctx_ = nullptr;
+  InputFn inputs_ = nullptr;
+  void* inputs_ctx_ = nullptr;
   /// The resolution of every Ref the program owns, keyed by its address.
   /// The program is immutable and outlives the interpreter, so no key can
   /// be reused by another Expr while the table is alive.

@@ -168,20 +168,12 @@ void Vm::run(int rb_index, const Value* args, std::size_t nargs,
       }
       case Op::LoadInput: {
         const InputDecl& decl = prog_->inputs[static_cast<std::size_t>(in.b)];
-        Value v;
-        if (raw_inputs_ != nullptr) {
-          v = raw_inputs_(raw_inputs_ctx_, in.b, &r(in.c),
-                          static_cast<std::size_t>(in.aux));
-        } else if (inputs_) {
-          const std::vector<Value> idx(
-              regs_.begin() + static_cast<std::ptrdiff_t>(base + in.c),
-              regs_.begin() + static_cast<std::ptrdiff_t>(base + in.c + in.aux));
-          v = inputs_(decl.name, idx);
-        } else {
+        if (inputs_ == nullptr)
           throw EvalError(
               "no input provider installed (input '" + decl.name + "')",
               in.line);
-        }
+        Value v = inputs_(inputs_ctx_, in.b, &r(in.c),
+                          static_cast<std::size_t>(in.aux));
         if (!decl.domain.contains(v))
           throw EvalError("host returned value outside domain of input '" +
                               decl.name + "'",
@@ -195,16 +187,11 @@ void Vm::run(int rb_index, const Value* args, std::size_t nargs,
           break;
         }
         const InputDecl& decl = prog_->inputs[static_cast<std::size_t>(in.b)];
-        Value v;
-        if (raw_inputs_ != nullptr) {
-          v = raw_inputs_(raw_inputs_ctx_, in.b, nullptr, 0);
-        } else if (inputs_) {
-          v = inputs_(decl.name, {});
-        } else {
+        if (inputs_ == nullptr)
           throw EvalError(
               "no input provider installed (input '" + decl.name + "')",
               in.line);
-        }
+        Value v = inputs_(inputs_ctx_, in.b, nullptr, 0);
         if (!decl.domain.contains(v))
           throw EvalError("host returned value outside domain of input '" +
                               decl.name + "'",

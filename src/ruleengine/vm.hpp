@@ -2,8 +2,9 @@
 //
 // One Vm owns the execution state for one node: a frame stack of Value
 // registers, a pending-write list (the language's parallel-commit buffer)
-// and pre-resolved input providers. The compiled BytecodeProgram is shared
-// across all Vms of a network.
+// and the host's input provider, which serves inputs by id (the operand
+// of Op::LoadInput) and never by name. The compiled BytecodeProgram is
+// shared across all Vms of a network.
 //
 // Vm::fire() is a drop-in replacement for Interpreter::fire(): same results
 // (fired rule, RETURN, emitted events, register commits) and same dynamic
@@ -34,12 +35,10 @@ class Vm {
   Vm(std::shared_ptr<const BytecodeProgram> bc, RuleEnv& env)
       : bc_(std::move(bc)), prog_(&bc_->program()), env_(&env) {}
 
-  /// String-keyed fallback provider (same contract as Interpreter's).
-  void set_input_provider(InputFn fn) { inputs_ = std::move(fn); }
-  /// Raw provider; takes precedence over the string-keyed one.
-  void set_input_provider_raw(RawInputFn fn, void* ctx) {
-    raw_inputs_ = fn;
-    raw_inputs_ctx_ = ctx;
+  /// Install the input provider (same contract as Interpreter's).
+  void set_input_provider(InputFn fn, void* ctx) {
+    inputs_ = fn;
+    inputs_ctx_ = ctx;
   }
 
   FireResult fire(int rb_index, const std::vector<Value>& args);
@@ -87,9 +86,8 @@ class Vm {
   std::shared_ptr<const BytecodeProgram> bc_;
   const Program* prog_;
   RuleEnv* env_;
-  InputFn inputs_;
-  RawInputFn raw_inputs_ = nullptr;
-  void* raw_inputs_ctx_ = nullptr;
+  InputFn inputs_ = nullptr;
+  void* inputs_ctx_ = nullptr;
   HostSinkFn sink_ = nullptr;  // live only while a sinked fire runs
   void* sink_ctx_ = nullptr;
   std::vector<Value> regs_;      // frame stack (subbase calls push frames)

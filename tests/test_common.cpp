@@ -322,6 +322,74 @@ TEST(Config, FromFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(ConfigFuzz, CorruptedConfigsNeverCrash) {
+  // Every key flexsim accepts (examples/flexsim.cpp, known_key), each set
+  // to a value of the shape flexsim reads. Corrupted copies must parse or
+  // be rejected with a ContractViolation, and so must every typed getter
+  // on every key: nothing else may escape, under ASan+UBSan included.
+  const std::string base =
+      "# flexsim experiment\n"
+      "topology = mesh; width = 8; height = 8; dimension = 4\n"
+      "algorithm = ft-mesh-rules; traffic = uniform\n"
+      "rate = 0.10; rates = 0.02,0.06,0.10; threads = 0\n"
+      "packet_length = 4; warmup = 1000; measure = 2000\n"
+      "link_faults = 6; node_faults = 0; seed = 1; show_links = false\n"
+      "shards = 1; shard_threads = 0; idle_skip = false\n"
+      "fault_at = 1500:link:27:1,2200:node:12; repair_after = 800\n"
+      "flap = 27:1:1500:120:260; failslow = 1500:27:1:8\n"
+      "fault_regime = storm; detection_delay = 0; max_retries = 3\n"
+      "exec_mode = interp  // decision backend\n"
+      "swap_rules_at = \"2000,new_rules.txt\"; swap_policy = rolling\n"
+      "rolling_shards = 8\n";
+  Rng rng(2029);
+  int parsed = 0, rejected = 0, getter_rejections = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string mutated = base;
+    // Apply 1-4 random edits: delete, duplicate or perturb characters.
+    const int edits = 1 + static_cast<int>(rng.next_below(4));
+    for (int e = 0; e < edits && !mutated.empty(); ++e) {
+      const auto pos = rng.next_below(mutated.size());
+      switch (rng.next_below(3)) {
+        case 0: mutated.erase(pos, 1); break;
+        case 1: mutated.insert(pos, 1, mutated[pos]); break;
+        default:
+          mutated[pos] = static_cast<char>(' ' + rng.next_below(95));
+          break;
+      }
+    }
+    Config cfg;
+    try {
+      cfg = Config::parse(mutated);
+      ++parsed;
+    } catch (const ContractViolation&) {
+      ++rejected;  // clean rejection — fine
+      continue;
+    }
+    // Anything but a ContractViolation escapes these and fails the test.
+    const auto probe = [&](const auto& get) {
+      try {
+        get();
+      } catch (const ContractViolation&) {
+        ++getter_rejections;
+      }
+    };
+    for (const std::string& key : cfg.keys()) {
+      probe([&] { (void)cfg.get_string(key, ""); });
+      probe([&] { (void)cfg.require_string(key); });
+      probe([&] { (void)cfg.get_int(key, 0); });
+      probe([&] { (void)cfg.require_int(key); });
+      probe([&] { (void)cfg.get_double(key, 0.0); });
+      probe([&] { (void)cfg.require_double(key); });
+      probe([&] { (void)cfg.get_bool(key, false); });
+      probe([&] { (void)cfg.get_int_list(key, {}); });
+      probe([&] { (void)cfg.get_double_list(key, {}); });
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(getter_rejections, 0);
+}
+
 TEST(Histogram, AsciiRenderShowsBars) {
   Histogram h(0, 10, 5);
   for (int i = 0; i < 8; ++i) h.add(1.0);

@@ -4,14 +4,15 @@
 // emitted events or RETURN values is a compiler bug. Also fuzzes the lexer/
 // parser for crash-freedom on corrupted sources, the compressed AOT
 // tier against the VM on randomly generated classifier-eligible routing
-// programs, and the interpreter's input providers (by name and by id)
-// against each other and the VM.
+// programs, and the interpreter, the VM and the ARON tables against each
+// other through the one id-keyed input provider.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "named_inputs.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
 #include "ruleengine/bytecode.hpp"
@@ -180,18 +181,15 @@ TEST_P(RuleFuzz, CompiledTableMatchesInterpreter) {
   std::int64_t sig_idx = 0, tiny = 0, big = 0;
   std::int64_t chan[4] = {0, 0, 0, 0};
   const SymId alpha = prog.syms.lookup("alpha");
-  const InputFn inputs = [&](const std::string& name,
-                             const std::vector<Value>& idx) -> Value {
+  testutil::NamedInputs inputs(prog, [&](const std::string& name,
+                                         const std::vector<Value>& idx) {
     if (name == "sig") return Value::make_sym(alpha + static_cast<SymId>(sig_idx));
     if (name == "tiny") return Value::make_int(tiny);
     if (name == "big") return Value::make_int(big);
     if (name == "chan") return Value::make_int(chan[idx[0].as_int()]);
     throw std::logic_error("input " + name);
-  };
-  direct.set_input_provider(inputs);
-  table.set_input_provider(inputs);
-  vm.set_input_provider(inputs);
-  aot.set_input_provider(inputs);
+  });
+  for (EventManager* em : {&direct, &table, &vm, &aot}) inputs.install(*em);
 
   for (int iter = 0; iter < 400; ++iter) {
     sig_idx = static_cast<std::int64_t>(rng.next_below(3));
@@ -262,8 +260,8 @@ TEST_P(CorpusFuzz, BothEnginesAgreeOnRandomInputs) {
     for (const Value& v : idx) k += "/" + v.to_string(prog.syms);
     return k;
   };
-  const InputFn inputs = [&](const std::string& name,
-                             const std::vector<Value>& idx) {
+  testutil::NamedInputs inputs(prog, [&](const std::string& name,
+                                         const std::vector<Value>& idx) {
     const std::string k = key(name, idx);
     const auto it = memo.find(k);
     if (it != memo.end()) return it->second;
@@ -273,11 +271,8 @@ TEST_P(CorpusFuzz, BothEnginesAgreeOnRandomInputs) {
         decl->domain.value_at(rng.next_below(decl->domain.cardinality()));
     memo.emplace(k, v);
     return v;
-  };
-  direct.set_input_provider(inputs);
-  table.set_input_provider(inputs);
-  vm.set_input_provider(inputs);
-  aot.set_input_provider(inputs);
+  });
+  for (EventManager* em : {&direct, &table, &vm, &aot}) inputs.install(*em);
 
   for (int iter = 0; iter < 600; ++iter) {
     memo.clear();
@@ -563,11 +558,11 @@ TEST(ParserFuzz, RandomTokenSoup) {
 }
 
 // ------------------------------------- input-provider differential firing
-// The interpreter resolves each Ref of its program once and, with a raw
-// provider installed, reads inputs by id. Fired through the name-keyed
-// provider, the raw provider and the VM, every program must agree on the
-// fired rule, RETURN, events, register commits and fire count — and, when
-// a host signal leaves its declared domain, on the exact error.
+// Every engine reads inputs by id through the one provider type. Fired
+// through the interpreter, the VM and the compiled ARON tables, every
+// program must agree on the fired rule, RETURN, events and register
+// commits; the interpreter and the VM also on the fire count and on the
+// exact error when a host signal leaves its declared domain.
 
 /// One host value per (input, indices) per firing, shared by every engine
 /// so all of them observe the same signals. About one read in 64 returns a
@@ -585,23 +580,20 @@ class SignalOracle {
       key += '/';
       key += idx[i].to_string(prog_.syms);
     }
-    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
     const Domain& d = prog_.inputs[static_cast<std::size_t>(id)].domain;
-    const Value v = rng_.next_below(64) == 0
-                        ? Value::make_int(std::int64_t{1} << 40)
-                        : d.value_at(rng_.next_below(d.cardinality()));
-    memo_.emplace(key, v);
-    return v;
+    auto it = memo_.find(key);
+    if (it == memo_.end()) {
+      const Value v = rng_.next_below(64) == 0
+                          ? Value::make_int(std::int64_t{1} << 40)
+                          : d.value_at(rng_.next_below(d.cardinality()));
+      it = memo_.emplace(key, v).first;
+    }
+    if (!d.contains(it->second)) ++bad_reads_;
+    return it->second;
   }
 
-  InputFn by_name() {
-    return [this](const std::string& name, const std::vector<Value>& idx) {
-      const InputDecl* decl = prog_.find_input(name);
-      FR_REQUIRE(decl != nullptr);
-      return get(static_cast<std::int32_t>(decl - prog_.inputs.data()),
-                 idx.data(), idx.size());
-    };
-  }
+  /// Reads served so far that returned a value outside the input's domain.
+  int bad_reads() const { return bad_reads_; }
 
   static Value raw(void* self, std::int32_t id, const Value* idx,
                    std::size_t n) {
@@ -612,6 +604,7 @@ class SignalOracle {
   const Program& prog_;
   Rng rng_;
   std::map<std::string, Value> memo_;
+  int bad_reads_ = 0;
 };
 
 /// What one engine made of one firing: its result, or the error it threw
@@ -634,14 +627,14 @@ Firing attempt(const Fire& fire) {
   return f;
 }
 
-/// `exact_contract`: contract-violation texts carry the throwing source
-/// location, so only the two interpreters can match them verbatim.
-void expect_same_firing(const Firing& a, const Firing& b, bool exact_contract,
+/// Contract-violation texts carry the throwing source location, which
+/// differs between engines: only their kind is compared.
+void expect_same_firing(const Firing& a, const Firing& b,
                         const std::string& where) {
   const auto is_contract = [](const std::string& e) {
     return e.rfind("contract: ", 0) == 0;
   };
-  if (is_contract(a.error) && !exact_contract) {
+  if (is_contract(a.error)) {
     EXPECT_TRUE(is_contract(b.error)) << where << ": " << b.error;
     return;
   }
@@ -664,17 +657,21 @@ void expect_same_firing(const Firing& a, const Firing& b, bool exact_contract,
   }
 }
 
-/// Fires random rule bases of `prog` through all three engines; returns
-/// how many firings threw (identically everywhere).
+/// Fires random rule bases of `prog` through the interpreter, the VM and the
+/// ARON tables; returns how many firings threw (identically in the
+/// interpreter and the VM).
 int fire_three_ways(const Program& prog, std::uint64_t seed, int iters) {
   SignalOracle oracle(prog, seed);
-  Interpreter by_name(prog);
-  Interpreter by_id(prog);
-  by_name.set_input_provider(oracle.by_name());
-  by_id.set_input_provider_raw(&SignalOracle::raw, &oracle);
-  RuleEnv env_name(prog), env_id(prog), env_vm(prog);
+  Interpreter interp(prog);
+  interp.set_input_provider(&SignalOracle::raw, &oracle);
+  RuleEnv env_interp(prog), env_vm(prog), env_table(prog);
   Vm vm(compile_bytecode(prog), env_vm);
-  vm.set_input_provider_raw(&SignalOracle::raw, &oracle);
+  vm.set_input_provider(&SignalOracle::raw, &oracle);
+  // The tables fire through their own interpreter, as in Table mode.
+  Interpreter table_interp(prog);
+  table_interp.set_input_provider(&SignalOracle::raw, &oracle);
+  const std::vector<CompiledRuleBase> tables =
+      compile_program(prog, table_interp);
 
   Rng rng(seed ^ 0x5eedULL);
   int errors = 0;
@@ -687,25 +684,40 @@ int fire_three_ways(const Program& prog, std::uint64_t seed, int iters) {
     const std::string where = rb.name + " iteration " + std::to_string(iter);
 
     oracle.next_firing();
-    const Firing a = attempt([&] { return by_name.fire(env_name, rb, args); });
-    const Firing b = attempt([&] { return by_id.fire(env_id, rb, args); });
+    const Firing a = attempt([&] { return interp.fire(env_interp, rb, args); });
     const Firing c =
         attempt([&] { return vm.fire(static_cast<int>(rb_ix), args); });
-    expect_same_firing(a, b, /*exact_contract=*/true, where + " (by id)");
-    expect_same_firing(a, c, /*exact_contract=*/false, where + " (vm)");
+    expect_same_firing(a, c, where + " (vm)");
+    const int bad_before = oracle.bad_reads();
+    const Firing t = attempt(
+        [&] { return tables[rb_ix].fire(table_interp, env_table, args); });
+    if (!a.error.empty()) {
+      // The table evaluates every premise axis before it selects a rule,
+      // so it may meet a different bad signal first: it must fail, but
+      // possibly with another message.
+      EXPECT_FALSE(t.error.empty()) << where << " (table)";
+    } else if (oracle.bad_reads() > bad_before) {
+      // A bad signal behind a premise the interpreter short-circuited:
+      // the table must reject it; resync its registers to go on.
+      EXPECT_NE(t.error.find("host returned value outside domain"),
+                std::string::npos)
+          << where << " (table): " << t.error;
+      env_table = env_interp;
+    } else {
+      expect_same_firing(a, t, where + " (table)");
+    }
     if (::testing::Test::HasFatalFailure()) return errors;
     if (!a.error.empty()) {
       ++errors;
-      env_name.reset();
-      env_id.reset();
+      env_interp.reset();
       env_vm.reset();
+      env_table.reset();
       continue;
     }
-    EXPECT_TRUE(env_name == env_id) << where;
-    EXPECT_TRUE(env_name == env_vm) << where;
+    EXPECT_TRUE(env_interp == env_vm) << where;
+    EXPECT_TRUE(env_interp == env_table) << where;
   }
-  EXPECT_EQ(by_name.total_fires(), by_id.total_fires());
-  EXPECT_EQ(by_name.total_fires(), vm.total_fires());
+  EXPECT_EQ(interp.total_fires(), vm.total_fires());
   return errors;
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "hwcost/evaluation.hpp"
+#include "named_inputs.hpp"
 #include "routing/cdg.hpp"
 #include "routing/dor.hpp"
 #include "routing/nara.hpp"
@@ -17,6 +18,8 @@
 
 namespace flexrouter {
 namespace {
+
+using testutil::NamedInputs;
 
 std::set<std::pair<PortId, VcId>> candidate_set(const RouteDecision& d) {
   std::set<std::pair<PortId, VcId>> out;
@@ -380,9 +383,8 @@ TEST(Corpus, NaftaRuleBasesExecute) {
   std::map<std::string, std::int64_t> ints{
       {"xpos", 1}, {"ypos", 1}, {"xdes", 3}, {"ydes", 3}, {"sel_vc", 1},
       {"msg_len", 10}, {"changed", 1}, {"misrouted_in", 0}, {"plen_over", 0}};
-  em.set_input_provider([&](const std::string& name,
-                            const std::vector<rules::Value>& idx) {
-    (void)idx;
+  NamedInputs inputs(p, [&](const std::string& name,
+                            const std::vector<rules::Value>&) {
     if (name == "outchan") return rules::Value::make_int(1);
     if (name == "link_fault" || name == "deadend")
       return rules::Value::make_int(0);
@@ -395,6 +397,7 @@ TEST(Corpus, NaftaRuleBasesExecute) {
     if (name == "except_dir") return rules::Value::make_int(0);
     return rules::Value::make_int(ints.at(name));
   });
+  inputs.install(em);
   // Fault-free north-east decision: east wins (first applicable rule).
   const auto r = em.fire("incoming_message", {});
   ASSERT_TRUE(r.returned.has_value());
@@ -456,11 +459,12 @@ TEST(Corpus, RouteCUpdateStatePropagates) {
   const auto p = rules::parse_program(rulebases::route_c_program_source(4, 2));
   rules::EventManager em(p);
   const rules::SymId sunsafe = p.syms.lookup("sunsafe");
-  em.set_input_provider(
-      [&](const std::string& name, const std::vector<rules::Value>&) {
+  NamedInputs inputs(
+      p, [&](const std::string& name, const std::vector<rules::Value>&) {
         FR_REQUIRE(name == "new_state");
         return rules::Value::make_sym(sunsafe);
       });
+  inputs.install(em);
   em.env().set("number_unsafe", 0, rules::Value::make_int(2));
   const auto r = em.fire("update_state", {rules::Value::make_int(1)});
   EXPECT_TRUE(r.applied());
@@ -472,6 +476,62 @@ TEST(Corpus, RouteCUpdateStatePropagates) {
   });
   em.drain();
   EXPECT_EQ(sends, 4);
+}
+
+/// ROUTE_C's new_state(dir) input, served by id from one node's mailbox:
+/// the last state received from each neighbour.
+struct NewStateMailbox {
+  std::int32_t input_id;
+  std::vector<rules::Value> from;
+
+  NewStateMailbox(const rules::Program& p, rules::Value init)
+      : input_id(static_cast<std::int32_t>(p.find_input("new_state") -
+                                           p.inputs.data())),
+        from(p.inputs[static_cast<std::size_t>(input_id)]
+                 .index_domains[0]
+                 .cardinality(),
+             init) {}
+
+  static rules::Value provide(void* self, std::int32_t id,
+                              const rules::Value* idx, std::size_t) {
+    const auto* box = static_cast<const NewStateMailbox*>(self);
+    FR_REQUIRE(id == box->input_id);
+    return box->from[static_cast<std::size_t>(idx[0].as_int())];
+  }
+};
+
+TEST(Corpus, RouteCUpdateStateFiresAlikeInEveryMode) {
+  // One id-keyed provider, installed once, serves every engine of the
+  // event manager: the interpreter (Interpret and Table mode) and the VM.
+  const auto p = rules::parse_program(rulebases::route_c_program_source(4, 2));
+  NewStateMailbox box(p, rules::Value::make_sym(p.syms.lookup("safe")));
+  box.from[1] = rules::Value::make_sym(p.syms.lookup("sunsafe"));
+
+  const rules::ExecMode modes[] = {rules::ExecMode::Interpret,
+                                   rules::ExecMode::Table,
+                                   rules::ExecMode::Vm};
+  std::vector<std::unique_ptr<rules::EventManager>> ems;
+  std::vector<rules::FireResult> results;
+  std::vector<int> sends(std::size(modes), 0);
+  for (std::size_t i = 0; i < std::size(modes); ++i) {
+    auto em = std::make_unique<rules::EventManager>(p, modes[i]);
+    em->set_input_provider(&NewStateMailbox::provide, &box);
+    em->env().set("number_unsafe", 0, rules::Value::make_int(2));
+    results.push_back(em->fire("update_state", {rules::Value::make_int(1)}));
+    em->set_host_handler([count = &sends[i]](const rules::EmittedEvent& ev) {
+      if (ev.name == "send_newmessage") ++*count;
+    });
+    em->drain();
+    ems.push_back(std::move(em));
+  }
+  EXPECT_TRUE(results[0].applied());
+  EXPECT_EQ(p.syms.name(ems[0]->env().get("state").as_sym()), "ounsafe");
+  EXPECT_EQ(sends[0], 4);
+  for (std::size_t i = 1; i < ems.size(); ++i) {
+    EXPECT_EQ(results[i].rule_index, results[0].rule_index) << "mode " << i;
+    EXPECT_TRUE(ems[i]->env() == ems[0]->env()) << "mode " << i;
+    EXPECT_EQ(sends[i], sends[0]) << "mode " << i;
+  }
 }
 
 // --------------------------- distributed Figure 4 at network scale
@@ -490,19 +550,14 @@ TEST(Corpus, DistributedStatePropagationOverHypercube) {
   // Per-node machines plus a per-node mailbox holding the last state
   // received from each neighbour (the new_state input).
   std::vector<std::unique_ptr<rules::EventManager>> machines;
-  std::vector<std::vector<rules::Value>> mailbox(
+  std::vector<NewStateMailbox> mailbox(
       static_cast<std::size_t>(cube.num_nodes()),
-      std::vector<rules::Value>(kDim, rules::Value::make_sym(safe)));
+      NewStateMailbox(p, rules::Value::make_sym(safe)));
   std::int64_t messages_sent = 0;
   for (NodeId n = 0; n < cube.num_nodes(); ++n) {
     auto em = std::make_unique<rules::EventManager>(p, rules::ExecMode::Table);
-    em->set_input_provider(
-        [&mailbox, n](const std::string& name,
-                      const std::vector<rules::Value>& idx) {
-          FR_REQUIRE(name == "new_state");
-          return mailbox[static_cast<std::size_t>(n)]
-                        [static_cast<std::size_t>(idx[0].as_int())];
-        });
+    em->set_input_provider(&NewStateMailbox::provide,
+                           &mailbox[static_cast<std::size_t>(n)]);
     machines.push_back(std::move(em));
   }
   // Cross-node event transport: a send_newmessage(i, st) emitted at node n
@@ -510,7 +565,8 @@ TEST(Corpus, DistributedStatePropagationOverHypercube) {
   auto deliver = [&](NodeId from, PortId port, rules::Value st) {
     const NodeId to = cube.neighbor(from, port);
     const PortId back = cube.reverse_port(from, port);
-    mailbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(back)] = st;
+    mailbox[static_cast<std::size_t>(to)].from[static_cast<std::size_t>(back)] =
+        st;
     machines[static_cast<std::size_t>(to)]->post(
         "update_state", {rules::Value::make_int(back)});
     ++messages_sent;
@@ -563,6 +619,48 @@ TEST(Corpus, DistributedStatePropagationOverHypercube) {
   auto& m7 = *machines[7];
   EXPECT_EQ(m7.env().get("number_faulty").as_int(), 1);
   EXPECT_EQ(p.syms.name(m7.env().get("neighb_state", 2).as_sym()), "faulty");
+}
+
+TEST(RuleDrivenNet, CatalogMissFailsAlikeInEveryMode) {
+  // escape_ok is served only on hosts with an escape VC: without one the
+  // program reads an input outside the host catalog. Every mode must throw
+  // the same error, and it must name the input.
+  const std::string source =
+      "PROGRAM miss;\n"
+      "CONSTANT deg = 4\n"
+      "INPUT escape_ok IN 0 TO 1\n"
+      "ON route\n"
+      "  IF escape_ok = 1 THEN !cand(deg, 0, 0);\n"
+      "  IF escape_ok = 0 THEN !cand(deg, 1, 0);\n"
+      "END route;\n";
+  Mesh m = Mesh::two_d(4, 4);
+  FaultSet f(m);
+  RouteContext ctx;
+  ctx.node = m.at(1, 1);
+  ctx.dest = m.at(2, 3);
+  ctx.src = ctx.node;
+  ctx.in_port = m.degree();
+  ctx.in_vc = 0;
+  std::vector<std::string> errors;
+  for (const rules::ExecMode mode :
+       {rules::ExecMode::Interpret, rules::ExecMode::Table,
+        rules::ExecMode::Vm, rules::ExecMode::Aot}) {
+    RuleDrivenRouting r(source, 2, mode, "route", /*escape_vc=*/-1);
+    r.attach(m, f);
+    try {
+      r.route(ctx);
+      ADD_FAILURE() << "mode " << static_cast<int>(mode) << " routed";
+    } catch (const ContractViolation& e) {
+      errors.emplace_back(e.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_NE(errors[0].find(
+                "rule program input 'escape_ok' is not in the host catalog"),
+            std::string::npos)
+      << errors[0];
+  for (std::size_t i = 1; i < errors.size(); ++i)
+    EXPECT_EQ(errors[i], errors[0]) << "mode " << i;
 }
 
 TEST(Corpus, CombinedBlowupFormula) {

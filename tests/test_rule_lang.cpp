@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "named_inputs.hpp"
 #include "ruleengine/event_manager.hpp"
 #include "ruleengine/hwcost.hpp"
 #include "ruleengine/lexer.hpp"
@@ -11,6 +12,8 @@
 
 namespace flexrouter::rules {
 namespace {
+
+using testutil::NamedInputs;
 
 // --------------------------------------------------------------------- lexer
 TEST(Lexer, TokenisesOperatorsAndKeywords) {
@@ -162,10 +165,11 @@ TEST(Interp, SelectsFirstApplicableRule) {
   RuleEnv env(p);
   std::map<std::string, std::int64_t> sig{
       {"xpos", 1}, {"ypos", 2}, {"xdes", 3}, {"ydes", 2}};
-  interp.set_input_provider(
-      [&](const std::string& name, const std::vector<Value>&) {
-        return Value::make_int(sig.at(name));
-      });
+  NamedInputs inputs(p, [&](const std::string& name,
+                            const std::vector<Value>&) {
+    return Value::make_int(sig.at(name));
+  });
+  inputs.install(interp);
   const FireResult r = interp.fire(env, "route", {});
   EXPECT_EQ(r.rule_index, 0);
   ASSERT_TRUE(r.returned.has_value());
@@ -279,11 +283,12 @@ TEST(Interp, QuantifierOverSetValuedExpression) {
       "    AND i >= 0 THEN RETURN(0);\n"
       "END least");
   Interpreter interp(p);
-  interp.set_input_provider(
-      [](const std::string&, const std::vector<Value>& idx) {
-        static const int loads[] = {5, 2, 7, 2};
-        return Value::make_int(loads[idx[0].as_int()]);
-      });
+  NamedInputs inputs(p, [](const std::string&,
+                           const std::vector<Value>& idx) {
+    static const int loads[] = {5, 2, 7, 2};
+    return Value::make_int(loads[idx[0].as_int()]);
+  });
+  inputs.install(interp);
   RuleEnv env(p);
   const FireResult r = interp.fire(env, "least", {});
   EXPECT_TRUE(r.applied());
@@ -368,10 +373,11 @@ TEST(Interp, BoundNamesShadowInputsAndVariables) {
   Interpreter interp(p);
   RuleEnv env(p);
   int reads = 0;
-  interp.set_input_provider([&](const std::string&, const std::vector<Value>&) {
+  NamedInputs inputs(p, [&](const std::string&, const std::vector<Value>&) {
     ++reads;
     return Value::make_int(0);
   });
+  inputs.install(interp);
   // Parameter `load` shadows the input; the register `count` is read
   // outside the quantifier and shadowed inside it.
   FireResult r = interp.fire(env, "probe", {Value::make_int(2)});
@@ -390,19 +396,21 @@ TEST(Interp, BoundNamesShadowInputsAndVariables) {
 }
 
 TEST(Interp, EvalExprOnForeignExprResolvesByName) {
-  // Exprs the program does not own take the by-name path, so a temporary
-  // built after construction evaluates like any program expression.
+  // Exprs the program does not own are resolved by name to the input id
+  // the provider receives, so a temporary built after construction
+  // evaluates like any program expression.
   const Program p = parse_program(
       "VARIABLE count IN 0 TO 7 INIT 3\n"
       "INPUT load(0 TO 3) IN 0 TO 9\n"
       "ON go IF load(1) = 4 THEN count <- 1; END go");
   Interpreter interp(p);
   RuleEnv env(p);
-  interp.set_input_provider(
-      [](const std::string& name, const std::vector<Value>& idx) {
-        EXPECT_EQ(name, "load");
-        return Value::make_int(idx[0].as_int() + 3);
-      });
+  NamedInputs inputs(p, [](const std::string& name,
+                           const std::vector<Value>& idx) {
+    EXPECT_EQ(name, "load");
+    return Value::make_int(idx[0].as_int() + 3);
+  });
+  inputs.install(interp);
   interp.fire(env, "go", {});  // resolves the program's own Refs
   EXPECT_EQ(env.get("count").as_int(), 1);
   const ExprPtr sum = Expr::make_binary(
@@ -455,10 +463,10 @@ TEST(Figure4, ParsesAndFiresFirstRule) {
   Interpreter interp(p);
   RuleEnv env(p);
   SymId faulty = p.syms.lookup("faulty");
-  interp.set_input_provider(
-      [&](const std::string&, const std::vector<Value>&) {
-        return Value::make_sym(faulty);
-      });
+  NamedInputs inputs(p, [&](const std::string&, const std::vector<Value>&) {
+    return Value::make_sym(faulty);
+  });
+  inputs.install(interp);
   const FireResult r = interp.fire(env, "update_state", {Value::make_int(2)});
   EXPECT_EQ(r.rule_index, 0);
   EXPECT_EQ(env.get("number_faulty").as_int(), 1);
@@ -472,10 +480,10 @@ TEST(Figure4, SecondRulePropagatesToAllNeighbors) {
   RuleEnv env(p);
   env.set("number_unsafe", 0, Value::make_int(2));
   SymId sunsafe = p.syms.lookup("sunsafe");
-  interp.set_input_provider(
-      [&](const std::string&, const std::vector<Value>&) {
-        return Value::make_sym(sunsafe);
-      });
+  NamedInputs inputs(p, [&](const std::string&, const std::vector<Value>&) {
+    return Value::make_sym(sunsafe);
+  });
+  inputs.install(interp);
   const FireResult r = interp.fire(env, "update_state", {Value::make_int(0)});
   EXPECT_EQ(r.rule_index, 1);
   EXPECT_EQ(p.syms.name(env.get("state").as_sym()), "ounsafe");
@@ -514,11 +522,12 @@ TEST(Compiler, TableAgreesWithInterpreterOnAllStates) {
         for (const Value& st : fault_states) {
           EventManager direct(p, ExecMode::Interpret);
           EventManager table(p, ExecMode::Table);
+          NamedInputs inputs(
+              p, [&](const std::string&, const std::vector<Value>&) {
+                return new_state;
+              });
           for (EventManager* em : {&direct, &table}) {
-            em->set_input_provider(
-                [&](const std::string&, const std::vector<Value>&) {
-                  return new_state;
-                });
+            inputs.install(*em);
             em->env().set("number_faulty", 0, Value::make_int(nf));
             em->env().set("number_unsafe", 0, Value::make_int(nu));
             em->env().set("state", 0, st);
@@ -624,12 +633,12 @@ TEST(Compiler, RandomisedDifferentialAgainstInterpreter) {
   EventManager direct(p, ExecMode::Interpret);
   EventManager table(p, ExecMode::Table);
   int sensor_vals[4] = {0, 0, 0, 0};
-  const InputFn inputs = [&](const std::string&,
-                             const std::vector<Value>& idx) {
+  NamedInputs inputs(p, [&](const std::string&,
+                            const std::vector<Value>& idx) {
     return Value::make_int(sensor_vals[idx[0].as_int()]);
-  };
-  direct.set_input_provider(inputs);
-  table.set_input_provider(inputs);
+  });
+  inputs.install(direct);
+  inputs.install(table);
   for (int iter = 0; iter < 2000; ++iter) {
     for (int& s : sensor_vals) s = static_cast<int>(rng.next_below(8));
     const auto d = static_cast<std::int64_t>(rng.next_below(4));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "named_inputs.hpp"
 #include "routing/rule_driven.hpp"
 #include "topology/hypercube.hpp"
 #include "rulebases/corpus.hpp"
@@ -27,7 +28,6 @@ namespace {
 using rules::EventManager;
 using rules::ExecMode;
 using rules::FireResult;
-using rules::InputFn;
 using rules::Program;
 using rules::Value;
 
@@ -66,8 +66,8 @@ TEST_P(VmCorpusDiff, VmMatchesInterpreterOnRandomInputs) {
     for (const Value& v : idx) k += "/" + v.to_string(prog.syms);
     return k;
   };
-  const InputFn inputs = [&](const std::string& name,
-                             const std::vector<Value>& idx) {
+  testutil::NamedInputs inputs(prog, [&](const std::string& name,
+                                         const std::vector<Value>& idx) {
     const std::string k = key(name, idx);
     const auto it = memo.find(k);
     if (it != memo.end()) return it->second;
@@ -77,9 +77,9 @@ TEST_P(VmCorpusDiff, VmMatchesInterpreterOnRandomInputs) {
         decl->domain.value_at(rng.next_below(decl->domain.cardinality()));
     memo.emplace(k, v);
     return v;
-  };
-  direct.set_input_provider(inputs);
-  vm.set_input_provider(inputs);
+  });
+  inputs.install(direct);
+  inputs.install(vm);
 
   for (int iter = 0; iter < 600; ++iter) {
     memo.clear();
