@@ -3,7 +3,9 @@
 #include <exception>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
@@ -38,15 +40,30 @@ std::unique_ptr<Topology> topology_of(const rules::Program& prog) {
   return nullptr;
 }
 
+/// The shipped corpus: the runnable decision programs at the sizes the
+/// differential tests use, the accounting corpora on closure-friendly 4x4
+/// meshes / 3-cubes.
+std::vector<std::string> corpus_sources() {
+  return {
+      rulebases::nara_route_source(8, 8),
+      rulebases::ecube_route_source(3),
+      rulebases::ft_mesh_route_source(4, 4),
+      rulebases::nafta_program_source(4, 4),
+      rulebases::nara_program_source(4, 4),
+      rulebases::route_c_program_source(3, 2),
+      rulebases::route_c_nft_program_source(3, 2),
+  };
+}
+
 void certify_onto(AnalysisReport& report, const rules::Program& prog,
                   const DeadlockModel& model, const Topology& topo,
-                  const FaultSet& faults, const std::string& context) {
-  DeadlockCertificate cert = certify_deadlock(prog, model, topo, faults);
+                  const FaultPattern& pattern, const std::string& context) {
+  FaultSetCertificate cert = certify_fault_set(prog, model, topo, pattern);
   std::ostringstream os;
   os << "deadlock certificate";
   if (!context.empty()) os << " (" << context << ")";
-  os << ": " << (cert.report.acyclic ? "acyclic" : "CYCLIC") << ", "
-     << cert.report.num_channels << " channels, " << cert.report.num_edges
+  os << ": " << (cert.cdg.acyclic ? "acyclic" : "CYCLIC") << ", "
+     << cert.cdg.num_channels << " channels, " << cert.cdg.num_edges
      << " edges, " << cert.decisions << " decisions";
   if (!cert.modeled) os << ", partial model";
   report.info.push_back(os.str());
@@ -99,8 +116,7 @@ AnalysisReport lint_source(const std::string& source,
                     "deadlock certification skipped";
         report.findings.push_back(std::move(f));
       } else {
-        const FaultSet faults(*topo);
-        certify_onto(report, prog, *model, *topo, faults, "");
+        certify_onto(report, prog, *model, *topo, FaultPattern{}, "");
       }
     }
   }
@@ -109,19 +125,8 @@ AnalysisReport lint_source(const std::string& source,
 
 CorpusLintResult lint_corpus(const CorpusLintOptions& opts) {
   CorpusLintResult out;
-  // Runnable decision programs at the sizes the differential tests use;
-  // the accounting corpora on closure-friendly 4x4 meshes / 3-cubes.
-  out.reports.push_back(lint_source(rulebases::nara_route_source(8, 8), opts));
-  out.reports.push_back(lint_source(rulebases::ecube_route_source(3), opts));
-  out.reports.push_back(
-      lint_source(rulebases::ft_mesh_route_source(4, 4), opts));
-  out.reports.push_back(
-      lint_source(rulebases::nafta_program_source(4, 4), opts));
-  out.reports.push_back(lint_source(rulebases::nara_program_source(4, 4), opts));
-  out.reports.push_back(
-      lint_source(rulebases::route_c_program_source(3, 2), opts));
-  out.reports.push_back(
-      lint_source(rulebases::route_c_nft_program_source(3, 2), opts));
+  for (const std::string& src : corpus_sources())
+    out.reports.push_back(lint_source(src, opts));
   if (opts.deadlock) {
     // Faulted re-certification of the fault-tolerant mesh program: the
     // rebuilt escape layer must keep the dependency graph acyclic.
@@ -129,9 +134,9 @@ CorpusLintResult lint_corpus(const CorpusLintOptions& opts) {
         rules::parse_program(rulebases::ft_mesh_route_source(4, 4));
     if (const auto model = model_for(prog)) {
       const Mesh mesh = Mesh::two_d(4, 4);
-      FaultSet faults(mesh);
-      faults.fail_link(mesh.at(1, 1), /*port=*/0);
-      faults.fail_node(mesh.at(2, 2));
+      FaultPattern faults;
+      faults.links.push_back({mesh.at(1, 1), /*port=*/0});
+      faults.nodes.push_back(mesh.at(2, 2));
       AnalysisReport rep;
       rep.program = prog.name + " (faulted)";
       certify_onto(rep, prog, *model, mesh, faults, "1 link + 1 node fault");
@@ -254,17 +259,7 @@ std::optional<FaultCertReport> fault_cert_source(const std::string& source,
 
 FaultCertCorpusResult fault_cert_corpus(const FaultCertOptions& opts) {
   FaultCertCorpusResult out;
-  // The same programs and home test-scale topologies lint_corpus certifies.
-  const std::string sources[] = {
-      rulebases::nara_route_source(8, 8),
-      rulebases::ecube_route_source(3),
-      rulebases::ft_mesh_route_source(4, 4),
-      rulebases::nafta_program_source(4, 4),
-      rulebases::nara_program_source(4, 4),
-      rulebases::route_c_program_source(3, 2),
-      rulebases::route_c_nft_program_source(3, 2),
-  };
-  for (const std::string& src : sources)
+  for (const std::string& src : corpus_sources())
     if (auto rep = fault_cert_source(src, opts))
       out.reports.push_back(std::move(*rep));
   return out;

@@ -22,10 +22,11 @@ struct CorpusLintOptions {
 };
 
 /// Lint one rule program source: parse, validate, analyze and — when
-/// `model_for` knows the program — statically certify deadlock freedom on
-/// the topology the program's own constants describe (width/height for
-/// meshes, dim for hypercubes). Parse and validation failures are reported
-/// as error findings, not exceptions.
+/// `model_for` knows the program — certify it (certify_fault_set: deadlock
+/// freedom, connectivity and progress) on the healthy topology the
+/// program's own constants describe (width/height for meshes, dim for
+/// hypercubes). Parse and validation failures are reported as error
+/// findings, not exceptions.
 AnalysisReport lint_source(const std::string& source,
                            const CorpusLintOptions& opts = {});
 

@@ -3,149 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "ruleanalysis/decision_enum.hpp"
-#include "topology/mesh.hpp"
-
 namespace flexrouter::ruleanalysis {
-namespace {
-
-class Certifier {
- public:
-  Certifier(const rules::Program& prog, const DeadlockModel& model,
-            const Topology& topo, const FaultSet& faults)
-      : model_(model), topo_(topo), faults_(faults), enum_(prog, model, topo) {}
-
-  DeadlockCertificate run() {
-    if (!enum_.ok()) {
-      note(enum_.error());
-      return finish();
-    }
-    enum_.set_faults(faults_);
-
-    // Intern every usable channel up front so isolated channels still count.
-    for (NodeId n = 0; n < topo_.num_nodes(); ++n)
-      for (PortId p = 0; p < topo_.degree(); ++p)
-        if (faults_.link_usable(n, p))
-          for (const VcId vc : enum_.included_vcs()) graph_.channel_id({n, p, vc});
-
-    // Seed the closure with every injectable header, then follow rule
-    // decisions hop by hop. States are (occupied channel, destination).
-    const Mesh* mesh = enum_.mesh();
-    for (NodeId s = 0; s < topo_.num_nodes(); ++s) {
-      if (faults_.node_faulty(s)) continue;
-      for (NodeId d = 0; d < topo_.num_nodes(); ++d) {
-        if (d == s || faults_.node_faulty(d)) continue;
-        if (!enum_.connected_now(s, d)) continue;
-        switch (model_.injection) {
-          case InjectionVcs::Zero:
-            expand(-1, s, d, topo_.degree(), 0);
-            break;
-          case InjectionVcs::All:
-            for (const VcId vc : enum_.included_vcs())
-              expand(-1, s, d, topo_.degree(), vc);
-            break;
-          case InjectionVcs::BySignDy: {
-            const int dy = mesh->y_of(d) - mesh->y_of(s);
-            if (dy >= 0) expand(-1, s, d, topo_.degree(), 1);
-            if (dy <= 0) expand(-1, s, d, topo_.degree(), 0);
-            break;
-          }
-        }
-      }
-    }
-    while (!frontier_.empty()) {
-      const auto [cid, dest] = frontier_.back();
-      frontier_.pop_back();
-      const Channel& c = graph_.channel(cid);
-      const NodeId m = topo_.neighbor(c.node, c.port);
-      if (m == dest) continue;  // consumed at the destination
-      expand(cid, m, dest, topo_.reverse_port(c.node, c.port), c.vc);
-    }
-
-    cert_.report = graph_.check();
-    cert_.decisions = enum_.evaluated();
-    return finish();
-  }
-
- private:
-  void expand(int from, NodeId node, NodeId dest, PortId in_port, VcId in_vc) {
-    for (const auto& [p, vc] : enum_.decide(node, dest, in_port, in_vc).cands) {
-      if (!faults_.link_usable(node, p)) continue;  // arbiter masks dead links
-      const int to = graph_.channel_id({node, p, vc});
-      if (from >= 0) graph_.add_edge(from, to);
-      if (seen_.insert({to, dest}).second) frontier_.push_back({to, dest});
-    }
-  }
-
-  void note(const std::string& msg) {
-    if (extra_notes_.insert(msg).second) cert_.modeled = false;
-  }
-
-  DeadlockCertificate finish() {
-    if (!cert_.report.acyclic) {
-      Finding f;
-      f.cls = DiagClass::DeadlockCycle;
-      f.severity = Severity::Error;
-      f.rule_base = model_.route_base;
-      std::ostringstream msg;
-      msg << "static channel-dependency graph has a cycle ("
-          << cert_.report.num_channels << " channels, "
-          << cert_.report.num_edges << " edges)";
-      f.message = msg.str();
-      f.witness = format_cycle_witness(cert_.report.cycle, faults_);
-      cert_.findings.push_back(std::move(f));
-    }
-    if (!enum_.excluded_classes().empty()) {
-      Finding f;
-      f.cls = DiagClass::DeadlockUnmodeled;
-      f.severity = Severity::Note;
-      f.rule_base = model_.route_base;
-      std::ostringstream msg;
-      msg << "command classes {";
-      bool first = true;
-      for (const std::int64_t c : enum_.excluded_classes()) {
-        if (!first) msg << ", ";
-        msg << c;
-        first = false;
-      }
-      msg << "} are outside the certificate (no VC mapping)";
-      f.message = msg.str();
-      cert_.findings.push_back(std::move(f));
-    }
-    std::set<std::string> notes = extra_notes_;
-    notes.insert(enum_.unmodeled().begin(), enum_.unmodeled().end());
-    for (const std::string& m : notes) {
-      Finding f;
-      f.cls = DiagClass::DeadlockUnmodeled;
-      f.severity = Severity::Note;
-      f.rule_base = model_.route_base;
-      f.message = m;
-      cert_.findings.push_back(std::move(f));
-    }
-    if (!enum_.modeled()) cert_.modeled = false;
-    return std::move(cert_);
-  }
-
-  const DeadlockModel& model_;
-  const Topology& topo_;
-  const FaultSet& faults_;
-  DecisionEnumerator enum_;
-
-  ChannelDepGraph graph_;
-  std::set<std::pair<int, NodeId>> seen_;
-  std::vector<std::pair<int, NodeId>> frontier_;
-
-  std::set<std::string> extra_notes_;
-  DeadlockCertificate cert_;
-};
-
-}  // namespace
 
 std::string describe_faults(const FaultSet& faults) {
   if (faults.fault_free()) return "no faults";
@@ -230,13 +92,6 @@ std::optional<DeadlockModel> model_for(const rules::Program& prog) {
     return m;
   }
   return std::nullopt;
-}
-
-DeadlockCertificate certify_deadlock(const rules::Program& prog,
-                                     const DeadlockModel& model,
-                                     const Topology& topo,
-                                     const FaultSet& faults) {
-  return Certifier(prog, model, topo, faults).run();
 }
 
 }  // namespace flexrouter::ruleanalysis

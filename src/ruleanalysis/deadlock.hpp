@@ -1,20 +1,16 @@
-// Static deadlock certification of rule programs (rulelint).
+// The static certifier's input model for rule programs (rulelint).
 //
-// Reconstructs, from the rules alone, the channel-dependency graph a
-// routing program induces on its topology. The routing conclusions —
-// !cand(port, vc, prio) events, RETURN <port> values or ROUTE_C
-// !dirset(mask, class) events — are enumerated under an abstract input
-// model: inputs the host catalog of RuleDrivenRouting computes (node
-// coordinates, link health, the escape-layer signals) are evaluated
-// concretely per (node, dest, in_port, in_vc) decision header, every other
-// input is left free and enumerated over its declared domain. A rule MAY
-// fire when its premise holds under some assignment of its free inputs and
-// MUST fire when it holds under all of them; the channels requested by
-// every may-firing rule up to and including the first must-firing one are
-// collected, so the dependency relation is an over-approximation: a cycle
-// is never missed, the certificate can only err towards reporting one.
-// Edges feed the same ChannelDepGraph used by check_cdg on the live
-// algorithms, so static and dynamic verdicts are directly comparable.
+// The routing conclusions of a program — !cand(port, vc, prio) events,
+// RETURN <port> values or ROUTE_C !dirset(mask, class) events — are
+// enumerated under an abstract input model (decision_enum.hpp): inputs the
+// host catalog of RuleDrivenRouting computes (node coordinates, link
+// health, the escape-layer signals) are evaluated concretely per (node,
+// dest, in_port, in_vc) decision header, every other input is left free and
+// enumerated over its declared domain. A DeadlockModel says, per corpus
+// program, which rule base routes, how its conclusions map to channels and
+// which VCs the certificate covers; the fault certifier (fault_cert.hpp)
+// builds the channel-dependency graph from it, both for one fault set
+// (plain rulelint) and for every bounded fault set (rulelint --faults).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +21,6 @@
 #include <vector>
 
 #include "routing/cdg.hpp"
-#include "ruleanalysis/diagnostics.hpp"
 #include "ruleengine/ast.hpp"
 #include "topology/fault_model.hpp"
 #include "topology/topology.hpp"
@@ -74,19 +69,6 @@ struct DeadlockModel {
   std::string ft_route_base;
 };
 
-/// The certifier's verdict. `report.acyclic` is the deadlock-freedom
-/// claim; it is trustworthy as a proof only when `modeled` (no construct
-/// fell outside the input model and no free-input space was truncated).
-struct DeadlockCertificate {
-  CdgReport report;
-  std::vector<Finding> findings;
-  /// False when part of the program escaped the abstraction (findings
-  /// carry deadlock-unmodeled notes saying what).
-  bool modeled = true;
-  /// Distinct (node, dest, in_port, in_vc) decision headers evaluated.
-  std::uint64_t decisions = 0;
-};
-
 /// Witness channels printed per dependency cycle before eliding the rest
 /// as "+M more" (large faulted CDGs can otherwise dump unbounded lists).
 inline constexpr std::size_t kMaxWitnessChannels = 16;
@@ -103,13 +85,5 @@ std::string format_cycle_witness(const std::vector<Channel>& cycle,
 /// The built-in model for a corpus program, keyed by PROGRAM name;
 /// nullopt when the program has no routing rule base to certify.
 std::optional<DeadlockModel> model_for(const rules::Program& prog);
-
-/// Build and check the static channel-dependency graph of `prog` on
-/// `topo` with the given fault state. The program must have passed
-/// validation.
-DeadlockCertificate certify_deadlock(const rules::Program& prog,
-                                     const DeadlockModel& model,
-                                     const Topology& topo,
-                                     const FaultSet& faults);
 
 }  // namespace flexrouter::ruleanalysis

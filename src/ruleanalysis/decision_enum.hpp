@@ -1,6 +1,6 @@
 // May/must decision enumeration of rule programs under an abstract input
-// model — the engine shared by the static deadlock certifier (deadlock.cpp)
-// and the k-fault certification engine (fault_cert.cpp).
+// model — the engine behind the static certifier (fault_cert.cpp), for one
+// fault set and for every bounded fault set alike.
 //
 // A decision header (node, dest, in_port, in_vc) fixes the catalog inputs
 // the host computes (coordinates, link health, escape-layer signals); every
@@ -9,7 +9,8 @@
 // collected, so the candidate relation over-approximates the live router:
 // a dependency edge is never missed.
 //
-// Three additions over the PR 4 certifier make fault sweeps tractable:
+// Three additions over a plain may/must enumeration make fault sweeps
+// tractable:
 //  * every fault-sensitive catalog read (link_ok, link_fault,
 //    dest_reachable, escape_ok, escape_port) is recorded with its observed
 //    value, so a healthy baseline decision can be revalidated under a new

@@ -363,13 +363,6 @@ std::vector<Orbit> reduce_regime(const Topology& topo,
 
 // ---- per-fault-set certification -----------------------------------------
 
-struct MemberResult {
-  bool deadlock_failed = false;
-  bool conn_failed = false;
-  bool progress_failed = false;
-  std::vector<Finding> findings;
-};
-
 struct OrbitOutcome {
   bool deadlock_failed = false;
   bool conn_failed = false;
@@ -382,6 +375,15 @@ struct OrbitOutcome {
   std::vector<Finding> findings;
   std::vector<FaultPattern> failing;  // members with error-level findings
 };
+
+Finding unmodeled_note(const std::string& rule_base, std::string message) {
+  Finding f;
+  f.cls = DiagClass::DeadlockUnmodeled;
+  f.severity = Severity::Note;
+  f.rule_base = rule_base;
+  f.message = std::move(message);
+  return f;
+}
 
 std::string state_str(const Channel& c, NodeId dest) {
   std::ostringstream os;
@@ -426,16 +428,16 @@ std::vector<int> find_state_cycle(const std::vector<std::vector<int>>& adj) {
 
 class MemberCertifier {
  public:
-  MemberCertifier(DecisionEnumerator& en, const FaultCertOptions& opts,
-                  int claim)
-      : en_(en), opts_(opts), claim_(claim), topo_(en.topo()) {}
+  MemberCertifier(DecisionEnumerator& en, const FaultCertOptions& opts)
+      : en_(en), opts_(opts), topo_(en.topo()) {}
 
   DecisionEnumerator& enumerator() { return en_; }
 
-  MemberResult run(const FaultPattern& pat) {
+  FaultSetCertificate run(const FaultPattern& pat) {
     pat_ = &pat;
     const FaultSet fs = pat.to_fault_set(topo_);
     en_.set_faults(fs);
+    const std::uint64_t ev0 = en_.evaluated();
     graph_ = ChannelDepGraph{};
     for (const auto& [cid, dest] : states_)  // reset only what was used
       state_ix_[slot(cid, dest)] = -1;
@@ -444,7 +446,15 @@ class MemberCertifier {
     frontier_.clear();
     witnesses_.clear();
     suppressed_ = 0;
-    res_ = MemberResult{};
+    res_ = FaultSetCertificate{};
+
+    // Intern every usable channel up front, as check_cdg does, so isolated
+    // channels still count.
+    for (NodeId n = 0; n < topo_.num_nodes(); ++n)
+      for (PortId p = 0; p < topo_.degree(); ++p)
+        if (fs.link_usable(n, p))
+          for (const VcId vc : en_.included_vcs())
+            graph_.channel_id({n, p, vc});
 
     seed_all(fs);
     while (!frontier_.empty()) {
@@ -454,9 +464,9 @@ class MemberCertifier {
     }
 
     finish_connectivity(fs);
-    const CdgReport cdg = graph_.check();
+    res_.cdg = graph_.check();
+    const CdgReport& cdg = res_.cdg;
     if (!cdg.acyclic) {
-      res_.deadlock_failed = true;
       Finding f;
       f.cls = DiagClass::DeadlockCycle;
       f.severity = Severity::Error;
@@ -470,7 +480,7 @@ class MemberCertifier {
     }
     const std::vector<int> cyc = find_state_cycle(adj_);
     if (!cyc.empty()) {
-      res_.progress_failed = true;
+      res_.progress = false;
       Finding f;
       f.cls = DiagClass::LivelockCycle;
       f.severity = Severity::Error;
@@ -494,6 +504,7 @@ class MemberCertifier {
       f.witness = wit.str();
       res_.findings.push_back(std::move(f));
     }
+    res_.decisions = en_.evaluated() - ev0;
     return std::move(res_);
   }
 
@@ -525,7 +536,7 @@ class MemberCertifier {
       witnesses_.push_back(describe());
     else
       ++suppressed_;
-    res_.conn_failed = true;
+    res_.connected = false;
   }
 
   /// Usable candidates of a decision under `fs`: the primary base, joined
@@ -615,7 +626,8 @@ class MemberCertifier {
     f.cls = DiagClass::Blackhole;
     // Inside the program's declared tolerance a broken route is a broken
     // promise; beyond it the program never claimed to survive.
-    f.severity = pat_->elements() <= static_cast<std::size_t>(claim_)
+    f.severity = pat_->elements() <=
+                         static_cast<std::size_t>(en_.model().fault_tolerance)
                      ? Severity::Error
                      : Severity::Note;
     f.rule_base = en_.model().route_base;
@@ -636,7 +648,6 @@ class MemberCertifier {
 
   DecisionEnumerator& en_;
   const FaultCertOptions& opts_;
-  const int claim_;
   const Topology& topo_;
   const FaultPattern* pat_ = nullptr;
 
@@ -650,7 +661,7 @@ class MemberCertifier {
   std::vector<Cand> usable_;  // expand() scratch
   std::vector<std::string> witnesses_;
   std::size_t suppressed_ = 0;
-  MemberResult res_;
+  FaultSetCertificate res_;
 };
 
 /// Does the representative's verdict transport to every orbit member?
@@ -680,13 +691,12 @@ bool transport_safe(const DecisionEnumerator& en, const FaultSet& fs) {
   return true;
 }
 
-void merge_member(OrbitOutcome& out, MemberResult&& mr,
+void merge_member(OrbitOutcome& out, FaultSetCertificate&& mr,
                   const FaultPattern& pat, std::size_t max_findings) {
-  out.deadlock_failed = out.deadlock_failed || mr.deadlock_failed;
-  out.conn_failed = out.conn_failed || mr.conn_failed;
-  out.progress_failed = out.progress_failed || mr.progress_failed;
-  if (mr.deadlock_failed || mr.conn_failed || mr.progress_failed)
-    out.clean = false;
+  out.deadlock_failed = out.deadlock_failed || !mr.cdg.acyclic;
+  out.conn_failed = out.conn_failed || !mr.connected;
+  out.progress_failed = out.progress_failed || !mr.progress;
+  if (!mr.cdg.acyclic || !mr.connected || !mr.progress) out.clean = false;
   bool has_error = false;
   for (Finding& f : mr.findings) {
     if (f.severity == Severity::Error) has_error = true;
@@ -791,6 +801,38 @@ std::string FaultCertReport::to_string() const {
   return os.str();
 }
 
+FaultSetCertificate certify_fault_set(const rules::Program& prog,
+                                      const DeadlockModel& model,
+                                      const Topology& topo,
+                                      const FaultPattern& pattern) {
+  DecisionEnumerator en(prog, model, topo);
+  FaultSetCertificate cert;
+  if (en.ok()) {
+    const FaultCertOptions opts;
+    cert = MemberCertifier(en, opts).run(pattern);
+  }
+
+  // Fold in what escaped the abstraction.
+  if (!en.excluded_classes().empty()) {
+    std::ostringstream msg;
+    msg << "command classes {";
+    bool first = true;
+    for (const std::int64_t c : en.excluded_classes()) {
+      if (!first) msg << ", ";
+      msg << c;
+      first = false;
+    }
+    msg << "} are outside the certificate (no VC mapping)";
+    cert.findings.push_back(unmodeled_note(model.route_base, msg.str()));
+  }
+  std::set<std::string> notes = en.unmodeled();
+  if (!en.ok()) notes.insert(en.error());
+  for (const std::string& m : notes)
+    cert.findings.push_back(unmodeled_note(model.route_base, m));
+  cert.modeled = en.ok() && en.modeled();
+  return cert;
+}
+
 FaultCertReport certify_faults(const rules::Program& prog,
                                const DeadlockModel& model,
                                const Topology& topo,
@@ -802,12 +844,7 @@ FaultCertReport certify_faults(const rules::Program& prog,
 
   DecisionEnumerator main_en(prog, model, topo);
   if (!main_en.ok()) {
-    Finding f;
-    f.cls = DiagClass::DeadlockUnmodeled;
-    f.severity = Severity::Note;
-    f.rule_base = model.route_base;
-    f.message = main_en.error();
-    rep.findings.push_back(std::move(f));
+    rep.findings.push_back(unmodeled_note(model.route_base, main_en.error()));
     return rep;
   }
 
@@ -821,8 +858,7 @@ FaultCertReport certify_faults(const rules::Program& prog,
     s.raw_sets = r.sets.size();
     rep.regimes.push_back(std::move(s));
   }
-  const int claim = model.fault_tolerance;
-  MemberCertifier main_cert(main_en, opts, claim);
+  MemberCertifier main_cert(main_en, opts);
   OrbitOutcome healthy = certify_orbit(
       main_cert, Orbit{FaultPattern{}, {FaultPattern{}}, 0}, opts);
 
@@ -879,7 +915,7 @@ FaultCertReport certify_faults(const rules::Program& prog,
       auto en = std::make_unique<DecisionEnumerator>(prog, model, topo);
       FR_REQUIRE(en->ok());
       en->share_baseline(&main_en);
-      certs.push_back(std::make_unique<MemberCertifier>(*en, opts, claim));
+      certs.push_back(std::make_unique<MemberCertifier>(*en, opts));
       wens.push_back(std::move(en));
     }
     std::vector<std::function<void()>> tasks;
@@ -935,25 +971,15 @@ FaultCertReport certify_faults(const rules::Program& prog,
     rep.findings.push_back(std::move(f));
   }
 
-  // Fold in what escaped the abstraction, as in certify_deadlock.
-  if (main_en.has_ft_base() && opts.max_faults > 0) {
-    Finding f;
-    f.cls = DiagClass::DeadlockUnmodeled;
-    f.severity = Severity::Note;
-    f.rule_base = model.route_base;
-    f.message = "fault-mode base '" + model.ft_route_base +
-                "' joins the connectivity check only; its candidates are "
-                "not followed by the closure";
-    rep.findings.push_back(std::move(f));
-  }
-  for (const std::string& m : main_en.unmodeled()) {
-    Finding f;
-    f.cls = DiagClass::DeadlockUnmodeled;
-    f.severity = Severity::Note;
-    f.rule_base = model.route_base;
-    f.message = m;
-    rep.findings.push_back(std::move(f));
-  }
+  // Fold in what escaped the abstraction. Unlike certify_fault_set, the
+  // excluded-classes note is left out (EXPERIMENTS.md X10c).
+  if (main_en.has_ft_base() && opts.max_faults > 0)
+    rep.findings.push_back(unmodeled_note(
+        model.route_base, "fault-mode base '" + model.ft_route_base +
+                              "' joins the connectivity check only; its "
+                              "candidates are not followed by the closure"));
+  for (const std::string& m : main_en.unmodeled())
+    rep.findings.push_back(unmodeled_note(model.route_base, m));
 
   rep.stats.baseline_decisions = main_en.baseline_size();
   for (const RegimeSummary& r : rep.regimes) {

@@ -34,7 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "routing/cdg.hpp"
 #include "ruleanalysis/deadlock.hpp"
+#include "ruleanalysis/diagnostics.hpp"
 #include "topology/fault_model.hpp"
 #include "topology/topology.hpp"
 
@@ -57,6 +59,27 @@ struct FaultPattern {
   std::string to_string() const;
   /// The pattern applied to a fresh fault set on `topo`.
   FaultSet to_fault_set(const Topology& topo) const;
+};
+
+/// The certificate of one fault set: the reachable header-state closure
+/// seeded from every injectable header, followed hop by hop, with the three
+/// properties checked on it. `cdg.acyclic` is the deadlock-freedom claim;
+/// it is trustworthy as a proof only when `modeled` (no construct fell
+/// outside the input model and no free-input space was truncated).
+struct FaultSetCertificate {
+  /// The channel-dependency graph over every usable channel on the
+  /// certified VCs (isolated channels count too).
+  CdgReport cdg;
+  /// No reachable state dead-ends and every arrival is delivered.
+  bool connected = true;
+  /// The per-destination decision relation is acyclic.
+  bool progress = true;
+  std::vector<Finding> findings;
+  /// False when part of the program escaped the abstraction (findings
+  /// carry deadlock-unmodeled notes saying what).
+  bool modeled = true;
+  /// Decision headers enumerated fresh, arrival states included.
+  std::uint64_t decisions = 0;
 };
 
 /// One row of the program x fault-regime verdict matrix.
@@ -140,6 +163,15 @@ struct FaultCertReport {
   bool clean(bool werror) const;
   std::string to_string() const;
 };
+
+/// Certify `prog` on `topo` under the one fault set `pattern` (plain
+/// rulelint certifies the healthy fabric this way). The program must have
+/// passed validation. Connectivity failures are errors when `pattern` lies
+/// inside the model's fault-tolerance claim, notes beyond it.
+FaultSetCertificate certify_fault_set(const rules::Program& prog,
+                                      const DeadlockModel& model,
+                                      const Topology& topo,
+                                      const FaultPattern& pattern);
 
 /// Certify `prog` on `topo` under every bounded fault set. The program
 /// must have passed validation; `model` declares its decision style and

@@ -90,7 +90,10 @@ class CompiledRuleBase {
   // --- execution ------------------------------------------------------------
   /// Fire through the table: evaluate axes, look up the conclusion, execute
   /// it. Semantically identical to Interpreter::fire on the source rule base
-  /// (the differential tests assert this).
+  /// (the differential tests assert this) as long as every host input is
+  /// inside its declared domain: every premise axis is evaluated before the
+  /// lookup, so an out-of-domain value behind a premise the interpreter
+  /// short-circuits throws here only.
   FireResult fire(Interpreter& interp, RuleEnv& env,
                   const std::vector<Value>& args) const;
 

@@ -3,15 +3,21 @@
 // Strategy: the shipped corpus must lint clean under --werror semantics;
 // then seeded mutants — one deliberate fault each, injected into a pristine
 // corpus source by exact string surgery — must each be caught with the
-// expected diagnostic class. The deadlock certifier is additionally checked
+// expected diagnostic class. The static certificate is additionally checked
 // for agreement with the dynamic channel-dependency checker (`check_cdg`)
-// on both the healthy programs and a cyclic mutant.
+// on every corpus program that has a live twin and on the cyclic mutants.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 
 #include "routing/cdg.hpp"
+#include "routing/dor.hpp"
 #include "routing/nafta.hpp"
+#include "routing/nara.hpp"
 #include "routing/route_c.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
@@ -69,14 +75,28 @@ TEST(RulelintCorpus, EveryShippedProgramIsCleanUnderWerror) {
 }
 
 TEST(RulelintCorpus, DeadlockCertificatesCoverEveryModeledProgram) {
+  // Exact verdict, channel, edge and decision figures per report. The
+  // decision count includes the arrival states the closure decides, so on
+  // the healthy fabric it equals the baseline pinned in
+  // FaultCertCorpus.OneFaultCertificatesArePinned.
+  const char* const want[] = {
+      "deadlock certificate: acyclic, 448 channels, 680 edges, 8416 decisions",
+      "deadlock certificate: acyclic, 24 channels, 24 edges, 88 decisions",
+      "deadlock certificate: acyclic, 144 channels, 120 edges, 672 decisions",
+      "deadlock certificate: acyclic, 96 channels, 120 edges, 560 decisions",
+      "deadlock certificate: acyclic, 96 channels, 120 edges, 560 decisions",
+      "deadlock certificate: acyclic, 48 channels, 36 edges, 112 decisions",
+      "deadlock certificate: acyclic, 48 channels, 36 edges, 112 decisions",
+      "deadlock certificate (1 link + 1 node fault): acyclic, 114 channels, "
+      "104 edges, 588 decisions",
+  };
   const auto result = ruleanalysis::lint_corpus();
-  for (const AnalysisReport& rep : result.reports) {
-    bool has_certificate = false;
-    for (const std::string& line : rep.info)
-      if (line.find("deadlock certificate") != std::string::npos &&
-          line.find("acyclic") != std::string::npos)
-        has_certificate = true;
-    EXPECT_TRUE(has_certificate) << rep.program << " has no certificate";
+  ASSERT_EQ(result.reports.size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    const AnalysisReport& rep = result.reports[i];
+    SCOPED_TRACE(rep.program);
+    ASSERT_FALSE(rep.info.empty());
+    EXPECT_EQ(rep.info.back(), want[i]);
   }
 }
 
@@ -113,7 +133,8 @@ TEST(RulelintMutants, UndeclaredNameIsInvalidProgram) {
   EXPECT_EQ(f->severity, Severity::Error);
 }
 
-// Mutant 3: dropped local-delivery rule -> completeness gap.
+// Mutant 3: dropped local-delivery rule -> completeness gap, and arrivals
+// the certificate's closure reaches are never consumed.
 TEST(RulelintMutants, DroppedDeliveryRuleIsIncomplete) {
   ASSERT_EQ(count_class(lint(rulebases::nara_route_source(4, 4)),
                         DiagClass::Incomplete),
@@ -127,6 +148,14 @@ TEST(RulelintMutants, DroppedDeliveryRuleIsIncomplete) {
   EXPECT_NE(f->witness.find("xpos"), std::string::npos);
   ASSERT_FALSE(rep.bases.empty());
   EXPECT_GT(rep.bases[0].gap_states, 0u);
+
+  const Finding* hole = find_class(rep, DiagClass::Blackhole);
+  ASSERT_NE(hole, nullptr);
+  EXPECT_EQ(hole->severity, Severity::Error);
+  EXPECT_NE(hole->witness.find("not consumed by any delivery rule"),
+            std::string::npos)
+      << hole->witness;
+  EXPECT_FALSE(rep.clean(/*werror=*/false));
 }
 
 // Mutant 4: dropped x-aligned northbound case -> a different gap.
@@ -217,8 +246,15 @@ TEST(RulelintMutants, SidewaysCandidatesAreACertifiedDeadlock) {
   const Finding* f = find_class(rep, DiagClass::DeadlockCycle);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::Error);
-  // A witness cycle in channel notation is printed.
-  EXPECT_NE(f->witness.find("->"), std::string::npos);
+  // The graph and its witness cycle, in channel notation.
+  EXPECT_EQ(f->message,
+            "channel-dependency cycle under no faults (96 channels, 138 "
+            "edges)");
+  EXPECT_EQ(f->witness, "(6:0/0) -> (7:1/0) -> (6:0/0)");
+  ASSERT_FALSE(rep.info.empty());
+  EXPECT_EQ(rep.info.back(),
+            "deadlock certificate: CYCLIC, 96 channels, 138 edges, "
+            "518 decisions");
   EXPECT_FALSE(rep.clean(/*werror=*/false));
 
   // The dynamic checker agrees: the same program driving a live router
@@ -242,7 +278,15 @@ TEST(RulelintMutants, BrokenDimensionOrderIsACertifiedDeadlock) {
   const Finding* f = find_class(rep, DiagClass::DeadlockCycle);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::Error);
-  EXPECT_NE(f->witness.find("->"), std::string::npos);
+  EXPECT_EQ(f->message,
+            "channel-dependency cycle under no faults (24 channels, 40 "
+            "edges)");
+  EXPECT_EQ(f->witness,
+            "(0:0/0) -> (1:1/0) -> (3:0/0) -> (2:1/0) -> (0:0/0)");
+  ASSERT_FALSE(rep.info.empty());
+  EXPECT_EQ(rep.info.back(),
+            "deadlock certificate: CYCLIC, 24 channels, 40 edges, "
+            "120 decisions");
 
   Hypercube h(3);
   FaultSet faults(h);
@@ -268,55 +312,67 @@ TEST(RulelintMutants, IrreducibleInputSpaceReportsBlowup) {
 
 // ------------------------------------- static vs dynamic CDG agreement
 
-TEST(RulelintAgreement, NaraRulesStaticAndDynamicVerdictsMatch) {
-  const std::string src = rulebases::nara_route_source(4, 4);
-  const auto prog = rules::parse_program(src);
-  const auto model = ruleanalysis::model_for(prog);
-  ASSERT_TRUE(model.has_value());
+/// One static-vs-dynamic agreement row: a corpus program, the live
+/// algorithm that must agree with its certificate, the fabric and the
+/// fault set both are checked under.
+struct AgreementRow {
+  const char* name;
+  std::string source;
+  const Topology* topo;
+  std::function<std::unique_ptr<RoutingAlgorithm>()> live;
+  ruleanalysis::FaultPattern faults;
+};
 
-  Mesh m = Mesh::two_d(4, 4);
-  FaultSet faults(m);
-  const auto cert = ruleanalysis::certify_deadlock(prog, *model, m, faults);
-  EXPECT_TRUE(cert.modeled);
-  EXPECT_TRUE(cert.report.acyclic) << cert.report.to_string();
+TEST(RulelintAgreement, StaticCertificatesMatchLiveTwins) {
+  const Mesh mesh = Mesh::two_d(4, 4);
+  const Hypercube cube(3);
+  const std::string nara_rules = rulebases::nara_route_source(4, 4);
+  const std::string ft_mesh = rulebases::ft_mesh_route_source(4, 4);
+  // The faulted row of the lint corpus: one link and one node.
+  ruleanalysis::FaultPattern link_and_node;
+  link_and_node.links.push_back({mesh.at(1, 1), /*port=*/0});
+  link_and_node.nodes.push_back(mesh.at(2, 2));
 
-  RuleDrivenRouting algo(src, 2, rules::ExecMode::Interpret);
-  algo.attach(m, faults);
-  const CdgReport dynamic = check_full_cdg(m, faults, algo);
-  EXPECT_EQ(cert.report.acyclic, dynamic.acyclic);
-}
+  const AgreementRow rows[] = {
+      {"nara_rules", nara_rules, &mesh,
+       [&] {
+         return std::make_unique<RuleDrivenRouting>(
+             nara_rules, 2, rules::ExecMode::Interpret);
+       },
+       {}},
+      {"ecube_rules", rulebases::ecube_route_source(3), &cube,
+       [] { return std::make_unique<ECubeHypercube>(); }, {}},
+      {"ft_mesh_rules", ft_mesh, &mesh,
+       [&] {
+         return std::make_unique<RuleDrivenRouting>(
+             ft_mesh, 3, rules::ExecMode::Interpret, "route",
+             /*escape_vc=*/2);
+       },
+       link_and_node},
+      {"nafta", rulebases::nafta_program_source(4, 4), &mesh,
+       [] { return std::make_unique<Nafta>(); }, {}},
+      {"nara", rulebases::nara_program_source(4, 4), &mesh,
+       [] { return std::make_unique<Nara>(); }, {}},
+      {"route_c_nft", rulebases::route_c_nft_program_source(3, 2), &cube,
+       [] { return std::make_unique<StrippedRouteC>(); }, {}},
+  };
+  for (const AgreementRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    const auto prog = rules::parse_program(row.source);
+    const auto model = ruleanalysis::model_for(prog);
+    ASSERT_TRUE(model.has_value());
+    const auto cert =
+        ruleanalysis::certify_fault_set(prog, *model, *row.topo, row.faults);
+    EXPECT_TRUE(cert.modeled);
+    EXPECT_TRUE(cert.cdg.acyclic) << cert.cdg.to_string();
 
-TEST(RulelintAgreement, NaftaCertificateMatchesNativeAlgorithm) {
-  const auto prog = rules::parse_program(rulebases::nafta_program_source(4, 4));
-  const auto model = ruleanalysis::model_for(prog);
-  ASSERT_TRUE(model.has_value());
-
-  Mesh m = Mesh::two_d(4, 4);
-  FaultSet faults(m);
-  const auto cert = ruleanalysis::certify_deadlock(prog, *model, m, faults);
-  EXPECT_TRUE(cert.report.acyclic) << cert.report.to_string();
-
-  Nafta nafta;
-  nafta.attach(m, faults);
-  const CdgReport dynamic = check_full_cdg(m, faults, nafta);
-  EXPECT_EQ(cert.report.acyclic, dynamic.acyclic);
-}
-
-TEST(RulelintAgreement, RouteCCertificateMatchesNativeAlgorithm) {
-  const auto prog =
-      rules::parse_program(rulebases::route_c_nft_program_source(3, 2));
-  const auto model = ruleanalysis::model_for(prog);
-  ASSERT_TRUE(model.has_value());
-
-  Hypercube h(3);
-  FaultSet faults(h);
-  const auto cert = ruleanalysis::certify_deadlock(prog, *model, h, faults);
-  EXPECT_TRUE(cert.report.acyclic) << cert.report.to_string();
-
-  StrippedRouteC nft;
-  nft.attach(h, faults);
-  const CdgReport dynamic = check_full_cdg(h, faults, nft);
-  EXPECT_EQ(cert.report.acyclic, dynamic.acyclic);
+    const FaultSet faults = row.faults.to_fault_set(*row.topo);
+    const std::unique_ptr<RoutingAlgorithm> live = row.live();
+    live->attach(*row.topo, faults);
+    if (!row.faults.empty()) live->reconfigure();
+    EXPECT_EQ(cert.cdg.acyclic,
+              check_full_cdg(*row.topo, faults, *live).acyclic);
+  }
 }
 
 TEST(RulelintAgreement, FaultedOrbitSampleMatchesDynamicCdg) {
@@ -347,28 +403,6 @@ TEST(RulelintAgreement, FaultedOrbitSampleMatchesDynamicCdg) {
     EXPECT_TRUE(check_full_cdg(m, faults, algo).acyclic)
         << "dynamic CDG cyclic under " << pattern.to_string();
   }
-}
-
-TEST(RulelintAgreement, FaultedFtMeshStaysCertified) {
-  const std::string src = rulebases::ft_mesh_route_source(4, 4);
-  const auto prog = rules::parse_program(src);
-  const auto model = ruleanalysis::model_for(prog);
-  ASSERT_TRUE(model.has_value());
-  EXPECT_EQ(model->escape_vc, 2);
-
-  Mesh m = Mesh::two_d(4, 4);
-  FaultSet faults(m);
-  faults.fail_link(m.at(1, 1), 0);
-  faults.fail_node(m.at(2, 2));
-  const auto cert = ruleanalysis::certify_deadlock(prog, *model, m, faults);
-  EXPECT_TRUE(cert.report.acyclic) << cert.report.to_string();
-
-  RuleDrivenRouting algo(src, 3, rules::ExecMode::Interpret, "route",
-                         /*escape_vc=*/2);
-  algo.attach(m, faults);
-  algo.reconfigure();
-  const CdgReport dynamic = check_full_cdg(m, faults, algo);
-  EXPECT_EQ(cert.report.acyclic, dynamic.acyclic);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // rulelint — static analyzer for rule programs.
 //
 // With no file arguments, lints the whole built-in rule-base corpus
-// (completeness, shadowed/dead rules, register ranges, static deadlock
-// certification). With files, lints each rule program source.
+// (completeness, shadowed/dead rules, register ranges, and the static
+// certificate of the healthy fabric: deadlock freedom, connectivity and
+// progress, i.e. the fault-free member of --faults). With files, lints each
+// rule program source. --no-deadlock skips the certificate; it applies to
+// plain linting only.
 //
 //   rulelint [--json] [--werror] [--no-deadlock] [file...]
 //   rulelint --emit-table [--json]
@@ -217,6 +220,7 @@ int usage(std::ostream& os, int code) {
         "       rulelint --faults <k> [--json] [--werror] [file...]\n"
         "Lints the built-in rule-base corpus, or the given rule program\n"
         "sources. --werror fails on warnings as well as errors.\n"
+        "--no-deadlock skips the static certificate (plain linting only).\n"
         "--emit-table dumps the AOT decision table stats (tier, classifier,\n"
         "compression ratio) for every runnable corpus program — including\n"
         "the 4096-node fabrics — and fails if any program stays on the VM\n"
@@ -314,6 +318,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!opts.deadlock && (table || faults >= 0)) {
+    std::cerr << "rulelint: --no-deadlock applies to plain linting only; it "
+                 "composes with neither --emit-table nor --faults\n";
+    return usage(std::cerr, 2);
+  }
   if (table) {
     if (!files.empty() || faults >= 0) {
       std::cerr << "rulelint: --emit-table takes no file arguments and "
