@@ -30,6 +30,16 @@ using rules::EventManager;
 using rules::ExecMode;
 using rules::Value;
 
+/// Set by a bench's own check (tier choice, steady-state heap use). The
+/// library reports SkipWithError as one error row and still exits 0, so
+/// main() turns this into the exit status.
+bool g_check_failed = false;
+
+void fail_check(benchmark::State& state, const std::string& why) {
+  g_check_failed = true;
+  state.SkipWithError(why.c_str());
+}
+
 std::unique_ptr<EventManager> make_update_state_machine(ExecMode mode) {
   static const rules::Program prog =
       rules::parse_program(rulebases::route_c_program_source(6, 2));
@@ -294,25 +304,25 @@ BENCHMARK(BM_Decision_RouteC_AotSweep);
 
 // ---------------------------------------- F7d: 4096-node fabric decisions
 // The fabrics the tier ladder exists for: a 64x64 fault-tolerant mesh
-// (402M-point premise space — no eager fill fits, the lazy per-node
-// sub-tables serve) and a 12-cube (the xor-fold compressed table collapses
-// 436M points to 114k entries). The full premise space cannot be swept, so
-// each node routes a bounded, shuffled working set sized to the lazy
-// sub-table capacity; the steady-state figure is read after a warm pass
-// converges the caches.
+// (402M-point premise space — the offset-sign table collapses it to 885k
+// entries filled on first touch) and a 12-cube (the xor-fold table
+// collapses 436M points to 114k entries, filled eagerly). The full premise
+// space cannot be swept, so each node routes a bounded, shuffled working
+// set; the steady-state figure is read after a warm pass fills the
+// sign-class entries and converges the caches.
 //
 // The sweep is node-major: each node's points are shuffled, and the node
 // visit order is shuffled, but one node's points complete before the next
 // node starts. That is the access pattern the figure must price — in the
-// fabric every router probes only its OWN sub-table, which stays resident
-// in that router; round-robining 4096 routers' tables (64MB) through one
+// fabric every router reads only its OWN table row, which stays resident
+// in that router; round-robining 4096 routers' rows through one
 // benchmarking core's cache hierarchy would measure DRAM latency, not the
 // tier. Read each row against the bare-VM decision row of the same
 // program family (F7b) for the table's gain, and against the small-fabric
-// direct-LUT sweeps (F7c) for its scaling. Acceptance: the lazy and
-// compressed tiers keep ns/route within 2x of those direct sweeps, and the
-// measured loop performs ZERO heap allocations once warm (enforced here
-// under FLEXROUTER_COUNT_ALLOCS — the release CI smoke).
+// direct-LUT sweeps (F7c) for its scaling. Acceptance: both compressed
+// layouts keep ns/route within 2x of those direct sweeps, and the measured
+// loop performs ZERO heap allocations once warm (enforced here under
+// FLEXROUTER_COUNT_ALLOCS — the release CI smoke).
 std::vector<RouteContext> bounded_premise_sweep(const Topology& topo,
                                                 int sweep_vcs,
                                                 int dests_per_node) {
@@ -357,10 +367,10 @@ std::vector<RouteContext> bounded_premise_sweep(const Topology& topo,
 
 /// The measured loop cycles a bounded prefix of the (node-major) sweep:
 /// enough whole node blocks to defeat trivial caching, small enough that
-/// the visited sub-tables stay L2-resident — in the fabric each router's
-/// own sub-table is always resident in that router, so the steady-state
-/// figure must not charge the benchmarking core's capacity misses from
-/// round-robining thousands of other routers' tables.
+/// the visited table rows stay L2-resident — in the fabric each router's
+/// own row is always resident in that router, so the steady-state figure
+/// must not charge the benchmarking core's capacity misses from
+/// round-robining thousands of other routers' rows.
 constexpr std::size_t kMeasuredSpan = 2048;
 
 template <typename MakeAlgo>
@@ -372,15 +382,14 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
   algo->attach(topo, f);
   const auto ti = algo->aot_tier_info();
   if (ti.tier != want_tier) {
-    state.SkipWithError(("tier ladder picked '" +
-                         std::string(RuleDrivenRouting::tier_name(ti.tier)) +
-                         "': " + ti.reason)
-                            .c_str());
+    fail_check(state, "tier ladder picked '" +
+                          std::string(RuleDrivenRouting::tier_name(ti.tier)) +
+                          "': " + ti.reason);
     return;
   }
   const std::vector<RouteContext> pts =
       bounded_premise_sweep(topo, sweep_vcs, /*dests_per_node=*/16);
-  for (const RouteContext& ctx : pts) {  // converge lazy fills + caches
+  for (const RouteContext& ctx : pts) {  // first-touch fills + caches
     const auto d = algo->route(ctx);
     benchmark::DoNotOptimize(d.candidates.size());
   }
@@ -391,7 +400,7 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
     benchmark::DoNotOptimize(d.candidates.size());
   }
   if (heap_alloc_counting_enabled() && heap_alloc_count() != allocs_before)
-    state.SkipWithError("steady-state route() touched the heap");
+    fail_check(state, "steady-state route() touched the heap");
   const std::size_t span = std::min(pts.size(), kMeasuredSpan);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -401,7 +410,7 @@ void large_fabric_bench(benchmark::State& state, const Topology& topo,
   }
 }
 
-void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
+void BM_Decision_FtMesh64x64_SignClassSweep(benchmark::State& state) {
   large_fabric_bench(
       state, Mesh::two_d(64, 64),
       [] {
@@ -409,9 +418,9 @@ void BM_Decision_Nafta64x64_LazySweep(benchmark::State& state) {
             rulebases::ft_mesh_route_source(64, 64), 3, ExecMode::Aot,
             "route", /*escape_vc=*/2);
       },
-      /*sweep_vcs=*/2, RuleDrivenRouting::AotTier::Lazy);
+      /*sweep_vcs=*/2, RuleDrivenRouting::AotTier::Compressed);
 }
-BENCHMARK(BM_Decision_Nafta64x64_LazySweep);
+BENCHMARK(BM_Decision_FtMesh64x64_SignClassSweep);
 
 void BM_Decision_Ecube12_CompressedSweep(benchmark::State& state) {
   large_fabric_bench(
@@ -423,22 +432,6 @@ void BM_Decision_Ecube12_CompressedSweep(benchmark::State& state) {
       /*sweep_vcs=*/1, RuleDrivenRouting::AotTier::Compressed);
 }
 BENCHMARK(BM_Decision_Ecube12_CompressedSweep);
-
-// The same 12-cube program with compression disabled: prices what the
-// lazy tier costs on a fabric the compressed table would also fit, i.e.
-// the tag probe + 2-way select against the strided load above.
-void BM_Decision_Ecube12_LazySweep(benchmark::State& state) {
-  large_fabric_bench(
-      state, Hypercube(12),
-      [] {
-        auto algo = std::make_unique<RuleDrivenRouting>(
-            rulebases::ecube_route_source(12), 1, ExecMode::Aot);
-        algo->set_aot_compression_enabled(false);
-        return algo;
-      },
-      /*sweep_vcs=*/1, RuleDrivenRouting::AotTier::Lazy);
-}
-BENCHMARK(BM_Decision_Ecube12_LazySweep);
 
 void BM_NetworkCycle_Nafta8x8(benchmark::State& state) {
   Mesh m = Mesh::two_d(8, 8);
@@ -507,7 +500,8 @@ bool rewrite_build_type(const std::string& path) {
 
 // Writes BENCH_interp_speed.json in the working directory unless the
 // caller already picked an output file — a local capture for comparing
-// runs taken on one machine (git ignores it). `--smoke` runs shortened
+// runs taken on one machine (git ignores it). Any bench whose own check
+// fails (fail_check) makes the exit status 1. `--smoke` runs shortened
 // benches and hard-fails when the measured code was built without NDEBUG
 // (a debug baseline must never be recorded again), so it belongs in the
 // release CI job only.
@@ -543,6 +537,11 @@ int main(int argc, char** argv) {
   if (!rewrite_build_type(out_path)) {
     std::fprintf(stderr, "interp_speed: failed to record build type in %s\n",
                  out_path.c_str());
+    return 1;
+  }
+  if (g_check_failed) {
+    std::fprintf(stderr,
+                 "interp_speed: a bench check failed (ERROR OCCURRED row)\n");
     return 1;
   }
   if (smoke && std::strcmp(flexrouter_build_type(), "release") != 0) {

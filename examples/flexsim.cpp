@@ -58,8 +58,10 @@
 //                                               aot, the pre-resolved table
 //                                               ladder — the summary line
 //                                               reports the tier actually
-//                                               chosen, direct/compressed/
-//                                               lazy, or why the VM kept
+//                                               chosen, direct or
+//                                               compressed (xor-fold, or
+//                                               offset-sign filled on first
+//                                               touch), or why the VM kept
 //                                               serving; vm = the bare
 //                                               bytecode VM, no table;
 //                                               interp = the AST

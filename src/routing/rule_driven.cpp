@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <string>
 
 #include "ruleengine/parser.hpp"
@@ -213,50 +212,57 @@ void RuleDrivenRouting::fill_aot(Image& im) const {
   };
   im.full_entries = full.entry_count();
   const std::uint64_t epoch = faults_->epoch();
-  const bool direct_fresh = !im.aot.empty() && im.aot_epoch == epoch;
-  const bool lazy_fresh =
-      im.lazy != nullptr && im.lazy_active && im.lazy->epoch == epoch;
-  if (direct_fresh || lazy_fresh) return;  // already fresh
+  if (!im.aot.empty() && im.aot_epoch == epoch) return;  // already fresh
   FR_ASSERT_MSG(escape_vc_ < 0 || escape_.built_for_epoch() == epoch,
                 "AOT fill needs the escape table rebuilt first");
 
-  // Tier ladder: direct -> compressed -> lazy. A tabulable program always
-  // gets *some* table tier — the lazy sub-tables fit any fabric by
-  // construction — so the VM tier above is reserved for programs the
-  // soundness analysis rejects.
+  // Tier ladder: direct -> compressed -> VM. Only the offset-sign layout
+  // keeps first-touch counters (cumulative across its epochs).
+  im.aot_epoch = epoch;
   if (rules::AotTable::within_budget(full, aot_budget_)) {
+    im.touch.clear();
     fill_direct(im, full);
-    im.aot_epoch = epoch;
     im.tier = AotTier::Direct;
     im.classifier_used = rules::DestClassifier::None;
     im.tier_reason = "full premise space (" + std::to_string(im.full_entries) +
                      " entries) fits the budget";
-    im.lazy_active = false;
     return;
   }
-  if (compress_wanted_ && im.classify.kind != rules::DestClassifier::None) {
+  if (im.classify.kind != rules::DestClassifier::None) {
     if (fill_compressed(im, full)) {
-      im.aot_epoch = epoch;
       im.tier = AotTier::Compressed;
       im.classifier_used = im.classify.kind;
-      im.lazy_active = false;
       return;  // fill_compressed recorded the classifier verdict as reason
     }
-    // fill_compressed left its demotion reason in tier_reason; fall through.
-  } else if (!compress_wanted_) {
-    im.tier_reason = "dest-class compression disabled";
+    // fill_compressed left its demotion reason in tier_reason.
   } else {
     im.tier_reason = im.classify.reason;
   }
-  setup_lazy(im, full);
-  im.aot.clear();
-  im.aot_epoch = epoch;
-  im.tier = AotTier::Lazy;
+  im.tier = AotTier::Vm;
   im.classifier_used = rules::DestClassifier::None;
+  im.touch.clear();
   im.tier_reason = "full premise space (" + std::to_string(im.full_entries) +
                    " entries) over budget (" + std::to_string(aot_budget_) +
                    "); " + im.tier_reason;
-  im.lazy_active = true;
+}
+
+void RuleDrivenRouting::absorb_fill_throw(Image& im, NodeId node,
+                                          const std::exception& e) const {
+  // A table walk visits premise points no packet can dynamically present —
+  // e.g. arrival through a nonexistent boundary link, an escape-VC arrival
+  // whose up*/down* phase has no legal move (ContractViolation), or a
+  // collapsed-axis value like in_port = -1 outside a declared input domain
+  // (EvalError). The engine throws on them exactly as the VM would at
+  // runtime; the caller records the point as unreachable and the fallback
+  // reproduces the throw should one ever materialize. Anything else is a
+  // build bug: rethrow.
+  if (dynamic_cast<const ContractViolation*>(&e) == nullptr &&
+      dynamic_cast<const rules::EvalError*>(&e) == nullptr)
+    throw;  // NOLINT(cert-err60-cpp) — rethrow of the active exception
+  DecisionSlot& slot = im.slots[static_cast<std::size_t>(node)];
+  slot.ctx = nullptr;
+  slot.decision = nullptr;
+  slot.scratch.clear();
 }
 
 void RuleDrivenRouting::fill_direct(Image& im,
@@ -292,22 +298,7 @@ void RuleDrivenRouting::fill_direct(Image& im,
                         d.candidates[i].priority};
             im.aot.set_entry(flat, d.steps, buf, d.candidates.size());
           } catch (const std::exception& e) {
-            // The exhaustive walk visits premise points no packet can
-            // dynamically present — e.g. arrival through a nonexistent
-            // boundary link, an escape-VC arrival whose up*/down* phase
-            // has no legal move (ContractViolation), or a collapsed-axis
-            // value like in_port = -1 outside a declared input domain
-            // (EvalError). The engine throws on them exactly as the VM
-            // would at runtime; record the point as unreachable and let
-            // the fallback reproduce the throw should one ever
-            // materialize. Anything else is a build bug: rethrow.
-            if (dynamic_cast<const ContractViolation*>(&e) == nullptr &&
-                dynamic_cast<const rules::EvalError*>(&e) == nullptr)
-              throw;
-            DecisionSlot& slot = im.slots[static_cast<std::size_t>(node)];
-            slot.ctx = nullptr;
-            slot.decision = nullptr;
-            slot.scratch.clear();
+            absorb_fill_throw(im, node, e);
             im.aot.mark_unreachable(flat);
           }
         }
@@ -319,22 +310,35 @@ void RuleDrivenRouting::fill_direct(Image& im,
 bool RuleDrivenRouting::fill_compressed(
     Image& im, const rules::AotTable::Dims& full) const {
   const NodeId n_nodes = topo_->num_nodes();
-  const rules::DestClassifier kind = im.classify.kind;
-  rules::AotTable::Dims dims;
-  if (kind == rules::DestClassifier::XorFold) {
-    // Both id axes collapse to one xor-class axis. bit_ceil keeps every
-    // node ^ dest in range when the node count is not a power of two.
-    dims = {1,
-            static_cast<std::int32_t>(
-                std::bit_ceil(static_cast<std::uint32_t>(n_nodes))),
-            full.ports, full.vcs};
-  } else {
-    if (mesh_ == nullptr || mesh_->dims() != 2) {
+  if (im.classify.kind == rules::DestClassifier::OffsetSign2D) {
+    if (coords_x_.empty()) {
       im.tier_reason = "offset-sign classifier needs a 2-D mesh host";
       return false;
     }
-    dims = {n_nodes, 9, full.ports, full.vcs};
+    const rules::AotTable::Dims dims{n_nodes, 9, full.ports, full.vcs};
+    if (!rules::AotTable::within_budget(dims, aot_budget_)) {
+      im.tier_reason = "compressed table (" +
+                       std::to_string(dims.entry_count()) +
+                       " entries) still over budget";
+      return false;
+    }
+    // First touch fills it (route_first_touch): no entry is written here,
+    // so set-up costs an allocation, not a walk over the premise space.
+    im.aot.reset(dims, 0);
+    im.touch.resize(static_cast<std::size_t>(n_nodes));
+    im.tier_reason = im.classify.reason;
+    return true;
   }
+
+  // XorFold: both id axes collapse to one xor-class axis. bit_ceil keeps
+  // every node ^ dest in range when the node count is not a power of two.
+  // One entry serves every node, so a first-touch write would race across
+  // shards: the table is filled here, once, and validated.
+  const rules::AotTable::Dims dims{
+      1,
+      static_cast<std::int32_t>(
+          std::bit_ceil(static_cast<std::uint32_t>(n_nodes))),
+      full.ports, full.vcs};
   if (!rules::AotTable::within_budget(dims, aot_budget_)) {
     im.tier_reason = "compressed table (" +
                      std::to_string(dims.entry_count()) +
@@ -348,83 +352,37 @@ bool RuleDrivenRouting::fill_compressed(
   ctx.misrouted = false;
   rules::AotCand buf[kMaxCandidates];
 
-  // Reset the VM callback slot after a fill-time throw (same contract as
-  // the direct fill: ContractViolation / EvalError mark the point
-  // unreachable; anything else is a build bug).
-  auto absorb_throw = [&](const std::exception& e, NodeId node) {
-    if (dynamic_cast<const ContractViolation*>(&e) == nullptr &&
-        dynamic_cast<const rules::EvalError*>(&e) == nullptr)
-      throw;  // NOLINT(cert-err60-cpp) — rethrow of the active exception
-    DecisionSlot& slot = im.slots[static_cast<std::size_t>(node)];
-    slot.ctx = nullptr;
-    slot.decision = nullptr;
-    slot.scratch.clear();
-  };
-
-  // Fill one class row from its representative (node, dest) member.
-  auto eval_into = [&](std::uint64_t flat, NodeId node, NodeId dest) {
-    ctx.node = node;
-    ctx.src = node;
-    ctx.dest = dest;
-    try {
-      const RouteDecision d = compute_route(im, ctx);
-      if (d.steps < 1 || d.steps > 0xffff || d.mark_misrouted) return;
-      for (std::size_t i = 0; i < d.candidates.size(); ++i)
-        buf[i] = {d.candidates[i].port, d.candidates[i].vc,
-                  d.candidates[i].priority};
-      im.aot.set_entry(flat, d.steps, buf, d.candidates.size());
-    } catch (const std::exception& e) {
-      absorb_throw(e, node);
-      im.aot.mark_unreachable(flat);
-    }
-  };
-
-  if (kind == rules::DestClassifier::XorFold) {
-    for (std::int32_t c = 0; c < dims.dests; ++c) {
-      // Any (n, n ^ c) pair is a member of class c; classes with no member
-      // under the id bound (non-power-of-two fabrics) are unpresentable.
-      NodeId rep = -1;
-      for (NodeId n = 0; n < n_nodes; ++n)
-        if ((n ^ c) < n_nodes) {
-          rep = n;
-          break;
-        }
-      for (std::int32_t pa = 0; pa < dims.ports; ++pa) {
-        ctx.in_port = pa - 1;
-        for (std::int32_t va = 0; va < dims.vcs; ++va) {
-          ctx.in_vc = va - 1;
-          const std::uint64_t flat = im.aot.flat_index(0, c, pa, va);
-          if (rep < 0)
-            im.aot.mark_unreachable(flat);
-          else
-            eval_into(flat, rep, rep ^ c);
-        }
+  for (std::int32_t c = 0; c < dims.dests; ++c) {
+    // Any (n, n ^ c) pair is a member of class c; classes with no member
+    // under the id bound (non-power-of-two fabrics) are unpresentable.
+    NodeId rep = -1;
+    for (NodeId n = 0; n < n_nodes; ++n)
+      if ((n ^ c) < n_nodes) {
+        rep = n;
+        break;
       }
-    }
-  } else {
-    const int w = mesh_->radix(0);
-    const int h = mesh_->radix(1);
-    for (NodeId node = 0; node < n_nodes; ++node) {
-      const int x = mesh_->x_of(node);
-      const int y = mesh_->y_of(node);
-      for (std::int32_t cls = 0; cls < 9; ++cls) {
-        const int sx = cls % 3 - 1;
-        const int sy = cls / 3 - 1;
-        // The nearest dest with these offset signs; a sign pair pointing
-        // off the mesh edge has no member at all.
-        const int dx = x + sx;
-        const int dy = y + sy;
-        const bool presentable = dx >= 0 && dx < w && dy >= 0 && dy < h;
-        for (std::int32_t pa = 0; pa < dims.ports; ++pa) {
-          ctx.in_port = pa - 1;
-          for (std::int32_t va = 0; va < dims.vcs; ++va) {
-            ctx.in_vc = va - 1;
-            const std::uint64_t flat = im.aot.flat_index(node, cls, pa, va);
-            if (!presentable)
-              im.aot.mark_unreachable(flat);
-            else
-              eval_into(flat, node, mesh_->at(dx, dy));
-          }
+    for (std::int32_t pa = 0; pa < dims.ports; ++pa) {
+      ctx.in_port = pa - 1;
+      for (std::int32_t va = 0; va < dims.vcs; ++va) {
+        ctx.in_vc = va - 1;
+        const std::uint64_t flat = im.aot.flat_index(0, c, pa, va);
+        if (rep < 0) {
+          im.aot.mark_unreachable(flat);
+          continue;
+        }
+        ctx.node = rep;
+        ctx.src = rep;
+        ctx.dest = rep ^ c;
+        try {
+          const RouteDecision d = compute_route(im, ctx);
+          if (d.steps < 1 || d.steps > 0xffff || d.mark_misrouted) continue;
+          for (std::size_t i = 0; i < d.candidates.size(); ++i)
+            buf[i] = {d.candidates[i].port, d.candidates[i].vc,
+                      d.candidates[i].priority};
+          im.aot.set_entry(flat, d.steps, buf, d.candidates.size());
+        } catch (const std::exception& e) {
+          absorb_fill_throw(im, rep, e);
+          im.aot.mark_unreachable(flat);
         }
       }
     }
@@ -437,9 +395,10 @@ bool RuleDrivenRouting::fill_compressed(
   // the uncompressed walk is small (the forced-compression test sizes);
   // sampled member witnesses per row beyond that.
   std::vector<rules::AotCand> dec_cands;
-  auto matches = [&](std::uint64_t flat, NodeId node, NodeId dest,
-                     std::int32_t pa, std::int32_t va) {
+  auto matches = [&](NodeId node, NodeId dest, std::int32_t pa,
+                     std::int32_t va) {
     int steps = 0;
+    const std::uint64_t flat = im.aot.flat_index(0, node ^ dest, pa, va);
     if (!im.aot.decode(flat, steps, dec_cands)) return true;
     ctx.node = node;
     ctx.src = node;
@@ -458,71 +417,22 @@ bool RuleDrivenRouting::fill_compressed(
           return false;
       return true;
     } catch (const std::exception& e) {
-      absorb_throw(e, node);
+      absorb_fill_throw(im, node, e);
       return false;  // a member throws where the row stored a decision
     }
   };
-  auto flat_of = [&](NodeId node, NodeId dest, std::int32_t pa,
-                     std::int32_t va) {
-    if (kind == rules::DestClassifier::XorFold)
-      return im.aot.flat_index(0, node ^ dest, pa, va);
-    const int ddx = mesh_->x_of(dest) - mesh_->x_of(node);
-    const int ddy = mesh_->y_of(dest) - mesh_->y_of(node);
-    const std::int32_t cls =
-        ((ddy > 0) - (ddy < 0) + 1) * 3 + ((ddx > 0) - (ddx < 0) + 1);
-    return im.aot.flat_index(node, cls, pa, va);
-  };
   auto validate = [&]() {
-    if (full.entry_count() <= kAotMaxEntries) {
-      for (NodeId node = 0; node < n_nodes; ++node)
-        for (NodeId dest = 0; dest < n_nodes; ++dest)
-          for (std::int32_t pa = 0; pa < full.ports; ++pa)
-            for (std::int32_t va = 0; va < full.vcs; ++va)
-              if (!matches(flat_of(node, dest, pa, va), node, dest, pa, va))
-                return false;
-      return true;
-    }
-    // Sampled: up to two distinct members per class row, every (pa, va).
-    if (kind == rules::DestClassifier::XorFold) {
-      for (std::int32_t c = 0; c < dims.dests; ++c) {
-        int picked = 0;
-        for (NodeId n = 0; n < n_nodes && picked < 2; ++n) {
-          if ((n ^ c) >= n_nodes) continue;
-          ++picked;
-          for (std::int32_t pa = 0; pa < dims.ports; ++pa)
-            for (std::int32_t va = 0; va < dims.vcs; ++va)
-              if (!matches(im.aot.flat_index(0, c, pa, va), n, n ^ c, pa, va))
-                return false;
-        }
-      }
-      return true;
-    }
-    const int w = mesh_->radix(0);
-    const int h = mesh_->radix(1);
-    for (NodeId node = 0; node < n_nodes; ++node) {
-      const int x = mesh_->x_of(node);
-      const int y = mesh_->y_of(node);
-      for (std::int32_t cls = 0; cls < 9; ++cls) {
-        const int sx = cls % 3 - 1;
-        const int sy = cls / 3 - 1;
-        if (x + sx < 0 || x + sx >= w || y + sy < 0 || y + sy >= h) continue;
-        // Witness 1: the nearest member (the fill's representative).
-        // Witness 2: two steps out along each nonzero axis where the mesh
-        // allows — a member the fill never evaluated.
-        const NodeId w1 = mesh_->at(x + sx, y + sy);
-        const int x2 = sx == 0 || x + 2 * sx < 0 || x + 2 * sx >= w
-                           ? x + sx
-                           : x + 2 * sx;
-        const int y2 = sy == 0 || y + 2 * sy < 0 || y + 2 * sy >= h
-                           ? y + sy
-                           : y + 2 * sy;
-        const NodeId w2 = mesh_->at(sx == 0 ? x : x2, sy == 0 ? y : y2);
+    const bool exhaustive = full.entry_count() <= kAotMaxEntries;
+    for (std::int32_t c = 0; c < dims.dests; ++c) {
+      // Every member of the class row, or (sampled) its first two, each at
+      // every (pa, va).
+      int picked = 0;
+      for (NodeId n = 0; n < n_nodes && (exhaustive || picked < 2); ++n) {
+        if ((n ^ c) >= n_nodes) continue;
+        ++picked;
         for (std::int32_t pa = 0; pa < dims.ports; ++pa)
-          for (std::int32_t va = 0; va < dims.vcs; ++va) {
-            const std::uint64_t flat = im.aot.flat_index(node, cls, pa, va);
-            if (!matches(flat, node, w1, pa, va)) return false;
-            if (w2 != w1 && !matches(flat, node, w2, pa, va)) return false;
-          }
+          for (std::int32_t va = 0; va < dims.vcs; ++va)
+            if (!matches(n, n ^ c, pa, va)) return false;
       }
     }
     return true;
@@ -530,104 +440,91 @@ bool RuleDrivenRouting::fill_compressed(
   if (!validate()) {
     im.aot.clear();
     im.tier_reason = "compressed layout failed VM validation (" +
-                     std::string(rules::to_string(kind)) + "); demoted";
+                     std::string(rules::to_string(im.classify.kind)) +
+                     "); demoted";
     return false;
   }
   im.tier_reason = im.classify.reason;
   return true;
 }
 
-void RuleDrivenRouting::setup_lazy(Image& im,
-                                   const rules::AotTable::Dims& full) const {
-  const NodeId n_nodes = topo_->num_nodes();
-  if (im.lazy == nullptr) im.lazy = std::make_unique<LazyState>();
-  LazyState& ls = *im.lazy;
-  std::uint64_t per = aot_budget_ / static_cast<std::uint64_t>(n_nodes);
-  per = std::bit_floor(std::max<std::uint64_t>(per, kLazyMinPerNode));
-  ls.sets = static_cast<std::uint32_t>(per / 2);
-  ls.capacity = per;
-  ls.ports = full.ports;
-  ls.vcs = full.vcs;
-  ls.id_bound = full.nodes;
-  ls.epoch = faults_->epoch();
-  if (ls.nodes.size() != static_cast<std::size_t>(n_nodes)) {
-    ls.nodes.clear();
-    ls.nodes.resize(static_cast<std::size_t>(n_nodes));
-  } else {
-    // Epoch refill: drop stale decisions but keep the buffers (no
-    // steady-state allocation across fault epochs) and the cumulative
-    // counters.
-    for (std::unique_ptr<LazyNode>& np : ls.nodes)
-      if (np != nullptr) {
-        if (np->slots.size() != static_cast<std::size_t>(per))
-          np->slots.assign(static_cast<std::size_t>(per), LazySlot{});
-        else
-          std::fill(np->slots.begin(), np->slots.end(), LazySlot{});
-      }
-  }
-}
-
-void RuleDrivenRouting::route_lazy_miss(const RouteContext& ctx,
-                                        RouteDecision& d,
-                                        std::uint64_t key) const {
+void RuleDrivenRouting::route_first_touch(const RouteContext& ctx,
+                                          RouteDecision& d,
+                                          std::uint64_t flat) const {
   Image& im = *img_;
-  LazyState& ls = *im.lazy;
-  std::unique_ptr<LazyNode>& np = ls.nodes[static_cast<std::size_t>(ctx.node)];
-  if (np == nullptr) {
-    // First touch of this node: allocate its sub-table. Node-scoped, so
-    // concurrent first touches on distinct nodes never race (the nodes
-    // vector itself was pre-sized at setup and is never resized).
-    np = std::make_unique<LazyNode>();
-    np->slots.assign(static_cast<std::size_t>(ls.capacity), LazySlot{});
-  }
-  LazyNode& ln = *np;
-  ++ln.misses;
-  // Throws (premise points the engine rejects) propagate uncached —
+  TouchCounters& tc = im.touch[static_cast<std::size_t>(ctx.node)];
+  const bool first = aot_view_.entries[flat].count == 0;
+  // Throws (premise points the engine rejects) propagate unrecorded —
   // identical to what the VM tier does for the same context.
   d = compute_route(im, ctx);
-  // Only inline-packable decisions are stored: an arena would grow under
-  // traffic (breaking the steady-state zero-allocation property) and could
-  // not be reclaimed on eviction. Oversized decisions recompute each time.
-  bool storable = d.steps >= 1 && d.steps <= 0xffff && !d.mark_misrouted &&
-                  d.candidates.size() <= rules::AotEntry::kInlineCands;
-  for (std::size_t i = 0; storable && i < d.candidates.size(); ++i) {
-    const RouteCandidate& c = d.candidates[i];
-    storable = c.port >= std::numeric_limits<std::int8_t>::min() &&
-               c.port <= std::numeric_limits<std::int8_t>::max() &&
-               c.vc >= std::numeric_limits<std::int8_t>::min() &&
-               c.vc <= std::numeric_limits<std::int8_t>::max() &&
-               c.priority >= std::numeric_limits<std::int16_t>::min() &&
-               c.priority <= std::numeric_limits<std::int16_t>::max();
-  }
-  if (!storable) {
-    ++ln.uncacheable;
-    return;
-  }
-  rules::AotEntry e{};
-  e.steps = static_cast<std::uint16_t>(d.steps);
-  e.count = static_cast<std::uint16_t>(d.candidates.size());
-  for (std::size_t i = 0; i < d.candidates.size(); ++i)
-    e.inl[i] = {static_cast<std::int8_t>(d.candidates[i].port),
-                static_cast<std::int8_t>(d.candidates[i].vc),
-                static_cast<std::int16_t>(d.candidates[i].priority)};
-  const std::uint64_t hh = (key * 0x9E3779B97F4A7C15ull) >> 32;
-  const std::size_t base = static_cast<std::size_t>(
-      (hh & (static_cast<std::uint64_t>(ls.sets) - 1)) * 2);
-  LazySlot* way = &ln.slots[base];
-  if (way->tag != 0) {
-    if (ln.slots[base + 1].tag == 0) {
-      way = &ln.slots[base + 1];
+  if (first) {
+    // The read-set gate: a decision that read a dest-bound input holds
+    // for this dest only, not for its whole sign class. The inline-only
+    // store keeps the shared arena untouched (race-free, allocation-free).
+    rules::AotCand buf[kMaxCandidates];
+    for (std::size_t i = 0; i < d.candidates.size(); ++i)
+      buf[i] = {d.candidates[i].port, d.candidates[i].vc,
+                d.candidates[i].priority};
+    const DecisionSlot& slot = im.slots[static_cast<std::size_t>(ctx.node)];
+    if ((slot.reads & kDestBoundReads) != 0) {
+      im.aot.mark_dest_bound(flat);
+    } else if (!d.mark_misrouted &&
+               im.aot.set_inline_entry(flat, d.steps, buf,
+                                       d.candidates.size())) {
+      ++tc.fills;
+      return;
     } else {
-      // Both ways live: evict a deterministic, hash-chosen way. Contents
-      // may then depend on decision order (which varies with sharding),
-      // but the table only affects speed — every stored entry replays a
-      // bit-identical VM decision, and misses recompute through the VM.
-      way = &ln.slots[base + ((hh >> 17) & 1)];
-      ++ln.evictions;
+      im.aot.mark_fallback(flat);  // class-determined, but not encodable
     }
   }
-  way->tag = key + 1;
-  way->e = e;
+  ++tc.vm_served;
+}
+
+void RuleDrivenRouting::touch_every_sign_class() {
+  FR_REQUIRE_MSG(aot_view_.touch != nullptr,
+                 "touch_every_sign_class() needs the first-touch table");
+  Image& im = *img_;
+  const rules::AotTable::Dims& dims = im.aot.dims();
+  // Marks only entries nothing recorded yet, so a second walk is a no-op.
+  auto mark_unreachable = [&](std::uint64_t flat) {
+    const rules::AotEntry& e = im.aot.entries_raw()[flat];
+    if (e.steps == 0 && e.count == 0) im.aot.mark_unreachable(flat);
+  };
+  RouteContext ctx;
+  ctx.path_len = 0;
+  ctx.misrouted = false;
+  for (NodeId node = 0; node < dims.nodes; ++node) {
+    const int x = coords_x_[static_cast<std::size_t>(node)];
+    const int y = coords_y_[static_cast<std::size_t>(node)];
+    ctx.node = node;
+    ctx.src = node;
+    for (std::int32_t cls = 0; cls < dims.dests; ++cls) {
+      // The representative is the nearest dest with the class's offset
+      // signs — the index route() derives: cls = (sy+1)*3 + (sx+1).
+      const int dx = x + cls % 3 - 1;
+      const int dy = y + cls / 3 - 1;
+      const bool on_mesh =
+          dx >= 0 && dx < mesh_->radix(0) && dy >= 0 && dy < mesh_->radix(1);
+      if (on_mesh) ctx.dest = mesh_->at(dx, dy);
+      for (std::int32_t pa = 0; pa < dims.ports; ++pa) {
+        ctx.in_port = pa - 1;
+        for (std::int32_t va = 0; va < dims.vcs; ++va) {
+          ctx.in_vc = va - 1;
+          const std::uint64_t flat = im.aot.flat_index(node, cls, pa, va);
+          if (!on_mesh) {
+            mark_unreachable(flat);  // no dest has these signs
+            continue;
+          }
+          try {
+            (void)route(ctx);
+          } catch (const std::exception& e) {
+            absorb_fill_throw(im, node, e);
+            mark_unreachable(flat);
+          }
+        }
+      }
+    }
+  }
 }
 
 void RuleDrivenRouting::refresh_aot_view() const {
@@ -652,8 +549,7 @@ void RuleDrivenRouting::refresh_aot_view() const {
     aot_view_.id_bound = topo_->num_nodes();
     aot_view_.xs = coords_x_.empty() ? nullptr : coords_x_.data();
     aot_view_.ys = coords_y_.empty() ? nullptr : coords_y_.data();
-  } else if (im.lazy != nullptr && im.lazy_active) {
-    aot_view_.lazy = im.lazy.get();
+    aot_view_.touch = im.touch.empty() ? nullptr : im.touch.data();
   }
 }
 
@@ -709,10 +605,8 @@ rules::EventManager& RuleDrivenRouting::machine(NodeId n) const {
   // table's back (the table path deliberately carries no per-decision
   // check). Drop the table conservatively: decisions fall back to the bare
   // VM until the next fill (reconfigure or swap) rebuilds it.
-  if (img_ != nullptr &&
-      (!img_->aot.empty() || (img_->lazy != nullptr && img_->lazy_active))) {
+  if (img_ != nullptr && !img_->aot.empty()) {
     img_->aot.clear();
-    img_->lazy_active = false;
     refresh_aot_view();
   }
   return *img_->machines[static_cast<std::size_t>(n)];
@@ -733,30 +627,11 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   info.classifier = im.classifier_used;
   info.reason = im.tier_reason;
   info.full_entries = im.full_entries;
-  switch (im.tier) {
-    case AotTier::Direct:
-    case AotTier::Compressed:
-      info.table_entries = im.aot.dims().entry_count();
-      break;
-    case AotTier::Lazy: {
-      const LazyState& ls = *im.lazy;
-      info.lazy_capacity_per_node = ls.capacity;
-      // Report the allocation bound (every node touched), not the current
-      // footprint — the ratio then does not depend on traffic history.
-      info.table_entries =
-          ls.capacity * static_cast<std::uint64_t>(ls.nodes.size());
-      for (const std::unique_ptr<LazyNode>& np : ls.nodes)
-        if (np != nullptr) {
-          ++info.lazy_nodes_allocated;
-          info.lazy_hits += np->hits;
-          info.lazy_misses += np->misses;
-          info.lazy_evictions += np->evictions;
-          info.lazy_uncacheable += np->uncacheable;
-        }
-      break;
-    }
-    case AotTier::Vm:
-      break;
+  if (im.tier != AotTier::Vm) info.table_entries = im.aot.dims().entry_count();
+  for (const TouchCounters& tc : im.touch) {
+    info.lazy_hits += tc.hits;
+    info.lazy_misses += tc.fills;
+    info.lazy_uncacheable += tc.vm_served;
   }
   if (info.table_entries > 0)
     info.compression_ratio = static_cast<double>(info.full_entries) /
@@ -764,12 +639,14 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
   return info;
 }
 
-Value RuleDrivenRouting::input_by_code(const DecisionSlot& slot,
+Value RuleDrivenRouting::input_by_code(DecisionSlot& slot,
                                        std::int32_t input_id,
                                        const Value* idx,
                                        std::size_t nidx) const {
   const RouteContext& ctx = *slot.ctx;
-  switch (slot.input_codes[static_cast<std::size_t>(input_id)]) {
+  const InCode code = slot.input_codes[static_cast<std::size_t>(input_id)];
+  slot.reads |= 1u << static_cast<unsigned>(code);
+  switch (code) {
     case InCode::Node: return Value::make_int(ctx.node);
     case InCode::Dest: return Value::make_int(ctx.dest);
     case InCode::Src: return Value::make_int(ctx.src);
@@ -835,7 +712,7 @@ bool RuleDrivenRouting::dest_reachable(NodeId node, NodeId dest) const {
 
 Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
                                    const Value* idx, std::size_t nidx) {
-  const auto* slot = static_cast<const DecisionSlot*>(ctx);
+  auto* slot = static_cast<DecisionSlot*>(ctx);
   FR_REQUIRE_MSG(slot->ctx != nullptr,
                  "rule program read an input outside a decision");
   return slot->owner->input_by_code(*slot, input_id, idx, nidx);
@@ -885,6 +762,7 @@ RouteDecision RuleDrivenRouting::compute_route(Image& im,
   rules::EventManager& em = *im.machines[static_cast<std::size_t>(ctx.node)];
   DecisionSlot& slot = im.slots[static_cast<std::size_t>(ctx.node)];
   slot.ctx = &ctx;
+  slot.reads = 0;
 
   RouteDecision d;
   slot.decision = &d;

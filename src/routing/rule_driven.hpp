@@ -24,10 +24,10 @@
 //  * Each router node owns an independent register file (one EventManager
 //    per node), so stateful programs keep per-node state like real rule
 //    bases. All mutable per-decision state (active context, candidate
-//    sink, event scratch) lives in a per-node DecisionSlot, so concurrent
-//    route() calls on *different* nodes — the sharded network step — never
-//    share mutable state. Decisions on one node are never concurrent (a
-//    node belongs to exactly one shard).
+//    sink, event scratch, read set) lives in a per-node DecisionSlot, so
+//    concurrent route() calls on *different* nodes — the sharded network
+//    step — never share mutable state. Decisions on one node are never
+//    concurrent (a node belongs to exactly one shard).
 //
 // Execution tiers:
 //  * ExecMode::Aot (default, the production tier) pre-resolves premise
@@ -39,21 +39,28 @@
 //      1. direct   — a flat LUT over the full premise space, when it fits
 //                    the entry budget.
 //      2. compressed — when a dest-axis classifier applies (see
-//                    ruleengine/aot_classify.hpp: xor-fold for e-cube
-//                    programs, offset-sign for DOR/NARA-style mesh
-//                    programs), the dest axis collapses to O(degree)
-//                    classes and the table fits fabrics the direct layout
-//                    cannot. Validated point-by-point against the VM during
-//                    fill (exhaustive when the uncompressed space fits the
-//                    budget, sampled witnesses beyond); any mismatch
-//                    demotes to the lazy tier.
-//      3. lazy     — fixed-size per-node sub-tables (2-way set-associative,
-//                    tagged by premise key) filled on first touch from the
-//                    miss path, so steady-state traffic converges to table
-//                    latency without ever paying a full 400M-point fill.
-//                    Node-scoped, hence race-free under sharded stepping.
-//      4. VM       — non-tabulable programs only; the chosen tier and the
-//                    reason are recorded on the image and surfaced through
+//                    ruleengine/aot_classify.hpp), the dest axis collapses
+//                    to O(degree) classes and the table fits fabrics the
+//                    direct layout cannot:
+//                    * xor-fold (e-cube programs) collapses the node axis
+//                      too, so one entry serves every node: it is filled
+//                      eagerly and validated against the VM (exhaustive
+//                      when the uncompressed space fits the budget,
+//                      sampled witnesses beyond); a mismatch demotes to VM.
+//                    * offset-sign (DOR/NARA/ft_mesh-style mesh programs)
+//                      keeps the node axis and fills on first touch: a miss
+//                      runs the VM and stores the decision in the class
+//                      entry only when the decision's read set (the inputs
+//                      it actually read) holds no dest-bound input — dest,
+//                      dest_reachable, escape_ok, escape_port — and the
+//                      entry encoding can hold it. Otherwise the entry is
+//                      marked dest-bound (the read set) or fallback (the
+//                      encoding) and served by the VM from then on.
+//                      Every write is node-scoped, hence race-free under
+//                      sharded stepping, and set-up touches no entry.
+//      3. VM       — programs the soundness gate rejects, and tabulable
+//                    programs no table fits. The chosen tier and the reason
+//                    are recorded on the image and surfaced through
 //                    aot_tier_info() (rulelint --emit-table, flexsim).
 //    One soundness gate (`tabulable`: every reachable rule base is
 //    stateless and reads only inputs determined by the premise point, the
@@ -82,6 +89,7 @@
 // intact.
 #pragma once
 
+#include <exception>
 #include <memory>
 
 #include "common/assert.hpp"
@@ -96,25 +104,21 @@ namespace flexrouter {
 
 class RuleDrivenRouting final : public RoutingAlgorithm {
  public:
-  /// Default AOT entry budget: the direct LUT, a compressed table, or the
-  /// sum of the lazy per-node sub-tables must fit this many entries (the
-  /// paper's exponential-blow-up discussion applies to the decision table
-  /// exactly as to the ARON kernel). Tests and benches narrow it with
-  /// set_aot_budget() to force the compressed / lazy tiers at small sizes.
+  /// Default AOT entry budget: the direct LUT or a compressed table must
+  /// fit this many entries (the paper's exponential-blow-up discussion
+  /// applies to the decision table exactly as to the ARON kernel). Tests and
+  /// benches narrow it with set_aot_budget() to force the compressed tier
+  /// at small sizes.
   static constexpr std::uint64_t kAotMaxEntries = std::uint64_t{1} << 22;
-  /// Floor on the lazy tier's per-node sub-table capacity (entries; the
-  /// budget divided across nodes never shrinks a sub-table below this).
-  static constexpr std::uint32_t kLazyMinPerNode = 64;
 
   /// Which execution tier serves decisions after the last fill. Vm means no
   /// table at all — the reason is recorded in aot_tier_info().reason.
-  enum class AotTier : std::uint8_t { Vm, Direct, Compressed, Lazy };
+  enum class AotTier : std::uint8_t { Vm, Direct, Compressed };
   static const char* tier_name(AotTier t) {
     switch (t) {
       case AotTier::Vm: return "vm";
       case AotTier::Direct: return "direct";
       case AotTier::Compressed: return "compressed";
-      case AotTier::Lazy: return "lazy";
     }
     return "?";
   }
@@ -130,13 +134,12 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::uint64_t table_entries = 0;  // entries actually allocated
     /// full_entries / table_entries (1.0 for the direct tier).
     double compression_ratio = 1.0;
-    // Lazy-tier counters (zero elsewhere).
-    std::uint64_t lazy_capacity_per_node = 0;
-    std::uint64_t lazy_nodes_allocated = 0;
-    std::int64_t lazy_hits = 0;
-    std::int64_t lazy_misses = 0;
-    std::int64_t lazy_evictions = 0;
-    std::int64_t lazy_uncacheable = 0;
+    // First-touch (offset-sign) table counters, zero on the eager tiers.
+    // The lazy_* names are those of perfbench's ruleengine.lazy_* metrics.
+    std::int64_t lazy_hits = 0;         // decisions served by a stored entry
+    std::int64_t lazy_misses = 0;       // first touches that stored one
+    std::int64_t lazy_evictions = 0;    // always 0: an entry is never evicted
+    std::int64_t lazy_uncacheable = 0;  // decisions the VM served (gated)
   };
 
   /// `escape_vc` >= 0 equips the rule program with a hardware escape layer
@@ -167,28 +170,30 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Per-node machine access (tests poke state / post events).
   rules::EventManager& machine(NodeId n) const;
 
-  /// True when decisions are being served from an AOT tier (direct,
-  /// compressed or lazy tables; false also after a machine() poke dropped
-  /// the tables pending the next fill).
-  bool aot_active() const {
-    return aot_view_.entries != nullptr || aot_view_.lazy != nullptr;
-  }
+  /// True when decisions are being served from an AOT table (direct or
+  /// compressed; false also after a machine() poke dropped the table
+  /// pending the next fill).
+  bool aot_active() const { return aot_view_.entries != nullptr; }
   /// Table statistics of the active image (empty stats when no table —
-  /// fallback_fraction() reports 1.0 then). For rulelint and benches.
+  /// fallback_fraction() reports 1.0 then). A first-touch table counts only
+  /// the entries traffic has reached. For rulelint and benches.
   rules::AotTable::Stats aot_stats() const;
   /// Tier report of the active image: which tier serves decisions, the
-  /// classifier verdict, compression ratio and lazy counters.
+  /// classifier verdict, compression ratio and first-touch counters.
   AotTierInfo aot_tier_info() const;
+  /// First-touch (offset-sign) table only: route every class
+  /// representative once — each node's nearest dest with each offset-sign
+  /// pair, at every arrival port and VC — and mark the classes pointing off
+  /// the mesh edge and the points the engine throws on unreachable, so
+  /// aot_stats() covers the premise space the way an eager fill's do. For
+  /// rulelint --emit-table and tests.
+  void touch_every_sign_class();
 
   /// Narrow (or widen) the AOT entry budget; effective at the next fill
-  /// (attach / reconfigure / prepare_swap). Tests force the compressed and
-  /// lazy tiers at small fabric sizes this way.
+  /// (attach / reconfigure / prepare_swap). Tests force the compressed
+  /// tier at small fabric sizes this way.
   void set_aot_budget(std::uint64_t entries) { aot_budget_ = entries; }
   std::uint64_t aot_budget() const { return aot_budget_; }
-  /// Disable dest-class compression (benches compare the lazy tier against
-  /// the compressed one on the same program). Effective at the next fill.
-  void set_aot_compression_enabled(bool on) { compress_wanted_ = on; }
-  bool aot_compression_enabled() const { return compress_wanted_; }
 
   // --- hot swap -------------------------------------------------------------
   /// Build a complete execution image (parse, validate, compile and — in
@@ -239,14 +244,24 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     XPos, YPos, XDes, YDes,
     Unknown,  // not served by this host configuration: error on read
   };
+  /// The read-set gate of the first-touch sign-class table: inputs whose
+  /// value depends on the raw destination, not only on its offset-sign
+  /// class (bit c = InCode c). A decision that read any of them is never
+  /// stored in a class entry. (xdes/ydes are class-determined: the
+  /// classifier proved every read of them is a sign comparison.)
+  static constexpr std::uint32_t kDestBoundReads =
+      (1u << static_cast<unsigned>(InCode::Dest)) |
+      (1u << static_cast<unsigned>(InCode::DestReachable)) |
+      (1u << static_cast<unsigned>(InCode::EscapeOk)) |
+      (1u << static_cast<unsigned>(InCode::EscapePort));
   struct CatalogEntry;
   /// The host catalog row named `name`, or nullptr.
   static const CatalogEntry* catalog_entry(const std::string& name);
 
   /// All mutable state one in-flight decision needs, owned per node: the
   /// context of the input provider and the candidate adapter. route() on
-  /// node n touches only slots_[n] (plus the node's machine and lazy
-  /// sub-table), which is what makes concurrent decisions on distinct
+  /// node n touches only slots_[n] (plus the node's machine, table row and
+  /// counters), which is what makes concurrent decisions on distinct
   /// nodes race-free. The image-scoped fields the
   /// callbacks need (program, input-code array, cand event id) are
   /// flattened in by value / data pointer so a slot never dereferences its
@@ -260,43 +275,19 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     RouteDecision* decision = nullptr;
     std::vector<rules::EmittedEvent> scratch;
     rules::EventManager::HostHandler cand_handler;
+    /// Read set of the decision in flight: bit c for every InCode c the
+    /// provider served. The VM latches an input on its first read and
+    /// rules fire first-applicable, so these are exactly the inputs the
+    /// decision's path depended on.
+    std::uint32_t reads = 0;
   };
 
-  /// One lazy sub-table slot: a tagged AOT entry. tag == 0 is empty; a
-  /// stored key k is tagged k + 1 so key 0 is representable.
-  struct LazySlot {
-    std::uint64_t tag = 0;
-    rules::AotEntry e{};
-  };
-
-  /// One node's lazy sub-table: 2-way set-associative over the node's
-  /// (dest, in_port, in_vc) premise key, filled from the miss path. All
-  /// mutation is node-scoped (a node belongs to exactly one shard), so the
-  /// lazy tier is race-free under sharded stepping for the same reason
-  /// DecisionSlot is. Counters live here, not on LazyState, for that
-  /// same reason.
-  struct LazyNode {
-    std::vector<LazySlot> slots;  // sets * 2
+  /// Per-node counters of the first-touch table, node-scoped for the same
+  /// reason DecisionSlot is. Cumulative across fault epochs.
+  struct TouchCounters {
     std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-    /// Decisions the entry encoding cannot hold (oversized candidate set,
-    /// steps out of uint16 range, mark_misrouted) — recomputed every time.
-    std::int64_t uncacheable = 0;
-  };
-
-  /// Lazy tier state: per-node sub-tables allocated on first touch, so an
-  /// idle node costs nothing. The nodes vector itself is pre-sized at
-  /// setup — first-touch allocation swaps a unique_ptr in place and never
-  /// resizes, keeping concurrent touches on distinct nodes race-free.
-  struct LazyState {
-    std::uint32_t sets = 0;          // per node; power of two
-    std::uint64_t capacity = 0;      // sets * 2, for reporting
-    std::int32_t ports = 0;          // full premise axes (key layout)
-    std::int32_t vcs = 0;
-    std::int32_t id_bound = 0;       // nodes == dests == num_nodes
-    std::uint64_t epoch = ~std::uint64_t{0};
-    std::vector<std::unique_ptr<LazyNode>> nodes;
+    std::int64_t fills = 0;
+    std::int64_t vm_served = 0;  // unstored entries and their first touch
   };
 
   /// Everything scoped to one rule program: the unit of hot swap. The
@@ -320,8 +311,8 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::vector<std::unique_ptr<rules::EventManager>> machines;
     std::vector<DecisionSlot> slots;  // one per node
     // AOT tier ladder (ExecMode::Aot + tabulable only). `aot` holds the
-    // direct or compressed table; `lazy` the per-node sub-tables. The
-    // chosen tier and why are recorded for aot_tier_info().
+    // direct or compressed table; the chosen tier and why are recorded for
+    // aot_tier_info().
     rules::AotTable aot;
     std::uint64_t aot_epoch = ~std::uint64_t{0};
     AotTier tier = AotTier::Vm;
@@ -329,8 +320,9 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     rules::DestClassAnalysis classify;              // syntactic verdict
     rules::DestClassifier classifier_used = rules::DestClassifier::None;
     std::uint64_t full_entries = 0;  // uncompressed premise-space size
-    std::unique_ptr<LazyState> lazy;
-    bool lazy_active = false;  // false after a machine() poke
+    /// One per node while the offset-sign table fills on first touch;
+    /// empty on every other tier.
+    std::vector<TouchCounters> touch;
   };
 
   /// Snapshot of the active image's AOT table, flattened into the routing
@@ -357,14 +349,14 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::int32_t id_bound = 0;
     const std::int16_t* xs = nullptr;
     const std::int16_t* ys = nullptr;
-    /// Lazy tier (mutually exclusive with entries != nullptr). Mutable
-    /// through the view: the sub-tables are node-scoped (see LazyNode).
-    LazyState* lazy = nullptr;
+    /// Non-null iff the table fills on first touch (offset-sign): per-node
+    /// counters, mutable through the view because they are node-scoped.
+    TouchCounters* touch = nullptr;
   };
 
   /// Serve input `input_id` of the slot's program for the slot's active
   /// decision context, through the code resolved at build_image().
-  rules::Value input_by_code(const DecisionSlot& slot, std::int32_t input_id,
+  rules::Value input_by_code(DecisionSlot& slot, std::int32_t input_id,
                              const rules::Value* idx, std::size_t nidx) const;
   /// Input provider of every node's machine, all modes (ctx = DecisionSlot*).
   static rules::Value input_raw(void* ctx, std::int32_t input_id,
@@ -380,23 +372,29 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   void add_candidate(RouteDecision& d, PortId port, VcId vc, int prio) const;
   std::unique_ptr<Image> build_image(std::string program_source) const;
   /// (Re)fill the image's AOT tier for the current fault epoch; no-op when
-  /// the image is not AOT-eligible or the tables are already fresh. Walks
-  /// the tier ladder: direct -> compressed -> lazy -> VM.
+  /// the image is not AOT-eligible or the table is already fresh. Walks
+  /// the tier ladder: direct -> compressed -> VM.
   void fill_aot(Image& im) const;
+  /// Inside a catch handler of a table fill or walk: reset `node`'s VM
+  /// callback slot if `e` marks an unpresentable premise point
+  /// (ContractViolation / EvalError), else rethrow the active exception.
+  void absorb_fill_throw(Image& im, NodeId node,
+                         const std::exception& e) const;
   /// Fill `im.aot` as a direct LUT over the full premise space.
   void fill_direct(Image& im, const rules::AotTable::Dims& dims) const;
-  /// Fill `im.aot` in the compressed layout for `im.classify.kind` and
-  /// validate it against the VM. Returns false (leaving the table cleared)
-  /// on any validation mismatch — caller demotes to lazy.
+  /// Set up `im.aot` in the compressed layout for `im.classify.kind`:
+  /// xor-fold fills eagerly and validates against the VM, offset-sign
+  /// allocates the all-zero first-touch table. Returns false (table
+  /// cleared, reason recorded) when the layout does not apply or fails
+  /// validation — the caller keeps the VM tier.
   bool fill_compressed(Image& im, const rules::AotTable::Dims& full) const;
-  /// (Re)initialise the lazy tier: size the sub-tables from the budget and
-  /// clear any stale contents (buffers are kept across epochs).
-  void setup_lazy(Image& im, const rules::AotTable::Dims& full) const;
-  /// Lazy-tier miss: compute through the VM, store when the entry encoding
-  /// can hold the decision, and fill `d`. Out of line — the hit path stays
-  /// small enough to inline.
-  void route_lazy_miss(const RouteContext& ctx, RouteDecision& d,
-                       std::uint64_t key) const;
+  /// Offset-sign entry that holds no decision (yet, or ever — dest-bound
+  /// and fallback entries):
+  /// compute through the VM, store through the read-set gate on a first
+  /// touch, and fill `d`. Out of line — the hit path stays small enough to
+  /// inline.
+  void route_first_touch(const RouteContext& ctx, RouteDecision& d,
+                         std::uint64_t flat) const;
   /// Re-point aot_view_ at the active image's table (null when it has
   /// none). Call after anything that changes img_ or its table.
   void refresh_aot_view() const;
@@ -425,7 +423,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   const Mesh* mesh_ = nullptr;  // non-null on 2-D meshes
   const FaultSet* faults_ = nullptr;
   std::uint64_t aot_budget_ = kAotMaxEntries;
-  bool compress_wanted_ = true;
   /// Node coordinates flattened for the OffsetSign2D hot path (2-D meshes
   /// only; empty otherwise). Host-scoped: rebuilt at attach().
   std::vector<std::int16_t> coords_x_;
@@ -490,7 +487,8 @@ inline RouteDecision RuleDrivenRouting::route(const RouteContext& ctx) const {
           static_cast<std::uint64_t>(va);
       const rules::AotEntry e = av.entries[flat];
       // steps == 0: premise point the fill left to the VM (or marked
-      // unreachable — the VM reproduces the throw).
+      // unreachable — the VM reproduces the throw), or a first-touch entry
+      // holding no decision yet.
       if (e.steps != 0) {
         if (e.count & rules::AotEntry::kArenaFlag) {
           // Oversized / unpackable candidate set: overflow arena.
@@ -514,54 +512,13 @@ inline RouteDecision RuleDrivenRouting::route(const RouteContext& ctx) const {
           }
         }
         d.steps = e.steps;
+        if (av.touch != nullptr) ++av.touch[ctx.node].hits;
         return d;
       }
-    }
-  } else if (av.lazy != nullptr) {
-    LazyState& ls = *av.lazy;
-    FR_REQUIRE_MSG(ls.epoch == faults_->epoch(),
-                   "stale lazy AOT tier: reconfigure() missed an epoch");
-    if (static_cast<std::uint32_t>(ctx.node) <
-            static_cast<std::uint32_t>(ls.id_bound) &&
-        static_cast<std::uint32_t>(ctx.dest) <
-            static_cast<std::uint32_t>(ls.id_bound) &&
-        static_cast<std::uint32_t>(pa) < static_cast<std::uint32_t>(ls.ports) &&
-        static_cast<std::uint32_t>(va) < static_cast<std::uint32_t>(ls.vcs)) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(ctx.dest) *
-               static_cast<std::uint64_t>(ls.ports) +
-           static_cast<std::uint64_t>(pa)) *
-              static_cast<std::uint64_t>(ls.vcs) +
-          static_cast<std::uint64_t>(va);
-      LazyNode* ln = ls.nodes[static_cast<std::size_t>(ctx.node)].get();
-      if (ln != nullptr) {
-        // 2-way probe: Fibonacci-hash the key, check both ways of the set.
-        const std::uint64_t h = (key * 0x9E3779B97F4A7C15ull) >> 32;
-        const std::uint64_t base =
-            (h & (static_cast<std::uint64_t>(ls.sets) - 1)) * 2;
-        const std::uint64_t tag = key + 1;  // 0 = empty slot
-        const LazySlot* s = &ln->slots[static_cast<std::size_t>(base)];
-        if (s->tag != tag) {
-          ++s;
-          if (s->tag != tag) s = nullptr;
-        }
-        if (s != nullptr) {
-          // Lazy entries are inline-only (route_lazy_miss never stores an
-          // arena decision), so the hit unpack has no arena branch.
-          const rules::AotEntry e = s->e;
-          RouteCandidate* dst = d.candidates.resize_for_overwrite(e.count);
-          for (std::uint32_t i = 0; i < rules::AotEntry::kInlineCands; ++i) {
-            dst[i].port = e.inl[i].port;
-            dst[i].vc = e.inl[i].vc;
-            dst[i].priority = e.inl[i].priority;
-          }
-          d.steps = e.steps;
-          ++ln->hits;
-          return d;
-        }
+      if (av.touch != nullptr) {
+        route_first_touch(ctx, d, flat);
+        return d;
       }
-      route_lazy_miss(ctx, d, key);
-      return d;
     }
   }
   route_fallback(ctx, d);

@@ -154,10 +154,9 @@ std::vector<TableReport> emit_table_corpus() {
   };
   // The runnable decision programs at the sizes the differential tests and
   // benches use, plus the 4096-node fabrics the tier ladder exists for
-  // (64x64 meshes and 12-cubes blow the direct budget; the compressed and
-  // lazy tiers must absorb them). Each AOT-compiles against its own
-  // topology (topology_of on the program's constants) with a clean fault
-  // set.
+  // (64x64 meshes and 12-cubes blow the direct budget; the compressed tier
+  // must absorb them). Each AOT-compiles against its own topology
+  // (topology_of on the program's constants) with a clean fault set.
   const Case cases[] = {
       {rulebases::nara_route_source(8, 8), 2, -1},
       {rulebases::ft_mesh_route_source(8, 8), 3, 2},
@@ -192,21 +191,18 @@ std::vector<TableReport> emit_table_corpus() {
     rep.tier_reason = ti.reason;
     rep.full_entries = ti.full_entries;
     rep.compression_ratio = ti.compression_ratio;
-    if (ti.tier == RuleDrivenRouting::AotTier::Lazy) {
-      // The lazy tier has no eager fill to account: report the allocation
-      // bound (the budget split across nodes) as the table size.
-      rep.entries = ti.table_entries;
-      rep.bytes = ti.table_entries * sizeof(rules::AotEntry);
-      rep.fallback_fraction = 0.0;
-    } else {
-      const rules::AotTable::Stats st = algo.aot_stats();
-      rep.entries = st.entries;
-      rep.resolved = st.resolved;
-      rep.unreachable = st.unreachable;
-      rep.fallback = st.fallback;
-      rep.bytes = st.bytes;
-      rep.fallback_fraction = st.fallback_fraction();
-    }
+    // A first-touch table holds only what traffic reached: route every
+    // class representative through it so its stats cover the premise space.
+    if (rep.active && ti.classifier == rules::DestClassifier::OffsetSign2D)
+      algo.touch_every_sign_class();
+    const rules::AotTable::Stats st = algo.aot_stats();
+    rep.entries = st.entries;
+    rep.resolved = st.resolved;
+    rep.unreachable = st.unreachable;
+    rep.dest_bound = st.dest_bound;
+    rep.fallback = st.fallback;
+    rep.bytes = st.bytes;
+    rep.fallback_fraction = st.fallback_fraction();
     out.push_back(std::move(rep));
   }
   return out;
@@ -227,14 +223,9 @@ std::string to_string(const std::vector<TableReport>& reports) {
     if (r.compression_ratio > 1.0)
       os << " " << r.compression_ratio << "x compression";
     os << ", ";
-    if (r.tier == "lazy") {
-      os << r.entries << " entries allocated (of " << r.full_entries
-         << " premise points; filled on first touch), " << r.bytes
-         << " bytes\n";
-      continue;
-    }
     os << r.entries << " entries (" << r.resolved << " resolved, "
-       << r.unreachable << " unreachable, " << r.fallback << " fallback), "
+       << r.dest_bound << " dest-bound, " << r.unreachable
+       << " unreachable, " << r.fallback << " fallback), "
        << r.bytes << " bytes, fallback fraction " << r.fallback_fraction
        << "\n";
   }

@@ -9,23 +9,28 @@
 
 namespace flexrouter::ruleanalysis {
 
-std::string describe_faults(const FaultSet& faults) {
-  if (faults.fault_free()) return "no faults";
+std::string describe_faults(const std::vector<LinkRef>& links,
+                            const std::vector<NodeId>& nodes) {
+  if (links.empty() && nodes.empty()) return "no faults";
   std::ostringstream os;
   os << "faults={";
   bool first = true;
-  for (const LinkRef& l : faults.faulty_links()) {
+  for (const LinkRef& l : links) {
     if (!first) os << ", ";
     os << "link " << l.node << ":" << l.port;
     first = false;
   }
-  for (const NodeId n : faults.faulty_nodes()) {
+  for (const NodeId n : nodes) {
     if (!first) os << ", ";
     os << "node " << n;
     first = false;
   }
   os << "}";
   return os.str();
+}
+
+std::string describe_faults(const FaultSet& faults) {
+  return describe_faults(faults.faulty_links(), faults.faulty_nodes());
 }
 
 std::string format_cycle_witness(const std::vector<Channel>& cycle,

@@ -74,7 +74,10 @@ struct DeadlockModel {
 inline constexpr std::size_t kMaxWitnessChannels = 16;
 
 /// "faults={link n:p, node m, ...}" (or "no faults") — the fault-set tag
-/// every faulted witness carries.
+/// every faulted witness carries, in the order given.
+std::string describe_faults(const std::vector<LinkRef>& links,
+                            const std::vector<NodeId>& nodes);
+/// describe_faults over a fault set's faulty links and nodes.
 std::string describe_faults(const FaultSet& faults);
 
 /// A dependency-cycle witness capped at kMaxWitnessChannels channels and

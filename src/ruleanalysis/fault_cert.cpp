@@ -733,22 +733,7 @@ OrbitOutcome certify_orbit(MemberCertifier& cert, const Orbit& orbit,
 // ---- public surface ------------------------------------------------------
 
 std::string FaultPattern::to_string() const {
-  if (empty()) return "no faults";
-  std::ostringstream os;
-  os << "faults={";
-  bool first = true;
-  for (const LinkRef& l : links) {
-    if (!first) os << ", ";
-    os << "link " << l.node << ":" << l.port;
-    first = false;
-  }
-  for (const NodeId n : nodes) {
-    if (!first) os << ", ";
-    os << "node " << n;
-    first = false;
-  }
-  os << "}";
-  return os.str();
+  return describe_faults(links, nodes);
 }
 
 FaultSet FaultPattern::to_fault_set(const Topology& topo) const {

@@ -1,6 +1,7 @@
 #include "ruleengine/aot.hpp"
 
 #include <limits>
+#include <new>
 
 namespace flexrouter::rules {
 
@@ -10,7 +11,15 @@ void AotTable::reset(const Dims& d, std::size_t expected_cands) {
   dest_stride_ = static_cast<std::uint64_t>(d.ports) *
                  static_cast<std::uint64_t>(d.vcs);
   node_stride_ = dest_stride_ * static_cast<std::uint64_t>(d.dests);
-  entries_.assign(static_cast<std::size_t>(d.entry_count()), AotEntry{});
+  // All-zero bits are the unresolved entry, so calloc's zero pages are a
+  // valid table without a write pass.
+  entries_.reset();
+  size_ = static_cast<std::size_t>(d.entry_count());
+  entries_.reset(static_cast<AotEntry*>(std::calloc(size_, sizeof(AotEntry))));
+  if (entries_ == nullptr) {
+    size_ = 0;
+    throw std::bad_alloc();
+  }
   arena_.clear();
   arena_.reserve(expected_cands);
 }
@@ -30,42 +39,49 @@ bool packable(const AotCand& c) {
 
 void AotTable::set_entry(std::uint64_t flat, int steps, const AotCand* cands,
                          std::size_t n) {
-  FR_REQUIRE(flat < entries_.size());
+  if (set_inline_entry(flat, steps, cands, n)) return;
   FR_REQUIRE_MSG(steps >= 1, "a resolved AOT entry needs steps >= 1");
   FR_REQUIRE(steps <= std::numeric_limits<std::uint16_t>::max());
   FR_REQUIRE(n < AotEntry::kArenaFlag);
+  FR_REQUIRE(arena_.size() <= std::numeric_limits<std::uint32_t>::max());
   AotEntry& e = entries_[static_cast<std::size_t>(flat)];
-  FR_REQUIRE_MSG(e.steps == 0 && e.count == 0,
-                 "AOT premise point resolved twice");
-  bool inlinable = n <= AotEntry::kInlineCands;
-  for (std::size_t i = 0; inlinable && i < n; ++i)
-    inlinable = packable(cands[i]);
-  if (inlinable) {
-    for (std::size_t i = 0; i < n; ++i)
-      e.inl[i] = {static_cast<std::int8_t>(cands[i].port),
-                  static_cast<std::int8_t>(cands[i].vc),
-                  static_cast<std::int16_t>(cands[i].priority)};
-    e.count = static_cast<std::uint16_t>(n);
-  } else {
-    FR_REQUIRE(arena_.size() <= std::numeric_limits<std::uint32_t>::max());
-    e.first = static_cast<std::uint32_t>(arena_.size());
-    e.count = static_cast<std::uint16_t>(n) | AotEntry::kArenaFlag;
-    arena_.insert(arena_.end(), cands, cands + n);
-  }
+  e.first = static_cast<std::uint32_t>(arena_.size());
+  e.count = static_cast<std::uint16_t>(n) | AotEntry::kArenaFlag;
+  arena_.insert(arena_.end(), cands, cands + n);
   e.steps = static_cast<std::uint16_t>(steps);
 }
 
-void AotTable::mark_unreachable(std::uint64_t flat) {
-  FR_REQUIRE(flat < entries_.size());
+bool AotTable::set_inline_entry(std::uint64_t flat, int steps,
+                                const AotCand* cands, std::size_t n) {
+  FR_REQUIRE(flat < size_);
   AotEntry& e = entries_[static_cast<std::size_t>(flat)];
   FR_REQUIRE_MSG(e.steps == 0 && e.count == 0,
                  "AOT premise point resolved twice");
-  e.count = kUnreachableCount;
+  if (steps < 1 || steps > std::numeric_limits<std::uint16_t>::max() ||
+      n > AotEntry::kInlineCands)
+    return false;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!packable(cands[i])) return false;
+  for (std::size_t i = 0; i < n; ++i)
+    e.inl[i] = {static_cast<std::int8_t>(cands[i].port),
+                static_cast<std::int8_t>(cands[i].vc),
+                static_cast<std::int16_t>(cands[i].priority)};
+  e.count = static_cast<std::uint16_t>(n);
+  e.steps = static_cast<std::uint16_t>(steps);
+  return true;
+}
+
+void AotTable::mark(std::uint64_t flat, std::uint16_t sentinel) {
+  FR_REQUIRE(flat < size_);
+  AotEntry& e = entries_[static_cast<std::size_t>(flat)];
+  FR_REQUIRE_MSG(e.steps == 0 && e.count == 0,
+                 "AOT premise point resolved twice");
+  e.count = sentinel;
 }
 
 bool AotTable::decode(std::uint64_t flat, int& steps,
                       std::vector<AotCand>& cands) const {
-  FR_REQUIRE(flat < entries_.size());
+  FR_REQUIRE(flat < size_);
   const AotEntry& e = entries_[static_cast<std::size_t>(flat)];
   cands.clear();
   if (e.steps == 0) return false;
@@ -83,14 +99,17 @@ bool AotTable::decode(std::uint64_t flat, int& steps,
 
 AotTable::Stats AotTable::stats() const {
   Stats s;
-  s.entries = entries_.size();
-  for (const AotEntry& e : entries_) {
+  s.entries = size_;
+  for (std::size_t i = 0; i < size_; ++i) {
+    const AotEntry& e = entries_[i];
     if (e.steps != 0)
       ++s.resolved;
     else if (e.count == kUnreachableCount)
       ++s.unreachable;
+    else if (e.count == kDestBoundCount)
+      ++s.dest_bound;
   }
-  s.fallback = s.entries - s.resolved - s.unreachable;
+  s.fallback = s.entries - s.resolved - s.unreachable - s.dest_bound;
   s.arena_candidates = arena_.size();
   s.bytes = s.entries * sizeof(AotEntry) + s.arena_candidates * sizeof(AotCand);
   return s;

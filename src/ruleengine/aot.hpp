@@ -2,23 +2,28 @@
 // the premise space a router can ever present — the same
 // (node, dest, in_port, in_vc) axes the static deadlock certifier walks.
 //
-// The host (routing/rule_driven.*) enumerates every premise point at
-// reconfigure time, runs the decision once through the VM, and stores the
-// result here: a flat direct-LUT of 16-byte AotEntry records over
+// The host (routing/rule_driven.*) fills it one of two ways. The eager
+// tiers enumerate every premise point at reconfigure time, run the decision
+// once through the VM and store the result. The sign-class tier allocates
+// the table all-zero (its pages are not touched until a decision lands
+// there) and stores each class's decision from the miss path. Either way
+// the table is a flat direct-LUT of 16-byte AotEntry records over
 // precomputed strides, candidates packed inline in the entry (oversized
-// sets overflow to a shared arena). A table lookup is branchless up to the
-// fallback test — no bytecode dispatch, no hashing, no allocation, and for
-// inline entries no second memory dependency. Premise points outside the
-// table (or whole
-// programs the soundness analysis rejects) keep going through the VM; the
-// entry encoding (steps == 0) makes the fallback test a single compare.
+// sets of the eager tiers overflow to a shared arena). A table lookup is
+// branchless up to the fallback test — no bytecode dispatch, no hashing, no
+// allocation, and for inline entries no second memory dependency. Premise
+// points outside the table (or whole programs the soundness analysis
+// rejects) keep going through the VM; the entry encoding (steps == 0) makes
+// the fallback test a single compare.
 //
 // The table is rebuilt from scratch whenever its inputs can have changed
-// (fault epoch / program swap); build() tags the result so the host can
-// assert freshness the same way the escape table does.
+// (fault epoch / program swap); the host tags it with the epoch it was
+// built for and asserts freshness the same way the escape table does.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -54,11 +59,19 @@ class AotTable {
     /// nonexistent boundary link). The VM fallback reproduces the throw
     /// should one ever materialize.
     std::uint64_t unreachable = 0;
-    std::uint64_t fallback = 0;         // presentable entries left to the VM
+    /// Sign-class entries the read-set gate left to the VM: the decision
+    /// read a dest-bound input, so it holds for that dest, not its class.
+    std::uint64_t dest_bound = 0;
+    /// Presentable entries left to the VM: the decision does not fit the
+    /// encoding (mark_misrouted, steps out of range, or — on the sign-class
+    /// tier — candidates that do not pack inline), or, on a first-touch
+    /// table, no decision has reached the entry yet.
+    std::uint64_t fallback = 0;
     std::uint64_t arena_candidates = 0; // AotCand records in the arena
     std::uint64_t bytes = 0;            // entries + arena footprint
 
-    /// Fraction of presentable premise points the table cannot serve —
+    /// Fraction of presentable premise points the table cannot serve
+    /// (dest-bound entries are served by the VM by design, not left) —
     /// the rulelint --emit-table / aot_table_corpus metric.
     double fallback_fraction() const {
       const std::uint64_t presentable = entries - unreachable;
@@ -72,38 +85,61 @@ class AotTable {
   /// unreachable premise point from an ordinary fallback. The fast path
   /// never reads count when steps == 0, so the encoding is free.
   static constexpr std::uint16_t kUnreachableCount = 0xffff;
+  /// Sentinel in AotEntry::count (with steps == 0): a sign-class entry the
+  /// read-set gate refused to store, so every decision there runs the VM.
+  static constexpr std::uint16_t kDestBoundCount = 0xfffe;
+  /// Sentinel in AotEntry::count (with steps == 0): a sign-class entry whose
+  /// decision the encoding cannot hold; VM-served, counted as fallback.
+  static constexpr std::uint16_t kFallbackCount = 0xfffd;
 
   AotTable() = default;
 
   /// True iff a table over `d` fits the entry budget. Oversized premise
-  /// spaces are not an error — the host simply keeps the VM + cache tiers.
+  /// spaces are not an error — the host simply keeps the VM tier.
   static bool within_budget(const Dims& d, std::uint64_t max_entries) {
     return d.entry_count() > 0 && d.entry_count() <= max_entries;
   }
 
   /// Drop any previous contents and allocate `d.entry_count()` unresolved
-  /// entries. `expected_cands` presizes the arena (one reallocation-free
-  /// build when the estimate holds; growing during build is correct too —
-  /// the arena is only indexed, never pointed into, until the build ends).
+  /// entries. The entries come from calloc, so the pages of an all-zero
+  /// table stay untouched until an entry is written. `expected_cands`
+  /// presizes the arena (one reallocation-free build when the estimate
+  /// holds; growing during build is correct too — the arena is only
+  /// indexed, never pointed into, until the build ends).
   void reset(const Dims& d, std::size_t expected_cands);
 
-  /// Store the decision for one premise point. Candidates are appended to
-  /// the arena; `steps` must be >= 1 (0 is the fallback encoding).
+  /// Store the decision for one premise point. Candidates that do not pack
+  /// inline are appended to the arena; `steps` must be >= 1 (0 is the
+  /// fallback encoding).
   void set_entry(std::uint64_t flat, int steps, const AotCand* cands,
                  std::size_t n);
 
+  /// Store the decision only if it packs inline (and steps fits the
+  /// encoding); false leaves the entry untouched. Never touches the arena,
+  /// so distinct entries can be stored concurrently.
+  bool set_inline_entry(std::uint64_t flat, int steps, const AotCand* cands,
+                        std::size_t n);
+
   /// Record a premise point the engine threw on. Runtime-wise identical to
   /// an ordinary fallback (steps stays 0); only the accounting differs.
-  void mark_unreachable(std::uint64_t flat);
+  void mark_unreachable(std::uint64_t flat) { mark(flat, kUnreachableCount); }
+
+  /// Record a sign-class entry the read-set gate refused (kDestBoundCount).
+  void mark_dest_bound(std::uint64_t flat) { mark(flat, kDestBoundCount); }
+
+  /// Record a sign-class entry whose decision does not fit the encoding
+  /// (kFallbackCount).
+  void mark_fallback(std::uint64_t flat) { mark(flat, kFallbackCount); }
 
   /// Drop the table (host bypass after external state mutation); the next
   /// fill rebuilds it from scratch.
   void clear() {
-    entries_.clear();
+    entries_.reset();
+    size_ = 0;
     arena_.clear();
   }
 
-  bool empty() const { return entries_.empty(); }
+  bool empty() const { return size_ == 0; }
   const Dims& dims() const { return dims_; }
   std::uint64_t node_stride() const { return node_stride_; }
   std::uint64_t dest_stride() const { return dest_stride_; }
@@ -120,22 +156,28 @@ class AotTable {
 
   // Raw views for the host's fast path (no bounds checks — the host proves
   // the premise point in-range before indexing).
-  const AotEntry* entries_raw() const { return entries_.data(); }
+  const AotEntry* entries_raw() const { return entries_.get(); }
   const AotCand* arena_raw() const { return arena_.data(); }
 
   /// Decode one entry into (steps, candidates); false when the entry is
-  /// unresolved (fallback or unreachable). For fill-time validation of the
-  /// compressed layout and for tests — the hot path unpacks inline.
+  /// unresolved (fallback, unreachable or dest-bound). For fill-time
+  /// validation of the xor-fold layout — the hot path unpacks inline.
   bool decode(std::uint64_t flat, int& steps,
               std::vector<AotCand>& cands) const;
 
   Stats stats() const;
 
  private:
+  void mark(std::uint64_t flat, std::uint16_t sentinel);
+
   Dims dims_;
   std::uint64_t node_stride_ = 0;  // dests * ports * vcs
   std::uint64_t dest_stride_ = 0;  // ports * vcs
-  std::vector<AotEntry> entries_;
+  struct FreeEntries {
+    void operator()(AotEntry* p) const { std::free(p); }
+  };
+  std::unique_ptr<AotEntry[], FreeEntries> entries_;
+  std::size_t size_ = 0;
   std::vector<AotCand> arena_;
 };
 

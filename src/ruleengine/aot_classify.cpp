@@ -145,6 +145,38 @@ std::set<std::string> inputs_read(const Program& prog,
   return reads;
 }
 
+/// The first binder among the reachable rules that reuses an input's name:
+/// a rule-base parameter, a quantifier variable or a FORALL variable. Such
+/// a binder can shadow the input (the validator and the compiler resolve a
+/// parameter before an input of the same name), while the usage checkers
+/// match inputs by name; empty when no binder does.
+std::string shadowing_binder(const Program& prog,
+                             const std::vector<const RuleBase*>& bases) {
+  std::string found;
+  auto binds = [&](const RuleBase& rb, const std::string& name) {
+    if (found.empty() && prog.find_input(name) != nullptr)
+      found = "rule base '" + rb.name + "' binds '" + name +
+              "', which shadows the input of that name";
+  };
+  std::function<void(const RuleBase&, const std::vector<Cmd>&)> walk_cmds =
+      [&](const RuleBase& rb, const std::vector<Cmd>& cmds) {
+        for (const Cmd& c : cmds) {
+          if (c.kind == Cmd::Kind::ForAll) binds(rb, c.bound);
+          walk_cmds(rb, c.body);
+        }
+      };
+  for (const RuleBase* rb : bases) {
+    for (const Param& p : rb->params) binds(*rb, p.name);
+    for (const Rule& r : rb->rules) {
+      for_each_expr(r, [&](const Expr& e) {
+        if (e.kind == Expr::Kind::Quantified) binds(*rb, e.name);
+      });
+      walk_cmds(*rb, r.conclusion);
+    }
+  }
+  return found;
+}
+
 bool subset_of(const std::set<std::string>& reads,
                std::initializer_list<const char*> allowed,
                std::string& offender) {
@@ -182,6 +214,12 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
     out.reason = "decision rule base '" + root + "' not found";
     return out;
   }
+  // Both checkers match inputs by name, so a binder of an input's name
+  // would let `xpos < xdes` compare a parameter against the raw xdes.
+  // No corpus program reuses an input name; refuse rather than resolve
+  // scopes.
+  out.reason = shadowing_binder(prog, bases);
+  if (!out.reason.empty()) return out;
   const std::set<std::string> reads = inputs_read(prog, bases);
 
   // XorFold first: when it applies it collapses both id axes, so it always
@@ -206,12 +244,16 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
     xor_blocker = "reads raw node/dest bits: " + xc.blocker;
   }
 
-  // OffsetSign2D keeps the node axis, so node-determined inputs are fine;
-  // only raw destination reads (dest, xdes/ydes outside a sign comparison,
-  // dest_reachable, the escape_* family) block it.
+  // OffsetSign2D keeps the node axis, so node-determined inputs are fine,
+  // and so is on_escape (fixed by the arrival port and VC). The dest-bound
+  // inputs dest_reachable, escape_ok and escape_port are admitted too: the
+  // host's read-set gate checks them per decision, storing no decision
+  // that read one. Raw dest reads and xdes/ydes outside a sign comparison
+  // still block it.
   if (!subset_of(reads,
                  {"node", "xpos", "ypos", "xdes", "ydes", "in_port", "in_vc",
-                  "injected", "link_ok"},
+                  "injected", "link_ok", "on_escape", "dest_reachable",
+                  "escape_ok", "escape_port"},
                  offender)) {
     out.reason = !xor_blocker.empty()
                      ? xor_blocker
@@ -231,6 +273,12 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
     out.kind = DestClassifier::OffsetSign2D;
     out.reason =
         "xdes/ydes read only in sign comparisons against xpos/ypos";
+    std::string gated;
+    for (const char* g : {"dest_reachable", "escape_ok", "escape_port"})
+      if (reads.count(g) != 0) gated += (gated.empty() ? "" : ", ") +
+                                        std::string(g);
+    if (!gated.empty())
+      out.reason += "; dest-bound reads gated per decision: " + gated;
     return out;
   }
   out.reason = "reads a destination coordinate outside a sign comparison: " +

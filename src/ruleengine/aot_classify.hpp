@@ -13,15 +13,24 @@
 //    a position and the matching destination coordinate is a function of the
 //    per-axis offset *sign*, so the dest axis collapses to the nine
 //    (sgn dx, sgn dy) combinations while the node axis stays (node-scoped
-//    inputs like link_ok remain legal) — DOR / NARA-style mesh programs.
+//    inputs like link_ok, and on_escape, remain legal) — DOR / NARA /
+//    ft_mesh-style mesh programs. The dest-bound inputs `dest_reachable`,
+//    `escape_ok` and `escape_port` are admitted as well: they are not
+//    class-determined, so the host gates them per decision (a decision that
+//    read one is served by the VM, never stored for its class), and the
+//    verdict names the ones the program reads.
 //
 // The analysis is conservative: it walks every rule reachable from the
 // decision rule base (the same traversal as analyze_reachable) and rejects
-// on the first read it cannot prove class-determined — e.g. ft_mesh_rules'
-// `escape_port`, which depends on raw destination bits. The host validates
-// the verdict point-by-point against the VM during the table fill and
-// demotes to the lazy tier on any mismatch, so a classifier bug can cost
-// performance but never correctness.
+// on the first read it cannot prove class-determined or gateable — e.g. a
+// raw `dest` read outside `xor(node, dest)`. Both proofs match inputs by
+// name, so a program in which a rule-base parameter, quantifier or FORALL
+// variable reuses an input's name (and so shadows it) is refused outright.
+// The host validates an xor-fold verdict against the VM during the eager
+// fill and demotes to the VM tier on any mismatch; the offset-sign table
+// stores what the VM answered at the first touch of each class, under the
+// read-set gate. The differential tests (tests/test_aot.cpp,
+// tests/test_fuzz_rules.cpp) check both over whole premise spaces.
 #pragma once
 
 #include <cstdint>

@@ -16,18 +16,23 @@
 //    threads and 1/2/4 spatial shards.
 //  * Quiescent swap accounting: a real program change drains, commits, and
 //    loses nothing.
-//  * Tier ladder: a narrowed budget forces the compressed (classifier) or
-//    lazy (per-node sub-table) tier, which must stay in lockstep with the
-//    direct table and the VM over the full premise space; a second identical
-//    pass over the lazy tier's working set allocates nothing.
+//  * Tier ladder: a narrowed budget forces the compressed tier — the eager
+//    xor-fold table or the first-touch sign-class table behind the read-set
+//    gate — which must stay in lockstep with the direct table and the VM
+//    over the full premise space, before and after link faults; a second
+//    pass over a sign-class working set fills nothing and allocates
+//    nothing, and a sharded simulation with live faults is bit-identical
+//    (results and tier counters) at 1/2/4/8 shards.
 //  * Rolling swap commits: per-shard commits produce bit-identical
 //    SimResults at 1/2/4/8 execution shards and gate strictly fewer
 //    node-cycles than a quiescent drain of the same swap.
 //  * The soundness gate and table invalidation: stateful programs and
 //    programs reading packet-local inputs keep the VM tier (with a reason),
-//    the interpreter never builds a table, a lazy hit replays the stored
-//    decision, a fault epoch never replays a stale one, and a register
-//    poke through machine() is seen by the very next decision.
+//    the interpreter never builds a table, a sign-class hit replays the
+//    stored decision, a fault epoch never replays a stale one, and a
+//    register poke through machine() is seen by the very next decision. A
+//    parameter that shadows an input keeps the offset-sign classifier off,
+//    and a decision the sign-class entry cannot encode counts as fallback.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -38,7 +43,9 @@
 #include "common/rng.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
+#include "ruleengine/parser.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/fault_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "topology/hypercube.hpp"
@@ -183,11 +190,14 @@ INSTANTIATE_TEST_SUITE_P(Corpus, AotCorpusLockstep, ::testing::Range(0, 4),
 
 // ------------------------------------------------------ forced tier ladder
 // Halving the budget below the full premise space forces the fill off the
-// direct tier: onto the compressed table where a classifier applies
-// (nara -> offset-sign, ecube/ecube_msb -> xor-fold), onto the lazy
-// sub-tables where none does (ft_mesh reads escape_port). Either way the
-// forced tier must stay in lockstep with the direct table and the VM over
-// the complete premise space, fault-free and after link kills.
+// direct tier onto the compressed one: the eager xor-fold table for
+// ecube/ecube_msb, the first-touch sign-class table for nara and ft_mesh
+// (ft_mesh's escape_* reads pass the classifier and are gated per decision
+// by the read set). Either way the forced tier must stay in lockstep with
+// the direct table and the VM over the complete premise space, fault-free
+// and after link kills. That is also the read-set gate's check: a decision
+// stored for a whole sign class after reading a dest-bound input would
+// disagree with the VM at another member of the class.
 class AotForcedTierLockstep : public ::testing::TestWithParam<int> {};
 
 TEST_P(AotForcedTierLockstep, ForcedTierAgreesWithDirectAndVm) {
@@ -209,19 +219,27 @@ TEST_P(AotForcedTierLockstep, ForcedTierAgreesWithDirectAndVm) {
   forced.set_aot_budget(full / 2);
   forced.attach(*cs.topo, f);
   const RuleDrivenRouting::AotTierInfo ti = forced.aot_tier_info();
-  if (ti.classifier != rules::DestClassifier::None) {
-    EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Compressed)
-        << ti.reason;
-    EXPECT_GT(ti.compression_ratio, 1.0);
-    EXPECT_EQ(forced.aot_stats().fallback, 0u);
+  ASSERT_EQ(ti.tier, RuleDrivenRouting::AotTier::Compressed) << ti.reason;
+  EXPECT_GT(ti.compression_ratio, 1.0);
+  const bool first_touch =
+      ti.classifier == rules::DestClassifier::OffsetSign2D;
+  // The eager xor-fold table is complete at fill; the sign-class table
+  // starts empty and fills on first touch.
+  if (first_touch) {
+    EXPECT_EQ(forced.aot_stats().resolved, 0u);
   } else {
-    EXPECT_EQ(ti.tier, RuleDrivenRouting::AotTier::Lazy) << ti.reason;
-    EXPECT_GE(ti.lazy_capacity_per_node,
-              RuleDrivenRouting::kLazyMinPerNode);
+    EXPECT_EQ(forced.aot_stats().fallback, 0u);
   }
   ASSERT_TRUE(forced.aot_active());
 
   lockstep_premise_space(*cs.topo, vm, direct, forced, cs.vcs);
+  const RuleDrivenRouting::AotTierInfo walked = forced.aot_tier_info();
+  if (first_touch) {
+    EXPECT_GT(walked.lazy_misses, 0);
+    EXPECT_GT(walked.lazy_hits, walked.lazy_misses);
+    // ft_mesh's escape-VC arrivals read escape_port: dest-bound.
+    EXPECT_EQ(walked.lazy_uncacheable > 0, cs.escape_vc >= 0);
+  }
 
   Rng rng(7);
   inject_random_link_faults(f, 4, rng);
@@ -231,6 +249,9 @@ TEST_P(AotForcedTierLockstep, ForcedTierAgreesWithDirectAndVm) {
   ASSERT_TRUE(forced.aot_active());
   EXPECT_EQ(forced.aot_tier_info().tier, ti.tier)
       << "tier choice changed across the epoch";
+  if (first_touch) {
+    EXPECT_EQ(forced.aot_stats().resolved, 0u);
+  }
   lockstep_premise_space(*cs.topo, vm, direct, forced, cs.vcs);
 }
 
@@ -240,30 +261,40 @@ INSTANTIATE_TEST_SUITE_P(Corpus, AotForcedTierLockstep,
                                corpus_cases()[info.param].name);
                          });
 
-// The lazy tier must converge: a second identical pass over a working set
-// that fits the sub-tables is pure hits — no new misses, no evictions and
-// (the steady-state property the tier exists for) no heap allocation.
-TEST(AotLazyTier, SecondPassOverWorkingSetAllocatesNothing) {
+/// ft_mesh on a w x w mesh with the budget narrowed so that the full
+/// premise space does not fit and the sign-class table does.
+std::unique_ptr<RuleDrivenRouting> forced_sign_class_ft_mesh(int w) {
+  auto algo = std::make_unique<RuleDrivenRouting>(
+      rulebases::ft_mesh_route_source(w, w), 3, ExecMode::Aot, "route",
+      /*escape_vc=*/2);
+  const auto n = static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(w);
+  algo->set_aot_budget(n * 9 * 6 * 4);  // nodes x classes x ports x vcs
+  return algo;
+}
+
+// The sign-class table converges exactly: once a working set has been
+// routed, a second pass over it is pure hits — zero fills, zero VM-served
+// decisions and (the steady-state property the tier exists for) zero heap
+// allocations. No conflict residue: a class entry, once filled, is never
+// evicted.
+TEST(AotSignClassTier, SecondPassOverWorkingSetFillsNothingAndAllocatesNothing) {
   Mesh m = Mesh::two_d(8, 8);
   FaultSet f(m);
   RuleDrivenRouting vm(rulebases::ft_mesh_route_source(8, 8), 3,
                        ExecMode::Vm, "route", /*escape_vc=*/2);
-  RuleDrivenRouting lazy(rulebases::ft_mesh_route_source(8, 8), 3,
-                         ExecMode::Aot, "route", /*escape_vc=*/2);
+  const std::unique_ptr<RuleDrivenRouting> table = forced_sign_class_ft_mesh(8);
   vm.attach(m, f);
-  // ft_mesh rejects both classifiers (escape_port reads raw dest bits), so
-  // an over-narrow budget lands on the lazy tier directly.
-  lazy.set_aot_budget(1 << 15);
-  lazy.attach(m, f);
-  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
-      << lazy.aot_tier_info().reason;
+  table->attach(m, f);
+  ASSERT_EQ(table->aot_tier_info().tier, RuleDrivenRouting::AotTier::Compressed)
+      << table->aot_tier_info().reason;
+  ASSERT_EQ(table->aot_tier_info().classifier,
+            rules::DestClassifier::OffsetSign2D);
 
-  // A bounded per-node working set (8 dests x every arrival). Only storable
-  // points are kept: throwing and non-inline-packable decisions recompute
-  // through the VM on every touch by design, which would read as "misses"
-  // below. The first pass fills the sub-tables, checks VM identity, and
-  // records the storable contexts so the measured second pass can drive the
-  // lazy engine alone.
+  // A bounded per-node working set (8 dests x every arrival). Points the
+  // table serves through the VM — throws and dest-bound decisions — run the
+  // VM on every touch by design and are left out; the first pass checks VM
+  // identity and records the rest so the measured second pass drives the
+  // table alone.
   std::vector<RouteContext> working_set;
   for (NodeId n = 0; n < m.num_nodes(); ++n) {
     for (int k = 1; k <= 8; ++k) {
@@ -275,46 +306,35 @@ TEST(AotLazyTier, SecondPassOverWorkingSetAllocatesNothing) {
           ctx.src = n;
           ctx.in_port = p;
           ctx.in_vc = v;
+          const std::int64_t vm_served_before =
+              table->aot_tier_info().lazy_uncacheable;
           const PointResult want = route_point(vm, ctx);
-          if (want.threw || want.d.mark_misrouted ||
-              want.d.candidates.size() > rules::AotEntry::kInlineCands)
-            continue;
-          working_set.push_back(ctx);
-          const PointResult got = route_point(lazy, ctx);
-          expect_same(want, got, "lazy", ctx);
+          const PointResult got = route_point(*table, ctx);
+          expect_same(want, got, "sign-class", ctx);
+          if (!got.threw &&
+              table->aot_tier_info().lazy_uncacheable == vm_served_before)
+            working_set.push_back(ctx);
         }
       }
     }
   }
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   const std::int64_t swept = static_cast<std::int64_t>(working_set.size());
-  const RuleDrivenRouting::AotTierInfo warm = lazy.aot_tier_info();
+  const RuleDrivenRouting::AotTierInfo warm = table->aot_tier_info();
   EXPECT_GT(warm.lazy_misses, 0);
-  EXPECT_GT(warm.lazy_nodes_allocated, 0u);
+  EXPECT_GT(warm.lazy_uncacheable, 0);  // escape-VC arrivals were left out
 
   const std::int64_t allocs_before = heap_alloc_count();
-  for (const RouteContext& ctx : working_set)
-    route_point(lazy, ctx);  // second pass: hits, bar set conflicts
+  for (const RouteContext& ctx : working_set) table->route(ctx);
   const std::int64_t allocs_after = heap_alloc_count();
-  const RuleDrivenRouting::AotTierInfo converged = lazy.aot_tier_info();
-  // 2-way sets leave a residue of conflict misses (three keys hashed into
-  // one set evict each other forever); convergence means the second pass
-  // hits for all but that residue — bound it at 2% of the working set.
-  const std::int64_t second_pass_misses =
-      converged.lazy_misses - warm.lazy_misses;
-  EXPECT_LT(second_pass_misses, swept / 50)
-      << "second pass missed broadly: the working set did not converge";
-  EXPECT_GT(converged.lazy_hits - warm.lazy_hits, swept * 9 / 10);
-  // The steady-state property the tier exists for: serving a stored entry
-  // never touches the heap (RouteDecision is a StaticVector; the sub-table
-  // probe is a strided load). Only the conflict residue may allocate — a
-  // recompute re-runs the VM, which builds its evaluation state on the
-  // heap — so the delta is bounded per miss, not per point. A hit-path
-  // allocation would scale with `swept` and blow through this bound.
+  const RuleDrivenRouting::AotTierInfo converged = table->aot_tier_info();
+  EXPECT_EQ(converged.lazy_misses, warm.lazy_misses);
+  EXPECT_EQ(converged.lazy_uncacheable, warm.lazy_uncacheable);
+  EXPECT_EQ(converged.lazy_hits - warm.lazy_hits, swept);
+  EXPECT_EQ(converged.lazy_evictions, 0);
   if (heap_alloc_counting_enabled()) {
-    EXPECT_LE(allocs_after - allocs_before, second_pass_misses * 64)
-        << "lazy hit path touched the heap (" << swept << " points, "
-        << second_pass_misses << " conflict misses)";
+    EXPECT_EQ(allocs_after, allocs_before)
+        << "sign-class hit path touched the heap (" << swept << " points)";
   }
 }
 
@@ -535,6 +555,64 @@ TEST(AotHotSwap, SelfSwapBitIdenticalAcrossSweepThreads) {
       EXPECT_TRUE(bit_identical(results[i], reference[i],
                                 /*swap_metrics=*/true))
           << "point " << i << " differs at " << threads << " threads";
+  }
+}
+
+// Live faults under sharded stepping: every first-touch write is
+// node-scoped, so a 16x16 ft_mesh run on the sign-class table with links
+// dying mid-run (escape traffic flows, dest-bound decisions go to the VM)
+// must give a bit-identical SimResult AND identical tier counters at 1, 2,
+// 4 and 8 shards, each on its own thread (the TSan job runs this suite).
+struct ShardedSignClassRun {
+  SimResult result;
+  RuleDrivenRouting::AotTierInfo tier;
+};
+
+ShardedSignClassRun run_sign_class_mesh16(int shards) {
+  Mesh m = Mesh::two_d(16, 16);
+  const std::unique_ptr<RuleDrivenRouting> algo = forced_sign_class_ft_mesh(16);
+  UniformTraffic tr(m);
+  NetworkConfig ncfg;
+  ncfg.shards = shards;
+  ncfg.shard_threads = shards;
+  Network net(m, *algo, ncfg);
+  SimConfig cfg;
+  cfg.injection_rate = 0.05;
+  cfg.packet_length = 4;
+  cfg.warmup_cycles = kWarmup;
+  cfg.measure_cycles = kMeasure;
+  cfg.seed = 31;
+  Simulator sim(net, tr, cfg);
+  FaultSchedule schedule;
+  schedule.fail_link_at(60, m.at(7, 7), port_of(Compass::East));
+  schedule.fail_link_at(60, m.at(8, 4), port_of(Compass::North));
+  schedule.fail_link_at(140, m.at(3, 10), port_of(Compass::East));
+  schedule.fail_link_at(140, m.at(12, 12), port_of(Compass::South));
+  sim.set_fault_schedule(schedule);
+  ShardedSignClassRun out;
+  out.result = sim.run();
+  out.tier = algo->aot_tier_info();
+  return out;
+}
+
+TEST(AotSignClassTier, LiveFaultsBitIdenticalAcrossShardCounts) {
+  const ShardedSignClassRun one = run_sign_class_mesh16(1);
+  ASSERT_EQ(one.tier.tier, RuleDrivenRouting::AotTier::Compressed)
+      << one.tier.reason;
+  EXPECT_GT(one.result.fault_events, 0);
+  EXPECT_GT(one.result.delivered_packets, 0);
+  EXPECT_GT(one.tier.lazy_hits, 0);
+  EXPECT_GT(one.tier.lazy_misses, 0);
+  EXPECT_GT(one.tier.lazy_uncacheable, 0);  // escape traffic reached the VM
+  for (const int shards : {2, 4, 8}) {
+    const ShardedSignClassRun sharded = run_sign_class_mesh16(shards);
+    EXPECT_TRUE(bit_identical(sharded.result, one.result))
+        << "SimResult differs at " << shards << " shards";
+    EXPECT_EQ(sharded.tier.lazy_hits, one.tier.lazy_hits) << shards;
+    EXPECT_EQ(sharded.tier.lazy_misses, one.tier.lazy_misses) << shards;
+    EXPECT_EQ(sharded.tier.lazy_uncacheable, one.tier.lazy_uncacheable)
+        << shards;
+    EXPECT_EQ(sharded.tier.lazy_evictions, 0) << shards;
   }
 }
 
@@ -773,69 +851,178 @@ TEST(AotSoundnessGate, InterpretModeBuildsNoTable) {
   EXPECT_EQ(ti.table_entries, 0u);
 }
 
-TEST(AotLazyTier, HitReplaysTheSameDecision) {
+// The offset-sign classifier admits the dest-bound escape inputs (the
+// read-set gate checks them per decision) and names them in its verdict;
+// a raw `dest` read still has no sign class.
+TEST(AotSignClassTier, ClassifierGatesEscapeReadsButNotRawDest) {
+  const rules::Program ft =
+      rules::parse_program(rulebases::ft_mesh_route_source(8, 8));
+  const rules::DestClassAnalysis a = rules::classify_dest_axis(ft, "route");
+  EXPECT_EQ(a.kind, rules::DestClassifier::OffsetSign2D) << a.reason;
+  EXPECT_NE(a.reason.find("gated per decision: escape_ok, escape_port"),
+            std::string::npos)
+      << a.reason;
+
+  const rules::Program raw = rules::parse_program(
+      "PROGRAM rawdest;\n"
+      "INPUT xpos IN 0 TO 7\n"
+      "INPUT xdes IN 0 TO 7\n"
+      "INPUT dest IN 0 TO 63\n"
+      "ON route RETURNS 0 TO 4\n"
+      "  IF xpos < xdes AND dest > 9 THEN RETURN(0);\n"
+      "  IF xpos >= xdes THEN RETURN(4);\n"
+      "END route\n");
+  const rules::DestClassAnalysis b = rules::classify_dest_axis(raw, "route");
+  EXPECT_EQ(b.kind, rules::DestClassifier::None);
+  EXPECT_NE(b.reason.find("'dest'"), std::string::npos) << b.reason;
+}
+
+// A rule-base parameter named after an input shadows it: in `hop`, `xpos`
+// is the emitted constant 3, so `xpos < xdes` compares 3 against the raw
+// xdes — no sign class determines that. The classifier must refuse the
+// program (the offset-sign table has no fill-time validation to catch it),
+// and the forced table must then agree with the VM everywhere.
+TEST(AotSignClassTier, ParameterShadowingAnInputBlocksTheClassifier) {
+  static const char* kSource =
+      "PROGRAM shadow;\n"
+      "INPUT xpos IN 0 TO 7\n"
+      "INPUT xdes IN 0 TO 7\n"
+      "ON route\n"
+      "  IF xpos >= 0 THEN !hop(3);\n"
+      "END route;\n"
+      "ON hop(xpos IN 0 TO 7)\n"
+      "  IF xpos < xdes THEN !cand(0, 0, 0);\n"
+      "  IF xpos >= xdes THEN !cand(1, 0, 0);\n"
+      "END hop;\n";
+  const rules::DestClassAnalysis a =
+      rules::classify_dest_axis(rules::parse_program(kSource), "route");
+  EXPECT_EQ(a.kind, rules::DestClassifier::None);
+  EXPECT_NE(a.reason.find("rule base 'hop' binds 'xpos'"), std::string::npos)
+      << a.reason;
+
+  Mesh m = Mesh::two_d(8, 8);
+  FaultSet f(m);
+  RuleDrivenRouting vm(kSource, 1, ExecMode::Vm);
+  RuleDrivenRouting forced(kSource, 1, ExecMode::Aot);
+  forced.set_aot_budget(64 * 9 * 6 * 2);  // the sign-class table would fit
+  vm.attach(m, f);
+  forced.attach(m, f);
+  EXPECT_EQ(forced.aot_tier_info().tier, RuleDrivenRouting::AotTier::Vm)
+      << forced.aot_tier_info().reason;
+  lockstep_premise_space(m, vm, vm, forced, 1);
+}
+
+// The sign-class table stores only what its inline encoding holds. A
+// class-determined decision it cannot encode (here four candidates, one
+// more than an entry packs) is VM-served and counted as fallback — not as
+// dest-bound, which is reserved for decisions that read a dest-bound input
+// — so the rulelint --emit-table gate sees it.
+TEST(AotSignClassTier, UnencodableDecisionCountsAsFallbackNotDestBound) {
+  static const char* kSource =
+      "PROGRAM wide;\n"
+      "INPUT xpos IN 0 TO 5\n"
+      "INPUT xdes IN 0 TO 5\n"
+      "ON route\n"
+      "  IF xpos < xdes THEN !cand(0, 0, 0), !cand(1, 0, 1), "
+      "!cand(2, 0, 2), !cand(3, 0, 3);\n"
+      "  IF xpos >= xdes THEN !cand(1, 0, 0);\n"
+      "END route;\n";
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  RuleDrivenRouting vm(kSource, 1, ExecMode::Vm);
+  RuleDrivenRouting table(kSource, 1, ExecMode::Aot);
+  table.set_aot_budget(36 * 9 * 6 * 2);
+  vm.attach(m, f);
+  table.attach(m, f);
+  ASSERT_EQ(table.aot_tier_info().classifier,
+            rules::DestClassifier::OffsetSign2D)
+      << table.aot_tier_info().reason;
+
+  table.touch_every_sign_class();
+  table.touch_every_sign_class();  // a second walk records nothing new
+  const rules::AotTable::Stats st = table.aot_stats();
+  EXPECT_EQ(st.dest_bound, 0u);
+  EXPECT_GT(st.resolved, 0u);
+  EXPECT_GT(st.fallback, 0u);
+  EXPECT_GT(st.fallback_fraction(), 0.0);
+  EXPECT_EQ(st.resolved + st.fallback + st.unreachable, st.entries);
+  lockstep_premise_space(m, vm, vm, table, 1);
+}
+
+TEST(AotSignClassTier, HitReplaysTheSameDecision) {
   Mesh m = Mesh::two_d(6, 6);
   FaultSet f(m);
   RuleDrivenRouting vm(rulebases::nara_route_source(6, 6), 2, ExecMode::Vm);
-  RuleDrivenRouting lazy(rulebases::nara_route_source(6, 6), 2,
-                         ExecMode::Aot);
-  lazy.set_aot_compression_enabled(false);
-  lazy.set_aot_budget(1 << 10);
+  RuleDrivenRouting table(rulebases::nara_route_source(6, 6), 2,
+                          ExecMode::Aot);
+  table.set_aot_budget(36 * 9 * 6 * 3);  // the sign-class table, not direct
   vm.attach(m, f);
-  lazy.attach(m, f);
-  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
-      << lazy.aot_tier_info().reason;
+  table.attach(m, f);
+  ASSERT_EQ(table.aot_tier_info().tier, RuleDrivenRouting::AotTier::Compressed)
+      << table.aot_tier_info().reason;
 
   RouteContext ctx = injected_ctx(m, m.at(1, 1), m.at(4, 3), 0);
-  const PointResult first = route_point(lazy, ctx);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 1);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 0);
-  const PointResult second = route_point(lazy, ctx);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+  const PointResult first = route_point(table, ctx);
+  EXPECT_EQ(table.aot_tier_info().lazy_misses, 1);
+  EXPECT_EQ(table.aot_tier_info().lazy_hits, 0);
+  const PointResult second = route_point(table, ctx);
+  EXPECT_EQ(table.aot_tier_info().lazy_hits, 1);
   // The hit replays the candidates AND the recorded step count, so the
   // paper's decision-cost metric is unchanged by tabulation.
-  expect_same(first, second, "lazy hit", ctx);
-  expect_same(route_point(vm, ctx), second, "lazy hit vs vm", ctx);
+  expect_same(first, second, "sign-class hit", ctx);
+  expect_same(route_point(vm, ctx), second, "sign-class hit vs vm", ctx);
 
-  // A different key computes fresh.
+  // Another dest with the same offset signs is the same entry: a hit.
+  ctx.dest = m.at(5, 2);
+  const PointResult member = route_point(table, ctx);
+  EXPECT_EQ(table.aot_tier_info().lazy_hits, 2);
+  expect_same(route_point(vm, ctx), member, "class member vs vm", ctx);
+
+  // A different key fills fresh.
   ctx.in_vc = 1;
-  route_point(lazy, ctx);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 2);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
+  route_point(table, ctx);
+  EXPECT_EQ(table.aot_tier_info().lazy_misses, 2);
+  EXPECT_EQ(table.aot_tier_info().lazy_hits, 2);
+  EXPECT_EQ(table.aot_tier_info().lazy_uncacheable, 0);
 }
 
-TEST(AotLazyTier, FaultEpochNeverReplaysAStaleDecision) {
+TEST(AotSignClassTier, FaultEpochNeverReplaysAStaleDecision) {
   Mesh m = Mesh::two_d(5, 5);
   FaultSet f(m);
-  RuleDrivenRouting lazy(rulebases::ft_mesh_route_source(5, 5), 3,
-                         ExecMode::Aot, "route", /*escape_vc=*/2);
-  lazy.set_aot_budget(1 << 10);
-  lazy.attach(m, f);
-  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy)
-      << lazy.aot_tier_info().reason;
+  const std::unique_ptr<RuleDrivenRouting> table = forced_sign_class_ft_mesh(5);
+  table->attach(m, f);
+  ASSERT_EQ(table->aot_tier_info().tier, RuleDrivenRouting::AotTier::Compressed)
+      << table->aot_tier_info().reason;
 
-  const RouteContext ctx = injected_ctx(m, m.at(0, 0), m.at(3, 3), 0);
-  lazy.route(ctx);
-  lazy.route(ctx);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 1);
+  const RouteContext ctx = injected_ctx(m, m.at(1, 1), m.at(3, 3), 0);
+  table->route(ctx);
+  table->route(ctx);
+  EXPECT_EQ(table->aot_tier_info().lazy_hits, 1);
+  EXPECT_EQ(table->aot_tier_info().lazy_misses, 1);
 
-  Rng rng(7);
-  inject_random_link_faults(f, 2, rng);
-  lazy.reconfigure();
-  ASSERT_EQ(lazy.aot_tier_info().tier, RuleDrivenRouting::AotTier::Lazy);
-  const PointResult after = route_point(lazy, ctx);
-  // New epoch: the stored entry was dropped, the decision recomputed.
-  EXPECT_EQ(lazy.aot_tier_info().lazy_hits, 1);
-  EXPECT_EQ(lazy.aot_tier_info().lazy_misses, 2);
+  // Kill both minimal links out of (1, 1): the new epoch's decision reads
+  // escape_ok, so it is dest-bound and never stored.
+  f.fail_link(ctx.node, port_of(Compass::East));
+  f.fail_link(ctx.node, port_of(Compass::North));
+  table->reconfigure();
+  ASSERT_EQ(table->aot_tier_info().tier, RuleDrivenRouting::AotTier::Compressed);
+  EXPECT_EQ(table->aot_stats().resolved, 0u);  // the stored entry is gone
+  const PointResult after = route_point(*table, ctx);
+  const PointResult again = route_point(*table, ctx);
+  EXPECT_EQ(table->aot_tier_info().lazy_hits, 1);
+  EXPECT_EQ(table->aot_tier_info().lazy_misses, 1);
+  EXPECT_EQ(table->aot_tier_info().lazy_uncacheable, 2);
 
-  // A fresh instance attached to the already-faulty network agrees — the
+  // A fresh VM attached to the already-faulty network agrees — the
   // refilled tier did not leak a stale decision.
   RuleDrivenRouting fresh(rulebases::ft_mesh_route_source(5, 5), 3,
-                          ExecMode::Aot, "route", /*escape_vc=*/2);
-  fresh.set_aot_budget(1 << 10);
+                          ExecMode::Vm, "route", /*escape_vc=*/2);
   fresh.attach(m, f);
-  expect_same(route_point(fresh, ctx), after, "refilled lazy vs fresh", ctx);
+  const PointResult want = route_point(fresh, ctx);
+  expect_same(want, after, "refilled sign-class vs fresh vm", ctx);
+  expect_same(want, again, "dest-bound entry vs fresh vm", ctx);
+  ASSERT_FALSE(want.d.candidates.empty());
+  EXPECT_EQ(want.d.candidates[0].vc, 2);  // the escape layer
 }
 
 TEST(AotHotSwap, RegisterPokeIsSeenByTheNextDecision) {

@@ -21,6 +21,7 @@
 #include "ruleengine/parser.hpp"
 #include "ruleengine/vm.hpp"
 #include "topology/hypercube.hpp"
+#include "topology/mesh.hpp"
 
 namespace flexrouter::rules {
 namespace {
@@ -428,6 +429,55 @@ class XorRouteGenerator {
   Rng rng_;
 };
 
+/// Every premise point the table is built over (collapsed -1 axes
+/// included): `aot` must match `vm` — same decision and step count, or the
+/// same throw.
+void expect_vm_lockstep(const flexrouter::Topology& topo,
+                        const flexrouter::RuleDrivenRouting& vm,
+                        const flexrouter::RuleDrivenRouting& aot, int vcs) {
+  for (flexrouter::NodeId n = 0; n < topo.num_nodes(); ++n) {
+    for (flexrouter::NodeId dst = 0; dst < topo.num_nodes(); ++dst) {
+      for (flexrouter::PortId p = -1; p <= topo.degree(); ++p) {
+        for (flexrouter::VcId v = -1; v < vcs; ++v) {
+          flexrouter::RouteContext ctx;
+          ctx.node = n;
+          ctx.dest = dst;
+          ctx.src = n;
+          ctx.in_port = p;
+          ctx.in_vc = v;
+          bool vm_threw = false, aot_threw = false;
+          flexrouter::RouteDecision want, got;
+          try {
+            want = vm.route(ctx);
+          } catch (const ContractViolation&) {
+            vm_threw = true;
+          } catch (const EvalError&) {
+            vm_threw = true;
+          }
+          try {
+            got = aot.route(ctx);
+          } catch (const ContractViolation&) {
+            aot_threw = true;
+          } catch (const EvalError&) {
+            aot_threw = true;
+          }
+          ASSERT_EQ(vm_threw, aot_threw)
+              << "node=" << n << " dest=" << dst << " p=" << p << " v=" << v;
+          if (vm_threw) continue;
+          ASSERT_EQ(want.steps, got.steps)
+              << "node=" << n << " dest=" << dst << " p=" << p << " v=" << v;
+          ASSERT_EQ(want.candidates.size(), got.candidates.size())
+              << "node=" << n << " dest=" << dst << " p=" << p << " v=" << v;
+          for (std::size_t i = 0; i < want.candidates.size(); ++i)
+            ASSERT_TRUE(want.candidates[i] == got.candidates[i])
+                << "cand " << i << " node=" << n << " dest=" << dst
+                << " p=" << p << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
 TEST(CompressedFuzz, XorFoldProgramsMatchVmOverFullPremiseSpace) {
   constexpr int kDim = XorRouteGenerator::kDim;
   flexrouter::Hypercube topo(kDim);
@@ -454,48 +504,157 @@ TEST(CompressedFuzz, XorFoldProgramsMatchVmOverFullPremiseSpace) {
     ASSERT_EQ(ti.tier, flexrouter::RuleDrivenRouting::AotTier::Compressed)
         << ti.reason;
     ++compressed;
-    for (flexrouter::NodeId n = 0; n < topo.num_nodes(); ++n) {
-      for (flexrouter::NodeId dst = 0; dst < topo.num_nodes(); ++dst) {
-        for (flexrouter::PortId p = -1; p <= topo.degree(); ++p) {
-          for (flexrouter::VcId v = -1; v < 2; ++v) {
-            flexrouter::RouteContext ctx;
-            ctx.node = n;
-            ctx.dest = dst;
-            ctx.src = n;
-            ctx.in_port = p;
-            ctx.in_vc = v;
-            bool vm_threw = false, aot_threw = false;
-            flexrouter::RouteDecision want, got;
-            try {
-              want = vm.route(ctx);
-            } catch (const ContractViolation&) {
-              vm_threw = true;
-            } catch (const EvalError&) {
-              vm_threw = true;
-            }
-            try {
-              got = aot.route(ctx);
-            } catch (const ContractViolation&) {
-              aot_threw = true;
-            } catch (const EvalError&) {
-              aot_threw = true;
-            }
-            ASSERT_EQ(vm_threw, aot_threw)
-                << "node=" << n << " dest=" << dst << " p=" << p
-                << " v=" << v;
-            if (vm_threw) continue;
-            ASSERT_EQ(want.steps, got.steps)
-                << "node=" << n << " dest=" << dst << " p=" << p
-                << " v=" << v;
-            ASSERT_EQ(want.candidates.size(), got.candidates.size());
-            for (std::size_t i = 0; i < want.candidates.size(); ++i)
-              ASSERT_TRUE(want.candidates[i] == got.candidates[i])
-                  << "cand " << i << " node=" << n << " dest=" << dst;
-          }
-        }
+    ASSERT_NO_FATAL_FAILURE(expect_vm_lockstep(topo, vm, aot, 2));
+  }
+  EXPECT_GT(compressed, 15);
+}
+
+// Random mesh decision programs of the offset-sign shape: xdes/ydes read
+// only in comparisons against xpos/ypos, plus node-determined atoms, the
+// arrival port and VC, and the dest-bound dest_reachable the read-set gate
+// must keep out of the class entries. Some programs hand off to a sub rule
+// base through an event whose parameter either has a fresh name or reuses
+// the name of `xpos`/`ypos` — the parameter then shadows the input, so its
+// `xpos < xdes` compares a constant against the raw xdes, which no sign
+// class determines. The offset-sign table has no fill-time validation: its
+// first touch of a class stores what the VM answered, so the classifier's
+// proof and the read-set gate alone keep it sound.
+class SignRouteGenerator {
+ public:
+  explicit SignRouteGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  /// `shadow`: name the sub rule base's parameter after an input.
+  std::string generate(bool shadow) {
+    std::ostringstream os;
+    os << "PROGRAM fuzzsign;\n"
+       << "INPUT xpos IN 0 TO " << kWidth - 1 << "\n"
+       << "INPUT ypos IN 0 TO " << kHeight - 1 << "\n"
+       << "INPUT xdes IN 0 TO " << kWidth - 1 << "\n"
+       << "INPUT ydes IN 0 TO " << kHeight - 1 << "\n"
+       << "INPUT in_port IN 0 TO 4\n"
+       << "INPUT in_vc IN 0 TO 1\n"
+       << "INPUT dest_reachable IN 0 TO 1\n"
+       << "ON route\n";
+    param_ = shadow ? (rng_.next_bool(0.5) ? "xpos" : "ypos") : "k";
+    const bool hop = shadow || rng_.next_bool(0.5);
+    const int rules = 2 + static_cast<int>(rng_.next_below(4));
+    for (int r = 0; r < rules; ++r)
+      os << "  IF " << premise(false) << " THEN "
+         << (hop && r == 0 ? "!hop(" + std::to_string(rng_.next_below(4)) +
+                                 ")"
+                           : conclusion())
+         << ";\n";
+    os << "  IF in_port >= 0 THEN !cand(4, 0, 0);\n"
+       << "END route;\n";
+    if (hop) {
+      os << "ON hop(" << param_ << " IN 0 TO 3)\n";
+      const int sub = 2 + static_cast<int>(rng_.next_below(3));
+      for (int r = 0; r < sub; ++r)
+        os << "  IF " << premise(true) << " THEN " << conclusion() << ";\n";
+      os << "  IF in_port >= 0 THEN !cand(4, 1, 0);\n"
+         << "END hop;\n";
+    }
+    return os.str();
+  }
+
+  static constexpr int kWidth = 5;
+  static constexpr int kHeight = 4;
+
+ private:
+  std::string premise(bool in_hop) {
+    const int atoms = 1 + static_cast<int>(rng_.next_below(3));
+    std::ostringstream os;
+    for (int i = 0; i < atoms; ++i) {
+      if (i) os << (rng_.next_bool(0.8) ? " AND " : " OR ");
+      switch (rng_.next_below(in_hop ? 6 : 5)) {
+        case 0:
+          os << sign_cmp("xpos", "xdes");
+          break;
+        case 1:
+          os << sign_cmp("ypos", "ydes");
+          break;
+        case 2:
+          os << "in_port " << cmp() << " " << rng_.next_below(5);
+          break;
+        case 3:
+          os << (rng_.next_bool(0.5) ? "in_vc = " : "xpos > ")
+             << rng_.next_below(2);
+          break;
+        case 4:
+          os << "dest_reachable = " << rng_.next_below(2);
+          break;
+        default:
+          os << param_ << " " << cmp() << " " << rng_.next_below(4);
+          break;
       }
     }
+    return os.str();
   }
+
+  std::string sign_cmp(const char* pos, const char* des) {
+    return rng_.next_bool(0.5) ? std::string(pos) + " " + cmp() + " " + des
+                               : std::string(des) + " " + cmp() + " " + pos;
+  }
+
+  std::string conclusion() {
+    const int cands = 1 + static_cast<int>(rng_.next_below(3));
+    std::ostringstream os;
+    for (int i = 0; i < cands; ++i) {
+      if (i) os << ", ";
+      os << "!cand(" << rng_.next_below(5) << ", " << rng_.next_below(2)
+         << ", " << rng_.next_below(4) << ")";
+    }
+    return os.str();
+  }
+
+  std::string cmp() {
+    static const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
+    return ops[rng_.next_below(6)];
+  }
+
+  Rng rng_;
+  std::string param_ = "k";
+};
+
+TEST(CompressedFuzz, OffsetSignProgramsMatchVmOverFullPremiseSpace) {
+  constexpr int kW = SignRouteGenerator::kWidth;
+  constexpr int kH = SignRouteGenerator::kHeight;
+  const flexrouter::Mesh topo = flexrouter::Mesh::two_d(kW, kH);
+  const auto n = static_cast<std::uint64_t>(kW * kH);
+  const std::uint64_t full_entries = n * n * 6 * 3;  // ports x vcs axes
+  int compressed = 0, shadowing = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SignRouteGenerator gen(seed * 7919);
+    const bool shadow = seed % 3 == 0;
+    const std::string source = gen.generate(shadow);
+    SCOPED_TRACE(source);
+    flexrouter::FaultSet f(topo);
+    flexrouter::RuleDrivenRouting vm(source, 2, ExecMode::Vm);
+    flexrouter::RuleDrivenRouting aot(source, 2, ExecMode::Aot);
+    aot.set_aot_budget(full_entries / 2);  // the sign-class table fits
+    vm.attach(topo, f);
+    aot.attach(topo, f);
+    const auto ti = aot.aot_tier_info();
+    if (shadow) {
+      // A parameter named after an input must block the classifier.
+      EXPECT_EQ(ti.classifier, DestClassifier::None) << ti.reason;
+      EXPECT_NE(ti.reason.find("shadows the input"), std::string::npos)
+          << ti.reason;
+      ++shadowing;
+    } else if (ti.classifier == DestClassifier::OffsetSign2D) {
+      ASSERT_EQ(ti.tier, flexrouter::RuleDrivenRouting::AotTier::Compressed)
+          << ti.reason;
+      ++compressed;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_vm_lockstep(topo, vm, aot, 2));
+    // A dead router makes dest_reachable differ between members of a
+    // sign class: decisions that read it must not be stored for the class.
+    f.fail_node(topo.at(2, 1));
+    vm.reconfigure();
+    aot.reconfigure();
+    ASSERT_NO_FATAL_FAILURE(expect_vm_lockstep(topo, vm, aot, 2));
+  }
+  EXPECT_EQ(shadowing, 10);
   EXPECT_GT(compressed, 15);
 }
 
