@@ -1,7 +1,9 @@
 # Runs a binary with one command line and requires the wanted exit status
-# and, when WANT_STDERR is not empty, a stderr line matching that pattern.
+# and, when WANT_STDERR / WANT_STDOUT is not empty, stderr / stdout
+# matching that pattern.
 #   cmake -DBIN=<path> "-DARGS=<arg;arg...>" -DWANT_EXIT=<code>
-#         "-DWANT_STDERR=<regex>" -P expect_exit.cmake
+#         "-DWANT_STDERR=<regex>" ["-DWANT_STDOUT=<regex>"]
+#         -P expect_exit.cmake
 execute_process(COMMAND ${BIN} ${ARGS}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
@@ -12,4 +14,7 @@ if(NOT rc STREQUAL "${WANT_EXIT}")
 endif()
 if(NOT WANT_STDERR STREQUAL "" AND NOT err MATCHES "${WANT_STDERR}")
   message(FATAL_ERROR "${BIN} '${ARGS}': no '${WANT_STDERR}' line\n${err}")
+endif()
+if(NOT "${WANT_STDOUT}" STREQUAL "" AND NOT out MATCHES "${WANT_STDOUT}")
+  message(FATAL_ERROR "${BIN} '${ARGS}': no '${WANT_STDOUT}' output\n${out}")
 endif()

@@ -26,44 +26,6 @@ RuleDrivenRouting::RuleDrivenRouting(std::string program_source, int num_vcs,
 
 RuleDrivenRouting::~RuleDrivenRouting() = default;
 
-/// One input of the host catalog: its name, the slot that serves it and
-/// whether a tabulated decision may depend on it. Tabulable inputs are fully
-/// determined by the premise point (dest, in_port, in_vc), the node, the
-/// topology and the fault epoch; src, path_len and misrouted vary per packet
-/// without being part of the premise. Every AOT table tier shares this
-/// soundness condition.
-struct RuleDrivenRouting::CatalogEntry {
-  const char* name;
-  InCode code;
-  bool tabulable;
-};
-
-const RuleDrivenRouting::CatalogEntry* RuleDrivenRouting::catalog_entry(
-    const std::string& name) {
-  static constexpr CatalogEntry kCatalog[] = {
-      {"node", InCode::Node, true},
-      {"dest", InCode::Dest, true},
-      {"src", InCode::Src, false},
-      {"in_port", InCode::InPort, true},
-      {"in_vc", InCode::InVc, true},
-      {"injected", InCode::Injected, true},
-      {"path_len", InCode::PathLen, false},
-      {"misrouted", InCode::Misrouted, false},
-      {"link_ok", InCode::LinkOk, true},
-      {"dest_reachable", InCode::DestReachable, true},
-      {"on_escape", InCode::OnEscape, true},
-      {"escape_ok", InCode::EscapeOk, true},
-      {"escape_port", InCode::EscapePort, true},
-      {"xpos", InCode::XPos, true},
-      {"ypos", InCode::YPos, true},
-      {"xdes", InCode::XDes, true},
-      {"ydes", InCode::YDes, true},
-  };
-  for (const CatalogEntry& c : kCatalog)
-    if (name == c.name) return &c;
-  return nullptr;
-}
-
 int RuleDrivenRouting::reconfigure() {
   int exchanges = 0;
   if (escape_vc_ >= 0) exchanges = escape_.rebuild(*faults_);
@@ -95,21 +57,12 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
                      "'");
   im->route_rb = static_cast<int>(route_rb - im->program->rule_bases.data());
 
-  // Resolve every declared input against the host catalog once. Inputs
-  // this host does not serve (escape_* without an escape VC, coordinates
-  // off a 2-D mesh, names outside the catalog) resolve to Unknown and
-  // throw, naming the input, when a decision reads them.
-  const bool is_mesh2d = mesh_ != nullptr && mesh_->dims() == 2;
-  im->input_codes.reserve(im->program->inputs.size());
-  for (const rules::InputDecl& in : im->program->inputs) {
-    const CatalogEntry* c = catalog_entry(in.name);
-    InCode code = c != nullptr ? c->code : InCode::Unknown;
-    if ((code >= InCode::OnEscape && code <= InCode::EscapePort &&
-         escape_vc_ < 0) ||
-        (code >= InCode::XPos && code <= InCode::YDes && !is_mesh2d))
-      code = InCode::Unknown;
-    im->input_codes.push_back(code);
-  }
+  // Resolve every declared input against the host model once. Inputs this
+  // host does not serve (escape_* without an escape VC, coordinates off a
+  // 2-D mesh, names outside the model) resolve to Unknown and throw,
+  // naming the input, when a decision reads them.
+  im->input_codes = rules::resolve_host_inputs(
+      *im->program, escape_vc_ >= 0, mesh_ != nullptr && mesh_->dims() == 2);
 
   const bool has_vm =
       mode_ == rules::ExecMode::Vm || mode_ == rules::ExecMode::Aot;
@@ -152,8 +105,8 @@ std::unique_ptr<RuleDrivenRouting::Image> RuleDrivenRouting::build_image(
       im->stateless &&
       std::all_of(analysis.inputs_read.begin(), analysis.inputs_read.end(),
                   [](const std::string& name) {
-                    const CatalogEntry* c = catalog_entry(name);
-                    return c != nullptr && c->tabulable;
+                    const rules::HostInputRow* r = rules::find_host_input(name);
+                    return r != nullptr && r->tabulable;
                   });
   // Dest-axis classification (syntactic; fill_aot applies host gates). The
   // verdict rides on the image so rulelint / flexsim can explain the tier.
@@ -466,7 +419,7 @@ void RuleDrivenRouting::route_first_touch(const RouteContext& ctx,
       buf[i] = {d.candidates[i].port, d.candidates[i].vc,
                 d.candidates[i].priority};
     const DecisionSlot& slot = im.slots[static_cast<std::size_t>(ctx.node)];
-    if ((slot.reads & kDestBoundReads) != 0) {
+    if ((slot.reads & rules::kDestBoundReads) != 0) {
       im.aot.mark_dest_bound(flat);
     } else if (!d.mark_misrouted &&
                im.aot.set_inline_entry(flat, d.steps, buf,
@@ -641,58 +594,57 @@ RuleDrivenRouting::AotTierInfo RuleDrivenRouting::aot_tier_info() const {
 
 Value RuleDrivenRouting::input_by_code(DecisionSlot& slot,
                                        std::int32_t input_id,
-                                       const Value* idx,
-                                       std::size_t nidx) const {
+                                       const Value* idx) const {
   const RouteContext& ctx = *slot.ctx;
-  const InCode code = slot.input_codes[static_cast<std::size_t>(input_id)];
+  const rules::HostInput code =
+      slot.input_codes[static_cast<std::size_t>(input_id)];
   slot.reads |= 1u << static_cast<unsigned>(code);
+  using enum rules::HostInput;
   switch (code) {
-    case InCode::Node: return Value::make_int(ctx.node);
-    case InCode::Dest: return Value::make_int(ctx.dest);
-    case InCode::Src: return Value::make_int(ctx.src);
-    case InCode::InPort: return Value::make_int(ctx.in_port);
-    case InCode::InVc:
-      return Value::make_int(std::max<VcId>(ctx.in_vc, 0));
-    case InCode::Injected:
+    case Node: return Value::make_int(ctx.node);
+    case Dest: return Value::make_int(ctx.dest);
+    case Src: return Value::make_int(ctx.src);
+    case InPort: return Value::make_int(ctx.in_port);
+    case InVc: return Value::make_int(std::max<VcId>(ctx.in_vc, 0));
+    case Injected:
       return Value::make_bool(ctx.in_port < 0 ||
                               ctx.in_port >= topo_->degree());
-    case InCode::PathLen: return Value::make_int(ctx.path_len);
-    case InCode::Misrouted: return Value::make_bool(ctx.misrouted);
-    case InCode::LinkOk: {
-      FR_REQUIRE_MSG(nidx == 1, "link_ok takes one direction index");
+    case PathLen: return Value::make_int(ctx.path_len);
+    case Misrouted: return Value::make_bool(ctx.misrouted);
+    case LinkOk:
+    case LinkFault: {
+      // Resolution admitted exactly one index: the direction. Ports off the
+      // router read as broken.
       const auto p = static_cast<PortId>(idx[0].as_int());
-      if (p < 0 || p >= topo_->degree()) return Value::make_bool(false);
-      return Value::make_bool(faults_->link_usable(ctx.node, p));
+      const bool ok = p >= 0 && p < topo_->degree() &&
+                      faults_->link_usable(ctx.node, p);
+      return Value::make_bool(ok == (code == LinkOk));
     }
-    case InCode::DestReachable:
+    case DestReachable:
       return Value::make_bool(dest_reachable(ctx.node, ctx.dest));
-    case InCode::OnEscape:
+    case OnEscape:
       return Value::make_bool(ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
                               ctx.in_port < topo_->degree());
-    case InCode::EscapeOk:
+    case EscapeOk:
       return Value::make_bool(escape_.reachable(ctx.node, ctx.dest));
-    case InCode::EscapePort: {
-      // Deterministic escape hop; the injection port signals "none".
-      if (ctx.dest == ctx.node || !escape_.reachable(ctx.node, ctx.dest))
-        return Value::make_int(topo_->degree());
-      const bool on_escape = ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
-                             ctx.in_port < topo_->degree();
-      UpDownTable::Phase phase = UpDownTable::Phase::Up;
-      if (on_escape) {
-        const NodeId prev = topo_->neighbor(ctx.node, ctx.in_port);
-        phase = escape_.is_up_move(
-                    prev, topo_->reverse_port(ctx.node, ctx.in_port))
-                    ? UpDownTable::Phase::Up
-                    : UpDownTable::Phase::Down;
-      }
-      return Value::make_int(
-          escape_.next_hops(ctx.node, ctx.dest, phase)[0]);
+    case EscapePort:
+      return Value::make_int(escape_.escape_hop(
+          ctx.node, ctx.dest, ctx.in_port,
+          ctx.in_vc == escape_vc_ && ctx.in_port >= 0 &&
+              ctx.in_port < topo_->degree()));
+    case XPos: return Value::make_int(mesh_->x_of(ctx.node));
+    case YPos: return Value::make_int(mesh_->y_of(ctx.node));
+    case XDes: return Value::make_int(mesh_->x_of(ctx.dest));
+    case YDes: return Value::make_int(mesh_->y_of(ctx.dest));
+    // Hypercube dimension-correction masks ([Kon90]: ascending sets 0->1
+    // bits, descending clears 1->0 bits).
+    case UpMask:
+    case DownMask: {
+      const NodeId all = (NodeId{1} << topo_->degree()) - 1;
+      return Value::make_int(code == UpMask ? ctx.dest & ~ctx.node & all
+                                            : ctx.node & ~ctx.dest & all);
     }
-    case InCode::XPos: return Value::make_int(mesh_->x_of(ctx.node));
-    case InCode::YPos: return Value::make_int(mesh_->y_of(ctx.node));
-    case InCode::XDes: return Value::make_int(mesh_->x_of(ctx.dest));
-    case InCode::YDes: return Value::make_int(mesh_->y_of(ctx.dest));
-    case InCode::Unknown: break;
+    case Unknown: break;
   }
   FR_REQUIRE_MSG(false,
                  "rule program input '" +
@@ -711,11 +663,11 @@ bool RuleDrivenRouting::dest_reachable(NodeId node, NodeId dest) const {
 }
 
 Value RuleDrivenRouting::input_raw(void* ctx, std::int32_t input_id,
-                                   const Value* idx, std::size_t nidx) {
+                                   const Value* idx, std::size_t /*nidx*/) {
   auto* slot = static_cast<DecisionSlot*>(ctx);
   FR_REQUIRE_MSG(slot->ctx != nullptr,
                  "rule program read an input outside a decision");
-  return slot->owner->input_by_code(*slot, input_id, idx, nidx);
+  return slot->owner->input_by_code(*slot, input_id, idx);
 }
 
 void RuleDrivenRouting::event_sink(void* ctx, std::int32_t name_id,

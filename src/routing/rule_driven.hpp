@@ -8,19 +8,11 @@
 //    the RETURNS domain is the port index — declare the enum in Compass
 //    order {east, west, north, south, local}), or emit one or more
 //    `!cand(port, vc, priority)` events.
-//  * Inputs are served from a fixed host catalog, resolved by name once per
-//    program at build_image() and read by id on every decision:
-//      xpos, ypos, xdes, ydes      mesh coordinates (2-D meshes only)
-//      node, dest, src             node ids
-//      in_port, in_vc              arrival port / VC (degree = injection)
-//      injected                    1 iff the packet was injected here
-//      path_len, misrouted         header state
-//      link_ok(dirs)               1 iff the local link is usable
-//      dest_reachable              1 iff dest reachable from here
-//    and, when an escape VC is configured (fault-tolerant programs):
-//      escape_ok                   1 iff the escape layer reaches dest
-//      escape_port                 the deterministic up*/down* next hop
-//      on_escape                   1 iff the packet arrived on the escape VC
+//  * Inputs are served from the one host model (ruleengine/host_model.hpp),
+//    resolved by name once per program at build_image() and read by code on
+//    every decision. A declared input the model does not serve on this host
+//    (escape_* without an escape VC, coordinates off a 2-D mesh) throws,
+//    naming the input, when a decision reads it.
 //  * Each router node owns an independent register file (one EventManager
 //    per node), so stateful programs keep per-node state like real rule
 //    bases. All mutable per-decision state (active context, candidate
@@ -51,8 +43,8 @@
 //                      keeps the node axis and fills on first touch: a miss
 //                      runs the VM and stores the decision in the class
 //                      entry only when the decision's read set (the inputs
-//                      it actually read) holds no dest-bound input — dest,
-//                      dest_reachable, escape_ok, escape_port — and the
+//                      it actually read) holds no input the host model
+//                      marks dest-bound (rules::kDestBoundReads) and the
 //                      entry encoding can hold it. Otherwise the entry is
 //                      marked dest-bound (the read set) or fallback (the
 //                      encoding) and served by the VM from then on.
@@ -96,6 +88,7 @@
 #include "ruleengine/aot.hpp"
 #include "ruleengine/aot_classify.hpp"
 #include "ruleengine/event_manager.hpp"
+#include "ruleengine/host_model.hpp"
 #include "routing/routing.hpp"
 #include "routing/updown.hpp"
 #include "topology/mesh.hpp"
@@ -233,31 +226,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   bool rolling_commit_active() const { return rolling_; }
 
  private:
-  /// Catalog slot of one declared input, resolved once per program at
-  /// build_image(). The escape block (OnEscape..EscapePort) needs an escape
-  /// VC and the coordinate block (XPos..YDes) a 2-D mesh: keep each
-  /// contiguous. Adding an input means one InCode, one catalog row and one
-  /// input_by_code case.
-  enum class InCode : std::uint8_t {
-    Node, Dest, Src, InPort, InVc, Injected, PathLen, Misrouted,
-    LinkOk, DestReachable, OnEscape, EscapeOk, EscapePort,
-    XPos, YPos, XDes, YDes,
-    Unknown,  // not served by this host configuration: error on read
-  };
-  /// The read-set gate of the first-touch sign-class table: inputs whose
-  /// value depends on the raw destination, not only on its offset-sign
-  /// class (bit c = InCode c). A decision that read any of them is never
-  /// stored in a class entry. (xdes/ydes are class-determined: the
-  /// classifier proved every read of them is a sign comparison.)
-  static constexpr std::uint32_t kDestBoundReads =
-      (1u << static_cast<unsigned>(InCode::Dest)) |
-      (1u << static_cast<unsigned>(InCode::DestReachable)) |
-      (1u << static_cast<unsigned>(InCode::EscapeOk)) |
-      (1u << static_cast<unsigned>(InCode::EscapePort));
-  struct CatalogEntry;
-  /// The host catalog row named `name`, or nullptr.
-  static const CatalogEntry* catalog_entry(const std::string& name);
-
   /// All mutable state one in-flight decision needs, owned per node: the
   /// context of the input provider and the candidate adapter. route() on
   /// node n touches only slots_[n] (plus the node's machine, table row and
@@ -268,14 +236,14 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Image — slots stay valid across image moves.
   struct DecisionSlot {
     const RuleDrivenRouting* owner = nullptr;
-    const rules::Program* program = nullptr;  // names for catalog errors
-    const InCode* input_codes = nullptr;      // this image's resolved inputs
+    const rules::Program* program = nullptr;  // names for host-model errors
+    const rules::HostInput* input_codes = nullptr;  // this image's inputs
     std::int32_t cand_event_id = -1;          // this image's interned "cand"
     const RouteContext* ctx = nullptr;
     RouteDecision* decision = nullptr;
     std::vector<rules::EmittedEvent> scratch;
     rules::EventManager::HostHandler cand_handler;
-    /// Read set of the decision in flight: bit c for every InCode c the
+    /// Read set of the decision in flight: bit c for every HostInput c the
     /// provider served. The VM latches an input on its first read and
     /// rules fire first-applicable, so these are exactly the inputs the
     /// decision's path depended on.
@@ -301,7 +269,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
     std::shared_ptr<const rules::BytecodeProgram> bytecode;
     int route_rb = -1;                // index of the decision rule base
     std::int32_t cand_event_id = -1;  // interned "cand" (VM events)
-    std::vector<InCode> input_codes;  // parallel to program->inputs
+    std::vector<rules::HostInput> input_codes;  // parallel to inputs
     /// Analysis verdict: no reachable rule writes registers. Gates the
     /// immediate (zero-downtime) swap policy.
     bool stateless = false;
@@ -357,7 +325,7 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// Serve input `input_id` of the slot's program for the slot's active
   /// decision context, through the code resolved at build_image().
   rules::Value input_by_code(DecisionSlot& slot, std::int32_t input_id,
-                             const rules::Value* idx, std::size_t nidx) const;
+                             const rules::Value* idx) const;
   /// Input provider of every node's machine, all modes (ctx = DecisionSlot*).
   static rules::Value input_raw(void* ctx, std::int32_t input_id,
                                 const rules::Value* idx, std::size_t nidx);

@@ -170,6 +170,21 @@ UpDownTable::Phase UpDownTable::phase_after(NodeId from, PortId port) const {
   return is_up_move(from, port) ? Phase::Up : Phase::Down;
 }
 
+UpDownTable::Phase UpDownTable::arrival_phase(NodeId node,
+                                              PortId in_port) const {
+  if (in_port < 0 || in_port >= degree_) return Phase::Up;
+  const Topology& topo = faults_->topology();
+  return phase_after(topo.neighbor(node, in_port),
+                     topo.reverse_port(node, in_port));
+}
+
+PortId UpDownTable::escape_hop(NodeId node, NodeId dest, PortId in_port,
+                               bool on_escape) const {
+  if (dest == node || !reachable(node, dest)) return degree_;
+  const Phase phase = on_escape ? arrival_phase(node, in_port) : Phase::Up;
+  return next_hops(node, dest, phase)[0];
+}
+
 bool UpDownTable::is_up_move(NodeId from, PortId port) const {
   FR_REQUIRE(ready());
   FR_REQUIRE(from >= 0 && from < num_nodes_ && port >= 0 && port < degree_);
@@ -201,18 +216,9 @@ RouteDecision UpDownRouting::route(const RouteContext& ctx) const {
     d.candidates.push_back({topo_->degree(), 0, 0});
     return d;
   }
-  const bool from_network = ctx.in_port >= 0 && ctx.in_port < topo_->degree();
   // Phase tracking: a packet that arrived via a down move may only continue
   // down. Injected packets start in Up phase.
-  UpDownTable::Phase phase = UpDownTable::Phase::Up;
-  if (from_network) {
-    // The packet travelled (neighbor -> ctx.node); it is locked into Down
-    // phase iff that move was a down move from the neighbor's perspective.
-    const NodeId prev = topo_->neighbor(ctx.node, ctx.in_port);
-    phase = table_.is_up_move(prev, topo_->reverse_port(ctx.node, ctx.in_port))
-                ? UpDownTable::Phase::Up
-                : UpDownTable::Phase::Down;
-  }
+  const UpDownTable::Phase phase = table_.arrival_phase(ctx.node, ctx.in_port);
   for (const PortId p : table_.next_hops(ctx.node, ctx.dest, phase)) {
     for (VcId v = 0; v < vcs_; ++v) d.candidates.push_back({p, v, 0});
   }

@@ -46,6 +46,18 @@ class UpDownTable {
   /// Phase after traversing `port` from `from`.
   Phase phase_after(NodeId from, PortId port) const;
 
+  /// Phase of a header that arrived at `node` through `in_port`: locked
+  /// into Down iff that move was a down move; Up for an injected header
+  /// (`in_port` off the router's link ports).
+  Phase arrival_phase(NodeId node, PortId in_port) const;
+
+  /// The deterministic escape hop at `node` toward `dest` — the first next
+  /// hop from Up, or from the arrival phase of a header already `on_escape`
+  /// — or the injection port (degree) at the destination and where the
+  /// layer cannot reach it.
+  PortId escape_hop(NodeId node, NodeId dest, PortId in_port,
+                    bool on_escape) const;
+
   /// True if the move from `from` via `port` is an up move.
   bool is_up_move(NodeId from, PortId port) const;
 

@@ -12,33 +12,10 @@
 #include "ruleengine/parser.hpp"
 #include "ruleengine/validate.hpp"
 #include "topology/fault_model.hpp"
-#include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 
 namespace flexrouter::ruleanalysis {
 namespace {
-
-std::int64_t int_constant(const rules::Program& prog, const std::string& name,
-                          std::int64_t fallback) {
-  const auto it = prog.constants.find(name);
-  if (it == prog.constants.end() || !it->second.is_int()) return fallback;
-  return it->second.as_int();
-}
-
-/// The topology a program routes: its own constants describe it (width and
-/// height for meshes, dim for hypercubes).
-std::unique_ptr<Topology> topology_of(const rules::Program& prog) {
-  if (prog.constants.count("width") && prog.constants.count("height")) {
-    const auto w = static_cast<int>(int_constant(prog, "width", 0));
-    const auto h = static_cast<int>(int_constant(prog, "height", 0));
-    if (w >= 2 && h >= 2) return std::make_unique<Mesh>(Mesh::two_d(w, h));
-  }
-  if (prog.constants.count("dim")) {
-    const auto d = static_cast<int>(int_constant(prog, "dim", 0));
-    if (d >= 1 && d <= 16) return std::make_unique<Hypercube>(d);
-  }
-  return nullptr;
-}
 
 /// The shipped corpus: the runnable decision programs at the sizes the
 /// differential tests use, the accounting corpora on closure-friendly 4x4
@@ -147,40 +124,36 @@ CorpusLintResult lint_corpus(const CorpusLintOptions& opts) {
 }
 
 std::vector<TableReport> emit_table_corpus() {
-  struct Case {
-    std::string source;
-    int num_vcs;
-    VcId escape_vc;
-  };
   // The runnable decision programs at the sizes the differential tests and
   // benches use, plus the 4096-node fabrics the tier ladder exists for
   // (64x64 meshes and 12-cubes blow the direct budget; the compressed tier
-  // must absorb them). Each AOT-compiles against its own topology
-  // (topology_of on the program's constants) with a clean fault set.
-  const Case cases[] = {
-      {rulebases::nara_route_source(8, 8), 2, -1},
-      {rulebases::ft_mesh_route_source(8, 8), 3, 2},
-      {rulebases::ecube_route_source(6), 1, -1},
-      {rulebases::ecube_msb_route_source(6), 1, -1},
-      {rulebases::nara_route_source(64, 64), 2, -1},
-      {rulebases::ft_mesh_route_source(64, 64), 3, 2},
-      {rulebases::ecube_route_source(12), 1, -1},
-      {rulebases::ecube_msb_route_source(12), 1, -1},
+  // must absorb them). Each AOT-compiles, as its model_for describes it,
+  // against its own topology (topology_of) with a clean fault set.
+  const std::string sources[] = {
+      rulebases::nara_route_source(8, 8),
+      rulebases::ft_mesh_route_source(8, 8),
+      rulebases::ecube_route_source(6),
+      rulebases::ecube_msb_route_source(6),
+      rulebases::nara_route_source(64, 64),
+      rulebases::ft_mesh_route_source(64, 64),
+      rulebases::ecube_route_source(12),
+      rulebases::ecube_msb_route_source(12),
   };
   std::vector<TableReport> out;
-  for (const Case& c : cases) {
+  for (const std::string& source : sources) {
     // The algorithm builds its execution image on attach; parse a separate
-    // copy up front to read the topology constants.
-    const rules::Program prog = rules::parse_program(c.source);
+    // copy up front to read the model and the topology constants.
+    const rules::Program prog = rules::parse_program(source);
+    const std::optional<DeadlockModel> model = model_for(prog);
     const std::unique_ptr<Topology> topo = topology_of(prog);
     TableReport rep;
     rep.program = prog.name;
-    if (topo == nullptr) {
+    if (!model || topo == nullptr) {
       out.push_back(std::move(rep));
       continue;
     }
-    RuleDrivenRouting algo(c.source, c.num_vcs, rules::ExecMode::Aot, "route",
-                           c.escape_vc);
+    RuleDrivenRouting algo(source, model->num_vcs, rules::ExecMode::Aot,
+                           model->route_base, model->escape_vc);
     const FaultSet faults(*topo);
     algo.attach(*topo, faults);
     rep.program += " @ " + topo->name();

@@ -22,11 +22,10 @@ struct CorpusLintOptions {
 };
 
 /// Lint one rule program source: parse, validate, analyze and — when
-/// `model_for` knows the program — certify it (certify_fault_set: deadlock
-/// freedom, connectivity and progress) on the healthy topology the
-/// program's own constants describe (width/height for meshes, dim for
-/// hypercubes). Parse and validation failures are reported as error
-/// findings, not exceptions.
+/// `model_for` finds a routing rule base — certify it (certify_fault_set:
+/// deadlock freedom, connectivity and progress) on the healthy topology
+/// the program's own constants describe (topology_of). Parse and
+/// validation failures are reported as error findings, not exceptions.
 AnalysisReport lint_source(const std::string& source,
                            const CorpusLintOptions& opts = {});
 

@@ -19,9 +19,13 @@ void insert_cand(std::vector<Cand>& set, const Cand& c) {
   if (it == set.end() || *it != c) set.insert(it, c);
 }
 
+bool is_escape_port(const std::string& name) {
+  return name == rules::host_row(rules::HostInput::EscapePort).name;
+}
+
 bool is_escape_port_ref(const rules::ExprPtr& e) {
   return e != nullptr && e->kind == rules::Expr::Kind::Ref &&
-         e->name == "escape_port" && e->args.empty();
+         is_escape_port(e->name) && e->args.empty();
 }
 
 }  // namespace
@@ -46,6 +50,10 @@ DecisionEnumerator::DecisionEnumerator(const rules::Program& prog,
         "certified rule base has parameters; headers cannot be enumerated";
     return;
   }
+  if (model_.num_vcs < 1 || model_.escape_vc >= model_.num_vcs) {
+    error_ = "the model has no VC, or an escape VC outside its VCs";
+    return;
+  }
   mesh_ = dynamic_cast<const Mesh*>(&topo_);
   if (model_.injection == InjectionVcs::BySignDy &&
       (mesh_ == nullptr || mesh_->dims() != 2)) {
@@ -66,7 +74,13 @@ DecisionEnumerator::DecisionEnumerator(const rules::Program& prog,
     key_vcs_ = std::max<VcId>(key_vcs_, *included_vcs_.rbegin() + 1);
   comp_ = components(faults_);
   if (model_.escape_vc >= 0) escape_.rebuild(faults_);
-  classify_inputs();
+  // Tabulable host-model inputs are computed from the header; the rest
+  // (per-packet state, inputs this host does not serve) are free.
+  input_kind_ = rules::resolve_host_inputs(
+      prog_, model_.escape_vc >= 0, mesh_ != nullptr && mesh_->dims() == 2);
+  for (rules::HostInput& k : input_kind_)
+    if (k != rules::HostInput::Unknown && !rules::host_row(k).tabulable)
+      k = rules::HostInput::Unknown;
   interp_.set_input_provider(&DecisionEnumerator::provide_raw, this);
   scan_axes();
   audit_escape_port();
@@ -111,59 +125,6 @@ DecisionEnumerator::DecisionKey DecisionEnumerator::make_key(
 
 // ---- input model ---------------------------------------------------------
 
-void DecisionEnumerator::classify_inputs() {
-  using K = InputKind;
-  // Catalog names the header model computes; any other input is free.
-  // Some only apply where the model has what they describe.
-  static constexpr std::pair<const char*, K> kCatalog[] = {
-      {"node", K::Node},
-      {"dest", K::Dest},
-      {"in_port", K::InPort},
-      {"in_vc", K::InVc},
-      {"injected", K::Injected},
-      {"link_ok", K::LinkOk},
-      {"link_fault", K::LinkFault},
-      {"dest_reachable", K::DestReachable},
-      {"on_escape", K::OnEscape},
-      {"escape_ok", K::EscapeOk},
-      {"escape_port", K::EscapePort},
-      {"xpos", K::Xpos},
-      {"ypos", K::Ypos},
-      {"xdes", K::Xdes},
-      {"ydes", K::Ydes},
-      {"up_mask", K::UpMask},
-      {"down_mask", K::DownMask},
-  };
-  const bool escape = model_.escape_vc >= 0;
-  const bool mesh2d = mesh_ != nullptr && mesh_->dims() == 2;
-  input_kind_.clear();
-  for (const rules::InputDecl& in : prog_.inputs) {
-    K k = K::Free;
-    for (const auto& [name, kind] : kCatalog)
-      if (in.name == name) k = kind;
-    switch (k) {
-      case K::LinkOk:
-      case K::LinkFault:
-        if (in.index_domains.size() != 1) k = K::Free;
-        break;
-      case K::OnEscape:
-      case K::EscapeOk:
-      case K::EscapePort:
-        if (!escape) k = K::Free;
-        break;
-      case K::Xpos:
-      case K::Ypos:
-      case K::Xdes:
-      case K::Ydes:
-        if (!mesh2d) k = K::Free;
-        break;
-      default:
-        break;
-    }
-    input_kind_.push_back(k);
-  }
-}
-
 rules::Value DecisionEnumerator::provide_raw(void* self,
                                              std::int32_t input_id,
                                              const rules::Value* idx,
@@ -175,34 +136,34 @@ rules::Value DecisionEnumerator::provide_raw(void* self,
 rules::Value DecisionEnumerator::provide(std::int32_t input_id,
                                          const rules::Value* idx) {
   using rules::Value;
-  using K = InputKind;
+  using enum rules::HostInput;
   const PortId degree = topo_.degree();
   const bool on_escape =
       in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree;
   const std::int64_t all = (std::int64_t{1} << degree) - 1;
-  switch (input_kind_[static_cast<std::size_t>(input_id)]) {
-    case K::Node: return Value::make_int(node_);
-    case K::Dest: return Value::make_int(dest_);
-    case K::InPort: return Value::make_int(in_port_);
-    case K::InVc: return Value::make_int(std::max<VcId>(in_vc_, 0));
-    case K::Injected:
-      return Value::make_bool(in_port_ < 0 || in_port_ >= degree);
-    case K::LinkOk:
-    case K::LinkFault: {
-      const bool want_ok =
-          input_kind_[static_cast<std::size_t>(input_id)] == K::LinkOk;
+  const rules::HostInput code =
+      input_kind_[static_cast<std::size_t>(input_id)];
+  switch (code) {
+    case Node: return Value::make_int(node_);
+    case Dest: return Value::make_int(dest_);
+    case InPort: return Value::make_int(in_port_);
+    case InVc: return Value::make_int(std::max<VcId>(in_vc_, 0));
+    case Injected: return Value::make_bool(in_port_ < 0 || in_port_ >= degree);
+    case LinkOk:
+    case LinkFault: {
       const auto p = static_cast<PortId>(idx[0].as_int());
-      if (p < 0 || p >= degree) return Value::make_bool(!want_ok);
-      bool ok;
-      if (abstract_) {
-        ok = ((valuation_ >> p) & 1u) != 0;
-      } else {
-        ok = faults_.link_usable(node_, p);
-        record(CatalogRead::Kind::LinkOk, p, ok ? 1 : 0);
+      bool ok = false;  // ports off the router read as broken
+      if (p >= 0 && p < degree) {
+        if (abstract_) {
+          ok = ((valuation_ >> p) & 1u) != 0;
+        } else {
+          ok = faults_.link_usable(node_, p);
+          record(CatalogRead::Kind::LinkOk, p, ok ? 1 : 0);
+        }
       }
-      return Value::make_bool(want_ok ? ok : !ok);
+      return Value::make_bool(ok == (code == LinkOk));
     }
-    case K::DestReachable: {
+    case DestReachable: {
       bool ok;
       if (abstract_) {
         ok = ((valuation_ >> degree) & 1u) != 0;
@@ -212,8 +173,8 @@ rules::Value DecisionEnumerator::provide(std::int32_t input_id,
       }
       return Value::make_bool(ok);
     }
-    case K::OnEscape: return Value::make_bool(on_escape);
-    case K::EscapeOk: {
+    case OnEscape: return Value::make_bool(on_escape);
+    case EscapeOk: {
       bool ok;
       if (abstract_) {
         ok = ((valuation_ >> (degree + 1)) & 1u) != 0;
@@ -223,7 +184,7 @@ rules::Value DecisionEnumerator::provide(std::int32_t input_id,
       }
       return Value::make_bool(ok);
     }
-    case K::EscapePort: {
+    case EscapePort: {
       // The concrete escape next hop is tree-dependent; in abstract mode
       // the audited token stands in for it.
       if (abstract_) return Value::make_int(kAbstractEscapePort);
@@ -231,15 +192,19 @@ rules::Value DecisionEnumerator::provide(std::int32_t input_id,
       record(CatalogRead::Kind::EscapePort, kInvalidPort, port);
       return Value::make_int(port);
     }
-    case K::Xpos: return Value::make_int(mesh_->x_of(node_));
-    case K::Ypos: return Value::make_int(mesh_->y_of(node_));
-    case K::Xdes: return Value::make_int(mesh_->x_of(dest_));
-    case K::Ydes: return Value::make_int(mesh_->y_of(dest_));
+    case XPos: return Value::make_int(mesh_->x_of(node_));
+    case YPos: return Value::make_int(mesh_->y_of(node_));
+    case XDes: return Value::make_int(mesh_->x_of(dest_));
+    case YDes: return Value::make_int(mesh_->y_of(dest_));
     // Hypercube dimension-correction masks (ROUTE_C, [Kon90] convention:
     // ascending sets 0->1 bits, descending clears 1->0 bits).
-    case K::UpMask: return Value::make_int(dest_ & ~node_ & all);
-    case K::DownMask: return Value::make_int(node_ & ~dest_ & all);
-    case K::Free: break;
+    case UpMask: return Value::make_int(dest_ & ~node_ & all);
+    case DownMask: return Value::make_int(node_ & ~dest_ & all);
+    // Per-packet state (not tabulable) and inputs this host does not serve.
+    case Src:
+    case PathLen:
+    case Misrouted:
+    case Unknown: break;
   }
   return provide_free(input_id, idx);
 }
@@ -545,16 +510,9 @@ const AbstractDecision& DecisionEnumerator::decide_abstract(
 // ---- incremental revalidation --------------------------------------------
 
 PortId DecisionEnumerator::escape_next_hop() const {
-  const PortId degree = topo_.degree();
-  if (dest_ == node_ || !escape_.reachable(node_, dest_)) return degree;
-  UpDownTable::Phase phase = UpDownTable::Phase::Up;
-  if (in_vc_ == model_.escape_vc && in_port_ >= 0 && in_port_ < degree) {
-    const NodeId prev = topo_.neighbor(node_, in_port_);
-    phase = escape_.is_up_move(prev, topo_.reverse_port(node_, in_port_))
-                ? UpDownTable::Phase::Up
-                : UpDownTable::Phase::Down;
-  }
-  return escape_.next_hops(node_, dest_, phase)[0];
+  return escape_.escape_hop(node_, dest_, in_port_,
+                            in_vc_ == model_.escape_vc && in_port_ >= 0 &&
+                                in_port_ < topo_.degree());
 }
 
 std::int32_t DecisionEnumerator::recompute(const CatalogRead& r) const {
@@ -591,9 +549,6 @@ void DecisionEnumerator::seed_vcs(NodeId s, NodeId d,
     case InjectionVcs::Zero:
       out.push_back(0);
       return;
-    case InjectionVcs::All:
-      out.assign(included_vcs_.begin(), included_vcs_.end());
-      return;
     case InjectionVcs::BySignDy: {
       const int dy = mesh_->y_of(d) - mesh_->y_of(s);
       if (dy >= 0) out.push_back(1);
@@ -609,14 +564,18 @@ void DecisionEnumerator::scan_axes() {
     for (const rules::Rule& r : rb->rules) {
       rules::for_each_expr(r, [this](const rules::Expr& e) {
         if (e.kind != rules::Expr::Kind::Ref) return;
-        if (e.name == "link_ok" || e.name == "link_fault")
-          axes_.link_bits = true;
-        else if (e.name == "dest_reachable")
-          axes_.dest_reachable = true;
-        else if (e.name == "escape_ok")
-          axes_.escape_ok = true;
-        else if (e.name == "escape_port")
-          axes_.escape_port = true;
+        const rules::HostInputRow* in = rules::find_host_input(e.name);
+        if (in == nullptr) return;
+        switch (in->code) {
+          case rules::HostInput::LinkOk:
+          case rules::HostInput::LinkFault: axes_.link_bits = true; break;
+          case rules::HostInput::DestReachable:
+            axes_.dest_reachable = true;
+            break;
+          case rules::HostInput::EscapeOk: axes_.escape_ok = true; break;
+          case rules::HostInput::EscapePort: axes_.escape_port = true; break;
+          default: break;
+        }
       });
     }
   };
@@ -638,8 +597,7 @@ void DecisionEnumerator::audit_escape_port() {
   bool every_escape_emit_uses_token = true;
   for (const rules::Rule& r : rb_->rules) {
     rules::for_each_expr(r, [&total](const rules::Expr& e) {
-      if (e.kind == rules::Expr::Kind::Ref && e.name == "escape_port")
-        ++total;
+      if (e.kind == rules::Expr::Kind::Ref && is_escape_port(e.name)) ++total;
     });
     // Count the sanctioned occurrences: !cand(escape_port, <escape_vc>, …)
     // with the symbol verbatim in the port slot and a literal escape VC.

@@ -2,9 +2,10 @@
 // model — the engine behind the static certifier (fault_cert.cpp), for one
 // fault set and for every bounded fault set alike.
 //
-// A decision header (node, dest, in_port, in_vc) fixes the catalog inputs
-// the host computes (coordinates, link health, escape-layer signals); every
-// other input is enumerated over its declared domain. The channels of every
+// A decision header (node, dest, in_port, in_vc) fixes the tabulable inputs
+// of the host model (ruleengine/host_model.hpp: coordinates, link health,
+// escape-layer signals); every other input is enumerated over its declared
+// domain. The channels of every
 // may-firing rule up to and including the first must-firing one are
 // collected, so the candidate relation over-approximates the live router:
 // a dependency edge is never missed.
@@ -37,6 +38,7 @@
 #include "ruleanalysis/deadlock.hpp"
 #include "ruleengine/ast.hpp"
 #include "ruleengine/env.hpp"
+#include "ruleengine/host_model.hpp"
 #include "ruleengine/interp.hpp"
 #include "topology/fault_model.hpp"
 #include "topology/mesh.hpp"
@@ -177,29 +179,6 @@ class DecisionEnumerator {
   void merge_notes(const DecisionEnumerator& other);
 
  private:
-  /// How the header model serves each declared input, by input id: a
-  /// catalog signal computed from the header, or a free input enumerated
-  /// over its domain.
-  enum class InputKind : std::uint8_t {
-    Node,
-    Dest,
-    InPort,
-    InVc,
-    Injected,
-    LinkOk,
-    LinkFault,
-    DestReachable,
-    OnEscape,
-    EscapeOk,
-    EscapePort,
-    Xpos,
-    Ypos,
-    Xdes,
-    Ydes,
-    UpMask,
-    DownMask,
-    Free,
-  };
   struct Unknown {
     std::int32_t input = -1;  // input id
     std::int64_t flat = -1;   // flattened index, -1 = scalar
@@ -216,7 +195,6 @@ class DecisionEnumerator {
   PortId key_port(PortId in_port) const;
   DecisionKey make_key(NodeId node, NodeId dest, PortId key_port,
                        VcId in_vc) const;
-  void classify_inputs();
   static rules::Value provide_raw(void* self, std::int32_t input_id,
                                   const rules::Value* idx, std::size_t nidx);
   rules::Value provide(std::int32_t input_id, const rules::Value* idx);
@@ -279,7 +257,10 @@ class DecisionEnumerator {
   bool escape_violation_ = false;
   std::vector<CatalogRead> reads_;
 
-  std::vector<InputKind> input_kind_;  // by input id
+  /// How the header model serves each declared input, by input id: a
+  /// tabulable host-model input computed from the header, or Unknown —
+  /// free, enumerated over its declared domain.
+  std::vector<rules::HostInput> input_kind_;
   std::vector<Unknown> unknowns_;      // discovery order = enumeration order
   std::vector<Cand> rule_cands_;       // enumerate_base scratch
   bool discovered_ = false;

@@ -751,7 +751,7 @@ int FaultCertReport::count(Severity s) const {
 }
 
 bool FaultCertReport::clean(bool werror) const {
-  if (count(Severity::Error) > 0) return false;
+  if (!certified || count(Severity::Error) > 0) return false;
   if (werror && count(Severity::Warning) > 0) return false;
   return true;
 }
@@ -829,6 +829,8 @@ FaultCertReport certify_faults(const rules::Program& prog,
 
   DecisionEnumerator main_en(prog, model, topo);
   if (!main_en.ok()) {
+    // Nothing was checked, so nothing is certified.
+    rep.certified = false;
     rep.findings.push_back(unmodeled_note(model.route_base, main_en.error()));
     return rep;
   }

@@ -156,7 +156,8 @@ struct FaultCertReport {
   std::vector<FaultPattern> certified_samples;
 
   /// No error findings: every property holds on every fault set inside the
-  /// program's claim (and deadlock/progress everywhere).
+  /// program's claim (and deadlock/progress everywhere). False, too, when
+  /// the model could not be enumerated and no fault set was checked.
   bool certified = true;
 
   int count(Severity s) const;
@@ -174,8 +175,8 @@ FaultSetCertificate certify_fault_set(const rules::Program& prog,
                                       const FaultPattern& pattern);
 
 /// Certify `prog` on `topo` under every bounded fault set. The program
-/// must have passed validation; `model` declares its decision style and
-/// fault-tolerance claim (model_for).
+/// must have passed validation; `model` gives its decision style and
+/// fault-tolerance claim (model_for reads both off the program).
 FaultCertReport certify_faults(const rules::Program& prog,
                                const DeadlockModel& model,
                                const Topology& topo,

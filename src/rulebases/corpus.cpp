@@ -116,6 +116,12 @@ ON route
   -- every minimal link broken: enter the escape layer
   IF escape_ok = 1 THEN !cand(escape_port, 2, 0);
 END route;
+-- host model: the escape layer runs on VC 2. It reroutes around any fault
+-- pattern that leaves the mesh connected; two arbitrary faults never cut
+-- more than a corner off a >=4x4 mesh, so the program claims 2-fault
+-- tolerance.
+CONSTANT escape_vc = 2
+CONSTANT fault_tolerance = 2
 )";
   return src;
 }
@@ -344,6 +350,13 @@ ON consider_neighbor_state
 END consider_neighbor_state;
 )";
 
+/// Host-model declarations closing both variants: a header enters the
+/// double network by the sign of dy.
+const char* kNaftaHostModel = R"(
+-- host model
+CONSTANT inject_by_sign_dy = 1
+)";
+
 std::string nafta_common_decls(int width, int height,
                                const std::string& name) {
   std::string src = header_mesh(width, height, name);
@@ -364,12 +377,17 @@ std::string nafta_program_source(int width, int height) {
   src += kNaftaFtRegisters;
   src += kNaftaNftRuleBases;
   src += kNaftaFtRuleBases;
+  src += kNaftaHostModel;
+  // NAFTA switches to the fault-tolerant decision base when a minimal
+  // output is broken (paper Table 1 row 2) and claims 1-fault tolerance.
+  src += "CONSTANT fault_tolerance = 1\n";
   return src;
 }
 
 std::string nara_program_source(int width, int height) {
   std::string src = nafta_common_decls(width, height, "nara");
   src += kNaftaNftRuleBases;
+  src += kNaftaHostModel;  // NARA claims no fault tolerance
   return src;
 }
 
@@ -507,6 +525,13 @@ ON adaptivity RETURNS dim
 END adaptivity;
 )";
 
+/// Host-model declarations closing both variants: decide_dir's command
+/// classes 0/1 (ascending, descending) take VCs 0/1.
+const char* kRouteCHostModel = R"(
+-- host model
+CONSTANT vcs = 2
+)";
+
 }  // namespace
 
 std::string route_c_program_source(int d, int a) {
@@ -515,6 +540,7 @@ std::string route_c_program_source(int d, int a) {
   src += kRouteCDecideVc;
   src += kRouteCUpdateState;
   src += kRouteCAdaptivity;
+  src += kRouteCHostModel;
   return src;
 }
 
@@ -525,6 +551,7 @@ std::string route_c_nft_program_source(int d, int a) {
   std::string src = route_c_decls(d, a, /*ft=*/false, "route_c_nft");
   src += kRouteCDecideDir;
   src += kRouteCAdaptivity;
+  src += kRouteCHostModel;
   return src;
 }
 

@@ -14,6 +14,10 @@
 //    These compile through the ARON compiler; bench/table1_nafta and
 //    bench/table2_route_c print the regenerated tables next to the paper's
 //    numbers.
+// Programs close with the host-model constants their rules cannot show
+// (escape VC, fault-tolerance claim, injection rule, ROUTE_C's VC count),
+// which ruleanalysis::model_for reads; appended last, they shift no rule's
+// line number.
 #pragma once
 
 #include <map>
@@ -38,9 +42,12 @@ std::string ecube_msb_route_source(int dimension);
 
 /// Runnable FAULT-TOLERANT mesh decision program (3 VCs: the NARA double
 /// networks on 0/1, filtered by link health, plus the hardware escape layer
-/// on VC 2 via the escape_* input catalog). Construct the algorithm as
-///   RuleDrivenRouting(ft_mesh_route_source(w, h), 3,
-///                     rules::ExecMode::Table, "route", /*escape_vc=*/2)
+/// on VC 2 via the escape_* inputs of the host model). The program declares
+/// its escape VC and fault-tolerance claim; construct the algorithm from
+/// the model it states:
+///   const auto m = ruleanalysis::model_for(rules::parse_program(src));
+///   RuleDrivenRouting(src, m->num_vcs, rules::ExecMode::Table,
+///                     m->route_base, m->escape_vc)
 /// — the paper's goal realised end to end: a fault-tolerant adaptive
 /// algorithm expressed entirely as rules and executed by the rule
 /// interpreter inside every router.

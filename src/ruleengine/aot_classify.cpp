@@ -4,6 +4,8 @@
 #include <set>
 #include <vector>
 
+#include "ruleengine/host_model.hpp"
+
 namespace flexrouter::rules {
 
 namespace {
@@ -177,22 +179,33 @@ std::string shadowing_binder(const Program& prog,
   return found;
 }
 
-bool subset_of(const std::set<std::string>& reads,
-               std::initializer_list<const char*> allowed,
-               std::string& offender) {
+/// The first read `admit` refuses (inputs outside the host model are
+/// refused), or empty when it admits every one.
+std::string first_refused(const std::set<std::string>& reads,
+                          bool (*admit)(const HostInputRow&)) {
   for (const std::string& r : reads) {
-    bool ok = false;
-    for (const char* a : allowed)
-      if (r == a) {
-        ok = true;
-        break;
-      }
-    if (!ok) {
-      offender = r;
-      return false;
-    }
+    const HostInputRow* row = find_host_input(r);
+    if (row == nullptr || !admit(*row)) return r;
   }
-  return true;
+  return {};
+}
+
+/// XorFold keeps no node axis: besides node and dest themselves (read only
+/// through xor(node, dest)), a read must be a header field — tabulable,
+/// independent of the destination, and needing nothing from the host
+/// beyond the header.
+bool xor_fold_admits(const HostInputRow& r) {
+  return r.code == HostInput::Dest ||
+         (r.tabulable && r.dest == DestDep::None &&
+          r.needs == HostNeeds::Nothing);
+}
+
+/// OffsetSign2D keeps the node axis, so node-determined inputs are fine,
+/// and so is on_escape (fixed by the arrival port and VC). Destination
+/// coordinates are checked for sign comparisons, and gated inputs by the
+/// host's read-set gate per decision; raw destination bits have no class.
+bool offset_sign_admits(const HostInputRow& r) {
+  return r.tabulable && r.dest != DestDep::Raw;
 }
 
 }  // namespace
@@ -226,10 +239,8 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
   // yields the smaller table. Every other input must be premise-axis
   // determined — node-scoped reads (link_ok, xpos…) would break the node
   // collapse.
-  std::string offender;
   std::string xor_blocker;
-  if (subset_of(reads, {"node", "dest", "in_port", "in_vc", "injected"},
-                offender)) {
+  if (first_refused(reads, xor_fold_admits).empty()) {
     UsageChecker xc{
         prog,
         [](const Expr& e) { return is_xor_node_dest(e) || is_node_dest_eq(e); },
@@ -244,17 +255,12 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
     xor_blocker = "reads raw node/dest bits: " + xc.blocker;
   }
 
-  // OffsetSign2D keeps the node axis, so node-determined inputs are fine,
-  // and so is on_escape (fixed by the arrival port and VC). The dest-bound
-  // inputs dest_reachable, escape_ok and escape_port are admitted too: the
-  // host's read-set gate checks them per decision, storing no decision
-  // that read one. Raw dest reads and xdes/ydes outside a sign comparison
-  // still block it.
-  if (!subset_of(reads,
-                 {"node", "xpos", "ypos", "xdes", "ydes", "in_port", "in_vc",
-                  "injected", "link_ok", "on_escape", "dest_reachable",
-                  "escape_ok", "escape_port"},
-                 offender)) {
+  // The dest-bound inputs the host gates (dest_reachable, escape_ok,
+  // escape_port) are admitted: the read-set gate stores no decision that
+  // read one. Raw dest reads and xdes/ydes outside a sign comparison still
+  // block it.
+  if (const std::string offender = first_refused(reads, offset_sign_admits);
+      !offender.empty()) {
     out.reason = !xor_blocker.empty()
                      ? xor_blocker
                      : "reads '" + offender + "', which depends on raw dest bits";
@@ -266,7 +272,8 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
                            is_axis_sign_cmp(e, "ypos", "ydes");
                   },
                   [](const Expr& e) {
-                    return e.name == "xdes" || e.name == "ydes";
+                    const HostInputRow* r = find_host_input(e.name);
+                    return r != nullptr && r->dest == DestDep::Sign;
                   },
                   {}};
   if (oc.ok_rules(bases)) {
@@ -274,9 +281,9 @@ DestClassAnalysis classify_dest_axis(const Program& prog,
     out.reason =
         "xdes/ydes read only in sign comparisons against xpos/ypos";
     std::string gated;
-    for (const char* g : {"dest_reachable", "escape_ok", "escape_port"})
-      if (reads.count(g) != 0) gated += (gated.empty() ? "" : ", ") +
-                                        std::string(g);
+    for (const HostInputRow& r : kHostInputs)
+      if (r.dest == DestDep::Gated && reads.count(r.name) != 0)
+        gated += (gated.empty() ? "" : ", ") + std::string(r.name);
     if (!gated.empty())
       out.reason += "; dest-bound reads gated per decision: " + gated;
     return out;

@@ -14,8 +14,9 @@
 //    per-axis offset *sign*, so the dest axis collapses to the nine
 //    (sgn dx, sgn dy) combinations while the node axis stays (node-scoped
 //    inputs like link_ok, and on_escape, remain legal) — DOR / NARA /
-//    ft_mesh-style mesh programs. The dest-bound inputs `dest_reachable`,
-//    `escape_ok` and `escape_port` are admitted as well: they are not
+//    ft_mesh-style mesh programs. The inputs the host model
+//    (ruleengine/host_model.hpp) marks gated — `dest_reachable`,
+//    `escape_ok`, `escape_port` — are admitted as well: they are not
 //    class-determined, so the host gates them per decision (a decision that
 //    read one is served by the VM, never stored for its class), and the
 //    verdict names the ones the program reads.

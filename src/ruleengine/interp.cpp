@@ -130,20 +130,6 @@ FireResult Interpreter::fire(RuleEnv& env, const RuleBase& rb,
   return result;  // no rule applicable
 }
 
-bool Interpreter::premise_holds(const RuleEnv& env, const RuleBase& rb,
-                                int rule_index,
-                                const std::vector<Value>& args) {
-  FR_REQUIRE(rule_index >= 0 &&
-             rule_index < static_cast<int>(rb.rules.size()));
-  Ctx ctx;
-  ctx.env = &env;
-  ctx.bindings.reserve(args.size() + 4);
-  for (std::size_t i = 0; i < args.size(); ++i)
-    ctx.bindings.emplace_back(rb.params[i].name, args[i]);
-  return eval(rb.rules[static_cast<std::size_t>(rule_index)].premise, ctx)
-      .as_bool();
-}
-
 Value Interpreter::eval_expr(
     const RuleEnv& env, const ExprPtr& e,
     const std::vector<std::pair<std::string, Value>>& bindings,

@@ -81,10 +81,6 @@ class Interpreter {
   FireResult fire(RuleEnv& env, const std::string& rule_base,
                   const std::vector<Value>& args);
 
-  /// Evaluate `premise` of rule `rule_index` only (no side effects).
-  bool premise_holds(const RuleEnv& env, const RuleBase& rb, int rule_index,
-                     const std::vector<Value>& args);
-
   /// Evaluate an arbitrary expression with parameter bindings against env.
   /// Exposed for the compiler (axis evaluation) and tests.
   Value eval_expr(const RuleEnv& env, const ExprPtr& e,

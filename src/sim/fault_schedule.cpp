@@ -92,23 +92,6 @@ void FaultSchedule::add_random_link_faults(const Topology& topo,
   }
 }
 
-void FaultSchedule::add_random_node_faults(const Topology& topo,
-                                           double mtbf_cycles, Cycle horizon,
-                                           std::uint64_t seed) {
-  FR_REQUIRE(mtbf_cycles > 0.0 && horizon >= 0);
-  FR_REQUIRE(topo.num_nodes() > 0);
-  SplitMix64 sm(seed);
-  double t = 0.0;
-  for (;;) {
-    t += exp_draw(sm, mtbf_cycles);
-    const auto at = static_cast<Cycle>(t);
-    if (at > horizon) break;
-    fail_node_at(
-        at, static_cast<NodeId>(
-                sm.next_below(static_cast<std::uint64_t>(topo.num_nodes()))));
-  }
-}
-
 void FaultSchedule::add_flapping_link(NodeId node, PortId port,
                                       Cycle first_down, Cycle horizon,
                                       double down_mean, double up_mean,

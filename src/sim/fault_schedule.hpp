@@ -70,9 +70,6 @@ class FaultSchedule {
   /// generated. Deterministic for a given (topo, mtbf, horizon, seed).
   void add_random_link_faults(const Topology& topo, double mtbf_cycles,
                               Cycle horizon, std::uint64_t seed);
-  /// Same arrival process, killing uniformly random nodes.
-  void add_random_node_faults(const Topology& topo, double mtbf_cycles,
-                              Cycle horizon, std::uint64_t seed);
 
   /// Intermittent (flapping) link: starting from `first_down`, the channel
   /// alternates dead and alive with exponential dwell times (mean

@@ -701,14 +701,6 @@ const PacketRecord& Network::record(PacketId id) const {
   return records_[static_cast<std::size_t>(id)];
 }
 
-std::size_t Network::in_flight() const {
-  std::size_t pending = 0;
-  for (const auto& q : injection_queues_) pending += q.size();
-  for (const auto& rec : records_)
-    if (rec.injected >= 0 && !rec.done() && !rec.lost) ++pending;
-  return pending;
-}
-
 std::int64_t Network::total_flit_movements() const {
   // Dropped flits count as movement: truncation progress must reset the
   // deadlock watchdog's stall counter exactly like delivery progress.

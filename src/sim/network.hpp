@@ -194,7 +194,6 @@ class Network {
     return static_cast<std::int64_t>(records_.size());
   }
   std::int64_t packets_delivered() const { return delivered_count_; }
-  std::size_t in_flight() const;
 
   /// Movement counter for the deadlock watchdog: total flits that crossed
   /// any crossbar this cycle history.

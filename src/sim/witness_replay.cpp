@@ -1,6 +1,7 @@
 #include "sim/witness_replay.hpp"
 
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -9,44 +10,22 @@
 #include "sim/fault_schedule.hpp"
 #include "sim/network.hpp"
 #include "sim/traffic.hpp"
-#include "topology/hypercube.hpp"
-#include "topology/mesh.hpp"
 
 namespace flexrouter {
-namespace {
-
-std::int64_t int_constant(const rules::Program& prog, const std::string& name,
-                          std::int64_t fallback) {
-  const auto it = prog.constants.find(name);
-  if (it == prog.constants.end() || !it->second.is_int()) return fallback;
-  return it->second.as_int();
-}
-
-std::unique_ptr<Topology> topology_of(const rules::Program& prog) {
-  if (prog.constants.count("width") && prog.constants.count("height")) {
-    const auto w = static_cast<int>(int_constant(prog, "width", 0));
-    const auto h = static_cast<int>(int_constant(prog, "height", 0));
-    if (w >= 2 && h >= 2) return std::make_unique<Mesh>(Mesh::two_d(w, h));
-  }
-  if (prog.constants.count("dim")) {
-    const auto d = static_cast<int>(int_constant(prog, "dim", 0));
-    if (d >= 1 && d <= 16) return std::make_unique<Hypercube>(d);
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 WitnessReplayResult replay_fault_pattern(
     const std::string& source, const ruleanalysis::FaultPattern& pattern,
     const WitnessReplayOptions& opts) {
   const rules::Program prog = rules::parse_program(source);
-  const std::unique_ptr<Topology> topo = topology_of(prog);
+  const std::optional<ruleanalysis::DeadlockModel> model =
+      ruleanalysis::model_for(prog);
+  FR_REQUIRE_MSG(model.has_value(), "witness replay: no rule base routes");
+  const std::unique_ptr<Topology> topo = ruleanalysis::topology_of(prog);
   FR_REQUIRE_MSG(topo != nullptr,
                  "witness replay: program constants describe no topology");
 
-  RuleDrivenRouting algo(source, opts.num_vcs, rules::ExecMode::Interpret,
-                         opts.route_base, opts.escape_vc);
+  RuleDrivenRouting algo(source, model->num_vcs, rules::ExecMode::Interpret,
+                         model->route_base, model->escape_vc);
   Network net(*topo, algo);
   UniformTraffic traffic(*topo);
   SimConfig cfg;

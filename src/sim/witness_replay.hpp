@@ -19,11 +19,6 @@
 namespace flexrouter {
 
 struct WitnessReplayOptions {
-  /// Router build of the replayed program (runnable CandEvents programs).
-  int num_vcs = 1;
-  VcId escape_vc = -1;
-  std::string route_base = "route";
-
   double injection_rate = 0.05;
   int packet_length = 4;
   Cycle warmup_cycles = 300;
@@ -44,9 +39,11 @@ struct WitnessReplayResult {
 };
 
 /// Replay `pattern` under live uniform traffic: build the rule program as
-/// an interpreted router on the topology its own constants describe, strike
-/// the pattern's faults via the fault schedule, run, and report whether the
-/// network failed. Throws only on programs without a known topology.
+/// an interpreted router — VCs, route base and escape VC as model_for reads
+/// them off the program — on the topology its own constants describe,
+/// strike the pattern's faults via the fault schedule, run, and report
+/// whether the network failed. Throws only on programs without a model or
+/// a known topology.
 WitnessReplayResult replay_fault_pattern(
     const std::string& source, const ruleanalysis::FaultPattern& pattern,
     const WitnessReplayOptions& opts = {});

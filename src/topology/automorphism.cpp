@@ -1,6 +1,5 @@
 #include "topology/automorphism.hpp"
 
-#include <map>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -197,35 +196,6 @@ std::vector<Automorphism> automorphism_generators(const Topology& topo) {
     return out;
   }
   return out;
-}
-
-std::vector<Automorphism> close_group(const Topology& topo,
-                                      const std::vector<Automorphism>& gens,
-                                      std::size_t max_order, bool* complete) {
-  std::vector<Automorphism> group;
-  std::map<std::vector<NodeId>, std::size_t> index;
-  const Automorphism id = identity_automorphism(topo);
-  index.emplace(id.node_map, group.size());
-  group.push_back(id);
-  bool truncated = false;
-  // BFS closure: compose every known element with every generator.
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    for (const Automorphism& g : gens) {
-      if (group.size() >= max_order) {
-        // More elements may remain undiscovered beyond the cap.
-        truncated = i + 1 < group.size() || true;
-        break;
-      }
-      Automorphism h = compose(topo, g, group[i]);
-      if (index.emplace(h.node_map, group.size()).second)
-        group.push_back(std::move(h));
-    }
-    if (group.size() >= max_order) break;
-  }
-  // The cap was hit iff the loop broke early; otherwise the closure is the
-  // whole generated subgroup.
-  if (complete != nullptr) *complete = !truncated || group.size() < max_order;
-  return group;
 }
 
 }  // namespace flexrouter

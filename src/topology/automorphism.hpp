@@ -58,12 +58,4 @@ Automorphism compose(const Topology& topo, const Automorphism& f,
 /// enumeration). Every returned element is verified.
 std::vector<Automorphism> automorphism_generators(const Topology& topo);
 
-/// Close `gens` under composition (always contains the identity). The
-/// closure stops at `max_order` elements; `*complete` reports whether the
-/// whole group was reached. Elements are keyed by node_map — sufficient for
-/// simple topologies, where the port map is determined by the node map.
-std::vector<Automorphism> close_group(const Topology& topo,
-                                      const std::vector<Automorphism>& gens,
-                                      std::size_t max_order, bool* complete);
-
 }  // namespace flexrouter

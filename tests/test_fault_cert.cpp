@@ -308,13 +308,6 @@ TEST(FaultCertMutants, NaftaWithNarrowedFtRulesFailsOneFaultCert) {
 
 // -------------------------------------- dynamic witness cross-validation
 
-WitnessReplayOptions ft_mesh_replay_opts() {
-  WitnessReplayOptions opts;
-  opts.num_vcs = 3;
-  opts.escape_vc = 2;
-  return opts;
-}
-
 TEST(FaultCertDynamic, MutantWitnessFailsLiveAndPristineSurvivesIt) {
   const std::string mutant = ft_mesh_without_escape_entry();
   const auto rep = ruleanalysis::fault_cert_source(mutant);
@@ -326,12 +319,11 @@ TEST(FaultCertDynamic, MutantWitnessFailsLiveAndPristineSurvivesIt) {
     if (p.nodes.empty() && !p.links.empty()) witness = &p;
   ASSERT_NE(witness, nullptr) << rep->to_string();
 
-  const auto broken =
-      replay_fault_pattern(mutant, *witness, ft_mesh_replay_opts());
+  const auto broken = replay_fault_pattern(mutant, *witness);
   EXPECT_TRUE(broken.failure) << broken.summary;
 
-  const auto pristine = replay_fault_pattern(
-      rulebases::ft_mesh_route_source(4, 4), *witness, ft_mesh_replay_opts());
+  const auto pristine =
+      replay_fault_pattern(rulebases::ft_mesh_route_source(4, 4), *witness);
   EXPECT_FALSE(pristine.failure) << pristine.summary;
 }
 
@@ -340,8 +332,8 @@ TEST(FaultCertDynamic, CertifiedSamplePatternsDeliverLive) {
   ASSERT_NE(ft, nullptr);
   ASSERT_FALSE(ft->certified_samples.empty());
   for (const FaultPattern& p : ft->certified_samples) {
-    const auto res = replay_fault_pattern(rulebases::ft_mesh_route_source(4, 4),
-                                          p, ft_mesh_replay_opts());
+    const auto res =
+        replay_fault_pattern(rulebases::ft_mesh_route_source(4, 4), p);
     EXPECT_FALSE(res.failure) << res.summary;
   }
 }

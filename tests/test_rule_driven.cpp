@@ -663,6 +663,80 @@ TEST(RuleDrivenNet, CatalogMissFailsAlikeInEveryMode) {
     EXPECT_EQ(errors[i], errors[0]) << "mode " << i;
 }
 
+// The live router serves every input of the host model, the certifier's
+// fault and mask inputs included: e-cube written over ROUTE_C's correction
+// masks routes as the native e-cube does, and link_fault reads as the
+// negation of link_ok, off-router ports as broken.
+TEST(RuleDrivenNet, ServesMaskAndLinkFaultInputsInEveryMode) {
+  const std::string masks =
+      "PROGRAM masks;\n"
+      "CONSTANT dim = 3\n"
+      "INPUT up_mask IN 0 TO 7\n"
+      "INPUT down_mask IN 0 TO 7\n"
+      "ON route\n"
+      "  IF up_mask = 0 AND down_mask = 0 THEN !cand(dim, 0, 0);\n"
+      "  IF bit(up_mask, 0) = 1 OR bit(down_mask, 0) = 1"
+      " THEN !cand(0, 0, 0);\n"
+      "  IF bit(up_mask, 1) = 1 OR bit(down_mask, 1) = 1"
+      " THEN !cand(1, 0, 0);\n"
+      "  IF bit(up_mask, 2) = 1 THEN !cand(2, 0, 0);\n"
+      "  IF bit(down_mask, 2) = 1 THEN !cand(2, 0, 1);\n"
+      "END route;\n";
+  const std::string links =
+      "PROGRAM links;\n"
+      "CONSTANT dirs = 4\n"
+      "INPUT link_fault(dirs) IN 0 TO 1\n"
+      "INPUT link_ok(dirs) IN 0 TO 1\n"
+      "ON route\n"
+      "  IF link_fault(0) = 1 AND link_ok(0) = 0 THEN !cand(1, 0, 0);\n"
+      "  IF link_fault(0) = 0 AND link_ok(0) = 1 THEN !cand(0, 0, 0);\n"
+      "END route;\n";
+  Hypercube h(3);
+  const FaultSet healthy(h);
+  ECubeHypercube native;
+  native.attach(h, healthy);
+  Mesh m = Mesh::two_d(4, 4);
+  FaultSet f(m);
+  f.fail_link(m.at(1, 1), 0);
+  for (const rules::ExecMode mode :
+       {rules::ExecMode::Interpret, rules::ExecMode::Table,
+        rules::ExecMode::Vm, rules::ExecMode::Aot}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    RuleDrivenRouting by_masks(masks, 1, mode);
+    by_masks.attach(h, healthy);
+    for (NodeId s = 0; s < h.num_nodes(); ++s) {
+      for (NodeId t = 0; t < h.num_nodes(); ++t) {
+        RouteContext ctx;
+        ctx.node = s;
+        ctx.dest = t;
+        ctx.src = s;
+        ctx.in_port = h.degree();
+        ctx.in_vc = 0;
+        const RouteDecision d = by_masks.route(ctx);
+        ASSERT_EQ(candidate_set(native.route(ctx)), candidate_set(d))
+            << s << " -> " << t;
+        // Dimension 2 says which mask carried the bit: up sets a 0 bit.
+        if (((s ^ t) & ~3) != 0 && ((s ^ t) & 3) == 0) {
+          EXPECT_EQ(d.candidates[0].priority, (t & 4) != 0 ? 0 : 1);
+        }
+      }
+    }
+    RuleDrivenRouting by_links(links, 1, mode);
+    by_links.attach(m, f);
+    for (NodeId n = 0; n < m.num_nodes(); ++n) {
+      RouteContext ctx;
+      ctx.node = n;
+      ctx.dest = n;
+      ctx.src = n;
+      ctx.in_port = m.degree();
+      ctx.in_vc = 0;
+      const RouteDecision d = by_links.route(ctx);
+      ASSERT_EQ(d.candidates.size(), 1u) << n;
+      EXPECT_EQ(d.candidates[0].port, f.link_usable(n, 0) ? 0 : 1) << n;
+    }
+  }
+}
+
 TEST(Corpus, CombinedBlowupFormula) {
   // E4: merging decide_dir and decide_vc into one step explodes the table.
   EXPECT_EQ(hwcost::combined_rulebase_bits(6, 2),

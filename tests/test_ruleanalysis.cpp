@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "routing/cdg.hpp"
@@ -403,6 +406,125 @@ TEST(RulelintAgreement, FaultedOrbitSampleMatchesDynamicCdg) {
     EXPECT_TRUE(check_full_cdg(m, faults, algo).acyclic)
         << "dynamic CDG cyclic under " << pattern.to_string();
   }
+}
+
+// ------------------------------------- the model is the program's own
+
+std::string read_testdata(const std::string& file) {
+  std::ifstream in(std::string(FLEXROUTER_TESTDATA) + "/" + file);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// `text` with every `from` replaced by `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (auto pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size()))
+    text.replace(pos, from.size(), to);
+  return text;
+}
+
+void expect_same_model(const ruleanalysis::DeadlockModel& got,
+                       const ruleanalysis::DeadlockModel& want) {
+  EXPECT_EQ(got.route_base, want.route_base);
+  EXPECT_EQ(got.style, want.style);
+  EXPECT_EQ(got.injection, want.injection);
+  EXPECT_EQ(got.num_vcs, want.num_vcs);
+  EXPECT_EQ(got.escape_vc, want.escape_vc);
+  EXPECT_EQ(got.class_vcs, want.class_vcs);
+  EXPECT_EQ(got.fault_tolerance, want.fault_tolerance);
+  EXPECT_EQ(got.ft_route_base, want.ft_route_base);
+}
+
+// ft_mesh_rules under another name certifies exactly as the original: every
+// certificate byte apart from the program name.
+TEST(HostModel, RenamedProgramCertifiesIdentically) {
+  const std::string original = rulebases::ft_mesh_route_source(4, 4);
+  const std::string renamed = read_testdata("renamed_ft_mesh.rules");
+  // The fixture is the corpus program with only its PROGRAM line changed.
+  ASSERT_EQ(renamed, mutate(original, "PROGRAM ft_mesh_rules;",
+                            "PROGRAM my_ft_mesh;"));
+  const rules::Program p0 = rules::parse_program(original);
+  const rules::Program p1 = rules::parse_program(renamed);
+  const auto m0 = ruleanalysis::model_for(p0);
+  const auto m1 = ruleanalysis::model_for(p1);
+  ASSERT_TRUE(m0.has_value() && m1.has_value());
+  expect_same_model(*m1, *m0);
+  EXPECT_EQ(m1->escape_vc, 2);
+  EXPECT_EQ(m1->fault_tolerance, 2);
+
+  const Mesh mesh = Mesh::two_d(4, 4);
+  ruleanalysis::FaultPattern link_and_node;
+  link_and_node.links.push_back({mesh.at(1, 1), /*port=*/0});
+  link_and_node.nodes.push_back(mesh.at(2, 2));
+  for (const ruleanalysis::FaultPattern& pattern :
+       {ruleanalysis::FaultPattern{}, link_and_node}) {
+    SCOPED_TRACE(pattern.to_string());
+    const auto c0 = ruleanalysis::certify_fault_set(p0, *m0, mesh, pattern);
+    const auto c1 = ruleanalysis::certify_fault_set(p1, *m1, mesh, pattern);
+    EXPECT_EQ(c1.cdg.to_string(), c0.cdg.to_string());
+    EXPECT_EQ(c1.decisions, c0.decisions);
+    EXPECT_EQ(c1.connected, c0.connected);
+    EXPECT_EQ(c1.progress, c0.progress);
+    EXPECT_EQ(c1.modeled, c0.modeled);
+    ASSERT_EQ(c1.findings.size(), c0.findings.size());
+    for (std::size_t i = 0; i < c0.findings.size(); ++i)
+      EXPECT_EQ(c1.findings[i].to_string(), c0.findings[i].to_string());
+  }
+
+  ruleanalysis::FaultCertOptions opts;
+  opts.max_faults = 1;
+  const auto r0 = ruleanalysis::certify_faults(p0, *m0, mesh, opts);
+  const auto r1 = ruleanalysis::certify_faults(p1, *m1, mesh, opts);
+  EXPECT_TRUE(r1.certified);
+  EXPECT_EQ(replace_all(r1.to_string(), "my_ft_mesh", "ft_mesh_rules"),
+            r0.to_string());
+}
+
+// A NARA program named `nafta` gets the model its own text states, not
+// NAFTA's: its !cand route base, no fault-mode companion, no claim.
+TEST(HostModel, ProgramNameSelectsNoModel) {
+  const std::string impostor = read_testdata("impostor_nafta.rules");
+  ASSERT_EQ(impostor, mutate(rulebases::nara_route_source(4, 4),
+                             "PROGRAM nara_rules;", "PROGRAM nafta;"));
+  const auto m = ruleanalysis::model_for(rules::parse_program(impostor));
+  const auto nara = ruleanalysis::model_for(
+      rules::parse_program(rulebases::nara_route_source(4, 4)));
+  ASSERT_TRUE(m.has_value() && nara.has_value());
+  expect_same_model(*m, *nara);
+  EXPECT_EQ(m->route_base, "route");
+  EXPECT_EQ(m->fault_tolerance, 0);
+  EXPECT_TRUE(m->ft_route_base.empty());
+
+  // The real NAFTA states its companion base, injection rule and claim.
+  const auto nafta = ruleanalysis::model_for(
+      rules::parse_program(rulebases::nafta_program_source(4, 4)));
+  ASSERT_TRUE(nafta.has_value());
+  EXPECT_EQ(nafta->style, ruleanalysis::DecisionStyle::ReturnPort);
+  EXPECT_EQ(nafta->route_base, "incoming_message");
+  EXPECT_EQ(nafta->ft_route_base, "in_message_ft");
+  EXPECT_EQ(nafta->injection, ruleanalysis::InjectionVcs::BySignDy);
+  EXPECT_EQ(nafta->num_vcs, 2);
+  EXPECT_EQ(nafta->fault_tolerance, 1);
+
+  // A declared escape VC outside the program's VCs certifies nothing.
+  const auto bad_escape = ruleanalysis::fault_cert_source(
+      mutate(rulebases::ft_mesh_route_source(4, 4), "CONSTANT escape_vc = 2",
+             "CONSTANT escape_vc = 3"));
+  ASSERT_TRUE(bad_escape.has_value());
+  EXPECT_FALSE(bad_escape->certified);
+  EXPECT_EQ(bad_escape->stats.members_checked, 0u);
+
+  // ROUTE_C's classes 0/1 take VCs 0/1; the rest stay excluded.
+  const auto route_c = ruleanalysis::model_for(
+      rules::parse_program(rulebases::route_c_program_source(3, 2)));
+  ASSERT_TRUE(route_c.has_value());
+  EXPECT_EQ(route_c->style, ruleanalysis::DecisionStyle::DirsetMask);
+  EXPECT_EQ(route_c->route_base, "decide_dir");
+  EXPECT_EQ(route_c->class_vcs, (std::map<std::int64_t, int>{{0, 0}, {1, 1}}));
 }
 
 }  // namespace

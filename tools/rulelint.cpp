@@ -194,10 +194,15 @@ int cert_faults(int max_faults, bool json, bool werror,
       std::ostringstream src;
       src << in.rdbuf();
       auto rep = flexrouter::ruleanalysis::fault_cert_source(src.str(), opts);
-      if (!rep) {
-        std::cerr << "rulelint: '" << path
-                  << "' does not parse/validate, has no deadlock model, or "
-                     "names no topology; cannot fault-certify\n";
+      if (!rep || rep->stats.members_checked == 0) {
+        std::cerr << "rulelint: '" << path << "' ";
+        if (rep && !rep->findings.empty())
+          std::cerr << "cannot be enumerated ("
+                    << rep->findings.front().message << ")";
+        else
+          std::cerr << "does not parse/validate, has no deadlock model, or "
+                       "names no topology";
+        std::cerr << "; cannot fault-certify\n";
         return 2;
       }
       reports.push_back(std::move(*rep));
