@@ -123,6 +123,16 @@ class PacketStore {
     return --e.flits_left == 0;
   }
 
+  /// Flits of every live packet still somewhere in the network (queued,
+  /// buffered or on a wire): the right-hand side of the flit-conservation
+  /// invariant. O(slots).
+  std::int64_t outstanding_flits() const {
+    std::int64_t total = 0;
+    for (const Entry& e : entries_)
+      if (e.live) total += e.flits_left;
+    return total;
+  }
+
   /// Visit every live slot (used to orphan packets whose endpoint died).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {

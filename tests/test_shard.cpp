@@ -20,6 +20,7 @@
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/traffic.hpp"
 #include "sim/simulator.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/shard_plan.hpp"
@@ -440,6 +441,139 @@ TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
   sc.detection_delay = 40;
   sc.seed = 42;
   expect_shard_identity(sc, "live-lifecycle");
+}
+
+// -------------------------------------------------------- data-plane audit
+
+/// Steps a scenario's network by hand and runs Network::check_invariants
+/// after every cycle and every fault operation. Uniform traffic of
+/// 4-flit packets between nodes that are still up; a live lifecycle kills
+/// a link at 600 and a node at 800, holds injection while damage is
+/// pending, and commits it once the network has drained. Returns a digest
+/// of each cycle's delivery and movement counters, so the audited run can
+/// also be compared across shard counts.
+std::uint64_t audited_run(const Scenario& sc, int shards, int link_latency) {
+  auto topo = scenario_topo(sc);
+  auto algo = make_algorithm(sc.algo);
+  NetworkConfig ncfg;
+  ncfg.shards = shards;
+  ncfg.shard_threads = shards;
+  ncfg.link_latency = link_latency;
+  Network net(*topo, *algo, ncfg);
+  net.check_invariants();
+  if (sc.static_link_faults > 0 || sc.static_node_faults > 0) {
+    Rng frng(static_cast<std::uint64_t>(sc.static_link_faults) * 131 +
+             static_cast<std::uint64_t>(sc.static_node_faults) * 17 + 7);
+    net.apply_faults([&](FaultSet& f) {
+      inject_random_node_faults(f, sc.static_node_faults, frng);
+      inject_random_link_faults(f, sc.static_link_faults, frng);
+    });
+    net.check_invariants();
+  }
+  const Mesh* mesh = dynamic_cast<const Mesh*>(topo.get());
+  FR_ASSERT(!sc.lifecycle || mesh != nullptr);
+  const auto up = [&net](NodeId n) {
+    return net.faults().node_ok(n) && !net.node_live_killed(n);
+  };
+
+  UniformTraffic traffic(*topo);
+  Rng rng(sc.seed);
+  Digest d;
+  const Cycle inject_until = sc.warmup + sc.measure;
+  std::int64_t last_moved = 0;
+  Cycle stalled = 0;
+  Cycle now = 0;
+  for (; now < inject_until || !net.idle() || net.recovery_pending(); ++now) {
+    FR_ASSERT_MSG(now < inject_until + 20000, "audited run did not drain");
+    if (sc.lifecycle && now == 600) {
+      net.kill_link_live(mesh->at(3, 3), port_of(Compass::East));
+      net.check_invariants();
+    }
+    if (sc.lifecycle && now == 800) {
+      net.kill_node_live(mesh->at(4, 2));
+      net.check_invariants();
+    }
+    if (net.recovery_pending() && net.idle()) {
+      d.add(net.commit_pending_faults());
+      net.check_invariants();
+    }
+    // Worms waiting on a channel that died before the commit never move
+    // again: kill them (the simulator's drain watchdog does the same).
+    if (net.recovery_pending() && stalled > 50) {
+      for (const Network::BlockedChannel& b : net.blocked_channels()) {
+        const PacketRecord& rec = net.record(b.packet);
+        if (!rec.done() && !rec.lost && !net.packet_store().poisoned(b.slot))
+          net.kill_packet(b.packet);
+      }
+      net.check_invariants();
+      stalled = 0;
+    }
+    if (now < inject_until && !net.recovery_pending()) {
+      for (NodeId n = 0; n < topo->num_nodes(); ++n) {
+        if (!up(n) || rng.next_unit() >= sc.rate) continue;
+        const NodeId dest = traffic.dest(n, rng);
+        if (dest != n && up(dest)) net.send(n, dest, 4, now);
+      }
+    }
+    net.step(now);
+    net.check_invariants();
+    d.add(net.packets_delivered());
+    d.add(net.packets_lost());
+    d.add(net.total_flit_movements());
+    stalled = net.total_flit_movements() == last_moved ? stalled + 1 : 0;
+    last_moved = net.total_flit_movements();
+  }
+  d.add(now);
+  d.add(net.packets_created());
+  return d.value();
+}
+
+void expect_audited(const Scenario& sc, int link_latency) {
+  const std::uint64_t one = audited_run(sc, 1, link_latency);
+  EXPECT_EQ(audited_run(sc, 4, link_latency), one)
+      << "audited run differs between 1 and 4 shards";
+}
+
+TEST(NetworkInvariants, FaultFreeEveryCycle) {
+  Scenario sc;
+  sc.rate = 0.08;
+  expect_audited(sc, 1);
+}
+
+TEST(NetworkInvariants, StaticFaultsEveryCycle) {
+  Scenario sc;
+  sc.static_link_faults = 6;
+  sc.static_node_faults = 1;
+  expect_audited(sc, 1);
+}
+
+TEST(NetworkInvariants, LiveLifecycleEveryCycle) {
+  Scenario sc;
+  sc.topo = "mesh8";
+  sc.lifecycle = true;
+  sc.rate = 0.08;
+  sc.warmup = 300;
+  sc.measure = 900;
+  sc.seed = 42;
+  expect_audited(sc, 1);
+}
+
+// No workload runs links slower than one cycle, so this is the only
+// coverage of the multi-stage channel registers: a lifecycle run at
+// latency 2 and 3 must drain, stay consistent every cycle, and not depend
+// on the shard count.
+TEST(NetworkInvariants, MultiCycleLinksDrainEveryCycle) {
+  Scenario sc;
+  sc.topo = "mesh8";
+  sc.lifecycle = true;
+  sc.rate = 0.08;
+  sc.warmup = 300;
+  sc.measure = 900;
+  sc.seed = 42;
+  for (const int latency : {2, 3}) {
+    SCOPED_TRACE("link_latency=" + std::to_string(latency));
+    expect_audited(sc, latency);
+  }
 }
 
 // ----------------------------------------------------------- idle skipping
