@@ -452,7 +452,7 @@ void BM_NetworkCycle_Nafta8x8(benchmark::State& state) {
     const auto s = static_cast<NodeId>(rng.next_below(64));
     auto d = static_cast<NodeId>(rng.next_below(64));
     if (d == s) d = (d + 1) % 64;
-    if (net.router(s).injection_space() > 8) net.send(s, d, 4, now);
+    if (net.routers().injection_space(s) > 8) net.send(s, d, 4, now);
     net.step(now++);
   }
   state.counters["flits/cycle"] = benchmark::Counter(

@@ -1,56 +1,44 @@
-// Arbiters for VC allocation and switch allocation. Round-robin grant
-// rotation provides the fairness guarantee of Section 3 ("scheduling and
-// fairness"): no requester starves while others are served, and misrouted
-// messages can be boosted via a priority input to compensate their "double
-// disadvantage".
+// Round-robin switch arbitration. Grant rotation provides the fairness
+// guarantee of Section 3 ("scheduling and fairness"): no requester starves
+// while others are served, and misrouted messages can be boosted via a
+// priority input to compensate their "double disadvantage".
 #pragma once
-
-#include <vector>
 
 #include "common/assert.hpp"
 
 namespace flexrouter {
 
-/// One requester in a pre-gathered candidate list (see peek_sorted).
+/// One requester in a gathered candidate list.
 struct ArbCandidate {
   int idx = -1;
   int priority = 0;
 };
 
-/// Round-robin arbiter over `size` requesters with integer priorities:
-/// the highest priority wins; among equals the one closest (cyclically)
-/// after the last grant wins.
-class RoundRobinArbiter {
- public:
-  explicit RoundRobinArbiter(int size);
-
-  /// Begin an arbitration round.
-  void begin();
-  /// Register requester `idx` with `priority`.
-  void request(int idx, int priority = 0);
-  /// Compute the winner (-1 if none requested) WITHOUT rotating the
-  /// pointer. The caller decides whether the grant is actually consumed —
-  /// a winner that cannot use its grant (e.g. its crossbar input was taken)
-  /// must not advance the round-robin state, or it loses its fairness turn.
-  int peek() const;
-  /// Commit a grant returned by peek(): rotates the pointer to `idx`.
-  void consume(int idx);
-  /// peek() + consume() in one step, for callers that always accept.
-  int grant();
-
-  /// Winner among an externally gathered candidate list, equivalent to
-  /// begin() + request(each) + peek() but O(candidates) instead of
-  /// O(size): no request arrays to clear and no full cyclic scan.
-  /// Contract: `cands` sorted ascending by idx, all idx in [0, size).
-  int peek_sorted(const ArbCandidate* cands, int count) const;
-
-  int size() const { return size_; }
-
- private:
-  int size_;
-  int last_grant_ = -1;
-  std::vector<int> priority_;
-  std::vector<char> requested_;
-};
+/// Winner among `count` requesters sorted ascending by idx: the highest
+/// priority wins; among equals the one closest (cyclically) after
+/// `last_grant` wins (-1 before the first grant). Returns -1 when there is
+/// no requester. Pure: the caller records a consumed grant as the new
+/// `last_grant`, so a winner that cannot use its grant keeps its turn.
+inline int round_robin_pick(const ArbCandidate* cands, int count,
+                            int last_grant) {
+  // Cyclic order from last_grant+1: indices above the pointer come first
+  // (ascending), then the wrapped ones. The winner is the max-priority
+  // candidate earliest in that order — ascending input order means the
+  // first candidate seen in each wrap class has the smallest idx.
+  int best = -1;
+  int best_prio = 0;
+  bool best_wrapped = false;
+  for (int i = 0; i < count; ++i) {
+    FR_ASSERT(cands[i].idx >= 0 && (i == 0 || cands[i - 1].idx < cands[i].idx));
+    const bool wrapped = cands[i].idx <= last_grant;
+    if (best < 0 || cands[i].priority > best_prio ||
+        (cands[i].priority == best_prio && best_wrapped && !wrapped)) {
+      best = cands[i].idx;
+      best_prio = cands[i].priority;
+      best_wrapped = wrapped;
+    }
+  }
+  return best;
+}
 
 }  // namespace flexrouter
