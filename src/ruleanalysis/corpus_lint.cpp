@@ -39,10 +39,14 @@ void certify_onto(AnalysisReport& report, const rules::Program& prog,
   std::ostringstream os;
   os << "deadlock certificate";
   if (!context.empty()) os << " (" << context << ")";
-  os << ": " << (cert.cdg.acyclic ? "acyclic" : "CYCLIC") << ", "
-     << cert.cdg.num_channels << " channels, " << cert.cdg.num_edges
-     << " edges, " << cert.decisions << " decisions";
-  if (!cert.modeled) os << ", partial model";
+  if (!cert.unchecked.empty()) {
+    os << ": not checked (" << cert.unchecked << ")";
+  } else {
+    os << ": " << (cert.cdg.acyclic ? "acyclic" : "CYCLIC") << ", "
+       << cert.cdg.num_channels << " channels, " << cert.cdg.num_edges
+       << " edges, " << cert.decisions << " decisions";
+    if (!cert.modeled) os << ", partial model";
+  }
   report.info.push_back(os.str());
   for (Finding& f : cert.findings) {
     if (!context.empty()) f.message += " [" + context + "]";

@@ -810,10 +810,14 @@ FaultSetCertificate certify_fault_set(const rules::Program& prog,
     msg << "} are outside the certificate (no VC mapping)";
     cert.findings.push_back(unmodeled_note(model.route_base, msg.str()));
   }
-  std::set<std::string> notes = en.unmodeled();
-  if (!en.ok()) notes.insert(en.error());
-  for (const std::string& m : notes)
+  for (const std::string& m : en.unmodeled())
     cert.findings.push_back(unmodeled_note(model.route_base, m));
+  if (!en.ok()) {
+    cert.unchecked = en.error();
+    Finding f = unmodeled_note(model.route_base, en.error());
+    f.severity = Severity::Warning;
+    cert.findings.push_back(std::move(f));
+  }
   cert.modeled = en.ok() && en.modeled();
   return cert;
 }

@@ -80,6 +80,9 @@ struct FaultSetCertificate {
   bool modeled = true;
   /// Decision headers enumerated fresh, arrival states included.
   std::uint64_t decisions = 0;
+  /// Why nothing was checked: the model could not be enumerated, so no
+  /// closure ran and `cdg` certifies nothing. Empty when the closure ran.
+  std::string unchecked;
 };
 
 /// One row of the program x fault-regime verdict matrix.
@@ -168,7 +171,9 @@ struct FaultCertReport {
 /// Certify `prog` on `topo` under the one fault set `pattern` (plain
 /// rulelint certifies the healthy fabric this way). The program must have
 /// passed validation. Connectivity failures are errors when `pattern` lies
-/// inside the model's fault-tolerance claim, notes beyond it.
+/// inside the model's fault-tolerance claim, notes beyond it. A model that
+/// cannot be enumerated checks nothing: `unchecked` says why, and a
+/// deadlock-unmodeled warning carries the same reason.
 FaultSetCertificate certify_fault_set(const rules::Program& prog,
                                       const DeadlockModel& model,
                                       const Topology& topo,
