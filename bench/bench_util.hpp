@@ -11,9 +11,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/alloc_counter.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "topology/graph_algo.hpp"
 
 namespace flexrouter::bench {
 
@@ -100,5 +102,89 @@ inline SimResult run_point(const Topology& topo, RoutingAlgorithm& algo,
   cfg.seed = seed;
   return run_point(topo, algo, traffic, cfg, faults);
 }
+
+/// Hand-driven network replica behind the zero-allocation guards (they run
+/// only in FLEXROUTER_COUNT_ALLOCS builds). Offers the timed scenarios'
+/// load — 0.10 flits per node-cycle over 4-flit packets, i.e. the
+/// Simulator's packet_prob = rate / mean_length — between connected
+/// healthy nodes, and checks that once the pools (rings, slab, worklists)
+/// have grown to the workload's peak a cycle no longer touches the heap.
+class AllocGuard {
+ public:
+  /// Build after any static faults: the connectivity used to pick
+  /// destinations is taken from the network's fault set here.
+  AllocGuard(Network& net, TrafficPattern& traffic)
+      : net_(net), traffic_(traffic), comp_(components(net.faults())) {}
+
+  /// Inject and step `cycles` cycles; the pools grow to peak here.
+  void run(int cycles) {
+    for (int c = 0; c < cycles; ++c) {
+      inject();
+      net_.step(now_++);
+    }
+  }
+
+  /// Drain without injecting and commit the pending live damage: the
+  /// recovery controller's quiescent diagnosis, by hand. A worm whose only
+  /// candidates cross dead hardware wedges against the stale routing
+  /// tables, so a 200-cycle stall gets the simulator's victim kill. False
+  /// when the network does not empty within 20000 cycles.
+  bool drain_and_commit() {
+    std::int64_t last_moved = net_.total_flit_movements();
+    Cycle stall = 0;
+    for (int c = 0; c < 20000 && !net_.idle(); ++c) {
+      net_.step(now_++);
+      const std::int64_t moved = net_.total_flit_movements();
+      if (moved != last_moved) {
+        last_moved = moved;
+        stall = 0;
+      } else if (++stall > 200) {
+        const PacketId victim = net_.blocked_victim();
+        if (victim >= 0) net_.kill_packet(victim);
+        stall = 0;
+      }
+    }
+    if (!net_.idle()) return false;
+    net_.commit_pending_faults();
+    comp_ = components(net_.faults());
+    return true;
+  }
+
+  /// Sample the global allocation counter over 100-cycle windows; true
+  /// once 3 consecutive windows allocate nothing, within 30 windows —
+  /// one-time pool growth is tolerated, per-cycle churn is not.
+  bool steady_state_clean() {
+    int clean = 0;
+    for (int window = 0; window < 30 && clean < 3; ++window) {
+      const std::int64_t before = heap_alloc_count();
+      run(100);
+      clean = heap_alloc_count() == before ? clean + 1 : 0;
+    }
+    return clean >= 3;
+  }
+
+ private:
+  void inject() {
+    const double packet_prob = 0.10 / 4.0;
+    for (NodeId s = 0; s < net_.topology().num_nodes(); ++s) {
+      if (!net_.faults().node_ok(s)) continue;
+      if (!rng_.next_bool(packet_prob)) continue;
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        const NodeId d = traffic_.dest(s, rng_);
+        if (d != s && comp_[static_cast<std::size_t>(d)] ==
+                          comp_[static_cast<std::size_t>(s)]) {
+          net_.send(s, d, 4, now_);
+          break;
+        }
+      }
+    }
+  }
+
+  Network& net_;
+  TrafficPattern& traffic_;
+  std::vector<int> comp_;
+  Rng rng_{42};
+  Cycle now_ = 0;
+};
 
 }  // namespace flexrouter::bench

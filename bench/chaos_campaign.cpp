@@ -38,10 +38,8 @@
 #include <string_view>
 
 #include "bench_util.hpp"
-#include "common/alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "routing/nafta.hpp"
-#include "topology/graph_algo.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/torus.hpp"
 
@@ -315,99 +313,30 @@ bool run_alloc_guard() {
   NetworkConfig ncfg;
   ncfg.expected_packets = 16384;
   Network net(m, algo, ncfg);
-  std::vector<int> comp = components(net.faults());
-  Rng rng(42);
-  Cycle now = 0;
-  const double packet_prob = 0.10 / 4.0;
-  const auto inject = [&] {
-    for (NodeId s = 0; s < m.num_nodes(); ++s) {
-      if (!net.faults().node_ok(s)) continue;
-      if (!rng.next_bool(packet_prob)) continue;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const NodeId cand = tr.dest(s, rng);
-        if (cand == s) continue;
-        if (comp[static_cast<std::size_t>(cand)] ==
-            comp[static_cast<std::size_t>(s)]) {
-          net.send(s, cand, 4, now);
-          break;
-        }
-      }
-    }
-  };
-  // Hand-driven equivalent of the Simulator's drain watchdog: a worm whose
-  // only candidates cross dead hardware wedges against the stale routing
-  // tables, so a stalled window gets the same structured victim kill
-  // (lowest packet id in the blocked wait-for chain).
-  const auto drain_and_commit = [&]() -> bool {
-    std::int64_t last_moved = net.total_flit_movements();
-    Cycle stall = 0;
-    for (int c = 0; c < 20000 && !net.idle(); ++c) {
-      net.step(now++);
-      const std::int64_t moved = net.total_flit_movements();
-      if (moved != last_moved) {
-        last_moved = moved;
-        stall = 0;
-        continue;
-      }
-      if (++stall > 200) {
-        PacketId victim = -1;
-        for (const Network::BlockedChannel& ch : net.blocked_chain()) {
-          if (ch.packet < 0) continue;
-          const PacketRecord& rec = net.record(ch.packet);
-          if (rec.done() || rec.lost) continue;
-          if (victim < 0 || ch.packet < victim) victim = ch.packet;
-        }
-        if (victim >= 0) net.kill_packet(victim);
-        stall = 0;
-      }
-    }
-    if (!net.idle()) return false;
-    net.commit_pending_faults();
-    comp = components(net.faults());
-    return true;
-  };
-  for (int c = 0; c < 300; ++c) {
-    inject();
-    net.step(now++);
-  }
+  bench::AllocGuard guard(net, tr);
+  guard.run(300);
   // Live kill with its quiescent commit first (hand-driven drains have no
   // watchdog, so the kill runs from the proven healthy-table state), then
   // the fail-slow throttle (applied live, no drain needed — and once the
   // tables know the dead link, a throttled link only delays worms, it
   // cannot wedge them), then the repair with its own commit.
   net.kill_link_live(m.at(3, 3), port_of(Compass::East));
-  if (!drain_and_commit()) {
+  if (!guard.drain_and_commit()) {
     std::cerr << "alloc guard: network failed to drain after live kill\n";
     return false;
   }
   net.degrade_link_live(m.at(5, 5), port_of(Compass::East), 4);
-  for (int c = 0; c < 300; ++c) {
-    inject();
-    net.step(now++);
-  }
+  guard.run(300);
   if (!net.repair_link_live(m.at(3, 3), port_of(Compass::East))) {
     std::cerr << "alloc guard: repair of the killed link did not queue\n";
     return false;
   }
-  if (!drain_and_commit()) {
+  if (!guard.drain_and_commit()) {
     std::cerr << "alloc guard: network failed to drain before repair\n";
     return false;
   }
-  for (int c = 0; c < 400; ++c) {  // regrow pools to the new steady state
-    inject();
-    net.step(now++);
-  }
-  int clean = 0;
-  for (int window = 0; window < 30 && clean < 3; ++window) {
-    const std::int64_t before = heap_alloc_count();
-    for (int c = 0; c < 100; ++c) {
-      inject();
-      net.step(now++);
-    }
-    const std::int64_t grew = heap_alloc_count() - before;
-    clean = grew == 0 ? clean + 1 : 0;
-  }
-  if (clean < 3) {
+  guard.run(400);  // regrow pools to the new steady state
+  if (!guard.steady_state_clean()) {
     std::cerr << "ALLOCATION REGRESSION: post-chaos steady-state cycles "
                  "still allocate\n";
     return false;

@@ -27,14 +27,11 @@
 //   ./dynamic_fault_recovery --smoke      # tiny cycle counts for CI
 //   ./dynamic_fault_recovery --json FILE  # also emit a JSON report
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/alloc_counter.hpp"
 #include "routing/nafta.hpp"
-#include "topology/graph_algo.hpp"
 #include "topology/hypercube.hpp"
 
 namespace {
@@ -44,37 +41,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Field-wise bit-identity including the recovery metrics — the sweep
-/// determinism contract now covers the lifecycle counters too.
-bool bit_identical(const SimResult& a, const SimResult& b) {
-  if (a.blocked_chain.size() != b.blocked_chain.size()) return false;
-  for (std::size_t i = 0; i < a.blocked_chain.size(); ++i) {
-    if (a.blocked_chain[i].node != b.blocked_chain[i].node ||
-        a.blocked_chain[i].port != b.blocked_chain[i].port ||
-        a.blocked_chain[i].vc != b.blocked_chain[i].vc ||
-        a.blocked_chain[i].packet != b.blocked_chain[i].packet)
-      return false;
-  }
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         std::memcmp(&a.avg_latency, &b.avg_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p50_latency, &b.p50_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p99_latency, &b.p99_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_hops, &b.avg_hops, sizeof(double)) == 0 &&
-         std::memcmp(&a.throughput, &b.throughput, sizeof(double)) == 0 &&
-         std::memcmp(&a.availability, &b.availability, sizeof(double)) == 0 &&
-         a.packets_lost == b.packets_lost &&
-         a.packets_retransmitted == b.packets_retransmitted &&
-         a.packets_unrecoverable == b.packets_unrecoverable &&
-         a.fault_events == b.fault_events &&
-         a.recovery_events == b.recovery_events &&
-         a.recovery_cycles == b.recovery_cycles &&
-         a.worms_killed == b.worms_killed &&
-         a.reconfig_exchanges == b.reconfig_exchanges &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
 }
 
 constexpr int kScenarios = 2;
@@ -128,78 +94,17 @@ bool run_alloc_guard() {
   NetworkConfig ncfg;
   ncfg.expected_packets = 16384;
   Network net(m, algo, ncfg);
-  std::vector<int> comp = components(net.faults());
-  Rng rng(42);
-  Cycle now = 0;
-  const double packet_prob = 0.10 / 4.0;
-  const auto inject = [&] {
-    for (NodeId s = 0; s < m.num_nodes(); ++s) {
-      if (!net.faults().node_ok(s)) continue;
-      if (!rng.next_bool(packet_prob)) continue;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const NodeId cand = tr.dest(s, rng);
-        if (cand == s) continue;
-        if (comp[static_cast<std::size_t>(cand)] ==
-            comp[static_cast<std::size_t>(s)]) {
-          net.send(s, cand, 4, now);
-          break;
-        }
-      }
-    }
-  };
-  for (int c = 0; c < 300; ++c) {
-    inject();
-    net.step(now++);
-  }
+  bench::AllocGuard guard(net, tr);
+  guard.run(300);
   // Live kill, quiescent drain, control-plane commit — the lifecycle the
-  // Simulator's recovery controller performs, driven by hand, including
-  // its drain watchdog: a worm whose only candidates cross the dead link
-  // wedges against the stale routing tables, so a stalled window gets the
-  // same structured victim kill (lowest packet id in the blocked chain).
+  // Simulator's recovery controller performs, driven by hand.
   net.kill_link_live(m.at(3, 3), port_of(Compass::East));
-  std::int64_t last_moved = net.total_flit_movements();
-  Cycle stall = 0;
-  for (int c = 0; c < 20000 && !net.idle(); ++c) {
-    net.step(now++);
-    const std::int64_t moved = net.total_flit_movements();
-    if (moved != last_moved) {
-      last_moved = moved;
-      stall = 0;
-      continue;
-    }
-    if (++stall > 200) {
-      PacketId victim = -1;
-      for (const Network::BlockedChannel& ch : net.blocked_chain()) {
-        if (ch.packet < 0) continue;
-        const PacketRecord& rec = net.record(ch.packet);
-        if (rec.done() || rec.lost) continue;
-        if (victim < 0 || ch.packet < victim) victim = ch.packet;
-      }
-      if (victim >= 0) net.kill_packet(victim);
-      stall = 0;
-    }
-  }
-  if (!net.idle()) {
+  if (!guard.drain_and_commit()) {
     std::cerr << "alloc guard: network failed to drain after live kill\n";
     return false;
   }
-  net.commit_pending_faults();
-  comp = components(net.faults());
-  for (int c = 0; c < 400; ++c) {  // regrow pools to the new steady state
-    inject();
-    net.step(now++);
-  }
-  int clean = 0;
-  for (int window = 0; window < 30 && clean < 3; ++window) {
-    const std::int64_t before = heap_alloc_count();
-    for (int c = 0; c < 100; ++c) {
-      inject();
-      net.step(now++);
-    }
-    const std::int64_t grew = heap_alloc_count() - before;
-    clean = grew == 0 ? clean + 1 : 0;
-  }
-  if (clean < 3) {
+  guard.run(400);  // regrow pools to the new steady state
+  if (!guard.steady_state_clean()) {
     std::cerr << "ALLOCATION REGRESSION: post-recovery steady-state cycles "
                  "still allocate\n";
     return false;
@@ -296,7 +201,7 @@ int main(int argc, char** argv) {
       serial_wall = wall;
     } else {
       for (std::size_t i = 0; i < results.size(); ++i)
-        identical = identical && bit_identical(results[i], reference[i]);
+        identical = identical && results[i] == reference[i];
     }
     bench::print_row({std::to_string(t), std::to_string(points.size()),
                       bench::fmt(wall, 3), identical ? "yes" : "NO"},

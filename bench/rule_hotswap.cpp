@@ -33,7 +33,6 @@
 //   ./rule_hotswap              # full run
 //   ./rule_hotswap --smoke      # tiny cycle counts for CI
 //   ./rule_hotswap --json FILE  # also emit a JSON report
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -47,42 +46,13 @@ namespace {
 using namespace flexrouter;
 using rules::ExecMode;
 
-/// Field-wise bit-identity. `swap_metrics` folds the swap counters into the
-/// comparison (the thread-sweep check wants them; the self-swap-vs-no-swap
-/// check excludes them — they differ by design).
-bool bit_identical(const SimResult& a, const SimResult& b,
-                   bool swap_metrics) {
-  if (a.blocked_chain.size() != b.blocked_chain.size()) return false;
-  for (std::size_t i = 0; i < a.blocked_chain.size(); ++i) {
-    if (a.blocked_chain[i].node != b.blocked_chain[i].node ||
-        a.blocked_chain[i].port != b.blocked_chain[i].port ||
-        a.blocked_chain[i].vc != b.blocked_chain[i].vc ||
-        a.blocked_chain[i].packet != b.blocked_chain[i].packet)
-      return false;
-  }
-  if (swap_metrics &&
-      (a.rule_swaps != b.rule_swaps ||
-       a.swap_gated_cycles != b.swap_gated_cycles ||
-       a.swap_gated_node_cycles != b.swap_gated_node_cycles))
-    return false;
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         std::memcmp(&a.avg_latency, &b.avg_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p50_latency, &b.p50_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p99_latency, &b.p99_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_hops, &b.avg_hops, sizeof(double)) == 0 &&
-         std::memcmp(&a.throughput, &b.throughput, sizeof(double)) == 0 &&
-         std::memcmp(&a.availability, &b.availability, sizeof(double)) == 0 &&
-         a.packets_lost == b.packets_lost &&
-         a.packets_retransmitted == b.packets_retransmitted &&
-         a.packets_unrecoverable == b.packets_unrecoverable &&
-         a.fault_events == b.fault_events &&
-         a.recovery_events == b.recovery_events &&
-         a.recovery_cycles == b.recovery_cycles &&
-         a.worms_killed == b.worms_killed &&
-         a.reconfig_exchanges == b.reconfig_exchanges &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
+/// `r` with the swap accounting zeroed: a self-swap compared against the
+/// no-swap baseline differs there by construction, and nowhere else.
+SimResult without_swap_metrics(SimResult r) {
+  r.rule_swaps = 0;
+  r.swap_gated_cycles = 0;
+  r.swap_gated_node_cycles = 0;
+  return r;
 }
 
 struct Scenario {
@@ -275,7 +245,7 @@ int main(int argc, char** argv) {
   // Same seed, same traffic, same (re-installed) program: every decision
   // replays identically, so the result must match the no-swap baseline bit
   // for bit — the swap machinery itself is invisible.
-  if (!bit_identical(res[3], res[0], /*swap_metrics=*/false)) {
+  if (without_swap_metrics(res[3]) != res[0]) {
     std::cerr << "PERTURBATION: immediate self-swap changed the result\n";
     return 1;
   }
@@ -307,9 +277,7 @@ int main(int argc, char** argv) {
       reference = results;
     } else {
       for (std::size_t i = 0; i < results.size(); ++i)
-        identical = identical &&
-                    bit_identical(results[i], reference[i],
-                                  /*swap_metrics=*/true);
+        identical = identical && results[i] == reference[i];
     }
     bench::print_row({std::to_string(t), std::to_string(points.size()),
                       identical ? "yes" : "NO"},
@@ -368,7 +336,7 @@ int main(int argc, char** argv) {
         Simulator::RuleSwapPolicy::Rolling, shards, lwarm, lmeas, 91,
         nullptr);
     const bool identical =
-        shards == 1 || bit_identical(r, lr, /*swap_metrics=*/true);
+        shards == 1 || r == lr;
     if (shards == 1) lr = r;
     std::ostringstream frac;
     frac << r.delivered_packets << "/" << r.injected_packets;

@@ -25,17 +25,14 @@
 // stays runnable in every build config.
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <thread>
 
 #include "bench_util.hpp"
-#include "common/alloc_counter.hpp"
 #include "routing/nafta.hpp"
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
-#include "topology/graph_algo.hpp"
 #include "topology/hypercube.hpp"
 
 namespace {
@@ -45,28 +42,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-bool bit_identical(const SimResult& a, const SimResult& b) {
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         std::memcmp(&a.avg_latency, &b.avg_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p50_latency, &b.p50_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p99_latency, &b.p99_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_hops, &b.avg_hops, sizeof(double)) == 0 &&
-         std::memcmp(&a.min_hops_ratio, &b.min_hops_ratio,
-                     sizeof(double)) == 0 &&
-         std::memcmp(&a.throughput, &b.throughput, sizeof(double)) == 0 &&
-         std::memcmp(&a.misrouted_fraction, &b.misrouted_fraction,
-                     sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_latency_misrouted, &b.avg_latency_misrouted,
-                     sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_latency_direct, &b.avg_latency_direct,
-                     sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_decision_steps, &b.avg_decision_steps,
-                     sizeof(double)) == 0 &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
 }
 
 struct SingleReplica {
@@ -186,12 +161,8 @@ std::vector<SweepPoint> make_grid(Cycle warmup, Cycle measure) {
 }
 
 // Zero-allocation regression guard (runs only in FLEXROUTER_COUNT_ALLOCS
-// builds — CI's bench-smoke step enables it). Drives a network replica by
-// hand with Bernoulli injection, then samples the global allocation counter
-// over 100-cycle windows: once the pools (rings, slab, worklists) have
-// grown to the workload's peak, a steady-state cycle must not touch the
-// heap. Requires 3 consecutive clean windows out of 30 — one-time pool
-// growth is tolerated, per-cycle churn is not.
+// builds — CI's bench-smoke step enables it): an 8x8 replica, optionally
+// with static link faults and sharded, driven by bench::AllocGuard.
 bool run_alloc_guard(int link_faults, int shards, bool aot_rules = false) {
   Mesh m = Mesh::two_d(8, 8);
   // `aot_rules` swaps the native router for the rule-driven one with the
@@ -216,44 +187,9 @@ bool run_alloc_guard(int link_faults, int shards, bool aot_rules = false) {
     net.apply_faults(
         [&](FaultSet& f) { inject_random_link_faults(f, link_faults, frng); });
   }
-  const std::vector<int> comp = components(net.faults());
-  Rng rng(42);
-  Cycle now = 0;
-  // Same offered load as the timed scenarios: injection_rate 0.10 flits
-  // per node-cycle over 4-flit packets, i.e. 0.025 packets per node-cycle
-  // (the Simulator's packet_prob = rate / mean_length).
-  const double packet_prob = 0.10 / 4.0;
-  const auto inject = [&] {
-    for (NodeId s = 0; s < m.num_nodes(); ++s) {
-      if (!net.faults().node_ok(s)) continue;
-      if (!rng.next_bool(packet_prob)) continue;
-      NodeId d = kInvalidNode;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const NodeId cand = tr.dest(s, rng);
-        if (comp[static_cast<std::size_t>(cand)] ==
-            comp[static_cast<std::size_t>(s)]) {
-          d = cand;
-          break;
-        }
-      }
-      if (d != kInvalidNode) net.send(s, d, 4, now);
-    }
-  };
-  for (int c = 0; c < 400; ++c) {  // warmup: pools grow to peak here
-    inject();
-    net.step(now++);
-  }
-  int clean = 0;
-  for (int window = 0; window < 30 && clean < 3; ++window) {
-    const std::int64_t before = heap_alloc_count();
-    for (int c = 0; c < 100; ++c) {
-      inject();
-      net.step(now++);
-    }
-    const std::int64_t grew = heap_alloc_count() - before;
-    clean = grew == 0 ? clean + 1 : 0;  // a dirty window resets the streak
-  }
-  if (clean < 3) {
+  bench::AllocGuard guard(net, tr);
+  guard.run(400);  // warmup: pools grow to peak here
+  if (!guard.steady_state_clean()) {
     std::cerr << "ALLOCATION REGRESSION: steady-state cycles still allocate "
               << "(" << link_faults << " link faults, " << shards
               << " shards" << (aot_rules ? ", AOT rules" : "") << ")\n";
@@ -343,7 +279,7 @@ int main(int argc, char** argv) {
       serial_wall = wall;
     } else {
       for (std::size_t i = 0; i < results.size(); ++i)
-        identical = identical && bit_identical(results[i], reference[i]);
+        identical = identical && results[i] == reference[i];
     }
     sweep_rows.push_back({t, wall, identical});
     bench::print_row({std::to_string(t), std::to_string(points.size()),
@@ -397,7 +333,7 @@ int main(int argc, char** argv) {
         ref = r;
         rep.cycles = cycles;
       }
-      const bool identical = bit_identical(r, ref) && cycles == rep.cycles;
+      const bool identical = r == ref && cycles == rep.cycles;
       rep.rows.push_back(
           {s, wall, static_cast<double>(cycles) / wall, identical});
       bench::print_row({s == 1 ? sc.name : "", std::to_string(s),
@@ -443,7 +379,7 @@ int main(int argc, char** argv) {
                                        skip_detect, &skip_cycles, &wall_on,
                                        &cycles_skipped);
   const bool skip_identical =
-      bit_identical(skip_on, skip_off) && skip_cycles == noskip_cycles;
+      skip_on == skip_off && skip_cycles == noskip_cycles;
   const double cps_off = static_cast<double>(noskip_cycles) / wall_off;
   const double cps_on = static_cast<double>(skip_cycles) / wall_on;
   const double skip_speedup = cps_on / cps_off;

@@ -659,6 +659,17 @@ std::vector<Network::BlockedChannel> Network::blocked_chain() const {
   return chain;
 }
 
+PacketId Network::blocked_victim() const {
+  PacketId victim = -1;
+  for (const BlockedChannel& c : blocked_chain()) {
+    if (c.packet < 0) continue;
+    const PacketRecord& rec = record(c.packet);
+    if (rec.done() || rec.lost) continue;
+    if (victim < 0 || c.packet < victim) victim = c.packet;
+  }
+  return victim;
+}
+
 const PacketRecord& Network::record(PacketId id) const {
   FR_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < records_.size());
   return records_[static_cast<std::size_t>(id)];

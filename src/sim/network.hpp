@@ -185,6 +185,10 @@ class Network {
   /// routers (committed output -> downstream input VC) until it ends or
   /// closes a cycle; the classic deadlock dump. Deterministic.
   std::vector<BlockedChannel> blocked_chain() const;
+  /// The watchdog's victim: the lowest id of a live packet in
+  /// blocked_chain() (deterministic; killing any one member breaks the
+  /// chain), or -1 when the chain holds none.
+  PacketId blocked_victim() const;
 
   const PacketRecord& record(PacketId id) const;
   std::int64_t packets_created() const {

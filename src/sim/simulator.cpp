@@ -255,7 +255,7 @@ void Simulator::inject_offered_load(bool measured) {
     // RNG draw, like the kill skip above; the gate set is deterministic
     // (plan + network state), so results stay bit-identical across
     // execution shard counts.
-    if (rolling_active_ && rolling_gated(n)) continue;
+    if (rolling_gated(n)) continue;
     if (!rng_.next_bool(packet_prob)) continue;
     const int length = bimodal && rng_.next_bool(cfg_.long_packet_fraction)
                            ? cfg_.long_packet_length
@@ -303,6 +303,65 @@ void Simulator::count_measured_deliveries() {
     if (is_measured(id)) --measured_outstanding_;
 }
 
+Cycle Simulator::cycle(Phase phase, Cycle remaining, SimResult& result) {
+  const bool drain = phase == Phase::Drain;
+  if (drain && remaining <= 0) {  // drain_limit exhausted
+    capture_blocked_chain(result);
+    result.deadlock_suspected = true;
+    return 0;
+  }
+  if (lifecycle_) {
+    fire_due_faults(result);
+    update_recovery(result);
+  }
+  process_rule_swaps(result);
+  // The one injection gate, for fresh and retried packets alike: shut
+  // while a diagnosis phase or a quiescent swap drain is open (a rolling
+  // swap gates single nodes on top, see rolling_gated).
+  const bool open = rstate_ == RecoveryState::Normal && !swap_draining_;
+  if (open) {
+    if (lifecycle_) flush_retry_queue(result);
+    if (!drain) inject_offered_load(phase == Phase::Measure);
+  }
+  // Availability counts the measurement window's gated cycles, jumped-over
+  // ones included (the gate cannot change during a jump).
+  const bool gated = phase == Phase::Measure && !open;
+  if (!drain && cfg_.idle_skip && net_->inert()) {
+    // Inert network: stepping would change nothing. Normal-state cycles
+    // advance one at a time (the injection RNG above already drew for
+    // this cycle); Detecting-state cycles consume no randomness, so the
+    // clock jumps to the next schedule boundary. Draining is never inert
+    // here: update_recovery would have closed the diagnosis already.
+    const Cycle jump =
+        rstate_ == RecoveryState::Detecting ? jump_span(remaining) : 1;
+    if (gated) gated_measure_cycles_ += jump;
+    net_->skip_cycle();
+    now_ += jump;
+    skipped_cycles_ += jump;
+    return jump;
+  }
+  if (gated) ++gated_measure_cycles_;
+  net_->step(now_++);
+  count_measured_deliveries();
+  if (lifecycle_) process_losses(result);
+  const std::int64_t moved = net_->total_flit_movements();
+  if (drain) {
+    // The drain watches every cycle; a stall with nothing to kill means
+    // the network is stuck for good.
+    if (drain_watch_.stalled(moved, cfg_.watchdog_window) &&
+        !structured_kill(result)) {
+      result.deadlock_suspected = true;
+      return 0;
+    }
+  } else if (rstate_ == RecoveryState::Draining &&
+             diagnosis_watch_.stalled(moved, cfg_.watchdog_window)) {
+    // Worms wedged behind live damage: kill one so the diagnosis drain
+    // can complete.
+    structured_kill(result);
+  }
+  return 1;
+}
+
 SimResult Simulator::run() {
   measured_.clear();
   std::fill(measured_flag_.begin(), measured_flag_.end(), 0);
@@ -310,120 +369,29 @@ SimResult Simulator::run() {
   retry_queue_.clear();
   gated_measure_cycles_ = 0;
   lost_cursor_ = net_->lost_log().size();
-  wd_armed_ = false;
-  wd_stall_ = 0;
+  diagnosis_watch_.reset();
   SimResult result;
 
   const RouterStats before = net_->aggregate_stats();
 
-  for (Cycle c = 0; c < cfg_.warmup_cycles; ++c) {
-    if (lifecycle_) {
-      fire_due_faults(result);
-      update_recovery(result);
-    }
-    process_rule_swaps(result);
-    if (rstate_ == RecoveryState::Normal && !swap_draining_) {
-      if (lifecycle_) flush_retry_queue(result);
-      inject_offered_load(false);
-    }
-    if (cfg_.idle_skip && net_->inert()) {
-      // Inert network: stepping would change nothing. Normal-state cycles
-      // advance one at a time (the injection RNG above already drew for
-      // this cycle); Detecting-state cycles consume no randomness, so the
-      // clock jumps to the next schedule boundary. Draining is never inert
-      // here: update_recovery would have closed the diagnosis already.
-      const Cycle jump = rstate_ == RecoveryState::Detecting
-                             ? jump_span(cfg_.warmup_cycles - c)
-                             : 1;
-      net_->skip_cycle();
-      now_ += jump;
-      c += jump - 1;
-      skipped_cycles_ += jump;
-      continue;
-    }
-    net_->step(now_++);
-    if (lifecycle_) {
-      count_measured_deliveries();
-      process_losses(result);
-      if (rstate_ == RecoveryState::Draining) drain_watchdog_tick(result);
-    }
-  }
-  for (Cycle c = 0; c < cfg_.measure_cycles; ++c) {
-    if (lifecycle_) {
-      fire_due_faults(result);
-      update_recovery(result);
-    }
-    process_rule_swaps(result);
-    if (rstate_ == RecoveryState::Normal && !swap_draining_) {
-      if (lifecycle_) flush_retry_queue(result);
-      inject_offered_load(true);
-    } else {
-      ++gated_measure_cycles_;
-    }
-    if (cfg_.idle_skip && net_->inert()) {
-      const Cycle jump = rstate_ == RecoveryState::Detecting
-                             ? jump_span(cfg_.measure_cycles - c)
-                             : 1;
-      // The else-branch above already gated this cycle; the jumped-over
-      // ones are gated too (only Detecting jumps more than one).
-      if (rstate_ != RecoveryState::Normal || swap_draining_)
-        gated_measure_cycles_ += jump - 1;
-      net_->skip_cycle();
-      now_ += jump;
-      c += jump - 1;
-      skipped_cycles_ += jump;
-      continue;
-    }
-    net_->step(now_++);
-    count_measured_deliveries();
-    if (lifecycle_) {
-      process_losses(result);
-      if (rstate_ == RecoveryState::Draining) drain_watchdog_tick(result);
-    }
-  }
-
-  // Drain: no further offered load; watch for stalls. The outstanding
-  // counter (fed by delivered_last_cycle) replaces the per-cycle rescan of
-  // every measured packet record. With the lifecycle armed the loop also
-  // runs any still-open recovery to completion (pending damage committed,
-  // retry queue flushed) so every measured packet ends delivered or
-  // unrecoverable.
-  std::int64_t last_movement = net_->total_flit_movements();
-  Cycle stall = 0;
-  Cycle drained = 0;
-  while (measured_outstanding_ > 0 || swap_draining_ || rolling_active_ ||
-         (lifecycle_ && (rstate_ != RecoveryState::Normal ||
-                         !retry_queue_.empty() || net_->recovery_pending()))) {
-    if (drained++ > cfg_.drain_limit) {
-      capture_blocked_chain(result);
-      result.deadlock_suspected = true;
-      break;
-    }
-    if (lifecycle_) {
-      fire_due_faults(result);
-      update_recovery(result);
-      if (rstate_ == RecoveryState::Normal) flush_retry_queue(result);
-    }
-    process_rule_swaps(result);
-    net_->step(now_++);
-    count_measured_deliveries();
-    if (lifecycle_) process_losses(result);
-    const std::int64_t moved = net_->total_flit_movements();
-    if (moved == last_movement) {
-      if (++stall > cfg_.watchdog_window) {
-        if (lifecycle_ && structured_kill(result)) {
-          stall = 0;
-          continue;
-        }
-        capture_blocked_chain(result);
-        result.deadlock_suspected = true;
-        break;
-      }
-    } else {
-      stall = 0;
-      last_movement = moved;
-    }
-  }
+  for (Cycle left = cfg_.warmup_cycles; left > 0;)
+    left -= cycle(Phase::Warmup, left, result);
+  for (Cycle left = cfg_.measure_cycles; left > 0;)
+    left -= cycle(Phase::Measure, left, result);
+  // Drain: no further offered load. The outstanding counter (fed by
+  // delivered_last_cycle) replaces a per-cycle rescan of every measured
+  // packet record. With the lifecycle armed the drain also runs any
+  // still-open recovery to completion (pending damage committed, retry
+  // queue flushed) so every measured packet ends delivered or
+  // unrecoverable; a swap mid-commit finishes too.
+  const auto pending = [this] {
+    return measured_outstanding_ > 0 || swap_draining_ || rolling_active_ ||
+           (lifecycle_ && (rstate_ != RecoveryState::Normal ||
+                           !retry_queue_.empty() || net_->recovery_pending()));
+  };
+  drain_watch_.arm(net_->total_flit_movements());
+  for (Cycle left = cfg_.drain_limit + 1; pending(); --left)
+    if (cycle(Phase::Drain, left, result) == 0) break;
 
   // Collect metrics over measured packets — a single pass: latency sum,
   // quantiles and the split by misroute mark all come from the same loop.
@@ -539,8 +507,7 @@ void Simulator::update_recovery(SimResult& result) {
   if (rstate_ == RecoveryState::Detecting && now_ >= detect_at_) {
     rstate_ = RecoveryState::Draining;
     ++result.recovery_events;
-    wd_armed_ = false;
-    wd_stall_ = 0;
+    diagnosis_watch_.reset();
   }
   if (rstate_ == RecoveryState::Draining && net_->idle()) {
     if (net_->recovery_pending())
@@ -548,20 +515,6 @@ void Simulator::update_recovery(SimResult& result) {
     result.recovery_cycles += now_ - recovery_started_;
     result.recovery_durations.push_back(now_ - recovery_started_);
     rstate_ = RecoveryState::Normal;
-  }
-}
-
-void Simulator::drain_watchdog_tick(SimResult& result) {
-  const std::int64_t moved = net_->total_flit_movements();
-  if (!wd_armed_ || moved != wd_last_movement_) {
-    wd_armed_ = true;
-    wd_last_movement_ = moved;
-    wd_stall_ = 0;
-    return;
-  }
-  if (++wd_stall_ > cfg_.watchdog_window) {
-    if (!structured_kill(result)) capture_blocked_chain(result);
-    wd_stall_ = 0;
   }
 }
 
@@ -575,7 +528,7 @@ void Simulator::process_losses(SimResult& result) {
     if (meas) ++result.packets_lost;
     if (!cfg_.retransmit ||
         net_->record(root).retries >= cfg_.max_retries) {
-      finalize_unrecoverable(root, meas, result);
+      finalize_unrecoverable(meas, result);
     } else {
       retry_queue_.push_back(id);
     }
@@ -586,8 +539,13 @@ void Simulator::flush_retry_queue(SimResult& result) {
   if (retry_queue_.empty()) return;
   refresh_components();
   const FaultSet& faults = net_->faults();
+  std::size_t held = 0;
   for (const PacketId id : retry_queue_) {
     const PacketRecord& rec = net_->record(id);
+    if (rolling_gated(rec.src)) {  // same per-node gate as fresh packets
+      retry_queue_[held++] = id;
+      continue;
+    }
     const PacketId root = rec.retry_of >= 0 ? rec.retry_of : id;
     const bool meas = is_measured(root);
     // Endpoint health and connectivity re-checked against the
@@ -597,7 +555,7 @@ void Simulator::flush_retry_queue(SimResult& result) {
         net_->node_live_killed(rec.src) || net_->node_live_killed(rec.dest) ||
         conn_comp_[static_cast<std::size_t>(rec.src)] !=
             conn_comp_[static_cast<std::size_t>(rec.dest)]) {
-      finalize_unrecoverable(root, meas, result);
+      finalize_unrecoverable(meas, result);
       continue;
     }
     const PacketId nid = net_->resend(id, now_);
@@ -606,31 +564,15 @@ void Simulator::flush_retry_queue(SimResult& result) {
       ++result.packets_retransmitted;
     }
   }
-  retry_queue_.clear();
+  retry_queue_.resize(held);
 }
 
 bool Simulator::structured_kill(SimResult& result) {
-  const std::vector<Network::BlockedChannel> chain = net_->blocked_chain();
-  if (result.blocked_chain.empty()) {
-    for (const Network::BlockedChannel& c : chain) {
-      SimResult::BlockedChannelInfo info;
-      info.node = c.node;
-      info.port = c.port;
-      info.vc = c.vc;
-      info.packet = c.packet;
-      result.blocked_chain.push_back(info);
-    }
-  }
-  // Victim: the lowest packet id in the chain — deterministic, and killing
-  // any one member breaks the cycle. Its buffers free hop by hop as the
-  // poisoned flits drain, which restarts everyone behind it.
-  PacketId victim = -1;
-  for (const Network::BlockedChannel& c : chain) {
-    if (c.packet < 0) continue;
-    const PacketRecord& rec = net_->record(c.packet);
-    if (rec.done() || rec.lost) continue;
-    if (victim < 0 || c.packet < victim) victim = c.packet;
-  }
+  capture_blocked_chain(result);
+  if (!lifecycle_) return false;
+  // Killing any one member of the chain breaks it; its buffers free hop by
+  // hop as the poisoned flits drain, which restarts everyone behind it.
+  const PacketId victim = net_->blocked_victim();
   if (victim < 0) return false;
   net_->kill_packet(victim);
   ++result.worms_killed;
@@ -639,19 +581,12 @@ bool Simulator::structured_kill(SimResult& result) {
 
 void Simulator::capture_blocked_chain(SimResult& result) {
   if (!result.blocked_chain.empty()) return;
-  for (const Network::BlockedChannel& c : net_->blocked_chain()) {
-    SimResult::BlockedChannelInfo info;
-    info.node = c.node;
-    info.port = c.port;
-    info.vc = c.vc;
-    info.packet = c.packet;
-    result.blocked_chain.push_back(info);
-  }
+  for (const Network::BlockedChannel& c : net_->blocked_chain())
+    result.blocked_chain.push_back({c.node, c.port, c.vc, c.packet});
 }
 
-void Simulator::finalize_unrecoverable(PacketId root, bool measured_root,
+void Simulator::finalize_unrecoverable(bool measured_root,
                                        SimResult& result) {
-  static_cast<void>(root);
   if (measured_root) {
     ++result.packets_unrecoverable;
     --measured_outstanding_;
@@ -659,28 +594,20 @@ void Simulator::finalize_unrecoverable(PacketId root, bool measured_root,
 }
 
 bool Simulator::quiesce(Cycle limit) {
-  std::int64_t last_movement = net_->total_flit_movements();
-  Cycle stall = 0;
-  // With the lifecycle armed the stall watchdog victim-kills instead of
-  // giving up: quiesce() must be able to empty a network whose unmeasured
-  // worms are wedged (run() only guarantees the measured ones). Kills are
-  // recorded into a scratch result — quiesce() has no metrics to report.
+  // Step-only: no faults fire, nothing is injected, no losses are
+  // processed. With the lifecycle armed the stall watchdog victim-kills
+  // instead of giving up: quiesce() must be able to empty a network whose
+  // unmeasured worms are wedged (run() only guarantees the measured ones).
+  // Kills are recorded into a scratch result — quiesce() has no metrics
+  // to report.
+  StallWatch watch;
+  watch.arm(net_->total_flit_movements());
   SimResult scratch;
   for (Cycle c = 0; c < limit && !net_->idle(); ++c) {
     net_->step(now_++);
-    const std::int64_t moved = net_->total_flit_movements();
-    if (moved == last_movement) {
-      if (++stall > cfg_.watchdog_window) {
-        if (lifecycle_ && structured_kill(scratch)) {
-          stall = 0;
-          continue;
-        }
-        return false;
-      }
-    } else {
-      stall = 0;
-      last_movement = moved;
-    }
+    if (watch.stalled(net_->total_flit_movements(), cfg_.watchdog_window) &&
+        !structured_kill(scratch))
+      return false;
   }
   return net_->idle();
 }

@@ -125,10 +125,17 @@ struct SimResult {
     PortId port = kInvalidPort;
     VcId vc = kInvalidVc;
     PacketId packet = -1;
+
+    bool operator==(const BlockedChannelInfo&) const = default;
   };
   std::vector<BlockedChannelInfo> blocked_chain;
 
   std::string to_string() const;
+
+  /// Field-by-field identity, the one comparison every bit-identity check
+  /// uses. Plain == on the doubles is bit identity here: run() guards
+  /// every division, so no field is ever NaN, and none is ever -0.0.
+  bool operator==(const SimResult&) const = default;
 };
 
 class Simulator {
@@ -195,13 +202,54 @@ class Simulator {
   /// reopens.
   enum class RecoveryState { Normal, Detecting, Draining };
 
+  /// The phases of run(). Every cycle of each goes through cycle(); the
+  /// phase decides only whether fresh packets are offered (and measured),
+  /// whether gated cycles count against availability, whether idle
+  /// skipping applies, what a stall does, and the drain limit.
+  enum class Phase { Warmup, Measure, Drain };
+
+  /// The stall tracker behind every watchdog: stalled() observes the
+  /// movement counter after a step and fires (restarting the count) once
+  /// more than `window` observed cycles in a row moved nothing. An
+  /// unarmed tracker arms on its first observation.
+  class StallWatch {
+   public:
+    void reset() { armed_ = false; }
+    void arm(std::int64_t moved) {
+      armed_ = true;
+      last_moved_ = moved;
+      stalled_ = 0;
+    }
+    bool stalled(std::int64_t moved, Cycle window) {
+      if (!armed_ || moved != last_moved_) {
+        arm(moved);
+        return false;
+      }
+      if (++stalled_ <= window) return false;
+      stalled_ = 0;
+      return true;
+    }
+
+   private:
+    bool armed_ = false;
+    std::int64_t last_moved_ = 0;
+    Cycle stalled_ = 0;
+  };
+
+  /// One simulated cycle of `phase`, in the order all phases share: fire
+  /// faults, update recovery, rule swaps, retry flush and injection behind
+  /// the injection gate, skip or step, count deliveries, process losses,
+  /// watchdog. `remaining` bounds an idle-skip jump, or is the drain's
+  /// leftover drain_limit. Returns the cycles advanced; 0 when the drain
+  /// gives up (deadlock suspected).
+  Cycle cycle(Phase phase, Cycle remaining, SimResult& result);
   void inject_offered_load(bool measured);
   /// Longest jump from an inert Detecting-state cycle that crosses no
   /// schedule boundary: capped by the detection deadline, the next fault
-  /// event, and the enclosing loop's remaining iterations. Always >= 1.
+  /// event, and the phase's remaining cycles. Always >= 1.
   Cycle jump_span(Cycle remaining) const;
   /// Decrement the outstanding-measured counter for every measured packet
-  /// the last step() delivered, so the drain loop never rescans records.
+  /// the last step() delivered, so the drain never rescans records.
   void count_measured_deliveries();
   void refresh_components();
 
@@ -209,20 +257,18 @@ class Simulator {
   void fire_due_faults(SimResult& result);
   void update_recovery(SimResult& result);
   void process_losses(SimResult& result);
+  /// Resend queued lost packets (injection gate open); a retry whose
+  /// source a rolling swap holds stays queued.
   void flush_retry_queue(SimResult& result);
-  /// Stall watchdog for the quiescent diagnosis phase: worms wedged behind
-  /// live damage are victim-killed so the drain can complete.
-  void drain_watchdog_tick(SimResult& result);
-  /// Diagnose the blocked chain, record it (first time), kill the victim
-  /// worm. Returns false when there was nothing to kill.
+  /// A watchdog fired: record the blocked chain (first time) and, with the
+  /// lifecycle armed, kill the victim worm (Network::blocked_victim).
+  /// Returns false when no worm was killed.
   bool structured_kill(SimResult& result);
   void capture_blocked_chain(SimResult& result);
-  void finalize_unrecoverable(PacketId root, bool measured_root,
-                              SimResult& result);
+  void finalize_unrecoverable(bool measured_root, SimResult& result);
 
   /// Start due swaps, run the quiescent gate, commit when allowed. Called
-  /// at the top of every simulated cycle in all three phases; cheap no-op
-  /// while nothing is due or draining.
+  /// by every cycle(); cheap no-op while nothing is due or draining.
   void process_rule_swaps(SimResult& result);
   bool swap_work_pending() const {
     return swap_draining_ || rolling_active_ || next_swap_ < swaps_.size();
@@ -275,11 +321,11 @@ class Simulator {
   std::size_t lost_cursor_ = 0;  // consumed prefix of Network::lost_log()
   std::vector<PacketId> retry_queue_;
   std::int64_t gated_measure_cycles_ = 0;
-  /// Stall tracking for the Draining-phase watchdog (the post-measurement
-  /// drain loop keeps its own local tracker).
-  bool wd_armed_ = false;
-  std::int64_t wd_last_movement_ = 0;
-  Cycle wd_stall_ = 0;
+  /// Watchdogs: the Draining state's during warmup and measurement (reset
+  /// as each diagnosis phase opens), and the drain's (armed as it starts,
+  /// watching every cycle).
+  StallWatch diagnosis_watch_;
+  StallWatch drain_watch_;
 
   /// Scheduled rule swaps, sorted by cycle; the consumed prefix is
   /// [0, next_swap_). swap_draining_ marks an open quiescent gate.

@@ -35,7 +35,6 @@
 //    and a decision the sign-class entry cannot encode counts as fallback.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <optional>
 #include <sstream>
 
@@ -440,38 +439,13 @@ TEST(AotFuzz, RandomRoutingProgramsAgreeAcrossTiers) {
 }
 
 // ------------------------------------------------------ hot-swap identity
-/// `swap_metrics` also compares the swap accounting — used when both runs
-/// schedule the same swap (the self-swap-vs-baseline checks compare a
-/// swapped run against an unswapped one, where those fields differ by
-/// construction).
-bool bit_identical(const SimResult& a, const SimResult& b,
-                   bool swap_metrics = false) {
-  if (swap_metrics &&
-      (a.rule_swaps != b.rule_swaps ||
-       a.swap_gated_cycles != b.swap_gated_cycles ||
-       a.swap_gated_node_cycles != b.swap_gated_node_cycles))
-    return false;
-  if (a.blocked_chain.size() != b.blocked_chain.size()) return false;
-  for (std::size_t i = 0; i < a.blocked_chain.size(); ++i) {
-    if (a.blocked_chain[i].node != b.blocked_chain[i].node ||
-        a.blocked_chain[i].port != b.blocked_chain[i].port ||
-        a.blocked_chain[i].vc != b.blocked_chain[i].vc ||
-        a.blocked_chain[i].packet != b.blocked_chain[i].packet)
-      return false;
-  }
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         std::memcmp(&a.avg_latency, &b.avg_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p50_latency, &b.p50_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p99_latency, &b.p99_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_hops, &b.avg_hops, sizeof(double)) == 0 &&
-         std::memcmp(&a.throughput, &b.throughput, sizeof(double)) == 0 &&
-         std::memcmp(&a.avg_decision_steps, &b.avg_decision_steps,
-                     sizeof(double)) == 0 &&
-         a.packets_lost == b.packets_lost &&
-         a.packets_unrecoverable == b.packets_unrecoverable &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
+/// `r` with the swap accounting zeroed: a swapped run compared against an
+/// unswapped one differs there by construction, and nowhere else.
+SimResult without_swap_metrics(SimResult r) {
+  r.rule_swaps = 0;
+  r.swap_gated_cycles = 0;
+  r.swap_gated_node_cycles = 0;
+  return r;
 }
 
 constexpr Cycle kWarmup = 150;
@@ -512,7 +486,7 @@ TEST(AotHotSwap, SelfSwapAtAnyCycleIsBitIdentical) {
     const SimResult swapped = run_mesh_point(11, 1, at, source);
     EXPECT_EQ(swapped.rule_swaps, 1) << "swap at " << at;
     EXPECT_EQ(swapped.swap_gated_cycles, 0) << "swap at " << at;
-    EXPECT_TRUE(bit_identical(swapped, baseline))
+    EXPECT_TRUE(without_swap_metrics(swapped) == baseline)
         << "self-swap at cycle " << at << " perturbed the run";
   }
 }
@@ -525,7 +499,7 @@ TEST(AotHotSwap, SelfSwapBitIdenticalAcrossShardCounts) {
   for (const int shards : {2, 4}) {
     const SimResult sharded = run_mesh_point(13, shards, at, source);
     EXPECT_EQ(sharded.rule_swaps, 1);
-    EXPECT_TRUE(bit_identical(sharded, one, /*swap_metrics=*/true))
+    EXPECT_TRUE(sharded == one)
         << "self-swap differs at " << shards << " shards";
   }
 }
@@ -552,8 +526,7 @@ TEST(AotHotSwap, SelfSwapBitIdenticalAcrossSweepThreads) {
       continue;
     }
     for (std::size_t i = 0; i < results.size(); ++i)
-      EXPECT_TRUE(bit_identical(results[i], reference[i],
-                                /*swap_metrics=*/true))
+      EXPECT_TRUE(results[i] == reference[i])
           << "point " << i << " differs at " << threads << " threads";
   }
 }
@@ -606,7 +579,7 @@ TEST(AotSignClassTier, LiveFaultsBitIdenticalAcrossShardCounts) {
   EXPECT_GT(one.tier.lazy_uncacheable, 0);  // escape traffic reached the VM
   for (const int shards : {2, 4, 8}) {
     const ShardedSignClassRun sharded = run_sign_class_mesh16(shards);
-    EXPECT_TRUE(bit_identical(sharded.result, one.result))
+    EXPECT_TRUE(sharded.result == one.result)
         << "SimResult differs at " << shards << " shards";
     EXPECT_EQ(sharded.tier.lazy_hits, one.tier.lazy_hits) << shards;
     EXPECT_EQ(sharded.tier.lazy_misses, one.tier.lazy_misses) << shards;
@@ -643,6 +616,50 @@ TEST(AotHotSwap, QuiescentProgramChangeDrainsAndLosesNothing) {
   // The swapped-in program is serving from a fresh, complete table.
   EXPECT_TRUE(algo.aot_active());
   EXPECT_EQ(algo.aot_stats().fallback, 0u);
+}
+
+// A retransmission is injection like any other: a quiescent swap's gate
+// must hold it back until the commit, also when the swap comes due in the
+// drain while a late link kill's retries are still queued.
+TEST(AotHotSwap, QuiescentGateHoldsRetransmissions) {
+  const std::string source = rulebases::ft_mesh_route_source(6, 6);
+  Mesh m = Mesh::two_d(6, 6);
+  RuleDrivenRouting algo(source, 3, ExecMode::Aot, "route",
+                         /*escape_vc=*/2);
+  UniformTraffic tr(m);
+  Network net(m, algo);
+  SimConfig cfg;
+  cfg.injection_rate = 0.3;
+  cfg.packet_length = 4;
+  cfg.warmup_cycles = kWarmup;
+  cfg.measure_cycles = kMeasure;
+  cfg.seed = 7;
+  Simulator sim(net, tr, cfg);
+  FaultSchedule schedule;
+  schedule.fail_link_at(kWarmup + kMeasure - 10, m.at(2, 2),
+                        port_of(Compass::East));
+  sim.set_fault_schedule(schedule);
+  const Cycle swap_at = kWarmup + kMeasure;
+  sim.schedule_rule_swap(swap_at, source,
+                         Simulator::RuleSwapPolicy::Quiescent);
+  const SimResult r = sim.run();
+  ASSERT_EQ(r.rule_swaps, 1);
+  ASSERT_GT(r.swap_gated_cycles, 0);
+  int retries = 0;
+  for (PacketId id = 0; id < net.packets_created(); ++id) {
+    const PacketRecord& rec = net.record(id);
+    if (rec.retry_of < 0) continue;
+    ++retries;
+    EXPECT_FALSE(rec.created >= swap_at &&
+                 rec.created < swap_at + r.swap_gated_cycles)
+        << "retry " << id << " injected at cycle " << rec.created
+        << " inside the swap gate [" << swap_at << ", "
+        << swap_at + r.swap_gated_cycles << ")";
+  }
+  EXPECT_GT(retries, 0);
+  EXPECT_FALSE(r.deadlock_suspected);
+  EXPECT_EQ(r.delivered_packets + r.packets_unrecoverable,
+            r.injected_packets);
 }
 
 // ---------------------------------------------------- rolling swap commits
@@ -683,7 +700,7 @@ TEST(AotRollingSwap, BitIdenticalAcrossShardCounts) {
   for (const int shards : {2, 4, 8}) {
     const SimResult sharded = run_mesh_point(
         19, shards, at, source, Simulator::RuleSwapPolicy::Rolling);
-    EXPECT_TRUE(bit_identical(sharded, one, /*swap_metrics=*/true))
+    EXPECT_TRUE(sharded == one)
         << "rolling swap differs at " << shards << " execution shards";
   }
 }
@@ -711,8 +728,7 @@ TEST(AotRollingSwap, BitIdenticalAcrossSweepThreads) {
       continue;
     }
     for (std::size_t i = 0; i < results.size(); ++i)
-      EXPECT_TRUE(bit_identical(results[i], reference[i],
-                                /*swap_metrics=*/true))
+      EXPECT_TRUE(results[i] == reference[i])
           << "rolling point " << i << " differs at " << threads
           << " threads";
   }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "common/rng.hpp"
 #include "routing/dor.hpp"
@@ -17,38 +16,6 @@
 
 namespace flexrouter {
 namespace {
-
-/// Field-wise SimResult equality including the per-event recovery samples
-/// (memcmp on doubles: bit-identity, not approximate equality).
-bool results_identical(const SimResult& a, const SimResult& b) {
-  if (a.recovery_durations != b.recovery_durations) return false;
-  if (a.blocked_chain.size() != b.blocked_chain.size()) return false;
-  for (std::size_t i = 0; i < a.blocked_chain.size(); ++i) {
-    if (a.blocked_chain[i].node != b.blocked_chain[i].node ||
-        a.blocked_chain[i].port != b.blocked_chain[i].port ||
-        a.blocked_chain[i].vc != b.blocked_chain[i].vc ||
-        a.blocked_chain[i].packet != b.blocked_chain[i].packet)
-      return false;
-  }
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         std::memcmp(&a.avg_latency, &b.avg_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.p99_latency, &b.p99_latency, sizeof(double)) == 0 &&
-         std::memcmp(&a.throughput, &b.throughput, sizeof(double)) == 0 &&
-         std::memcmp(&a.availability, &b.availability, sizeof(double)) == 0 &&
-         a.packets_lost == b.packets_lost &&
-         a.packets_retransmitted == b.packets_retransmitted &&
-         a.packets_unrecoverable == b.packets_unrecoverable &&
-         a.fault_events == b.fault_events &&
-         a.repair_events == b.repair_events &&
-         a.degrade_events == b.degrade_events &&
-         a.recovery_events == b.recovery_events &&
-         a.recovery_cycles == b.recovery_cycles &&
-         a.worms_killed == b.worms_killed &&
-         a.reconfig_exchanges == b.reconfig_exchanges &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
-}
 
 void expect_exact_accounting(const SimResult& r) {
   EXPECT_EQ(r.delivered_packets + r.packets_unrecoverable,
@@ -400,7 +367,7 @@ TEST(Chaos, FlappingSoakSweepAndShardBitIdentity) {
       }
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_TRUE(results_identical(results[i], reference[i]))
+        EXPECT_TRUE(results[i] == reference[i])
             << "point " << i << " diverged at shards=" << shards
             << " threads=" << threads;
     }

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 #include "routing/dynamic_escape.hpp"
 #include "routing/nafta.hpp"
@@ -14,26 +13,6 @@
 
 namespace flexrouter {
 namespace {
-
-bool bit_identical(const SimResult& a, const SimResult& b) {
-  auto same = [](double x, double y) {
-    return std::memcmp(&x, &y, sizeof(double)) == 0;
-  };
-  return a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         same(a.avg_latency, b.avg_latency) &&
-         same(a.p50_latency, b.p50_latency) &&
-         same(a.p99_latency, b.p99_latency) &&
-         same(a.avg_hops, b.avg_hops) &&
-         same(a.min_hops_ratio, b.min_hops_ratio) &&
-         same(a.throughput, b.throughput) &&
-         same(a.misrouted_fraction, b.misrouted_fraction) &&
-         same(a.avg_latency_misrouted, b.avg_latency_misrouted) &&
-         same(a.avg_latency_direct, b.avg_latency_direct) &&
-         same(a.avg_decision_steps, b.avg_decision_steps) &&
-         a.deadlock_suspected == b.deadlock_suspected &&
-         a.cycles_run == b.cycles_run;
-}
 
 // A 16-point (faults x load) grid on an 8x8 mesh; each point builds its own
 // replica and uses the runner-derived seed.
@@ -99,8 +78,8 @@ TEST(SweepRunner, BitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(two.size(), serial.size());
   ASSERT_EQ(eight.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(bit_identical(serial[i], two[i])) << "point " << i;
-    EXPECT_TRUE(bit_identical(serial[i], eight[i])) << "point " << i;
+    EXPECT_TRUE(serial[i] == two[i]) << "point " << i;
+    EXPECT_TRUE(serial[i] == eight[i]) << "point " << i;
   }
 }
 
@@ -160,7 +139,7 @@ TEST(SweepRunner, ShardedReplicasBitIdenticalUnderSweep) {
   const std::vector<SimResult> sharded = runner.run(grid(4, 2));
   ASSERT_EQ(base.size(), sharded.size());
   for (std::size_t i = 0; i < base.size(); ++i)
-    EXPECT_TRUE(bit_identical(base[i], sharded[i])) << "point " << i;
+    EXPECT_TRUE(base[i] == sharded[i]) << "point " << i;
 }
 
 TEST(SweepRunner, SeedsFollowExplicitKeysUnderReordering) {
@@ -198,7 +177,7 @@ TEST(SweepRunner, SeedsFollowExplicitKeysUnderReordering) {
   ASSERT_EQ(f.size(), 6u);
   ASSERT_EQ(b.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_TRUE(bit_identical(f[i], b[5 - i])) << "key " << i;
+    EXPECT_TRUE(f[i] == b[5 - i]) << "key " << i;
 }
 
 TEST(SweepRunner, DeadlockingReplicaDoesNotStallPool) {
