@@ -130,18 +130,13 @@ class AllocGuard {
   /// tables, so a 200-cycle stall gets the simulator's victim kill. False
   /// when the network does not empty within 20000 cycles.
   bool drain_and_commit() {
-    std::int64_t last_moved = net_.total_flit_movements();
-    Cycle stall = 0;
+    StallWatch watch;
+    watch.arm(net_.total_flit_movements());
     for (int c = 0; c < 20000 && !net_.idle(); ++c) {
       net_.step(now_++);
-      const std::int64_t moved = net_.total_flit_movements();
-      if (moved != last_moved) {
-        last_moved = moved;
-        stall = 0;
-      } else if (++stall > 200) {
+      if (watch.stalled(net_.total_flit_movements(), 200)) {
         const PacketId victim = net_.blocked_victim();
         if (victim >= 0) net_.kill_packet(victim);
-        stall = 0;
       }
     }
     if (!net_.idle()) return false;

@@ -14,6 +14,34 @@
 
 namespace flexrouter {
 
+/// The stall tracker behind every deadlock watchdog: stalled() observes
+/// the movement counter (Network::total_flit_movements()) after a step and
+/// fires (restarting the count) once more than `window` observed cycles in
+/// a row moved nothing. An unarmed tracker arms on its first observation.
+class StallWatch {
+ public:
+  void reset() { armed_ = false; }
+  void arm(std::int64_t moved) {
+    armed_ = true;
+    last_moved_ = moved;
+    stalled_ = 0;
+  }
+  bool stalled(std::int64_t moved, Cycle window) {
+    if (!armed_ || moved != last_moved_) {
+      arm(moved);
+      return false;
+    }
+    if (++stalled_ <= window) return false;
+    stalled_ = 0;
+    return true;
+  }
+
+ private:
+  bool armed_ = false;
+  std::int64_t last_moved_ = 0;
+  Cycle stalled_ = 0;
+};
+
 struct SimConfig {
   /// Offered load in flits per node per cycle.
   double injection_rate = 0.1;
@@ -207,34 +235,6 @@ class Simulator {
   /// whether gated cycles count against availability, whether idle
   /// skipping applies, what a stall does, and the drain limit.
   enum class Phase { Warmup, Measure, Drain };
-
-  /// The stall tracker behind every watchdog: stalled() observes the
-  /// movement counter after a step and fires (restarting the count) once
-  /// more than `window` observed cycles in a row moved nothing. An
-  /// unarmed tracker arms on its first observation.
-  class StallWatch {
-   public:
-    void reset() { armed_ = false; }
-    void arm(std::int64_t moved) {
-      armed_ = true;
-      last_moved_ = moved;
-      stalled_ = 0;
-    }
-    bool stalled(std::int64_t moved, Cycle window) {
-      if (!armed_ || moved != last_moved_) {
-        arm(moved);
-        return false;
-      }
-      if (++stalled_ <= window) return false;
-      stalled_ = 0;
-      return true;
-    }
-
-   private:
-    bool armed_ = false;
-    std::int64_t last_moved_ = 0;
-    Cycle stalled_ = 0;
-  };
 
   /// One simulated cycle of `phase`, in the order all phases share: fire
   /// faults, update recovery, rule swaps, retry flush and injection behind
