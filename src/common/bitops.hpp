@@ -1,5 +1,6 @@
-// Small bit-manipulation helpers used by the rule compiler's table sizing
-// and the hypercube topology.
+// Small bit-manipulation helpers used by the rule compiler's table sizing,
+// the hypercube topology, and the router's VC masks and the network's node
+// worklists (bitsets kept as arrays of 64-bit words).
 #pragma once
 
 #include <bit>
@@ -33,5 +34,25 @@ inline constexpr bool is_pow2(std::uint64_t x) {
 }
 
 inline constexpr int popcount64(std::uint64_t x) { return std::popcount(x); }
+
+/// Word-array bitsets: bit i is bit i % 64 of words[i / 64].
+inline void set_bit(std::uint64_t* words, int i) {
+  words[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
+inline void clear_bit(std::uint64_t* words, int i) {
+  words[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
+inline bool test_bit(const std::uint64_t* words, int i) {
+  return (words[i >> 6] >> (i & 63) & 1) != 0;
+}
+/// Calls visit(i) for every set bit i of the bitset whose words are
+/// word(0), ..., word(nwords - 1), in ascending order. Each word is read
+/// once, before its bits are visited, so a visit may change its own bit.
+template <typename Word, typename Visit>
+void for_each_set_bit(int nwords, Word&& word, Visit&& visit) {
+  for (int w = 0; w < nwords; ++w)
+    for (std::uint64_t bits = word(w); bits != 0; bits &= bits - 1)
+      visit(w * 64 + std::countr_zero(bits));
+}
 
 }  // namespace flexrouter
