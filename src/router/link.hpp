@@ -12,8 +12,8 @@
 //  - `busy` counts, per slot, the occupied stages landing there (flits
 //    arriving on that in-port, credits arriving on that out-port). A link is
 //    idle when the counters at both of its ends are zero, so the per-cycle
-//    "a busy link keeps both endpoints active" rule is one pass over a
-//    dense array;
+//    "a busy link keeps both endpoints active" rule reads the far end's
+//    counter of each in-shard port of each router that stepped;
 //  - the Information Unit's per-port state: fault status (a dense usable
 //    byte), fail-slow throttle, the boundary staging slot and the
 //    flits_total counter.
@@ -34,6 +34,7 @@
 // them at the cycle barrier.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -138,6 +139,19 @@ class ChannelTable {
     std::uint64_t mask = 0;
     for (std::size_t p = 0; p < degree_; ++p)
       if (b[p] != 0) mask |= std::uint64_t{1} << p;
+    return mask;
+  }
+  /// The subset of `ports`, connected ports of `node` (bit p == port p),
+  /// with a flit or credit on the wire toward the far end, i.e. one that
+  /// `node` sent. Reads only the far ends' counters of `ports`.
+  std::uint64_t sent_busy_ports(NodeId node, std::uint64_t ports) const {
+    const std::size_t s0 = slot(node, 0);
+    std::uint64_t mask = 0;
+    for (std::uint64_t m = ports; m != 0; m &= m - 1) {
+      const int p = std::countr_zero(m);
+      if (busy_[far_slot(s0 + static_cast<std::size_t>(p))] != 0)
+        mask |= std::uint64_t{1} << p;
+    }
     return mask;
   }
   /// Nothing on any wire. Between steps nothing is staged either: the

@@ -107,12 +107,34 @@ class RouterArray {
   int injection_space(NodeId u) const;
   void inject(NodeId u, const Flit& flit);
 
+  /// What one router step did.
+  struct StepOutcome {
+    int moved = 0;       // flits forwarded, ejected or dropped
+    bool quiet = false;  // see step()
+  };
   /// One simulation cycle of router `u`. Ejected flits are appended to
   /// `ejected`; truncated flits of poisoned worms are appended to `dropped`
-  /// (the network accounts each against the packet's flit budget). Returns
-  /// the flits that moved: forwarded, ejected or dropped.
-  int step(NodeId u, Cycle now, SaScratch& sa, std::vector<Flit>& ejected,
-           std::vector<Flit>& dropped);
+  /// (the network accounts each against the packet's flit budget).
+  ///
+  /// The step is quiet when nothing arrived on `u`'s ports, no poisoned
+  /// slot is live, no flit moved, no SA request was refused by a throttle,
+  /// VA granted nothing and counted down no RC stall, and RC found no idle
+  /// head. Every committed flit then waits for a credit and every routing
+  /// VC's candidates are dead, owned or credit-less, so each further step
+  /// repeats it exactly — one VA retry per routing VC and nothing else —
+  /// until a flit or credit arrives, a flit is injected, one of `u`'s
+  /// links dies or changes speed, or a slot is poisoned. The network skips
+  /// those repeats and accounts them with repeat_quiet_steps().
+  StepOutcome step(NodeId u, Cycle now, SaScratch& sa,
+                   std::vector<Flit>& ejected, std::vector<Flit>& dropped);
+
+  /// VA retries one repeat of a quiet step of `u` adds: its routing VCs.
+  int quiet_step_retries(NodeId u) const;
+  /// Account `steps` repeats of `u`'s last quiet step without running them.
+  void repeat_quiet_steps(NodeId u, std::int64_t steps) {
+    stats_[static_cast<std::size_t>(u)].va_retries +=
+        steps * quiet_step_retries(u);
+  }
 
   /// True if no flit is buffered anywhere in router `u`.
   bool empty(NodeId u) const;
@@ -167,6 +189,12 @@ class RouterArray {
   /// from its VC records: occupied iff flits are buffered, routing iff RC
   /// candidates wait for VA, active iff an output is committed.
   void check_masks(NodeId u) const;
+  /// Throws unless router `u` is in a state a quiet step leaves: no idle
+  /// head waiting for RC, no routing VC with an RC stall left or with a
+  /// grantable candidate (the ejection port, or a usable, unowned output
+  /// VC with a credit), and no buffered flit of an active VC with a credit
+  /// to move on.
+  void check_parked(NodeId u) const;
 
  private:
   /// Read by the stages for the VCs their mask selects.
@@ -240,9 +268,12 @@ class RouterArray {
     return outputs_[static_cast<std::size_t>(u) * out_stride_ +
                     static_cast<std::size_t>(in_index(port, vc))];
   }
-  /// The local port's VCs are the last vcs_ input indices.
+  /// The local port's VCs are the last vcs_ input indices. Injection
+  /// uses only the first of them, so the others buffer nothing.
   int fifo_depth(int idx) const {
-    return idx >= degree_ * vcs_ ? cfg_.injection_depth : cfg_.buffer_depth;
+    const int local = degree_ * vcs_;
+    if (idx < local) return cfg_.buffer_depth;
+    return idx == local ? cfg_.injection_depth : 0;
   }
   const Flit& front(NodeId u, int idx) const {
     return flits_[static_cast<std::size_t>(u) * pool_stride_ +
@@ -256,12 +287,18 @@ class RouterArray {
   /// Reset router `u`'s input and output VC state, FIFOs included.
   void reset(NodeId u);
 
-  void accept_arrivals(NodeId u, Cycle now);
+  /// Each stage also reports what makes a step not quiet (see step()).
+  /// Returns whether a flit or credit is on the wire toward `u`.
+  bool accept_arrivals(NodeId u, Cycle now);
   int stage_drain_poisoned(NodeId u, Cycle now, std::vector<Flit>& dropped);
-  void stage_rc(NodeId u, bool poison_active);
-  void stage_va(NodeId u);
+  /// Returns whether any idle head was found.
+  bool stage_rc(NodeId u, bool poison_active);
+  /// Returns whether a VC was granted or counted down its RC stall.
+  bool stage_va(NodeId u);
+  /// Returns the flits moved; sets `throttled` when a fail-slow link
+  /// refused a request that had a credit.
   int stage_sa_st(NodeId u, Cycle now, SaScratch& sa,
-                  std::vector<Flit>& ejected);
+                  std::vector<Flit>& ejected, bool& throttled);
   /// Undo a truncated worm's VA commitment (output ownership + assigned
   /// data); safe to call for VCs that never committed.
   void release_commitment(NodeId u, InputVc& in);

@@ -100,8 +100,12 @@ class Network {
   /// Cheap certificate that step() would be a provable no-op this cycle:
   /// every worklist is empty — no queued injections, no buffered flits, no
   /// busy links (a busy link keeps both endpoints on the active list).
+  /// Parked routers count as work: their skipped steps add VA retries.
   /// O(nodes / 64): one word test per 64 nodes of each worklist.
   bool inert() const;
+  /// Routers parked after a quiet step (RouterArray::step): they hold
+  /// flits but are not stepped until something wakes them.
+  int parked_routers() const;
   /// Stand-in for step() on an inert cycle: clears the delivered-last-cycle
   /// list (its only observable per-cycle effect) and nothing else.
   void skip_cycle();
@@ -214,7 +218,9 @@ class Network {
     return routers_.empty(n) && queue_empty(n);
   }
 
-  /// Aggregate router statistics over all nodes.
+  /// Aggregate router statistics over all nodes, parked routers' skipped
+  /// steps included: the same figures as stepping every router every
+  /// cycle.
   RouterStats aggregate_stats() const;
 
   /// Per-directed-link utilisation: flits carried per elapsed cycle, from
@@ -242,7 +248,12 @@ class Network {
   ///    aimed at it, and it names that VC as its owner;
   ///  - every router's VC-state masks match its VC records;
   ///  - worklists: each shard's pending bits are exactly its nodes with a
-  ///    queued injection, and every router holding flits is active;
+  ///    queued injection, and every router holding flits is active or
+  ///    parked, never both;
+  ///  - parking: a parked router holds flits, has nothing arriving on its
+  ///    ports and is in the state a quiet step leaves
+  ///    (RouterArray::check_parked); nothing is parked after a step that
+  ///    ran with a poisoned slot live;
   ///  - crossbar exclusivity in the last step: at most one flit ejected per
   ///    router and, unless poisoned flits were dropped, at most one credit
   ///    returned per input port;
@@ -295,10 +306,18 @@ class Network {
     /// set bits visits the nodes in ascending order.
     /// `pending`: nodes with a non-empty injection queue.
     std::vector<std::uint64_t> pending;
-    /// `active`: routers that may do work this cycle — holding flits,
-    /// injecting, or on either end of a busy link. Everything else is
-    /// provably a no-op step.
+    /// `active`: routers stepped this cycle — holding flits, injecting, or
+    /// on either end of a busy link. Everything else is provably a no-op
+    /// step or, for parked routers, a repeat of their last quiet step.
     std::vector<std::uint64_t> active;
+    /// `parked`: routers whose last step was quiet, disjoint from active.
+    /// activate() wakes them and accounts the steps they skipped.
+    std::vector<std::uint64_t> parked;
+    /// Scratch: the active bits the router loop started from, which the
+    /// link scan then visits.
+    std::vector<std::uint64_t> stepped;
+    /// Router phases run so far; parked_at_ counts in the same units.
+    std::int64_t phases = 0;
     /// Switch-allocation scratch of the thread stepping this shard.
     RouterArray::SaScratch sa;
     /// Flits that moved in this shard's router steps this cycle.
@@ -321,10 +340,11 @@ class Network {
     std::vector<RouterSpan> spans;
   };
 
-  /// Parallel phase of one shard: inject, step routers, scan the shard's
-  /// links. Touches only shard-local state, per-node / per-packet slots of
-  /// shared tables, and the port slots of the shard's nodes (a flit or
-  /// credit sent over a boundary link stages at the sending node's slot).
+  /// Parallel phase of one shard: inject, step routers, scan the links of
+  /// the routers stepped. Touches only shard-local state, per-node /
+  /// per-packet slots of shared tables, and the port slots of the shard's
+  /// nodes (a flit or credit sent over a boundary link stages at the
+  /// sending node's slot).
   void shard_phase(int s, Cycle now, bool purge);
   /// Visit the node-tagged entries of `list` across all shards in
   /// ascending node order (a k-way merge of the per-shard lists).
@@ -332,14 +352,21 @@ class Network {
   void merge_by_node(std::vector<Entry> Shard::*list, Visit&& visit);
 
   /// Put `u`, a node of shard `sh`, on that shard's active worklist
-  /// (idempotent). Callers inside shard_phase only ever activate nodes of
-  /// their own shard.
+  /// (idempotent), waking it if parked. Callers inside shard_phase only
+  /// ever activate nodes of their own shard.
   void activate(Shard& sh, NodeId u) {
-    set_bit(sh.active.data(), shard_pos_[static_cast<std::size_t>(u)]);
+    const int i = shard_pos_[static_cast<std::size_t>(u)];
+    if (test_bit(sh.parked.data(), i)) unpark(sh, u, i);
+    set_bit(sh.active.data(), i);
   }
   void activate(NodeId u) {
     activate(shards_[static_cast<std::size_t>(plan_.shard(u))], u);
   }
+  /// Take `u` (worklist bit `i` of `sh`) off the parked list and account
+  /// the repeats of its quiet step it skipped: one per router phase since.
+  void unpark(Shard& sh, NodeId u, int i);
+  /// Wake every parked router of shard `s`.
+  void wake_parked(int s);
 
   bool queue_empty(NodeId u) const {
     return queue_head_[static_cast<std::size_t>(u)] < 0;
@@ -375,6 +402,8 @@ class Network {
   std::int64_t flit_movements_ = 0;  // see total_flit_movements()
   std::vector<PacketId> delivered_last_cycle_;
   Cycle last_step_ = -1;  // cycle of the latest step() (check_invariants)
+  /// The latest step ran with a poisoned slot live (check_invariants).
+  bool last_step_purged_ = false;
   /// Live-fault state: damage pending control-plane commit, loss
   /// accounting, and kill-time scratch.
   std::vector<PendingMutation> pending_mutations_;
@@ -388,6 +417,12 @@ class Network {
   ShardPlan plan_;
   /// Per node: its index in plan_.nodes of its shard, i.e. its worklist bit.
   std::vector<int> shard_pos_;
+  /// Per node: its shard's `phases` at its last quiet step (read while the
+  /// node is parked).
+  std::vector<std::int64_t> parked_at_;
+  /// Per node: its ports whose link stays inside its shard (bit p == port
+  /// p), the ports its shard's link scan may read.
+  std::vector<std::uint64_t> in_shard_ports_;
   std::vector<Shard> shards_;
   /// Sender slots of the directed channels whose endpoints live in
   /// different shards, ascending — the canonical cross-shard exchange

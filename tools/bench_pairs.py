@@ -12,9 +12,13 @@ its own flexbench on its first run (outside the timed part).
 
 For every end-to-end metric of this script's checkout's BENCHMARK.json it
 prints each side's median and quartiles, the pairs the head won (ties count
-for neither side), the median of the per-pair head/base ratios and the
-metric's bound, then each side's failed share of the operations attempted and its runs whose result was
-wrong (a digest or accounting check failed).
+for neither side), the median of the per-pair head/base ratios, the
+metric's bound, whether the head median is worse than the base median by
+more than that bound, and the gain verdict (gain_verdict): "gain" when the
+head won at least nine tenths of the pairs and its median beats the base
+median by more than the base's interquartile spread. Then it prints each
+side's failed share of the operations attempted and its runs whose result
+was wrong (a digest or accounting check failed).
 
 Exit status: 0 when no head median is worse than the base median by more
 than its bound and the head fails no larger share of operations and no
@@ -58,6 +62,20 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def gain_verdict(base, head, better):
+    """The gain rule for one metric over paired samples (base[i] and
+    head[i] ran as pair i): the head wins at least nine tenths of the pairs
+    run, ties counting for neither side, and its median beats the base
+    median by more than the base's interquartile spread (q3 - q1).
+    Returns (pairs the head won, whether that is a gain)."""
+    wins = sum(1 for b, h in zip(base, head)
+               if (h < b if better == "lower" else h > b))
+    bq1, bmed, bq3 = quartiles(base)
+    hmed = quartiles(head)[1]
+    gap = bmed - hmed if better == "lower" else hmed - bmed
+    return wins, 10 * wins >= 9 * len(base) and gap > bq3 - bq1
 
 
 def worse_by(base, head, better):
@@ -112,9 +130,10 @@ def main():
     print("\n%s: %d pairs, seeds %d-%d, --seconds %d" %
           (args.workload, args.pairs, args.seed, args.seed + args.pairs - 1,
            args.seconds))
-    print("%-12s %-5s %-6s %-26s %-26s %-6s %-7s %-6s %s" %
+    print("%-12s %-5s %-6s %-26s %-26s %-6s %-7s %-6s %-7s %s" %
           ("metric", "unit", "better", "base median [q1-q3]",
-           "head median [q1-q3]", "wins", "ratio", "bound", "verdict"))
+           "head median [q1-q3]", "wins", "ratio", "bound", "bound?",
+           "gain?"))
     regressed = False
     for m in metrics:
         name, better, bound = m["name"], m["better"], m["bound"]
@@ -126,18 +145,17 @@ def main():
                   file=sys.stderr)
             return 2
         bq, hq = quartiles(base), quartiles(head)
-        wins = sum(1 for b, h in zip(base, head)
-                   if (h < b if better == "lower" else h > b))
+        wins, gain = gain_verdict(base, head, better)
         ratios = [h / b for b, h in zip(base, head) if b != 0]
         ratio = statistics.median(ratios) if ratios else float("nan")
         bad = worse_by(bq[1], hq[1], better) > bound
         regressed |= bad
-        print("%-12s %-5s %-6s %-26s %-26s %-6s %-7s %-6s %s" %
+        print("%-12s %-5s %-6s %-26s %-26s %-6s %-7s %-6s %-7s %s" %
               (name, m["unit"], better,
                "%s [%s-%s]" % (fmt(bq[1]), fmt(bq[0]), fmt(bq[2])),
                "%s [%s-%s]" % (fmt(hq[1]), fmt(hq[0]), fmt(hq[2])),
                "%d/%d" % (wins, args.pairs), fmt(ratio), fmt(bound),
-               "WORSE" if bad else "ok"))
+               "WORSE" if bad else "ok", "gain" if gain else "no gain"))
 
     share, wrong = {}, {}
     for side in ("base", "head"):
