@@ -365,7 +365,8 @@ std::uint64_t digest(const RunOutput& out) {
 /// from the simulator's three separate warmup/measurement/drain loops,
 /// before one per-cycle function replaced them. The chaos pins, the only
 /// ones that hash RouterStats, were recorded while every router holding
-/// flits stepped every cycle.
+/// flits stepped every cycle. The escape-live-kill pin was recorded while
+/// every escape rebuild still filled all of its distance slabs.
 const std::map<std::string, std::uint64_t>& pinned_digests() {
   static const std::map<std::string, std::uint64_t> pins = {
       {"dor-mesh", 0x8ba9399f46d8e57aull},
@@ -382,6 +383,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
       {"rule-driven", 0x322491ad5d882d4dull},
       {"static-faults", 0x8cb967f3d0238cb9ull},
       {"live-lifecycle", 0x5835b40e0a5bfe10ull},
+      {"escape-live-kill", 0xf24223b431d6ce04ull},
       {"swap-immediate", 0x0a019c28665e18a9ull},
       {"swap-quiescent", 0x4748f65bd449f209ull},
       {"swap-rolling", 0x2f1cf80b30ca74e7ull},
@@ -488,6 +490,26 @@ TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
   sc.detection_delay = 40;
   sc.seed = 42;
   expect_shard_identity(sc, "live-lifecycle");
+}
+
+TEST(ShardIdentityFaulted, EscapeSlabFillsAfterLiveKillBitIdentical) {
+  // ft_mesh on the bare VM reads the up*/down* escape layer on every
+  // escape-VC decision, and each live kill's commit leaves every slab of the
+  // new epoch unfilled. The first reads then fill slabs while the shards
+  // step, several shards often reading one destination at once.
+  Scenario sc;
+  sc.algo = "rule-ft-mesh";
+  sc.static_link_faults = 4;
+  sc.lifecycle = true;
+  sc.rate = 0.08;
+  sc.warmup = 300;
+  sc.measure = 900;
+  sc.detection_delay = 40;
+  sc.seed = 42;
+  const RunOutput out = run_scenario(sc, 1, false, 1);
+  EXPECT_EQ(out.result.fault_events, 2);
+  EXPECT_FALSE(out.result.deadlock_suspected);
+  expect_shard_identity(sc, "escape-live-kill");
 }
 
 // ------------------------------------- swaps, drain limit, quiesce kills
