@@ -188,6 +188,9 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   void set_aot_budget(std::uint64_t entries) { aot_budget_ = entries; }
   std::uint64_t aot_budget() const { return aot_budget_; }
 
+  /// The up*/down* escape layer (rebuilt only when escape_vc >= 0).
+  const UpDownTable& escape_table() const { return escape_; }
+
   // --- hot swap -------------------------------------------------------------
   /// Build a complete execution image (parse, validate, compile and — in
   /// Aot mode — fill the decision table) for a new program while the active

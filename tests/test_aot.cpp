@@ -589,6 +589,43 @@ TEST(AotSignClassTier, LiveFaultsBitIdenticalAcrossShardCounts) {
   }
 }
 
+// The escape layer fills a destination's slab on its first read in an
+// epoch. Fault-free ft_mesh traffic on the sign-class table reaches no
+// escape rule, so such a run fills no slab. A faulted run fills some, and
+// at most one per destination in the epoch (the run commits no fault after
+// set-up, so set-up's rebuild opens its only epoch).
+std::int64_t escape_slabs_filled_mesh16(int link_faults) {
+  Mesh m = Mesh::two_d(16, 16);
+  const std::unique_ptr<RuleDrivenRouting> algo = forced_sign_class_ft_mesh(16);
+  UniformTraffic tr(m);
+  Network net(m, *algo);
+  Rng rng(0x51ab);
+  net.apply_faults(
+      [&](FaultSet& f) { inject_random_link_faults(f, link_faults, rng); });
+  EXPECT_EQ(algo->aot_tier_info().tier, RuleDrivenRouting::AotTier::Compressed)
+      << algo->aot_tier_info().reason;
+  EXPECT_EQ(algo->escape_table().slabs_filled(), 0);
+  SimConfig cfg;
+  cfg.injection_rate = 0.05;
+  cfg.packet_length = 4;
+  cfg.warmup_cycles = kWarmup;
+  cfg.measure_cycles = kMeasure;
+  cfg.seed = 7;
+  Simulator sim(net, tr, cfg);
+  const SimResult r = sim.run();
+  EXPECT_FALSE(r.deadlock_suspected);
+  EXPECT_EQ(r.delivered_packets, r.injected_packets);
+  EXPECT_EQ(algo->escape_table().built_for_epoch(), net.faults().epoch());
+  return algo->escape_table().slabs_filled();
+}
+
+TEST(AotSignClassTier, EscapeSlabsFillOnlyWhereTrafficReadsThem) {
+  EXPECT_EQ(escape_slabs_filled_mesh16(0), 0);
+  const std::int64_t faulted = escape_slabs_filled_mesh16(12);
+  EXPECT_GE(faulted, 1);
+  EXPECT_LE(faulted, 16 * 16);
+}
+
 TEST(AotHotSwap, QuiescentProgramChangeDrainsAndLosesNothing) {
   constexpr int kDim = 4;
   Hypercube topo(kDim);

@@ -3,9 +3,12 @@
 // mechanical deadlock-freedom checks via channel dependency graphs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
+#include <latch>
 #include <limits>
 #include <set>
+#include <thread>
 
 #include "common/alloc_counter.hpp"
 #include "routing/cdg.hpp"
@@ -306,7 +309,36 @@ struct UpDownOracle {
   int exchanges = 0;
 };
 
-void expect_matches_oracle(const FaultSet& f, const std::string& what) {
+/// The table's destination order, shuffled by `read_seed`: slabs fill on
+/// their first read, so no test should depend on reading them in order.
+std::vector<NodeId> shuffled_dests(NodeId n_nodes, std::uint64_t read_seed) {
+  std::vector<NodeId> dests(static_cast<std::size_t>(n_nodes));
+  for (NodeId t = 0; t < n_nodes; ++t) dests[static_cast<std::size_t>(t)] = t;
+  Rng rng(read_seed);
+  rng.shuffle(dests);
+  return dests;
+}
+
+/// Every distance, reachability bit and next-hop list toward `t`.
+void expect_dest_matches_oracle(const UpDownTable& table,
+                                const UpDownOracle& oracle, NodeId t) {
+  for (NodeId n = 0; n < oracle.topo.num_nodes(); ++n) {
+    ASSERT_EQ(table.reachable(n, t), oracle.reachable(n, t))
+        << n << " -> " << t;
+    for (const auto phase :
+         {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
+      ASSERT_EQ(table.distance(n, t, phase), oracle.distance(n, t, phase))
+          << n << " -> " << t << " phase " << static_cast<int>(phase);
+      const auto hops = table.next_hops(n, t, phase);
+      ASSERT_EQ(std::vector<PortId>(hops.begin(), hops.end()),
+                oracle.next_hops(n, t, phase))
+          << n << " -> " << t << " phase " << static_cast<int>(phase);
+    }
+  }
+}
+
+void expect_matches_oracle(const FaultSet& f, const std::string& what,
+                           std::uint64_t read_seed) {
   SCOPED_TRACE(what);
   const Topology& topo = f.topology();
   const UpDownOracle oracle(f);
@@ -324,21 +356,12 @@ void expect_matches_oracle(const FaultSet& f, const std::string& what) {
           << "node " << n << " port " << p;
     }
   }
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    for (NodeId t = 0; t < topo.num_nodes(); ++t) {
-      ASSERT_EQ(table.reachable(n, t), oracle.reachable(n, t))
-          << n << " -> " << t;
-      for (const auto phase :
-           {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
-        ASSERT_EQ(table.distance(n, t, phase), oracle.distance(n, t, phase))
-            << n << " -> " << t << " phase " << static_cast<int>(phase);
-        const auto hops = table.next_hops(n, t, phase);
-        ASSERT_EQ(std::vector<PortId>(hops.begin(), hops.end()),
-                  oracle.next_hops(n, t, phase))
-            << n << " -> " << t << " phase " << static_cast<int>(phase);
-      }
-    }
+  EXPECT_EQ(table.slabs_filled(), 0);
+  for (const NodeId t : shuffled_dests(topo.num_nodes(), read_seed)) {
+    expect_dest_matches_oracle(table, oracle, t);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_EQ(table.slabs_filled(), topo.num_nodes());
 }
 
 // Fail every link between nodes below `split` and the rest.
@@ -354,28 +377,31 @@ void cut_below(FaultSet& f, NodeId split) {
 void expect_matches_oracle_under_faults(const Topology& topo,
                                         std::uint64_t seed) {
   Rng rng(seed);
+  std::uint64_t read_seed = seed;
   {
     FaultSet f(topo);
-    expect_matches_oracle(f, topo.name() + " fault-free");
+    expect_matches_oracle(f, topo.name() + " fault-free", ++read_seed);
   }
   for (int trial = 0; trial < 4; ++trial) {
     FaultSet f(topo);
     inject_random_link_faults(f, 3 + 2 * trial, rng, trial % 2 == 0);
-    expect_matches_oracle(f, topo.name() + " random link faults");
+    expect_matches_oracle(f, topo.name() + " random link faults",
+                          ++read_seed);
   }
   for (int trial = 0; trial < 3; ++trial) {
     FaultSet f(topo);
     inject_random_node_faults(f, 1 + trial, rng, false);
     inject_random_link_faults(f, 2, rng, false);
-    expect_matches_oracle(f, topo.name() + " node faults");
+    expect_matches_oracle(f, topo.name() + " node faults", ++read_seed);
   }
   {
     FaultSet f(topo);
     cut_below(f, topo.num_nodes() / 2);
     ASSERT_FALSE(all_healthy_connected(f));
-    expect_matches_oracle(f, topo.name() + " partitioning cut");
+    expect_matches_oracle(f, topo.name() + " partitioning cut", ++read_seed);
     f.fail_node(topo.num_nodes() - 1);
-    expect_matches_oracle(f, topo.name() + " cut plus a faulty node");
+    expect_matches_oracle(f, topo.name() + " cut plus a faulty node",
+                          ++read_seed);
   }
 }
 
@@ -443,7 +469,15 @@ TEST(UpDown, RebuildOnTheSameFabricDoesNotAllocate) {
   before = heap_alloc_count();
   table.rebuild(f);
   EXPECT_EQ(heap_alloc_count() - before, 0);
-  EXPECT_FALSE(table.reachable(m.at(0, 0), m.at(2, 2)));
+  // The first read of each slab fills it, in the storage and FIFO that the
+  // rebuild sized.
+  const NodeId corner = m.at(0, 0);
+  before = heap_alloc_count();
+  for (NodeId t = 0; t < m.num_nodes(); ++t)
+    table.distance(corner, t, UpDownTable::Phase::Up);
+  EXPECT_EQ(heap_alloc_count() - before, 0);
+  EXPECT_EQ(table.slabs_filled(), m.num_nodes());
+  EXPECT_FALSE(table.reachable(corner, m.at(2, 2)));
 }
 
 TEST(UpDown, SixteenBitDistanceGuardFiresBeforeTouchingTheTable) {
@@ -461,9 +495,160 @@ TEST(UpDown, SixteenBitDistanceGuardFiresBeforeTouchingTheTable) {
   EXPECT_EQ(table.built_for_epoch(), fs.epoch());
   EXPECT_EQ(table.distance(0, 15, UpDownTable::Phase::Up), before);
   EXPECT_EQ(table.next_hops(0, 15, UpDownTable::Phase::Up).size(), 2u);
+  // Destination 0's slab was never read: its first fill must still come
+  // from the surviving table's snapshot.
+  const UpDownOracle oracle(fs);
+  for (const auto phase : {UpDownTable::Phase::Up, UpDownTable::Phase::Down})
+    EXPECT_EQ(table.distance(15, 0, phase), oracle.distance(15, 0, phase));
+  const auto hops = table.next_hops(15, 0, UpDownTable::Phase::Up);
+  EXPECT_EQ(std::vector<PortId>(hops.begin(), hops.end()),
+            oracle.next_hops(15, 0, UpDownTable::Phase::Up));
+  EXPECT_EQ(table.slabs_filled(), 2);
   UpDownTable fresh;
   EXPECT_THROW(fresh.rebuild(fb), ContractViolation);
   EXPECT_FALSE(fresh.ready());
+}
+
+TEST(UpDown, OutOfRangeReadsThrowAndFillNothing) {
+  Mesh m = Mesh::two_d(4, 4);
+  FaultSet f(m);
+  UpDownTable table;
+  table.rebuild(f);
+  const NodeId n = m.num_nodes();
+  const auto up = UpDownTable::Phase::Up;
+  const auto down = UpDownTable::Phase::Down;
+  EXPECT_THROW(table.reachable(0, n), ContractViolation);
+  EXPECT_THROW(table.reachable(0, -1), ContractViolation);
+  EXPECT_THROW(table.reachable(n, 0), ContractViolation);
+  EXPECT_THROW(table.reachable(n, n), ContractViolation);
+  EXPECT_THROW(table.distance(0, n, up), ContractViolation);
+  EXPECT_THROW(table.distance(0, -1, down), ContractViolation);
+  EXPECT_THROW(table.distance(n, 0, up), ContractViolation);
+  EXPECT_THROW(table.distance(-1, 0, down), ContractViolation);
+  EXPECT_THROW(table.next_hops(0, n, up), ContractViolation);
+  EXPECT_EQ(table.slabs_filled(), 0);
+}
+
+TEST(UpDown, LazyFillNeverServesAStaleSlab) {
+  // Fill half the slabs in one epoch, commit faults, rebuild, then read
+  // every slab: the ones filled in the old epoch must be refilled, not
+  // served, and the unread ones filled for the first time.
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  Rng rng(0x57a1e);
+  inject_random_link_faults(f, 4, rng, false);
+  UpDownTable table;
+  table.rebuild(f);
+  const FaultSet old_faults = f;
+  const UpDownOracle old_oracle(old_faults);
+  const std::vector<NodeId> dests = shuffled_dests(m.num_nodes(), 0x57a1e);
+  const std::size_t half = dests.size() / 2;
+  for (std::size_t i = 0; i < half; ++i)
+    expect_dest_matches_oracle(table, old_oracle, dests[i]);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(table.slabs_filled(), static_cast<std::int64_t>(half));
+
+  f.fail_node(m.at(2, 3));
+  f.fail_link(m.at(4, 1), port_of(Compass::North));
+  table.rebuild(f);
+  EXPECT_EQ(table.slabs_filled(), 0);
+  const UpDownOracle oracle(f);
+  // The faults must change what a filled slab holds, or a stale slab would
+  // go unnoticed.
+  bool changed = false;
+  for (std::size_t i = 0; i < half; ++i)
+    for (NodeId n = 0; n < m.num_nodes(); ++n)
+      changed = changed ||
+                old_oracle.distance(n, dests[i], UpDownTable::Phase::Up) !=
+                    oracle.distance(n, dests[i], UpDownTable::Phase::Up);
+  ASSERT_TRUE(changed);
+  for (const NodeId t : dests) {
+    expect_dest_matches_oracle(table, oracle, t);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  EXPECT_EQ(table.slabs_filled(), m.num_nodes());
+}
+
+TEST(UpDown, SlabsAreAFunctionOfTheFaultsAtRebuild) {
+  // The fault set may change after a rebuild without another: tests mutate
+  // it, and degrade_link never bumps the epoch. Every slab, filled before
+  // or after such changes, must still answer for the rebuilt fault set.
+  Mesh m = Mesh::two_d(6, 6);
+  FaultSet f(m);
+  Rng rng(0x5ab);
+  inject_random_link_faults(f, 4, rng, false);
+  f.fail_node(m.at(4, 1));
+  UpDownTable table;
+  table.rebuild(f);
+  const FaultSet at_rebuild = f;
+  const UpDownOracle oracle(at_rebuild);
+  const std::vector<NodeId> dests = shuffled_dests(m.num_nodes(), 0x5ab);
+  const std::size_t third = dests.size() / 3;
+  for (std::size_t i = 0; i < third; ++i)
+    expect_dest_matches_oracle(table, oracle, dests[i]);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  f.fail_link(m.at(2, 2), port_of(Compass::East));
+  f.fail_node(m.at(1, 4));
+  f.repair_node(m.at(4, 1));
+  f.degrade_link(m.at(3, 3), port_of(Compass::North), 4);
+  ASSERT_NE(f.epoch(), table.built_for_epoch());
+  EXPECT_NE(UpDownOracle(f).distance(0, m.at(1, 4), UpDownTable::Phase::Up),
+            oracle.distance(0, m.at(1, 4), UpDownTable::Phase::Up));
+  for (const NodeId t : dests) {
+    expect_dest_matches_oracle(table, oracle, t);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  EXPECT_EQ(table.slabs_filled(), m.num_nodes());
+}
+
+TEST(UpDown, ConcurrentFirstReadsFillEachSlabOnce) {
+  // Sharded route() calls read one destination's slab from several shards
+  // at once. Four readers start together on a freshly rebuilt, faulted
+  // table and read the same destinations in the same order: every answer
+  // must match the oracle, and each slab must be filled exactly once.
+  constexpr int kReaders = 4;
+  Mesh m = Mesh::two_d(8, 8);
+  FaultSet f(m);
+  Rng rng(0xc0c0);
+  UpDownTable table;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    inject_random_link_faults(f, 3, rng, false);
+    if (round == 1) f.fail_node(m.at(5, 2));
+    table.rebuild(f);
+    const UpDownOracle oracle(f);
+    const std::vector<NodeId> dests =
+        shuffled_dests(m.num_nodes(), 0xc0c0 + static_cast<unsigned>(round));
+    std::latch start(kReaders);
+    std::array<int, kReaders> mismatches{};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r)
+      readers.emplace_back([&, r] {
+        int& bad = mismatches[static_cast<std::size_t>(r)];
+        start.arrive_and_wait();
+        try {
+          for (const NodeId t : dests)
+            for (NodeId n = 0; n < m.num_nodes(); ++n) {
+              bad += table.reachable(n, t) != oracle.reachable(n, t);
+              for (const auto phase :
+                   {UpDownTable::Phase::Up, UpDownTable::Phase::Down}) {
+                bad += table.distance(n, t, phase) !=
+                       oracle.distance(n, t, phase);
+                const auto hops = table.next_hops(n, t, phase);
+                bad += std::vector<PortId>(hops.begin(), hops.end()) !=
+                       oracle.next_hops(n, t, phase);
+              }
+            }
+        } catch (const std::exception&) {
+          ++bad;
+        }
+      });
+    for (std::thread& t : readers) t.join();
+    for (int r = 0; r < kReaders; ++r)
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0) << "reader " << r;
+    EXPECT_EQ(table.slabs_filled(), m.num_nodes());
+  }
 }
 
 // ------------------------------------------------------------ spanning tree
