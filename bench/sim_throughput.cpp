@@ -18,7 +18,9 @@
 // Usage:
 //   ./sim_throughput              # full run, table to stdout
 //   ./sim_throughput --smoke      # tiny grid for CI (seconds, still checks
-//                                 # bit-identity across thread counts)
+//                                 # bit-identity across thread counts; its
+//                                 # runs are too short to time, so the
+//                                 # timing cells print "-")
 //   ./sim_throughput --json FILE  # also emit a JSON report
 //
 // Plain std::chrono timing — no google-benchmark dependency, so the binary
@@ -215,6 +217,15 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Simulator throughput — serial hot loop and parallel sweep engine");
+  // Smoke runs last 10-20 ms, and repeated runs of one binary spread about
+  // 2x, so their timings cannot resolve a change: print none.
+  const auto timed = [smoke](double v, int precision) {
+    return smoke ? std::string("-") : bench::fmt(v, precision);
+  };
+  if (smoke)
+    std::cout << "--smoke: every run is too short to time, so the timing "
+                 "cells print \"-\"; the rows check deadlock freedom and "
+                 "bit-identity only.\n\n";
 
   // --- 0. zero-allocation steady-state guard -----------------------------
   // The step must reach an allocation-free steady state at one shard and
@@ -246,8 +257,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     s.cycles_per_sec = static_cast<double>(s.cycles) / elapsed;
-    bench::print_row({s.name, std::to_string(s.cycles), bench::fmt(elapsed, 3),
-                      bench::fmt(s.cycles_per_sec, 0)});
+    bench::print_row({s.name, std::to_string(s.cycles), timed(elapsed, 3),
+                      timed(s.cycles_per_sec, 0)});
   }
 
   // --- 2. sweep wall-clock at 1/2/4/8 threads ----------------------------
@@ -283,7 +294,7 @@ int main(int argc, char** argv) {
     }
     sweep_rows.push_back({t, wall, identical});
     bench::print_row({std::to_string(t), std::to_string(points.size()),
-                      bench::fmt(wall, 3), bench::fmt(serial_wall / wall, 2),
+                      timed(wall, 3), timed(serial_wall / wall, 2),
                       identical ? "yes" : "NO"});
     if (!identical) {
       std::cerr << "DETERMINISM VIOLATION: sweep results differ at " << t
@@ -337,8 +348,8 @@ int main(int argc, char** argv) {
       rep.rows.push_back(
           {s, wall, static_cast<double>(cycles) / wall, identical});
       bench::print_row({s == 1 ? sc.name : "", std::to_string(s),
-                        std::to_string(cycles), bench::fmt(wall, 3),
-                        bench::fmt(static_cast<double>(cycles) / wall, 0),
+                        std::to_string(cycles), timed(wall, 3),
+                        timed(static_cast<double>(cycles) / wall, 0),
                         s == 1 ? "ref" : identical ? "yes" : "NO"});
       if (!identical) {
         std::cerr << "DETERMINISM VIOLATION: " << sc.name << " differs at "
@@ -388,11 +399,12 @@ int main(int argc, char** argv) {
   bench::print_row({"variant", "sim cycles", "skipped", "wall s",
                     "cycles/sec", "bit-identical"});
   bench::print_row({"skip off", std::to_string(noskip_cycles), "0",
-                    bench::fmt(wall_off, 3), bench::fmt(cps_off, 0), "ref"});
+                    timed(wall_off, 3), timed(cps_off, 0), "ref"});
   bench::print_row({"skip on", std::to_string(skip_cycles),
-                    std::to_string(cycles_skipped), bench::fmt(wall_on, 3),
-                    bench::fmt(cps_on, 0), skip_identical ? "yes" : "NO"});
-  std::cout << "idle-skip speedup: " << bench::fmt(skip_speedup, 2) << "x ("
+                    std::to_string(cycles_skipped), timed(wall_on, 3),
+                    timed(cps_on, 0), skip_identical ? "yes" : "NO"});
+  std::cout << "idle-skip speedup: "
+            << (smoke ? "-" : bench::fmt(skip_speedup, 2) + "x") << " ("
             << cycles_skipped << " of " << skip_cycles
             << " cycles skipped)\n";
   if (!skip_identical) {
