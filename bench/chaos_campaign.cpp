@@ -3,15 +3,9 @@
 //
 // Thousands of seeded fault patterns per (algorithm x topology x regime)
 // are fanned out on the SweepRunner and aggregated into a scorecard that
-// ranks all registered routing algorithms per fault regime. Five regimes:
-//
-//   fail_stop  one or two random fail-stop link kills (the PR 5 baseline)
-//   repair     a link dies, then comes back and must be re-adopted
-//   flap       an intermittent link with seeded on/off duty cycles
-//   failslow   random links throttled to a fraction of their bandwidth
-//              (no recovery window — the pure degraded-service regime)
-//   storm      a correlated regional kill: a 2-node block on grids, a
-//              1-subcube on hypercubes
+// ranks all registered routing algorithms per fault regime. The five
+// regimes (fail_stop, repair, flap, failslow, storm) and their seeded
+// patterns are FaultRegime and chaos_schedule in sim/fault_schedule.hpp.
 //
 // Hard invariants, checked on EVERY replica:
 //   - accounting identity: delivered + unrecoverable == injected and
@@ -38,7 +32,6 @@
 #include <string_view>
 
 #include "bench_util.hpp"
-#include "common/rng.hpp"
 #include "routing/nafta.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/torus.hpp"
@@ -52,20 +45,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-enum class Regime { FailStop, Repair, Flap, FailSlow, Storm };
-constexpr Regime kRegimes[] = {Regime::FailStop, Regime::Repair, Regime::Flap,
-                               Regime::FailSlow, Regime::Storm};
-const char* regime_name(Regime r) {
-  switch (r) {
-    case Regime::FailStop: return "fail_stop";
-    case Regime::Repair: return "repair";
-    case Regime::Flap: return "flap";
-    case Regime::FailSlow: return "failslow";
-    case Regime::Storm: return "storm";
-  }
-  return "?";
-}
-
 /// Each algorithm runs on its native topology (16 nodes everywhere so the
 /// regimes are comparable): hypercube algorithms on the 4-cube, the torus
 /// router on a 4x4 torus, everything else on a 4x4 mesh.
@@ -77,82 +56,8 @@ std::unique_ptr<Topology> make_topology(const std::string& algo) {
   return std::make_unique<Mesh>(std::vector<int>{4, 4});
 }
 
-/// One seeded fault pattern. All randomness comes from a SplitMix64 stream
-/// derived from the replica seed and a per-regime salt, so a pattern is
-/// fully determined by (regime, topology, seed) and replicas of a parallel
-/// sweep carry identical schedules.
-FaultSchedule build_schedule(Regime reg, const Topology& topo, Cycle warmup,
-                             Cycle measure, std::uint64_t seed) {
-  FaultSchedule s;
-  SplitMix64 sm(seed ^ (0x9d5c0c5bULL + static_cast<std::uint64_t>(reg)));
-  const std::vector<LinkRef> links = topo.undirected_links();
-  const auto rand_link = [&] {
-    return links[sm.next_below(static_cast<std::uint64_t>(links.size()))];
-  };
-  const auto rand_cycle = [&] {
-    // Somewhere in the middle half of the measurement window, so damage
-    // lands under measured traffic and recovery can finish inside the run.
-    return warmup + measure / 4 +
-           static_cast<Cycle>(
-               sm.next_below(static_cast<std::uint64_t>(measure / 2)));
-  };
-  switch (reg) {
-    case Regime::FailStop: {
-      const int kills = 1 + static_cast<int>(sm.next_below(2));
-      for (int i = 0; i < kills; ++i) {
-        const LinkRef l = rand_link();
-        s.fail_link_at(rand_cycle(), l.node, l.port);
-      }
-      break;
-    }
-    case Regime::Repair: {
-      const LinkRef l = rand_link();
-      s.fail_link_at(warmup + measure / 4, l.node, l.port);
-      s.repair_link_at(warmup + (3 * measure) / 4, l.node, l.port);
-      break;
-    }
-    case Regime::Flap: {
-      const LinkRef l = rand_link();
-      s.add_flapping_link(l.node, l.port, warmup + measure / 4,
-                          warmup + measure, static_cast<double>(measure) / 10,
-                          static_cast<double>(measure) / 5, sm.next());
-      break;
-    }
-    case Regime::FailSlow: {
-      const int slows = 1 + static_cast<int>(sm.next_below(3));
-      for (int i = 0; i < slows; ++i) {
-        const LinkRef l = rand_link();
-        const int factor = 4 + static_cast<int>(sm.next_below(13));
-        s.degrade_link_at(rand_cycle(), l.node, l.port, factor);
-      }
-      break;
-    }
-    case Regime::Storm: {
-      const Cycle at = warmup + measure / 4;
-      if (const auto* cube = dynamic_cast<const Hypercube*>(&topo)) {
-        // 1-subcube: fix all but one address bit — two correlated kills.
-        const auto all =
-            (std::uint64_t{1} << static_cast<unsigned>(cube->dimension())) -
-            1;
-        const std::uint64_t free_bit =
-            std::uint64_t{1} << sm.next_below(
-                static_cast<std::uint64_t>(cube->dimension()));
-        const std::uint64_t mask = all ^ free_bit;
-        s.add_subcube_storm(topo, at, mask, sm.next() & mask);
-      } else {
-        // 2x1 block at a random grid position (Mesh or Torus).
-        const int x = static_cast<int>(sm.next_below(3));
-        const int y = static_cast<int>(sm.next_below(4));
-        s.add_region_storm(topo, at, {x, y}, {x + 1, y});
-      }
-      break;
-    }
-  }
-  return s;
-}
-
-SimResult run_point(const std::string& algo_name, Regime reg, Cycle warmup,
-                    Cycle measure, std::uint64_t seed) {
+SimResult run_point(const std::string& algo_name, FaultRegime reg,
+                    Cycle warmup, Cycle measure, std::uint64_t seed) {
   const std::unique_ptr<Topology> topo = make_topology(algo_name);
   const std::unique_ptr<RoutingAlgorithm> algo = make_algorithm(algo_name);
   UniformTraffic tr(*topo);
@@ -169,7 +74,7 @@ SimResult run_point(const std::string& algo_name, Regime reg, Cycle warmup,
   cfg.drain_limit = 200000;
   cfg.seed = seed;
   Simulator sim(net, tr, cfg);
-  sim.set_fault_schedule(build_schedule(reg, *topo, warmup, measure, seed));
+  sim.set_fault_schedule(chaos_schedule(reg, *topo, warmup, measure, seed));
   return sim.run();
 }
 
@@ -273,7 +178,7 @@ std::string scorecard_json(
   for (std::size_t ri = 0; ri < cells_by_regime.size(); ++ri) {
     std::vector<Cell> ranked = cells_by_regime[ri];
     std::sort(ranked.begin(), ranked.end(), ranks_before);
-    os << "    {\"regime\": \"" << regime_name(kRegimes[ri])
+    os << "    {\"regime\": \"" << fault_regime_name(kFaultRegimes[ri])
        << "\", \"ranking\": [\n";
     for (std::size_t i = 0; i < ranked.size(); ++i) {
       const Cell& c = ranked[i];
@@ -387,7 +292,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<std::string> algos = algorithm_names();
-  const std::size_t num_regimes = std::size(kRegimes);
+  const std::size_t num_regimes = std::size(kFaultRegimes);
 
   // One sweep point per (regime, algorithm, pattern), flattened in that
   // order; the point's derived seed is the pattern seed.
@@ -395,7 +300,7 @@ int main(int argc, char** argv) {
   points.reserve(num_regimes * algos.size() *
                  static_cast<std::size_t>(patterns));
   for (std::size_t ri = 0; ri < num_regimes; ++ri) {
-    const Regime reg = kRegimes[ri];
+    const FaultRegime reg = kFaultRegimes[ri];
     for (const std::string& algo : algos) {
       for (int p = 0; p < patterns; ++p) {
         points.push_back({[algo, reg, warmup, measure](std::uint64_t seed) {
@@ -460,7 +365,8 @@ int main(int argc, char** argv) {
       for (std::size_t ri = 0; ri < num_regimes; ++ri) {
         std::vector<Cell> ranked = cells[ri];
         std::sort(ranked.begin(), ranked.end(), ranks_before);
-        std::cout << "\n--- regime: " << regime_name(kRegimes[ri]) << " ---\n";
+        std::cout << "\n--- regime: " << fault_regime_name(kFaultRegimes[ri])
+                  << " ---\n";
         bench::print_row({"algorithm", "avail", "av p50", "av min", "rec p50",
                           "rec p99", "rec max", "chain", "unrec"},
                          10);

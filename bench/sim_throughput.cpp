@@ -11,9 +11,6 @@
 //   3. Large fabrics (64x64 mesh NAFTA, 12-d hypercube ROUTE_C — 4096
 //      nodes each) at 1/2/4/8 spatial shards, every run bit-checked
 //      against the one-shard run. A mismatch is a hard failure.
-//   4. Idle skipping on a lightly loaded 64x64 mesh with a mid-run link
-//      kill and a long detection window: skip-on vs skip-off wall clock
-//      (bit-identical results), cycles skipped reported.
 //
 // Usage:
 //   ./sim_throughput              # full run, table to stdout
@@ -103,10 +100,8 @@ std::unique_ptr<Topology> make_fabric_topo(const std::string& kind) {
 /// One timed run of a fabric scenario at `shards` spatial shards. Timing
 /// covers only Simulator::run — topology construction and table building
 /// are setup, not throughput.
-SimResult run_fabric(const FabricScenario& sc, int shards, bool idle_skip,
-                     const FaultSchedule* schedule, Cycle detection_delay,
-                     Cycle* cycles_out, double* wall_out,
-                     Cycle* skipped_out = nullptr) {
+SimResult run_fabric(const FabricScenario& sc, int shards, Cycle* cycles_out,
+                     double* wall_out) {
   auto topo = make_fabric_topo(sc.topo);
   auto algo = make_algorithm(sc.algo);
   UniformTraffic tr(*topo);
@@ -119,15 +114,11 @@ SimResult run_fabric(const FabricScenario& sc, int shards, bool idle_skip,
   cfg.warmup_cycles = sc.warmup;
   cfg.measure_cycles = sc.measure;
   cfg.seed = 42;
-  cfg.idle_skip = idle_skip;
-  cfg.detection_delay = detection_delay;
   Simulator sim(net, tr, cfg);
-  if (schedule != nullptr) sim.set_fault_schedule(*schedule);
   const auto t0 = Clock::now();
   SimResult r = sim.run();
   *wall_out = seconds_since(t0);
   *cycles_out = sim.now();
-  if (skipped_out != nullptr) *skipped_out = sim.idle_cycles_skipped();
   return r;
 }
 
@@ -339,7 +330,7 @@ int main(int argc, char** argv) {
     for (const int s : shard_counts) {
       Cycle cycles = 0;
       double wall = 0.0;
-      const SimResult r = run_fabric(sc, s, false, nullptr, 0, &cycles, &wall);
+      const SimResult r = run_fabric(sc, s, &cycles, &wall);
       if (s == 1) {
         ref = r;
         rep.cycles = cycles;
@@ -360,68 +351,6 @@ int main(int argc, char** argv) {
     fabric_reports.push_back(std::move(rep));
   }
 
-  // --- 4. idle skipping on a lightly loaded fabric ------------------------
-  // A mid-run link kill with a long detection window: injection halts while
-  // the diagnosis is open, the in-flight worms drain, and the fabric is
-  // provably inert until it fires. Without skipping, every one of those
-  // dead cycles still pays the step's link scan; with it, the worklists
-  // certify the fabric inert and the clock jumps the window in one step.
-  const FabricScenario skip_sc = {
-      "mesh64_low_load_skip", "mesh64",        "nafta",
-      0.001,                  smoke ? Cycle{100} : Cycle{200},
-      smoke ? Cycle{1200} : Cycle{20000}};
-  const Cycle skip_detect = smoke ? 800 : 15000;
-  FaultSchedule skip_sched;
-  {
-    // The kill cycle is tuned (per seed 42) so no worm is crossing the dead
-    // link: a truncated worm would sit in its buffers through the whole
-    // detection window and keep the fabric from ever being inert.
-    const Mesh kill_mesh = Mesh::two_d(64, 64);
-    skip_sched.fail_link_at(skip_sc.warmup + (smoke ? 100 : 300),
-                            kill_mesh.at(10, 10), port_of(Compass::East));
-  }
-  Cycle skip_cycles = 0, noskip_cycles = 0;
-  Cycle cycles_skipped = 0;
-  double wall_off = 0.0, wall_on = 0.0;
-  const SimResult skip_off = run_fabric(skip_sc, 1, false, &skip_sched,
-                                        skip_detect, &noskip_cycles,
-                                        &wall_off);
-  const SimResult skip_on = run_fabric(skip_sc, 1, true, &skip_sched,
-                                       skip_detect, &skip_cycles, &wall_on,
-                                       &cycles_skipped);
-  const bool skip_identical =
-      skip_on == skip_off && skip_cycles == noskip_cycles;
-  const double cps_off = static_cast<double>(noskip_cycles) / wall_off;
-  const double cps_on = static_cast<double>(skip_cycles) / wall_on;
-  const double skip_speedup = cps_on / cps_off;
-  std::cout << "\nidle skipping (" << skip_sc.name << ", rate "
-            << skip_sc.rate << ", detection window " << skip_detect << "):\n";
-  bench::print_row({"variant", "sim cycles", "skipped", "wall s",
-                    "cycles/sec", "bit-identical"});
-  bench::print_row({"skip off", std::to_string(noskip_cycles), "0",
-                    timed(wall_off, 3), timed(cps_off, 0), "ref"});
-  bench::print_row({"skip on", std::to_string(skip_cycles),
-                    std::to_string(cycles_skipped), timed(wall_on, 3),
-                    timed(cps_on, 0), skip_identical ? "yes" : "NO"});
-  std::cout << "idle-skip speedup: "
-            << (smoke ? "-" : bench::fmt(skip_speedup, 2) + "x") << " ("
-            << cycles_skipped << " of " << skip_cycles
-            << " cycles skipped)\n";
-  if (!skip_identical) {
-    std::cerr << "DETERMINISM VIOLATION: idle skipping changed results\n";
-    return 1;
-  }
-  if (cycles_skipped <= 0) {
-    std::cerr << "EVENT-SKIP REGRESSION: no cycles skipped on the low-load "
-                 "scenario\n";
-    return 1;
-  }
-  if (!smoke && skip_speedup <= 1.0) {
-    std::cerr << "EVENT-SKIP REGRESSION: skipping is not faster than "
-                 "stepping the inert cycles\n";
-    return 1;
-  }
-
   if (!json_path.empty()) {
     std::ofstream os(json_path);
     os.precision(17);
@@ -431,7 +360,7 @@ int main(int argc, char** argv) {
        << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "    \"note\": \"with fewer CPUs (num_cpus) than threads or "
           "shards, the shard and sweep rows are determinism checks, not "
-          "parallel wins; the event-skip speedup is a single-core win\"\n"
+          "parallel wins\"\n"
           "  },\n";
     os << "  \"single_replica\": [\n";
     for (std::size_t i = 0; i < 2; ++i) {
@@ -463,15 +392,7 @@ int main(int argc, char** argv) {
       }
       os << "    ]}" << (i + 1 < fabric_reports.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"event_skip\": {\n"
-       << "    \"scenario\": \"" << skip_sc.name << "\",\n"
-       << "    \"sim_cycles\": " << skip_cycles << ",\n"
-       << "    \"events_skipped\": " << cycles_skipped << ",\n"
-       << "    \"cycles_per_sec_no_skip\": " << cps_off << ",\n"
-       << "    \"cycles_per_sec_skip\": " << cps_on << ",\n"
-       << "    \"speedup_from_skipping\": " << skip_speedup << ",\n"
-       << "    \"bit_identical\": " << (skip_identical ? "true" : "false")
-       << "\n  }\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
   return 0;

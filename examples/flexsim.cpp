@@ -31,8 +31,6 @@
 //   shards     = 1                             (spatial shards; results are
 //                                               bit-identical at any count)
 //   shard_threads = 0                          (shard pool size; 0 = auto)
-//   idle_skip  = false                         (skip provably-inert cycles;
-//                                               results are unchanged)
 //
 // Live fault lifecycle (optional; arms the recovery controller):
 //   fault_at   = 1500:link:27:1,2200:node:12   (timed mid-run kill events:
@@ -112,10 +110,10 @@ bool known_key(const std::string& key) {
       "algorithm",     "traffic",         "rate",          "rates",
       "threads",       "packet_length",   "warmup",        "measure",
       "link_faults",   "node_faults",     "seed",          "show_links",
-      "shards",        "shard_threads",   "idle_skip",     "fault_at",
-      "repair_after",  "flap",            "failslow",      "fault_regime",
-      "detection_delay", "max_retries",   "exec_mode",     "swap_rules_at",
-      "swap_policy",   "rolling_shards",
+      "shards",        "shard_threads",   "fault_at",      "repair_after",
+      "flap",          "failslow",        "fault_regime",  "detection_delay",
+      "max_retries",   "exec_mode",       "swap_rules_at", "swap_policy",
+      "rolling_shards",
   };
   return std::find(std::begin(known), std::end(known), key) != std::end(known);
 }
@@ -427,7 +425,6 @@ int main(int argc, char** argv) try {
   base.measure_cycles = cfg.get_int("measure", 2000);
   base.detection_delay = cfg.get_int("detection_delay", 0);
   base.max_retries = static_cast<int>(cfg.get_int("max_retries", 3));
-  base.idle_skip = cfg.get_bool("idle_skip", false);
   base.rolling_shards = static_cast<int>(cfg.get_int("rolling_shards", 8));
 
   NetworkConfig ncfg;
@@ -532,7 +529,6 @@ int main(int argc, char** argv) try {
               << " node faults (reconfiguration: " << exchanges
               << " exchanges)";
   if (ncfg.shards > 1) std::cout << ", " << ncfg.shards << " shards";
-  if (base.idle_skip) std::cout << ", idle-skip";
   if (rule_driven_name(aname))
     std::cout << ", exec " << (exec_mode_s.empty() ? "aot" : exec_mode_s)
               << tier_report;

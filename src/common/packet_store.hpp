@@ -56,13 +56,6 @@ struct Header {
 
 class PacketStore {
  public:
-  PacketStore() = default;
-  /// Pre-size for an expected peak of simultaneously in-flight packets.
-  explicit PacketStore(std::size_t expected_in_flight) {
-    entries_.reserve(expected_in_flight);
-    free_.reserve(expected_in_flight);
-  }
-
   /// Claim a slot for a new in-flight packet. Reuses a released slot when
   /// one exists; only grows the slab when the free list is empty.
   PacketSlot alloc(const Header& h) {

@@ -190,4 +190,93 @@ const std::vector<FaultEvent>& FaultSchedule::events() const {
   return events_;
 }
 
+const char* fault_regime_name(FaultRegime r) {
+  switch (r) {
+    case FaultRegime::FailStop: return "fail_stop";
+    case FaultRegime::Repair: return "repair";
+    case FaultRegime::Flap: return "flap";
+    case FaultRegime::FailSlow: return "failslow";
+    case FaultRegime::Storm: return "storm";
+  }
+  return "?";
+}
+
+FaultSchedule chaos_schedule(FaultRegime reg, const Topology& topo,
+                             Cycle warmup, Cycle measure, std::uint64_t seed) {
+  FaultSchedule s;
+  SplitMix64 sm(seed ^ (0x9d5c0c5bULL + static_cast<std::uint64_t>(reg)));
+  const std::vector<LinkRef> links = topo.undirected_links();
+  const auto rand_link = [&] {
+    return links[sm.next_below(static_cast<std::uint64_t>(links.size()))];
+  };
+  const auto rand_cycle = [&] {
+    // Somewhere in the middle half of the measurement window, so damage
+    // lands under measured traffic and recovery can finish inside the run.
+    return warmup + measure / 4 +
+           static_cast<Cycle>(
+               sm.next_below(static_cast<std::uint64_t>(measure / 2)));
+  };
+  switch (reg) {
+    case FaultRegime::FailStop: {
+      const int kills = 1 + static_cast<int>(sm.next_below(2));
+      for (int i = 0; i < kills; ++i) {
+        const LinkRef l = rand_link();
+        s.fail_link_at(rand_cycle(), l.node, l.port);
+      }
+      break;
+    }
+    case FaultRegime::Repair: {
+      const LinkRef l = rand_link();
+      s.fail_link_at(warmup + measure / 4, l.node, l.port);
+      s.repair_link_at(warmup + (3 * measure) / 4, l.node, l.port);
+      break;
+    }
+    case FaultRegime::Flap: {
+      const LinkRef l = rand_link();
+      s.add_flapping_link(l.node, l.port, warmup + measure / 4,
+                          warmup + measure, static_cast<double>(measure) / 10,
+                          static_cast<double>(measure) / 5, sm.next());
+      break;
+    }
+    case FaultRegime::FailSlow: {
+      const int slows = 1 + static_cast<int>(sm.next_below(3));
+      for (int i = 0; i < slows; ++i) {
+        const LinkRef l = rand_link();
+        const int factor = 4 + static_cast<int>(sm.next_below(13));
+        s.degrade_link_at(rand_cycle(), l.node, l.port, factor);
+      }
+      break;
+    }
+    case FaultRegime::Storm: {
+      const Cycle at = warmup + measure / 4;
+      if (const auto* cube = dynamic_cast<const Hypercube*>(&topo)) {
+        // 1-subcube: fix all but one address bit — two correlated kills.
+        const auto all =
+            (std::uint64_t{1} << static_cast<unsigned>(cube->dimension())) -
+            1;
+        const std::uint64_t free_bit =
+            std::uint64_t{1} << sm.next_below(
+                static_cast<std::uint64_t>(cube->dimension()));
+        const std::uint64_t mask = all ^ free_bit;
+        s.add_subcube_storm(topo, at, mask, sm.next() & mask);
+      } else {
+        // 2x1 block at a random grid position.
+        const auto* mesh = dynamic_cast<const Mesh*>(&topo);
+        const auto* torus = dynamic_cast<const Torus*>(&topo);
+        FR_REQUIRE_MSG(mesh != nullptr || torus != nullptr,
+                       "storm regime needs a mesh, torus or hypercube");
+        const auto radix = [&](int d) {
+          return static_cast<std::uint64_t>(mesh ? mesh->radix(d)
+                                                 : torus->radix(d));
+        };
+        const int x = static_cast<int>(sm.next_below(radix(0) - 1));
+        const int y = static_cast<int>(sm.next_below(radix(1)));
+        s.add_region_storm(topo, at, {x, y}, {x + 1, y});
+      }
+      break;
+    }
+  }
+  return s;
+}
+
 }  // namespace flexrouter

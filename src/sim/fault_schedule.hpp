@@ -111,4 +111,26 @@ class FaultSchedule {
   mutable bool sorted_ = true;
 };
 
+/// The chaos campaign's fault regimes:
+///   fail_stop  one or two random fail-stop link kills
+///   repair     a link dies, then comes back and must be re-adopted
+///   flap       an intermittent link with seeded on/off duty cycles
+///   failslow   random links throttled to a fraction of their bandwidth
+///              (no recovery window — the pure degraded-service regime)
+///   storm      a correlated regional kill: a 2x1 block on a 2-D grid, a
+///              1-subcube on a hypercube
+enum class FaultRegime { FailStop, Repair, Flap, FailSlow, Storm };
+inline constexpr FaultRegime kFaultRegimes[] = {
+    FaultRegime::FailStop, FaultRegime::Repair, FaultRegime::Flap,
+    FaultRegime::FailSlow, FaultRegime::Storm};
+const char* fault_regime_name(FaultRegime r);
+
+/// One seeded fault pattern of regime `reg` for a run of `warmup` +
+/// `measure` cycles on `topo` (a 2-D mesh or torus, or a hypercube). The
+/// damage lands in the measurement window. All randomness comes from a
+/// SplitMix64 stream derived from `seed` and a per-regime salt, so a
+/// pattern is fully determined by (regime, topology, window, seed).
+FaultSchedule chaos_schedule(FaultRegime reg, const Topology& topo,
+                             Cycle warmup, Cycle measure, std::uint64_t seed);
+
 }  // namespace flexrouter

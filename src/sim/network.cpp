@@ -16,7 +16,6 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
       algo_(&algo),
       cfg_(cfg),
       faults_(topo),
-      store_(cfg.expected_in_flight),
       channels_(topo, algo.num_vcs(), cfg.link_latency),
       routers_(topo, algo, store_, cfg.router, channels_) {
   FR_REQUIRE_MSG(cfg_.shards >= 1, "NetworkConfig::shards must be >= 1");
@@ -236,7 +235,7 @@ void Network::shard_phase(int s, Cycle now, bool purge) {
       sh.spans.push_back(span);
     if (routers_.empty(u)) {
       clear_bit(active, i);
-    } else if (out.quiet) {
+    } else if (out.quiet && !never_park_) {
       clear_bit(active, i);
       set_bit(parked, i);
       parked_at_[static_cast<std::size_t>(u)] = sh.phases;
@@ -403,16 +402,20 @@ void Network::step(Cycle now) {
 }
 
 bool Network::inert() const {
-  // Every router holding flits sits on an active list; every busy link
+  // Every router holding flits is active or parked; every busy link
   // (boundary included) re-activates its endpoints each cycle; every
-  // queued injection keeps its source on a pending list. Empty worklists
-  // therefore certify that stepping would change nothing.
+  // queued injection keeps its source on a pending list. A parked router's
+  // step repeats its last quiet step until something wakes it: a flit,
+  // credit or injection (all through the worklists), a poisoned worm (the
+  // step's purge wakes every parked router), or a fault, repair or commit
+  // from outside the step. So with the worklists empty and no poisoned
+  // worm, stepping would change only the parked routers' skipped-step
+  // counts.
+  if (never_park_ || store_.poisoned_live() > 0) return false;
   for (const Shard& sh : shards_) {
     for (const std::uint64_t w : sh.pending)
       if (w != 0) return false;
     for (const std::uint64_t w : sh.active)
-      if (w != 0) return false;
-    for (const std::uint64_t w : sh.parked)
       if (w != 0) return false;
   }
   return true;
@@ -425,8 +428,9 @@ int Network::parked_routers() const {
   return n;
 }
 
-void Network::skip_cycle() {
+void Network::skip_cycle(Cycle span) {
   FR_ASSERT_MSG(inert(), "skip_cycle on a non-inert network");
+  for (Shard& sh : shards_) sh.phases += span;
   delivered_last_cycle_.clear();
 }
 

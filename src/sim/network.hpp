@@ -23,9 +23,6 @@ struct NetworkConfig {
   /// record table and the step scratch so injection-heavy benches don't pay
   /// reallocation churn).
   std::size_t expected_packets = 0;
-  /// Reserve hint: peak simultaneously in-flight packets (pre-sizes the
-  /// PacketStore slab). Zero lets the slab grow to the observed peak.
-  std::size_t expected_in_flight = 0;
   /// Spatial shards stepped in parallel (plan_shards tiles the topology).
   /// Every count runs the same step and produces bit-identical SimResults —
   /// the cycle barrier exchanges cross-shard traffic in canonical link
@@ -97,18 +94,19 @@ class Network {
   /// No queued, buffered or in-flight flits anywhere.
   bool idle() const;
 
-  /// Cheap certificate that step() would be a provable no-op this cycle:
-  /// every worklist is empty — no queued injections, no buffered flits, no
-  /// busy links (a busy link keeps both endpoints on the active list).
-  /// Parked routers count as work: their skipped steps add VA retries.
+  /// Cheap certificate that step() would change nothing this cycle but
+  /// parked routers' skipped-step counts: no queued injection, no active
+  /// router (so no busy link: a busy link keeps both endpoints active),
+  /// and no poisoned worm that would wake the parked routers to drain it.
   /// O(nodes / 64): one word test per 64 nodes of each worklist.
   bool inert() const;
   /// Routers parked after a quiet step (RouterArray::step): they hold
   /// flits but are not stepped until something wakes them.
   int parked_routers() const;
-  /// Stand-in for step() on an inert cycle: clears the delivered-last-cycle
-  /// list (its only observable per-cycle effect) and nothing else.
-  void skip_cycle();
+  /// Stand-in for `span` steps of an inert network: counts them as router
+  /// phases (a parked router's skipped steps are phases since it parked)
+  /// and clears the delivered-last-cycle list, their only other effect.
+  void skip_cycle(Cycle span);
 
   /// Quiescent reconfiguration (fault assumption iv): the caller must have
   /// drained the network (idle()); `mutate` edits the fault set, then the
@@ -267,6 +265,11 @@ class Network {
   }
 
  private:
+  /// Reference mode for tests (NetworkTestAccess): no router ever parks and
+  /// inert() never holds, so every router holding flits steps every cycle.
+  friend struct NetworkTestAccess;
+  bool never_park_ = false;
+
   /// apply_faults helpers (out of line so the template stays minimal).
   void begin_fault_mutation();
   int finish_fault_mutation();

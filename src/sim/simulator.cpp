@@ -281,21 +281,31 @@ void Simulator::inject_offered_load(bool measured) {
   }
 }
 
-Cycle Simulator::jump_span(Cycle remaining) const {
+Cycle Simulator::jump_span(Phase phase, Cycle remaining) const {
+  // A drain whose work this cycle's recovery update finished ends after
+  // this cycle.
+  if (phase == Phase::Drain && !drain_pending()) return 1;
   Cycle jump = remaining;
-  // Detecting means update_recovery did not transition, so detect_at_ >
-  // now_; fire_due_faults drained every event with at <= now_, so the next
-  // event (if any) is strictly ahead. Both bounds keep jump >= 1.
-  if (detect_at_ - now_ < jump) jump = detect_at_ - now_;
-  if (next_event_ < events_.size() && events_[next_event_].at - now_ < jump)
-    jump = events_[next_event_].at - now_;
-  // A scheduled rule swap is a boundary too: the jump must not overshoot
-  // its due cycle (a due-but-draining swap has at <= now_ and binds nothing
-  // — the commit happens at idle, which an inert network reaches anyway).
-  if (next_swap_ < swaps_.size() && swaps_[next_swap_].at > now_ &&
-      swaps_[next_swap_].at - now_ < jump)
-    jump = swaps_[next_swap_].at - now_;
-  return jump < 1 ? 1 : jump;
+  const auto bound = [&jump](Cycle c) { jump = std::min(jump, c); };
+  // update_recovery left Detecting only with detect_at_ > now_, and
+  // fire_due_faults drained every event with at <= now_, so both bounds are
+  // strictly ahead.
+  if (rstate_ == RecoveryState::Detecting) bound(detect_at_ - now_);
+  if (next_event_ < events_.size()) bound(events_[next_event_].at - now_);
+  // The next swap starts at its cycle, or next cycle if it is already due
+  // (one starts per cycle). A quiescent swap mid-drain commits only on an
+  // idle network, which an inert cycle either already is (and it committed
+  // this cycle) or stays not.
+  if (next_swap_ < swaps_.size() && !swap_draining_)
+    bound(std::max<Cycle>(swaps_[next_swap_].at - now_, 1));
+  const std::int64_t moved = net_->total_flit_movements();
+  if (phase == Phase::Drain) {
+    if (drain_watched())
+      bound(drain_watch_.until_stalled(moved, cfg_.watchdog_window));
+  } else if (rstate_ == RecoveryState::Draining) {
+    bound(diagnosis_watch_.until_stalled(moved, cfg_.watchdog_window));
+  }
+  return std::max<Cycle>(jump, 1);
 }
 
 void Simulator::count_measured_deliveries() {
@@ -319,47 +329,49 @@ Cycle Simulator::cycle(Phase phase, Cycle remaining, SimResult& result) {
   // while a diagnosis phase or a quiescent swap drain is open (a rolling
   // swap gates single nodes on top, see rolling_gated).
   const bool open = rstate_ == RecoveryState::Normal && !swap_draining_;
-  if (open) {
-    if (lifecycle_) flush_retry_queue(result);
-    if (!drain) inject_offered_load(phase == Phase::Measure);
+  const bool draws = open && !drain;
+  if (open && lifecycle_) flush_retry_queue(result);
+  if (draws) inject_offered_load(phase == Phase::Measure);
+  // The one time-advance rule. A cycle that begins with no router active
+  // and no injection pending changes nothing but the clock: parked routers
+  // repeat their last quiet step, which skip_cycle accounts by the span.
+  // A cycle that drew injection randomness advances alone; any other inert
+  // cycle jumps to the first cycle on which something can change. A
+  // rolling swap's gate accounting ticks per cycle, so it advances alone
+  // too.
+  Cycle span = 1;
+  if (net_->inert()) {
+    if (!draws && !rolling_active_) span = jump_span(phase, remaining);
+    net_->skip_cycle(span);
+    skipped_cycles_ += span;
+  } else {
+    net_->step(now_);
+    count_measured_deliveries();
+    if (lifecycle_) process_losses(result);
   }
-  // Availability counts the measurement window's gated cycles, jumped-over
-  // ones included (the gate cannot change during a jump).
-  const bool gated = phase == Phase::Measure && !open;
-  if (!drain && cfg_.idle_skip && net_->inert()) {
-    // Inert network: stepping would change nothing. Normal-state cycles
-    // advance one at a time (the injection RNG above already drew for
-    // this cycle); Detecting-state cycles consume no randomness, so the
-    // clock jumps to the next schedule boundary. Draining is never inert
-    // here: update_recovery would have closed the diagnosis already.
-    const Cycle jump =
-        rstate_ == RecoveryState::Detecting ? jump_span(remaining) : 1;
-    if (gated) gated_measure_cycles_ += jump;
-    net_->skip_cycle();
-    now_ += jump;
-    skipped_cycles_ += jump;
-    return jump;
-  }
-  if (gated) ++gated_measure_cycles_;
-  net_->step(now_++);
-  count_measured_deliveries();
-  if (lifecycle_) process_losses(result);
+  now_ += span;
+  // Availability counts the measurement window's gated cycles, skipped
+  // ones included (the gate cannot change during a skip).
+  if (phase == Phase::Measure && !open) gated_measure_cycles_ += span;
   const std::int64_t moved = net_->total_flit_movements();
   if (drain) {
-    // The drain watches every cycle; a stall with nothing to kill means
-    // the network is stuck for good.
-    if (drain_watch_.stalled(moved, cfg_.watchdog_window) &&
-        !structured_kill(result)) {
+    // The drain watches every cycle the network holds flits; a stall with
+    // nothing to kill means the network is stuck for good. An empty
+    // network re-arms the watch: it is waiting, not stalled.
+    if (!drain_watched()) {
+      drain_watch_.arm(moved);
+    } else if (drain_watch_.stalled(moved, cfg_.watchdog_window, span) &&
+               !structured_kill(result)) {
       result.deadlock_suspected = true;
       return 0;
     }
   } else if (rstate_ == RecoveryState::Draining &&
-             diagnosis_watch_.stalled(moved, cfg_.watchdog_window)) {
+             diagnosis_watch_.stalled(moved, cfg_.watchdog_window, span)) {
     // Worms wedged behind live damage: kill one so the diagnosis drain
     // can complete.
     structured_kill(result);
   }
-  return 1;
+  return span;
 }
 
 SimResult Simulator::run() {
@@ -378,20 +390,13 @@ SimResult Simulator::run() {
     left -= cycle(Phase::Warmup, left, result);
   for (Cycle left = cfg_.measure_cycles; left > 0;)
     left -= cycle(Phase::Measure, left, result);
-  // Drain: no further offered load. The outstanding counter (fed by
-  // delivered_last_cycle) replaces a per-cycle rescan of every measured
-  // packet record. With the lifecycle armed the drain also runs any
-  // still-open recovery to completion (pending damage committed, retry
-  // queue flushed) so every measured packet ends delivered or
-  // unrecoverable; a swap mid-commit finishes too.
-  const auto pending = [this] {
-    return measured_outstanding_ > 0 || swap_draining_ || rolling_active_ ||
-           (lifecycle_ && (rstate_ != RecoveryState::Normal ||
-                           !retry_queue_.empty() || net_->recovery_pending()));
-  };
+  // Drain: no further offered load, until drain_pending() clears.
   drain_watch_.arm(net_->total_flit_movements());
-  for (Cycle left = cfg_.drain_limit + 1; pending(); --left)
-    if (cycle(Phase::Drain, left, result) == 0) break;
+  for (Cycle left = cfg_.drain_limit + 1; drain_pending();) {
+    const Cycle span = cycle(Phase::Drain, left, result);
+    if (span == 0) break;
+    left -= span;
+  }
 
   // Collect metrics over measured packets — a single pass: latency sum,
   // quantiles and the split by misroute mark all come from the same loop.

@@ -15,7 +15,7 @@
 namespace flexrouter {
 
 /// The stall tracker behind every deadlock watchdog: stalled() observes
-/// the movement counter (Network::total_flit_movements()) after a step and
+/// the movement counter (Network::total_flit_movements()) after a cycle and
 /// fires (restarting the count) once more than `window` observed cycles in
 /// a row moved nothing. An unarmed tracker arms on its first observation.
 class StallWatch {
@@ -26,14 +26,25 @@ class StallWatch {
     last_moved_ = moved;
     stalled_ = 0;
   }
-  bool stalled(std::int64_t moved, Cycle window) {
+  /// Observe `span` cycles that all end at movement count `moved`: the
+  /// same as `span` one-cycle observations, of which only the last may
+  /// fire (a skipped span ends no later than until_stalled()).
+  bool stalled(std::int64_t moved, Cycle window, Cycle span = 1) {
     if (!armed_ || moved != last_moved_) {
       arm(moved);
-      return false;
+      --span;
     }
-    if (++stalled_ <= window) return false;
+    stalled_ += span;
+    FR_ASSERT_MSG(stalled_ <= window + 1, "a skip jumped past a watchdog");
+    if (stalled_ <= window) return false;
     stalled_ = 0;
     return true;
+  }
+  /// Observations at movement count `moved` up to and including the one
+  /// that fires.
+  Cycle until_stalled(std::int64_t moved, Cycle window) const {
+    if (!armed_ || moved != last_moved_) return window + 2;
+    return window + 1 - stalled_;
   }
 
  private:
@@ -80,15 +91,6 @@ struct SimConfig {
   /// shard count (NetworkConfig::shards) so results stay bit-identical
   /// whatever parallelism the run uses. Clamped to the node count.
   int rolling_shards = 8;
-
-  // --- Idle skipping ----------------------------------------------------
-  /// Skip network steps while the network is inert (no flits, no queued
-  /// injections, no in-flight link traffic), on any network at any shard
-  /// count. Results are bit-identical with skipping on or off: inert Normal-state cycles elide
-  /// only the no-op step (the injection RNG still draws every cycle), and
-  /// Detecting-state cycles — where no RNG is consumed — jump straight to
-  /// the next scheduled event (detection deadline or fault firing).
-  bool idle_skip = false;
 };
 
 struct SimResult {
@@ -216,9 +218,9 @@ class Simulator {
 
   Cycle now() const { return now_; }
 
-  /// Cumulative count of cycles whose network step was elided by idle
-  /// skipping (a simulator-side perf counter; deliberately not part of
-  /// SimResult, which stays bit-identical with skipping on or off).
+  /// Cumulative count of cycles whose network step was skipped because it
+  /// could change nothing (a simulator-side perf counter; deliberately not
+  /// part of SimResult, which equals a run that steps every cycle).
   Cycle idle_cycles_skipped() const { return skipped_cycles_; }
 
  private:
@@ -232,22 +234,39 @@ class Simulator {
 
   /// The phases of run(). Every cycle of each goes through cycle(); the
   /// phase decides only whether fresh packets are offered (and measured),
-  /// whether gated cycles count against availability, whether idle
-  /// skipping applies, what a stall does, and the drain limit.
+  /// whether gated cycles count against availability, which watchdog
+  /// watches, what a stall does, and the drain limit.
   enum class Phase { Warmup, Measure, Drain };
 
   /// One simulated cycle of `phase`, in the order all phases share: fire
   /// faults, update recovery, rule swaps, retry flush and injection behind
   /// the injection gate, skip or step, count deliveries, process losses,
-  /// watchdog. `remaining` bounds an idle-skip jump, or is the drain's
-  /// leftover drain_limit. Returns the cycles advanced; 0 when the drain
-  /// gives up (deadlock suspected).
+  /// watchdog. `remaining` is the phase's leftover cycles (for the drain,
+  /// its leftover drain_limit) and bounds a skip. Returns the cycles
+  /// advanced; 0 when the drain gives up (deadlock suspected).
   Cycle cycle(Phase phase, Cycle remaining, SimResult& result);
   void inject_offered_load(bool measured);
-  /// Longest jump from an inert Detecting-state cycle that crosses no
-  /// schedule boundary: capped by the detection deadline, the next fault
-  /// event, and the phase's remaining cycles. Always >= 1.
-  Cycle jump_span(Cycle remaining) const;
+  /// Longest skip from an inert cycle that draws no injection randomness:
+  /// up to the first cycle on which something can change — the phase's
+  /// end (`remaining`), the detection deadline, the next fault event, the
+  /// next rule swap, or the cycle the armed watchdog of `phase` fires.
+  /// Always >= 1.
+  Cycle jump_span(Phase phase, Cycle remaining) const;
+  /// The drain runs while this holds. The outstanding counter (fed by
+  /// delivered_last_cycle) replaces a per-cycle rescan of every measured
+  /// packet record. With the lifecycle armed the drain also runs any
+  /// still-open recovery to completion (pending damage committed, retry
+  /// queue flushed) so every measured packet ends delivered or
+  /// unrecoverable; a swap mid-commit finishes too.
+  bool drain_pending() const {
+    return measured_outstanding_ > 0 || swap_draining_ || rolling_active_ ||
+           (lifecycle_ && (rstate_ != RecoveryState::Normal ||
+                           !retry_queue_.empty() || net_->recovery_pending()));
+  }
+  /// True when the drain watchdog counts this cycle: the network holds
+  /// flits or queued injections. An empty network only waits (for the
+  /// detection deadline, say) and is not stalled.
+  bool drain_watched() const { return net_->packet_store().live_count() > 0; }
   /// Decrement the outstanding-measured counter for every measured packet
   /// the last step() delivered, so the drain never rescans records.
   void count_measured_deliveries();

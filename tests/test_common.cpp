@@ -334,7 +334,7 @@ TEST(ConfigFuzz, CorruptedConfigsNeverCrash) {
       "rate = 0.10; rates = 0.02,0.06,0.10; threads = 0\n"
       "packet_length = 4; warmup = 1000; measure = 2000\n"
       "link_faults = 6; node_faults = 0; seed = 1; show_links = false\n"
-      "shards = 1; shard_threads = 0; idle_skip = false\n"
+      "shards = 1; shard_threads = 0\n"
       "fault_at = 1500:link:27:1,2200:node:12; repair_after = 800\n"
       "flap = 27:1:1500:120:260; failslow = 1500:27:1:8\n"
       "fault_regime = storm; detection_delay = 0; max_retries = 3\n"

@@ -254,6 +254,37 @@ TEST(FaultLifecycle, StructuredWatchdogBreaksDeadlockAndAccounts) {
 /// Kill a link between run() calls (the live path: data-plane kill +
 /// quiescent commit) and verify the algorithm routes again afterwards —
 /// reconfigure() must clear any per-epoch staleness guards.
+// A link dies two cycles before the measurement ends and is detected long
+// after the network has drained: the drain waits out the detection delay on
+// an empty network. Waiting is not a stall. (The drain watchdog used to count
+// those empty cycles, fire after watchdog_window of them and, with no worm to
+// kill, report a deadlock before the diagnosis ever opened.)
+TEST(FaultLifecycle, DrainWaitsOutLateDetectionOnEmptyNetwork) {
+  Mesh m = Mesh::two_d(8, 8);
+  for (const Cycle delay : {2500, 5000}) {
+    SCOPED_TRACE("detection_delay=" + std::to_string(delay));
+    Nafta nafta;
+    Network net(m, nafta);
+    UniformTraffic traffic(m);
+    SimConfig cfg;
+    cfg.injection_rate = 0.02;
+    cfg.warmup_cycles = 100;
+    cfg.measure_cycles = 500;
+    cfg.detection_delay = delay;  // beyond the 2000-cycle watchdog window
+    Simulator sim(net, traffic, cfg);
+    FaultSchedule schedule;
+    schedule.fail_link_at(598, m.at(3, 3), 1);
+    sim.set_fault_schedule(schedule);
+    const SimResult r = sim.run();
+
+    EXPECT_FALSE(r.deadlock_suspected);
+    EXPECT_EQ(r.recovery_events, 1);
+    EXPECT_EQ(r.recovery_cycles, delay);
+    EXPECT_GT(r.injected_packets, 0);
+    expect_exact_accounting(r);
+  }
+}
+
 TEST(FaultLifecycle, ReconfigureClearsEpochStalenessForEveryAlgorithm) {
   for (const std::string& name : algorithm_names()) {
     SCOPED_TRACE(name);
