@@ -236,17 +236,83 @@ std::string ft_mesh_source(const Topology& topo) {
   return rulebases::ft_mesh_route_source(m->radix(0), m->radix(1));
 }
 
+/// A native algorithm whose every decision names some (port, VC) pairs more
+/// than once, as a rule program's overlapping rules may. Decision
+/// c0..c(k-1) becomes
+///   c0 one priority lower, c1..c(k-1), c0 again (a higher-priority repeat
+///   after the other pairs), then c0..c(k-1) round-robin at their own
+///   priority or one lower
+/// up to 12, 24, 36 or 48 entries (by destination), so most decisions name
+/// more entries than a router has input VCs. VA grants the earliest
+/// candidate with the best score, so where c0 and c1 tie it grants c1, not
+/// c0 as the native algorithm does; the pair set, escape VCs included, is
+/// the native one.
+class RepeatedPairsRouting : public RoutingAlgorithm {
+ public:
+  explicit RepeatedPairsRouting(std::unique_ptr<RoutingAlgorithm> native)
+      : native_(std::move(native)) {}
+
+  std::string name() const override { return native_->name() + "+repeats"; }
+  int num_vcs() const override { return native_->num_vcs(); }
+  void attach(const Topology& topo, const FaultSet& faults) override {
+    native_->attach(topo, faults);
+  }
+  int reconfigure() override { return native_->reconfigure(); }
+  bool is_escape_vc(VcId vc) const override {
+    return native_->is_escape_vc(vc);
+  }
+  int max_path_len() const override { return native_->max_path_len(); }
+  int path_len_class(int path_len) const override {
+    return native_->path_len_class(path_len);
+  }
+
+  RouteDecision route(const RouteContext& ctx) const override {
+    const RouteDecision native = native_->route(ctx);
+    RouteDecision d = native;
+    const auto& c = native.candidates;
+    if (c.empty()) return d;
+    d.candidates.clear();
+    d.candidates.push_back({c[0].port, c[0].vc, c[0].priority - 1});
+    for (std::size_t i = 1; i < c.size(); ++i) d.candidates.push_back(c[i]);
+    d.candidates.push_back(c[0]);
+    const std::size_t total =
+        kMaxCandidates - 12 * static_cast<std::size_t>(ctx.dest % 4);
+    for (std::size_t k = 0; d.candidates.size() < total; ++k) {
+      const RouteCandidate& r = c[k % c.size()];
+      d.candidates.push_back(
+          {r.port, r.vc, r.priority - static_cast<int>(k / c.size() % 2)});
+    }
+    return d;
+  }
+
+ private:
+  std::unique_ptr<RoutingAlgorithm> native_;
+};
+
+/// The scenario's routing algorithm: a registered name, "rule-ft-mesh" (the
+/// ft_mesh rule program on the bare VM), "negative-hop-9" or
+/// "repeats:<registered name>" (RepeatedPairsRouting over it).
+std::unique_ptr<RoutingAlgorithm> scenario_algo(const Scenario& sc,
+                                                const Topology& topo) {
+  if (sc.algo == "rule-ft-mesh")
+    return std::make_unique<RuleDrivenRouting>(
+        ft_mesh_source(topo), 3, rules::ExecMode::Vm, "route", 2);
+  // Nine negative-hop classes: an 8-cube router then has 9 x 9 = 81 input
+  // VCs, and its injection VC (index 72) and the upper VCs of port 7
+  // (64-71) sit past the first 64.
+  if (sc.algo == "negative-hop-9") return std::make_unique<NegativeHop>(9);
+  const std::string repeats = "repeats:";
+  if (sc.algo.starts_with(repeats))
+    return std::make_unique<RepeatedPairsRouting>(
+        make_algorithm(sc.algo.substr(repeats.size())));
+  return make_algorithm(sc.algo);
+}
+
 /// `reference` runs the network in its never-park, never-skip mode.
 RunOutput run_scenario(const Scenario& sc, int shards, int shard_threads,
                        bool reference = false) {
   auto topo = scenario_topo(sc);
-  std::unique_ptr<RoutingAlgorithm> algo;
-  if (sc.algo == "rule-ft-mesh") {
-    algo = std::make_unique<RuleDrivenRouting>(
-        ft_mesh_source(*topo), 3, rules::ExecMode::Vm, "route", 2);
-  } else {
-    algo = make_algorithm(sc.algo);
-  }
+  const std::unique_ptr<RoutingAlgorithm> algo = scenario_algo(sc, *topo);
   NetworkConfig ncfg;
   ncfg.shards = shards;
   ncfg.shard_threads = shard_threads;
@@ -449,6 +515,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
       {"chaos-nafta", 0x6f2896d9e8ebc9ccull},
       {"chaos-dor-mesh", 0x9850b1ab194018aaull},
       {"chaos-midrun", 0x39fb24016d988ad7ull},
+      {"chaos-repeats-nafta", 0x22fae5dbfb62bbcaull},
   };
   return pins;
 }
@@ -653,6 +720,14 @@ TEST(ShardIdentityRouterStats, ChaosDorMeshBitIdentical) {
   expect_shard_identity(chaos_scenario("dor-mesh"), "chaos-dor-mesh");
 }
 
+// Decisions that name (port, VC) pairs more than once, most of them in
+// more entries than a router has input VCs (15): VA must grant what it
+// would grant over the whole list, whatever RC keeps of it.
+TEST(ShardIdentityRouterStats, ChaosRepeatedPairsBitIdentical) {
+  expect_shard_identity(chaos_scenario("repeats:nafta"),
+                        "chaos-repeats-nafta");
+}
+
 TEST(ShardIdentityRouterStats, MidRunStatsBitIdentical) {
   Scenario sc = chaos_scenario("dor-mesh");
   sc.warmup = 520;  // the node died at 450; worms still wait behind it
@@ -687,12 +762,7 @@ LifecycleTargets lifecycle_targets(const Topology& topo) {
 /// also be compared across shard counts.
 std::uint64_t audited_run(const Scenario& sc, int shards, int link_latency) {
   auto topo = scenario_topo(sc);
-  // Nine negative-hop classes: an 8-cube router then has 9 x 9 = 81 input
-  // VCs, and its injection VC (index 72) and the upper VCs of port 7
-  // (64-71) sit past the first 64.
-  std::unique_ptr<RoutingAlgorithm> algo =
-      sc.algo == "negative-hop-9" ? std::make_unique<NegativeHop>(9)
-                                  : make_algorithm(sc.algo);
+  const std::unique_ptr<RoutingAlgorithm> algo = scenario_algo(sc, *topo);
   NetworkConfig ncfg;
   ncfg.shards = shards;
   ncfg.shard_threads = shards;
@@ -850,6 +920,23 @@ TEST(NetworkInvariants, WideRoutersEveryCycleAtEveryShardCount) {
   for (const int shards : {1, 2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EXPECT_EQ(audited_run(sc, shards, 1), 0xc131d2d3b31b435cull);
+  }
+}
+
+// The repeated-pair decisions of ShardIdentityRouterStats's pin through a
+// live lifecycle, audited after every cycle; pinned at 1/2/4/8 shards.
+TEST(NetworkInvariants, RepeatedPairsEveryCycleAtEveryShardCount) {
+  Scenario sc;
+  sc.topo = "mesh8";
+  sc.algo = "repeats:nafta";
+  sc.lifecycle = true;
+  sc.rate = 0.08;
+  sc.warmup = 300;
+  sc.measure = 900;
+  sc.seed = 42;
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(audited_run(sc, shards, 1), 0x0fdabfbb84a986f8ull);
   }
 }
 
