@@ -20,7 +20,9 @@
 //    `active & occupied`;
 //  - per input VC, a 16-byte record (FIFO head and occupancy, committed
 //    output, RC stall, worm share, misroute mark, candidate count);
-//  - per input VC, the RC candidate list, read only by VA;
+//  - per input VC, the RC candidate list, read only by VA: at most one
+//    8-byte entry per (port, VC) pair, so (degree+1) x vcs slots (at most
+//    kMaxCandidates);
 //  - one flit pool holding every input FIFO at its fixed depth;
 //  - per output VC, credits and ownership; per output port, the SA
 //    round-robin pointer; per router, its statistics.
@@ -189,6 +191,10 @@ class RouterArray {
   /// from its VC records: occupied iff flits are buffered, routing iff RC
   /// candidates wait for VA, active iff an output is committed.
   void check_masks(NodeId u) const;
+  /// Throws unless every routing VC of `u` holds 1..min(kMaxCandidates,
+  /// input VCs) candidates with distinct (port, VC) pairs, each port and VC
+  /// in range.
+  void check_candidates(NodeId u) const;
   /// Throws unless router `u` is in a state a quiet step leaves: no idle
   /// head waiting for RC, no routing VC with an RC stall left or with a
   /// grantable candidate (the ejection port, or a usable, unowned output
@@ -212,6 +218,14 @@ class RouterArray {
     /// fault truncates the worm mid-transfer.
     int committed = 0;
   };
+  /// One RC candidate as VA reads it. RC has checked port <= degree_
+  /// (< 64) and vc < vcs_ (<= ChannelTable::kMaxVcs), so a byte holds each.
+  struct Candidate {
+    std::int32_t priority;
+    std::int8_t port;
+    std::int8_t vc;
+  };
+  static_assert(sizeof(Candidate) == 8);
   struct OutputVc {
     int credits = 0;
     /// Flits committed to this output but not yet transmitted — the
@@ -260,6 +274,10 @@ class RouterArray {
   std::size_t at(NodeId u, int idx) const {
     return in_row(u) + static_cast<std::size_t>(idx);
   }
+  /// Input VC `idx` of router `u`'s candidate slots.
+  Candidate* candidate_row(NodeId u, int idx) const {
+    return &candidates_[at(u, idx) * static_cast<std::size_t>(slots_)];
+  }
   OutputVc& ovc(NodeId u, PortId port, VcId vc) {
     return outputs_[static_cast<std::size_t>(u) * out_stride_ +
                     static_cast<std::size_t>(in_index(port, vc))];
@@ -299,6 +317,11 @@ class RouterArray {
   /// refused a request that had a credit.
   int stage_sa_st(NodeId u, Cycle now, SaScratch& sa,
                   std::vector<Flit>& ejected, bool& throttled);
+  /// Fold `c` into the `n` candidates kept at `cands`, at most one per
+  /// (port, VC) pair, such that VA grants what it would grant over the
+  /// whole decision (the argument is at the definition); returns the new
+  /// count.
+  int fold_candidate(Candidate* cands, int n, const RouteCandidate& c) const;
   /// Undo a truncated worm's VA commitment (output ownership + assigned
   /// data); safe to call for VCs that never committed.
   void release_commitment(NodeId u, InputVc& in);
@@ -311,6 +334,7 @@ class RouterArray {
   int vcs_;
   int ninputs_;             // (degree_+1) x vcs_ input VCs per router
   int words_;               // 64-bit words per VC-state mask
+  int slots_;               // candidate slots per input VC
   std::size_t out_stride_;  // degree_ x vcs_ output VCs per router
   std::size_t pool_stride_;  // flit pool slots per router
   std::vector<std::size_t> fifo_base_;  // per input VC: offset in the row
@@ -318,9 +342,10 @@ class RouterArray {
   /// Per router: the occupied, routing and active masks, words_ each.
   std::vector<std::uint64_t> masks_;
   std::vector<InputVc> inputs_;  // per router x input VC
-  /// Per router x input VC x kMaxCandidates. Left uninitialised: only VA
-  /// reads it, and only the num_candidates entries RC wrote.
-  std::unique_ptr<RouteCandidate[]> candidates_;
+  /// Per router x input VC x slots_: the RC decision folded to one entry
+  /// per (port, VC) pair (stage_rc). Left uninitialised: only VA reads it,
+  /// and only the num_candidates entries RC wrote.
+  std::unique_ptr<Candidate[]> candidates_;
   std::vector<Flit> flits_;         // per router: every input FIFO
   std::vector<OutputVc> outputs_;   // per router x output VC
   std::vector<int> sa_last_grant_;  // per router x output port

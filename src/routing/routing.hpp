@@ -19,7 +19,10 @@
 
 namespace flexrouter {
 
-/// Maximum (port, vc) candidates a decision may produce.
+/// Maximum (port, vc) candidates a decision may produce. A decision may name
+/// one pair more than once; a router keeps at most one entry per pair, so
+/// at most min(kMaxCandidates, (degree+1) x vcs) entries per input VC
+/// (RouterArray::stage_rc).
 inline constexpr std::size_t kMaxCandidates = 48;
 
 /// Trivially default-constructible on purpose: RouteDecision embeds 48 of
@@ -27,6 +30,8 @@ inline constexpr std::size_t kMaxCandidates = 48;
 /// tiers) construct/copy RouteDecisions every cycle — an NSDMI here
 /// would zero the whole tail each time. Always aggregate-initialize with all
 /// three fields; the StaticVector never exposes elements past size().
+/// Routers do not store these: RC folds a decision into the router's own
+/// 8-byte records, one per (port, VC) pair.
 struct RouteCandidate {
   PortId port;
   VcId vc;

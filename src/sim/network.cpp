@@ -834,11 +834,12 @@ void Network::check_invariants() const {
     }
   }
 
-  // Credit conservation, per healthy channel and VC; VC ownership and the
-  // VC-state masks.
+  // Credit conservation, per healthy channel and VC; VC ownership, the
+  // VC-state masks and the RC candidate lists.
   const int depth = cfg_.router.buffer_depth;
   for (NodeId u = 0; u < topo_->num_nodes(); ++u) {
     routers_.check_masks(u);
+    routers_.check_candidates(u);
     routers_.check_ownership(u);
     for (PortId p = 0; p < degree; ++p) {
       const std::size_t c = channels_.slot(u, p);

@@ -245,6 +245,8 @@ class Network {
   ///  - VC ownership: an owned output VC has exactly one active input VC
   ///    aimed at it, and it names that VC as its owner;
   ///  - every router's VC-state masks match its VC records;
+  ///  - every routing VC holds 1..min(kMaxCandidates, input VCs) RC
+  ///    candidates, no two naming one (port, VC) pair, all in range;
   ///  - worklists: each shard's pending bits are exactly its nodes with a
   ///    queued injection, and every router holding flits is active or
   ///    parked, never both;
