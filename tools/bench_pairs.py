@@ -18,7 +18,11 @@ more than that bound, and the gain verdict (gain_verdict): "gain" when the
 head won at least nine tenths of the pairs and its median beats the base
 median by more than the base's interquartile spread. Then it prints each
 side's failed share of the operations attempted and its runs whose result
-was wrong (a digest or accounting check failed).
+was wrong (a digest or accounting check failed). Last, per pair and in
+total, whether the base and head runs of a seed printed the same
+`<workload>/digest = <hex>` line: flexbench pins a digest at one seed only,
+so this is what shows that a change kept the results at the others. It is
+a report; the exit status does not depend on it.
 
 Exit status: 0 when no head median is worse than the base median by more
 than its bound and the head fails no larger share of operations and no
@@ -39,8 +43,33 @@ class RunError(Exception):
     pass
 
 
+def parse_digest(lines, workload):
+    """The hex digest a run printed on its `<workload>/digest = <hex>` line,
+    or None when it printed none."""
+    prefix = workload + "/digest = "
+    for line in lines:
+        if line.startswith(prefix):
+            return line[len(prefix):].split()[0]
+    return None
+
+
+def digest_report(seeds, base, head):
+    """Lines saying, per pair and in total, whether the base and head
+    digests (None when missing) match at each pair's seed."""
+    lines, same = [], 0
+    for seed, b, h in zip(seeds, base, head):
+        match = b is not None and b == h
+        same += match
+        lines.append("digest seed %d: base %s head %s %s" %
+                     (seed, b or "missing", h or "missing",
+                      "same" if match else "DIFFERENT"))
+    lines.append("digests: base = head at %d/%d seeds" % (same, len(seeds)))
+    return lines
+
+
 def run_once(checkout, workload, seed, seconds):
-    """One perfbench/run.py pass; returns its result line as a dict."""
+    """One perfbench/run.py pass; returns its result line as a dict and its
+    digest (parse_digest)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
@@ -51,7 +80,7 @@ def run_once(checkout, workload, seed, seconds):
         raise RunError("%s: run.py exited with %d\n%s" %
                        (checkout, proc.returncode, proc.stderr[-2000:]))
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), parse_digest(lines, workload)
     except ValueError as e:
         raise RunError("%s: malformed result line: %s" % (checkout, e))
 
@@ -111,13 +140,15 @@ def main():
 
     sides = {"base": args.base, "head": args.head}
     results = {"base": [], "head": []}
+    digests = {"base": [], "head": []}
     try:
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                res = run_once(sides[side], args.workload, args.seed + i,
-                               args.seconds)
+                res, digest = run_once(sides[side], args.workload,
+                                       args.seed + i, args.seconds)
                 results[side].append(res)
+                digests[side].append(digest)
             last = [results[side][-1]["metrics"]["work_per_s"]["value"]
                     for side in ("base", "head")]
             print("pair %d/%d (seed %d, %s first): work_per_s base %s "
@@ -168,6 +199,9 @@ def main():
     if share["head"] > share["base"] or wrong["head"] > wrong["base"]:
         print("head fails more than base")
         regressed = True
+    seeds = [args.seed + i for i in range(args.pairs)]
+    for line in digest_report(seeds, digests["base"], digests["head"]):
+        print(line)
     return 1 if regressed else 0
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Checks bench_pairs.gain_verdict on canned pair results; runs no
-benchmark.
+"""Checks bench_pairs.gain_verdict and its digest report on canned pair
+results; runs no benchmark.
 
     python3 tools/test_bench_pairs.py
 """
@@ -9,7 +9,8 @@ import sys
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import gain_verdict  # noqa: E402
+from bench_pairs import (digest_report, gain_verdict,  # noqa: E402
+                         parse_digest)
 
 # Ten base runs with quartiles 99.25 / 100.5 / 101.75: an interquartile
 # spread of 2.5 around a median of 100.5.
@@ -65,6 +66,26 @@ class GainVerdict(unittest.TestCase):
         self.assertEqual(gain_verdict(base, head, "higher"), (3, False))
         self.assertEqual(gain_verdict(base, [20, 21, 22, 23], "higher"),
                          (4, True))
+
+
+class Digests(unittest.TestCase):
+    def test_the_digest_line_is_found_among_the_report(self):
+        lines = ["machine: nproc=4",
+                 "cert_k2/digest = 6786f9c5333d3807 (matches the pin)",
+                 "cert_k2/failed_frac = 0 (0 of 9 operations)",
+                 '{"correct": true}']
+        self.assertEqual(parse_digest(lines, "cert_k2"), "6786f9c5333d3807")
+        self.assertIsNone(parse_digest(lines, "chaos16_campaign"))
+
+    def test_each_pair_and_the_total(self):
+        base = ["a1", "b2", "c3", None]
+        head = ["a1", "b9", "c3", None]
+        self.assertEqual(digest_report([1001, 1002, 1003, 1004], base, head), [
+            "digest seed 1001: base a1 head a1 same",
+            "digest seed 1002: base b2 head b9 DIFFERENT",
+            "digest seed 1003: base c3 head c3 same",
+            "digest seed 1004: base missing head missing DIFFERENT",
+            "digests: base = head at 2/4 seeds"])
 
 
 if __name__ == "__main__":
