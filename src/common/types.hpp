@@ -22,6 +22,25 @@ inline constexpr NodeId kInvalidNode = -1;
 inline constexpr PortId kInvalidPort = -1;
 inline constexpr VcId kInvalidVc = -1;
 
+/// One (port, vc) candidate of a routing decision (routing/routing.hpp);
+/// the AOT decision table (ruleengine/aot.hpp) stores and decodes these too.
+/// Trivially default-constructible on purpose: RouteDecision embeds
+/// kMaxCandidates of these in a StaticVector, and per-decision fast paths
+/// (the AOT table tiers) construct/copy RouteDecisions every cycle — an
+/// NSDMI here would zero the whole tail each time. Always
+/// aggregate-initialize with all three fields; the StaticVector never
+/// exposes elements past size().
+/// Routers do not store these: RC folds a decision into the router's own
+/// 8-byte records, one per (port, VC) pair.
+struct RouteCandidate {
+  PortId port;
+  VcId vc;
+  /// Larger = preferred; ties broken by local load (credits) then index.
+  int priority;
+
+  friend bool operator==(const RouteCandidate&, const RouteCandidate&) = default;
+};
+
 /// Compass directions for 2-D topologies. Values double as port indices on
 /// mesh/torus routers (East=0, West=1, North=2, South=3, Local=4).
 enum class Compass : PortId {

@@ -25,22 +25,6 @@ namespace flexrouter {
 /// (RouterArray::stage_rc).
 inline constexpr std::size_t kMaxCandidates = 48;
 
-/// Trivially default-constructible on purpose: RouteDecision embeds 48 of
-/// these in a StaticVector, and per-decision fast paths (the AOT table
-/// tiers) construct/copy RouteDecisions every cycle — an NSDMI here
-/// would zero the whole tail each time. Always aggregate-initialize with all
-/// three fields; the StaticVector never exposes elements past size().
-/// Routers do not store these: RC folds a decision into the router's own
-/// 8-byte records, one per (port, VC) pair.
-struct RouteCandidate {
-  PortId port;
-  VcId vc;
-  /// Larger = preferred; ties broken by local load (credits) then index.
-  int priority;
-
-  friend bool operator==(const RouteCandidate&, const RouteCandidate&) = default;
-};
-
 struct RouteDecision {
   StaticVector<RouteCandidate, kMaxCandidates> candidates;
   /// Rule interpretations this decision consumed (the paper's time-overhead

@@ -12,6 +12,23 @@ namespace flexrouter {
 
 using rules::Value;
 
+namespace {
+
+/// The one store rule of every AOT layout: keep `d` in the entry at `flat`
+/// if it fits (AotTable::set_entry) and modifies no header (none of the
+/// adapter's decisions do today), else mark the point fallback so the VM
+/// serves it. True iff stored.
+bool store_decision(rules::AotTable& t, std::uint64_t flat,
+                    const RouteDecision& d) {
+  if (!d.mark_misrouted &&
+      t.set_entry(flat, d.steps, d.candidates.begin(), d.candidates.size()))
+    return true;
+  t.mark_fallback(flat);
+  return false;
+}
+
+}  // namespace
+
 RuleDrivenRouting::RuleDrivenRouting(std::string program_source, int num_vcs,
                                      rules::ExecMode mode,
                                      std::string route_base, VcId escape_vc)
@@ -222,14 +239,11 @@ void RuleDrivenRouting::fill_direct(Image& im,
                                     const rules::AotTable::Dims& dims) const {
   // Evaluate the decision once per premise point through the very engine
   // the fallback path uses — the table is bit-identical to the VM by
-  // construction. Nearly every entry packs its candidates inline; the
-  // arena only holds the rare oversized sets, so a token reservation
-  // suffices.
-  im.aot.reset(dims, 256);
+  // construction.
+  im.aot.reset(dims);
   RouteContext ctx;
   ctx.path_len = 0;
   ctx.misrouted = false;
-  rules::AotCand buf[kMaxCandidates];
   for (NodeId node = 0; node < dims.nodes; ++node) {
     ctx.node = node;
     ctx.src = node;
@@ -241,15 +255,7 @@ void RuleDrivenRouting::fill_direct(Image& im,
           ctx.in_vc = va - 1;
           const std::uint64_t flat = im.aot.flat_index(node, dest, pa, va);
           try {
-            const RouteDecision d = compute_route(im, ctx);
-            // steps == 0 is the fallback encoding and > 16 bits cannot be
-            // stored; header-modifying decisions (none of the adapter's
-            // today) are not representable either — all stay on the VM.
-            if (d.steps < 1 || d.steps > 0xffff || d.mark_misrouted) continue;
-            for (std::size_t i = 0; i < d.candidates.size(); ++i)
-              buf[i] = {d.candidates[i].port, d.candidates[i].vc,
-                        d.candidates[i].priority};
-            im.aot.set_entry(flat, d.steps, buf, d.candidates.size());
+            store_decision(im.aot, flat, compute_route(im, ctx));
           } catch (const std::exception& e) {
             absorb_fill_throw(im, node, e);
             im.aot.mark_unreachable(flat);
@@ -277,7 +283,7 @@ bool RuleDrivenRouting::fill_compressed(
     }
     // First touch fills it (route_first_touch): no entry is written here,
     // so set-up costs an allocation, not a walk over the premise space.
-    im.aot.reset(dims, 0);
+    im.aot.reset(dims);
     im.touch.resize(static_cast<std::size_t>(n_nodes));
     im.tier_reason = im.classify.reason;
     return true;
@@ -299,11 +305,10 @@ bool RuleDrivenRouting::fill_compressed(
     return false;
   }
 
-  im.aot.reset(dims, 256);
+  im.aot.reset(dims);
   RouteContext ctx;
   ctx.path_len = 0;
   ctx.misrouted = false;
-  rules::AotCand buf[kMaxCandidates];
 
   for (std::int32_t c = 0; c < dims.dests; ++c) {
     // Any (n, n ^ c) pair is a member of class c; classes with no member
@@ -327,12 +332,7 @@ bool RuleDrivenRouting::fill_compressed(
         ctx.src = rep;
         ctx.dest = rep ^ c;
         try {
-          const RouteDecision d = compute_route(im, ctx);
-          if (d.steps < 1 || d.steps > 0xffff || d.mark_misrouted) continue;
-          for (std::size_t i = 0; i < d.candidates.size(); ++i)
-            buf[i] = {d.candidates[i].port, d.candidates[i].vc,
-                      d.candidates[i].priority};
-          im.aot.set_entry(flat, d.steps, buf, d.candidates.size());
+          store_decision(im.aot, flat, compute_route(im, ctx));
         } catch (const std::exception& e) {
           absorb_fill_throw(im, rep, e);
           im.aot.mark_unreachable(flat);
@@ -347,7 +347,7 @@ bool RuleDrivenRouting::fill_compressed(
   // to the VM per decision and are correct by construction. Exhaustive when
   // the uncompressed walk is small (the forced-compression test sizes);
   // sampled member witnesses per row beyond that.
-  std::vector<rules::AotCand> dec_cands;
+  std::vector<RouteCandidate> dec_cands;
   auto matches = [&](NodeId node, NodeId dest, std::int32_t pa,
                      std::int32_t va) {
     int steps = 0;
@@ -360,15 +360,9 @@ bool RuleDrivenRouting::fill_compressed(
     ctx.in_vc = va - 1;
     try {
       const RouteDecision d = compute_route(im, ctx);
-      if (d.steps != steps || d.mark_misrouted ||
-          d.candidates.size() != dec_cands.size())
-        return false;
-      for (std::size_t i = 0; i < dec_cands.size(); ++i)
-        if (d.candidates[i].port != dec_cands[i].port ||
-            d.candidates[i].vc != dec_cands[i].vc ||
-            d.candidates[i].priority != dec_cands[i].priority)
-          return false;
-      return true;
+      return d.steps == steps && !d.mark_misrouted &&
+             std::equal(d.candidates.begin(), d.candidates.end(),
+                        dec_cands.begin(), dec_cands.end());
     } catch (const std::exception& e) {
       absorb_fill_throw(im, node, e);
       return false;  // a member throws where the row stored a decision
@@ -412,22 +406,14 @@ void RuleDrivenRouting::route_first_touch(const RouteContext& ctx,
   d = compute_route(im, ctx);
   if (first) {
     // The read-set gate: a decision that read a dest-bound input holds
-    // for this dest only, not for its whole sign class. The inline-only
-    // store keeps the shared arena untouched (race-free, allocation-free).
-    rules::AotCand buf[kMaxCandidates];
-    for (std::size_t i = 0; i < d.candidates.size(); ++i)
-      buf[i] = {d.candidates[i].port, d.candidates[i].vc,
-                d.candidates[i].priority};
+    // for this dest only, not for its whole sign class. A store writes
+    // only this node's entry (race-free, allocation-free).
     const DecisionSlot& slot = im.slots[static_cast<std::size_t>(ctx.node)];
     if ((slot.reads & rules::kDestBoundReads) != 0) {
       im.aot.mark_dest_bound(flat);
-    } else if (!d.mark_misrouted &&
-               im.aot.set_inline_entry(flat, d.steps, buf,
-                                       d.candidates.size())) {
+    } else if (store_decision(im.aot, flat, d)) {
       ++tc.fills;
       return;
-    } else {
-      im.aot.mark_fallback(flat);  // class-determined, but not encodable
     }
   }
   ++tc.vm_served;
@@ -490,7 +476,6 @@ void RuleDrivenRouting::refresh_aot_view() const {
   if (!im.aot.empty()) {
     const rules::AotTable& t = im.aot;
     aot_view_.entries = t.entries_raw();
-    aot_view_.arena = t.arena_raw();
     aot_view_.nodes = t.dims().nodes;
     aot_view_.dests = t.dims().dests;
     aot_view_.ports = t.dims().ports;

@@ -26,7 +26,11 @@
 //    points (node, dest, in_port, in_vc) through the VM into one decision
 //    table — the software analogue of the paper's RBR-kernel lookup.
 //    route() becomes a strided load plus a candidate copy, bit-identical to
-//    the VM by construction (the table stores what the VM answered). Tier
+//    the VM by construction (the table stores what the VM answered). Every
+//    layout keeps one fixed-width entry per point and one store rule: a
+//    decision that fits the entry (rules::AotEntry::kInlineCands packable
+//    candidates, steps in 1..0xffff, no header modification) is stored,
+//    any other leaves the point marked fallback and served by the VM. Tier
 //    selection walks a ladder at fill time:
 //      1. direct   — a flat LUT over the full premise space, when it fits
 //                    the entry budget.
@@ -44,10 +48,10 @@
 //                      runs the VM and stores the decision in the class
 //                      entry only when the decision's read set (the inputs
 //                      it actually read) holds no input the host model
-//                      marks dest-bound (rules::kDestBoundReads) and the
-//                      entry encoding can hold it. Otherwise the entry is
-//                      marked dest-bound (the read set) or fallback (the
-//                      encoding) and served by the VM from then on.
+//                      marks dest-bound (rules::kDestBoundReads) and it
+//                      fits the entry. Otherwise the entry is marked
+//                      dest-bound (the read set) or fallback (the store
+//                      rule) and served by the VM from then on.
 //                      Every write is node-scoped, hence race-free under
 //                      sharded stepping, and set-up touches no entry.
 //      3. VM       — programs the soundness gate rejects, and tabulable
@@ -303,7 +307,6 @@ class RuleDrivenRouting final : public RoutingAlgorithm {
   /// machine() poke. Refreshed at every point img_ or its table changes.
   struct AotView {
     const rules::AotEntry* entries = nullptr;
-    const rules::AotCand* arena = nullptr;
     std::int32_t nodes = 0;
     std::int32_t dests = 0;
     std::int32_t ports = 0;
@@ -461,26 +464,13 @@ inline RouteDecision RuleDrivenRouting::route(const RouteContext& ctx) const {
       // unreachable — the VM reproduces the throw), or a first-touch entry
       // holding no decision yet.
       if (e.steps != 0) {
-        if (e.count & rules::AotEntry::kArenaFlag) {
-          // Oversized / unpackable candidate set: overflow arena.
-          const std::uint32_t n =
-              e.count & (rules::AotEntry::kArenaFlag - 1u);
-          const rules::AotCand* c = av.arena + e.first;
-          RouteCandidate* dst = d.candidates.resize_for_overwrite(n);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            dst[i].port = c[i].port;
-            dst[i].vc = c[i].vc;
-            dst[i].priority = c[i].priority;
-          }
-        } else {
-          // Unpack every inline slot unconditionally — branch-free; slots
-          // past `count` land in the container's unspecified tail.
-          RouteCandidate* dst = d.candidates.resize_for_overwrite(e.count);
-          for (std::uint32_t i = 0; i < rules::AotEntry::kInlineCands; ++i) {
-            dst[i].port = e.inl[i].port;
-            dst[i].vc = e.inl[i].vc;
-            dst[i].priority = e.inl[i].priority;
-          }
+        // Unpack every slot unconditionally — branch-free; slots past
+        // `count` land in the container's unspecified tail.
+        RouteCandidate* dst = d.candidates.resize_for_overwrite(e.count);
+        for (std::uint32_t i = 0; i < rules::AotEntry::kInlineCands; ++i) {
+          dst[i].port = e.inl[i].port;
+          dst[i].vc = e.inl[i].vc;
+          dst[i].priority = e.inl[i].priority;
         }
         d.steps = e.steps;
         if (av.touch != nullptr) ++av.touch[ctx.node].hits;

@@ -79,7 +79,7 @@ struct TableReport {
                                   // leaves to the VM
   std::uint64_t unreachable = 0;  // points no packet can present
   std::uint64_t fallback = 0;     // presentable points left to the VM
-  std::uint64_t bytes = 0;        // entries + arena footprint
+  std::uint64_t bytes = 0;        // table footprint (entries x 16)
   double fallback_fraction = 1.0;
 };
 

@@ -5,7 +5,7 @@
 
 namespace flexrouter::rules {
 
-void AotTable::reset(const Dims& d, std::size_t expected_cands) {
+void AotTable::reset(const Dims& d) {
   FR_REQUIRE(d.nodes > 0 && d.dests > 0 && d.ports > 0 && d.vcs > 0);
   dims_ = d;
   dest_stride_ = static_cast<std::uint64_t>(d.ports) *
@@ -20,13 +20,11 @@ void AotTable::reset(const Dims& d, std::size_t expected_cands) {
     size_ = 0;
     throw std::bad_alloc();
   }
-  arena_.clear();
-  arena_.reserve(expected_cands);
 }
 
 namespace {
 
-bool packable(const AotCand& c) {
+bool packable(const RouteCandidate& c) {
   return c.port >= std::numeric_limits<std::int8_t>::min() &&
          c.port <= std::numeric_limits<std::int8_t>::max() &&
          c.vc >= std::numeric_limits<std::int8_t>::min() &&
@@ -37,22 +35,8 @@ bool packable(const AotCand& c) {
 
 }  // namespace
 
-void AotTable::set_entry(std::uint64_t flat, int steps, const AotCand* cands,
-                         std::size_t n) {
-  if (set_inline_entry(flat, steps, cands, n)) return;
-  FR_REQUIRE_MSG(steps >= 1, "a resolved AOT entry needs steps >= 1");
-  FR_REQUIRE(steps <= std::numeric_limits<std::uint16_t>::max());
-  FR_REQUIRE(n < AotEntry::kArenaFlag);
-  FR_REQUIRE(arena_.size() <= std::numeric_limits<std::uint32_t>::max());
-  AotEntry& e = entries_[static_cast<std::size_t>(flat)];
-  e.first = static_cast<std::uint32_t>(arena_.size());
-  e.count = static_cast<std::uint16_t>(n) | AotEntry::kArenaFlag;
-  arena_.insert(arena_.end(), cands, cands + n);
-  e.steps = static_cast<std::uint16_t>(steps);
-}
-
-bool AotTable::set_inline_entry(std::uint64_t flat, int steps,
-                                const AotCand* cands, std::size_t n) {
+bool AotTable::set_entry(std::uint64_t flat, int steps,
+                         const RouteCandidate* cands, std::size_t n) {
   FR_REQUIRE(flat < size_);
   AotEntry& e = entries_[static_cast<std::size_t>(flat)];
   FR_REQUIRE_MSG(e.steps == 0 && e.count == 0,
@@ -80,20 +64,14 @@ void AotTable::mark(std::uint64_t flat, std::uint16_t sentinel) {
 }
 
 bool AotTable::decode(std::uint64_t flat, int& steps,
-                      std::vector<AotCand>& cands) const {
+                      std::vector<RouteCandidate>& cands) const {
   FR_REQUIRE(flat < size_);
   const AotEntry& e = entries_[static_cast<std::size_t>(flat)];
   cands.clear();
   if (e.steps == 0) return false;
   steps = e.steps;
-  if (e.count & AotEntry::kArenaFlag) {
-    const std::uint32_t n = e.count & (AotEntry::kArenaFlag - 1u);
-    cands.insert(cands.end(), arena_.begin() + e.first,
-                 arena_.begin() + e.first + n);
-  } else {
-    for (std::uint32_t i = 0; i < e.count; ++i)
-      cands.push_back({e.inl[i].port, e.inl[i].vc, e.inl[i].priority});
-  }
+  for (std::uint32_t i = 0; i < e.count; ++i)
+    cands.push_back({e.inl[i].port, e.inl[i].vc, e.inl[i].priority});
   return true;
 }
 
@@ -110,8 +88,7 @@ AotTable::Stats AotTable::stats() const {
       ++s.dest_bound;
   }
   s.fallback = s.entries - s.resolved - s.unreachable - s.dest_bound;
-  s.arena_candidates = arena_.size();
-  s.bytes = s.entries * sizeof(AotEntry) + s.arena_candidates * sizeof(AotCand);
+  s.bytes = s.entries * sizeof(AotEntry);
   return s;
 }
 

@@ -7,14 +7,16 @@
 // once through the VM and store the result. The sign-class tier allocates
 // the table all-zero (its pages are not touched until a decision lands
 // there) and stores each class's decision from the miss path. Either way
-// the table is a flat direct-LUT of 16-byte AotEntry records over
-// precomputed strides, candidates packed inline in the entry (oversized
-// sets of the eager tiers overflow to a shared arena). A table lookup is
-// branchless up to the fallback test — no bytecode dispatch, no hashing, no
-// allocation, and for inline entries no second memory dependency. Premise
-// points outside the table (or whole programs the soundness analysis
-// rejects) keep going through the VM; the entry encoding (steps == 0) makes
-// the fallback test a single compare.
+// the table is a flat direct-LUT of fixed-width 16-byte AotEntry records
+// over precomputed strides, and every layout follows one store rule: a
+// decision is stored only if it fits the entry (at most kInlineCands
+// packable candidates, steps in 1..0xffff, no header modification);
+// otherwise the point is marked fallback and the VM serves it. A table
+// lookup is therefore branchless up to the fallback test — one load, no
+// bytecode dispatch, no hashing, no allocation, no second memory
+// dependency. Premise points outside the table (or whole programs the
+// soundness analysis rejects) keep going through the VM; the entry
+// encoding (steps == 0) makes the fallback test a single compare.
 //
 // The table is rebuilt from scratch whenever its inputs can have changed
 // (fault epoch / program swap); the host tags it with the epoch it was
@@ -27,9 +29,34 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "ruleengine/rule_table.hpp"
+#include "common/types.hpp"
 
 namespace flexrouter::rules {
+
+/// One candidate packed for storage inside an AotEntry (4 bytes). Ports and
+/// VCs are single-digit in every supported topology and rule priorities are
+/// small constants; a decision with a candidate that does not fit is left
+/// to the VM.
+struct AotPackedCand {
+  std::int8_t port = 0;
+  std::int8_t vc = 0;
+  std::int16_t priority = 0;
+};
+
+/// One AOT decision-table entry (16 bytes, POD) — the one entry format of
+/// every layout. `steps == 0` marks a premise point the table does not
+/// serve: the host falls back to the VM there (a real decision always
+/// reports steps >= 1), and `count` may then carry a sentinel saying why.
+/// A stored decision's candidates live inside the entry itself, so it is
+/// served by the one cache line the entry load already touched.
+struct AotEntry {
+  static constexpr std::uint32_t kInlineCands = 3;
+
+  AotPackedCand inl[kInlineCands];  // candidates [0, count)
+  std::uint16_t count = 0;          // candidate count, or a steps==0 sentinel
+  std::uint16_t steps = 0;          // decision cost in rule interpretations
+};
+static_assert(sizeof(AotEntry) == 16);
 
 /// Flat direct-LUT over (node, dest, port-axis, vc-axis) premise points.
 /// Axis conventions are the host's: the port axis collapses in_port = -1
@@ -63,12 +90,11 @@ class AotTable {
     /// read a dest-bound input, so it holds for that dest, not its class.
     std::uint64_t dest_bound = 0;
     /// Presentable entries left to the VM: the decision does not fit the
-    /// encoding (mark_misrouted, steps out of range, or — on the sign-class
-    /// tier — candidates that do not pack inline), or, on a first-touch
-    /// table, no decision has reached the entry yet.
+    /// entry (mark_misrouted, steps out of range, or candidates that do not
+    /// pack into it), or, on a first-touch table, no decision has reached
+    /// the entry yet.
     std::uint64_t fallback = 0;
-    std::uint64_t arena_candidates = 0; // AotCand records in the arena
-    std::uint64_t bytes = 0;            // entries + arena footprint
+    std::uint64_t bytes = 0;  // entries x sizeof(AotEntry)
 
     /// Fraction of presentable premise points the table cannot serve
     /// (dest-bound entries are served by the VM by design, not left) —
@@ -88,8 +114,8 @@ class AotTable {
   /// Sentinel in AotEntry::count (with steps == 0): a sign-class entry the
   /// read-set gate refused to store, so every decision there runs the VM.
   static constexpr std::uint16_t kDestBoundCount = 0xfffe;
-  /// Sentinel in AotEntry::count (with steps == 0): a sign-class entry whose
-  /// decision the encoding cannot hold; VM-served, counted as fallback.
+  /// Sentinel in AotEntry::count (with steps == 0): an entry whose decision
+  /// does not fit the entry; VM-served, counted as fallback.
   static constexpr std::uint16_t kFallbackCount = 0xfffd;
 
   AotTable() = default;
@@ -102,23 +128,15 @@ class AotTable {
 
   /// Drop any previous contents and allocate `d.entry_count()` unresolved
   /// entries. The entries come from calloc, so the pages of an all-zero
-  /// table stay untouched until an entry is written. `expected_cands`
-  /// presizes the arena (one reallocation-free build when the estimate
-  /// holds; growing during build is correct too — the arena is only
-  /// indexed, never pointed into, until the build ends).
-  void reset(const Dims& d, std::size_t expected_cands);
+  /// table stay untouched until an entry is written.
+  void reset(const Dims& d);
 
-  /// Store the decision for one premise point. Candidates that do not pack
-  /// inline are appended to the arena; `steps` must be >= 1 (0 is the
-  /// fallback encoding).
-  void set_entry(std::uint64_t flat, int steps, const AotCand* cands,
+  /// Store the decision for one premise point if it fits the entry: at most
+  /// kInlineCands candidates, each packable, and steps in 1..0xffff (0 is
+  /// the fallback encoding). False leaves the entry untouched. Writes only
+  /// the entry, so distinct entries can be stored concurrently.
+  bool set_entry(std::uint64_t flat, int steps, const RouteCandidate* cands,
                  std::size_t n);
-
-  /// Store the decision only if it packs inline (and steps fits the
-  /// encoding); false leaves the entry untouched. Never touches the arena,
-  /// so distinct entries can be stored concurrently.
-  bool set_inline_entry(std::uint64_t flat, int steps, const AotCand* cands,
-                        std::size_t n);
 
   /// Record a premise point the engine threw on. Runtime-wise identical to
   /// an ordinary fallback (steps stays 0); only the accounting differs.
@@ -127,8 +145,7 @@ class AotTable {
   /// Record a sign-class entry the read-set gate refused (kDestBoundCount).
   void mark_dest_bound(std::uint64_t flat) { mark(flat, kDestBoundCount); }
 
-  /// Record a sign-class entry whose decision does not fit the encoding
-  /// (kFallbackCount).
+  /// Record an entry whose decision does not fit the entry (kFallbackCount).
   void mark_fallback(std::uint64_t flat) { mark(flat, kFallbackCount); }
 
   /// Drop the table (host bypass after external state mutation); the next
@@ -136,7 +153,6 @@ class AotTable {
   void clear() {
     entries_.reset();
     size_ = 0;
-    arena_.clear();
   }
 
   bool empty() const { return size_ == 0; }
@@ -157,13 +173,12 @@ class AotTable {
   // Raw views for the host's fast path (no bounds checks — the host proves
   // the premise point in-range before indexing).
   const AotEntry* entries_raw() const { return entries_.get(); }
-  const AotCand* arena_raw() const { return arena_.data(); }
 
   /// Decode one entry into (steps, candidates); false when the entry is
   /// unresolved (fallback, unreachable or dest-bound). For fill-time
-  /// validation of the xor-fold layout — the hot path unpacks inline.
+  /// validation of the xor-fold layout — the hot path unpacks in place.
   bool decode(std::uint64_t flat, int& steps,
-              std::vector<AotCand>& cands) const;
+              std::vector<RouteCandidate>& cands) const;
 
   Stats stats() const;
 
@@ -178,7 +193,6 @@ class AotTable {
   };
   std::unique_ptr<AotEntry[], FreeEntries> entries_;
   std::size_t size_ = 0;
-  std::vector<AotCand> arena_;
 };
 
 }  // namespace flexrouter::rules

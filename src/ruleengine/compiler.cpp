@@ -199,11 +199,6 @@ std::uint64_t CompiledRuleBase::flat_index(
   return idx;
 }
 
-int CompiledRuleBase::entry_at(std::uint64_t flat) const {
-  FR_REQUIRE(flat < entries_);
-  return table_[static_cast<std::size_t>(flat)];
-}
-
 FireResult CompiledRuleBase::fire(Interpreter& interp, RuleEnv& env,
                                   const std::vector<Value>& args) const {
   FR_REQUIRE(args.size() == source_->params.size());

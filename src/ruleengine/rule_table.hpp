@@ -97,12 +97,6 @@ class CompiledRuleBase {
   FireResult fire(Interpreter& interp, RuleEnv& env,
                   const std::vector<Value>& args) const;
 
-  /// Table entry (selected source rule index; -1 = no rule applies) at a
-  /// flat index. For tests. Entries keep the exact rule so diagnostics
-  /// match the interpreter even when several rules share one conclusion
-  /// (the conclusion dedupe only drives the width accounting).
-  int entry_at(std::uint64_t flat_index) const;
-
   std::string describe(const SymTable& syms) const;
 
  private:
@@ -122,52 +116,6 @@ class CompiledRuleBase {
   FcfbInventory premise_fcfbs_;
   FcfbInventory conclusion_fcfbs_;
 };
-
-// --- AOT decision-table entry format (ruleengine/aot.hpp) -------------------
-//
-// Where CompiledRuleBase tabulates one rule base over its *feature* axes,
-// the AOT table tabulates a whole decision — the route() cascade — over the
-// host's *premise* axes (node, dest, in_port, in_vc). Entries index one
-// shared preallocated candidate arena; the fast path is a strided load plus
-// a candidate copy, with no dispatch and no allocation.
-
-/// One precompiled route candidate in the AOT overflow arena (12 bytes, POD).
-struct AotCand {
-  std::int32_t port = -1;
-  std::int32_t vc = -1;
-  std::int32_t priority = 0;
-};
-
-/// One candidate packed for inline storage inside an AotEntry (4 bytes).
-/// Ports and VCs are single-digit in every supported topology and rule
-/// priorities are small constants; anything that does not fit goes to the
-/// overflow arena instead (see AotEntry::kArenaFlag).
-struct AotPackedCand {
-  std::int8_t port = 0;
-  std::int8_t vc = 0;
-  std::int16_t priority = 0;
-};
-
-/// One AOT decision-table entry (16 bytes, POD). `steps == 0` marks a
-/// premise point the compiler left unresolved — the host falls back to the
-/// VM there (a real decision always reports steps >= 1). Up to kInlineCands
-/// candidates live inside the entry itself, so the common decision is served
-/// by the one cache line the entry load already touched; larger or
-/// unpackable candidate sets overflow to the shared arena, flagged in
-/// `count`.
-struct AotEntry {
-  static constexpr std::uint32_t kInlineCands = 3;
-  /// Set in `count` when the candidates live in the arena at `first`.
-  static constexpr std::uint16_t kArenaFlag = 0x8000;
-
-  union {
-    std::uint32_t first = 0;          // arena offset (count & kArenaFlag)
-    AotPackedCand inl[kInlineCands];  // candidates (count <= kInlineCands)
-  };
-  std::uint16_t count = 0;  // candidate count, possibly | kArenaFlag
-  std::uint16_t steps = 0;  // decision cost in rule interpretations; 0 = VM
-};
-static_assert(sizeof(AotEntry) == 16);
 
 /// Compile `rb` of `prog`. `interp` supplies constant folding; it must be an
 /// interpreter over the same program.

@@ -31,8 +31,10 @@
 //    the interpreter never builds a table, a sign-class hit replays the
 //    stored decision, a fault epoch never replays a stale one, and a
 //    register poke through machine() is seen by the very next decision. A
-//    parameter that shadows an input keeps the offset-sign classifier off,
-//    and a decision the sign-class entry cannot encode counts as fallback.
+//    parameter that shadows an input keeps the offset-sign classifier off.
+//  * The store rule: on the direct, sign-class and xor-fold layouts alike,
+//    a decision wider than an entry is left to the VM, counted as fallback,
+//    and route() still equals the VM at every premise point.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -965,41 +967,103 @@ TEST(AotSignClassTier, ParameterShadowingAnInputBlocksTheClassifier) {
   lockstep_premise_space(m, vm, vm, forced, 1);
 }
 
-// The sign-class table stores only what its inline encoding holds. A
-// class-determined decision it cannot encode (here four candidates, one
-// more than an entry packs) is VM-served and counted as fallback — not as
-// dest-bound, which is reserved for decisions that read a dest-bound input
-// — so the rulelint --emit-table gate sees it.
-TEST(AotSignClassTier, UnencodableDecisionCountsAsFallbackNotDestBound) {
-  static const char* kSource =
-      "PROGRAM wide;\n"
-      "INPUT xpos IN 0 TO 5\n"
-      "INPUT xdes IN 0 TO 5\n"
-      "ON route\n"
-      "  IF xpos < xdes THEN !cand(0, 0, 0), !cand(1, 0, 1), "
-      "!cand(2, 0, 2), !cand(3, 0, 3);\n"
-      "  IF xpos >= xdes THEN !cand(1, 0, 0);\n"
-      "END route;\n";
-  Mesh m = Mesh::two_d(6, 6);
-  FaultSet f(m);
-  RuleDrivenRouting vm(kSource, 1, ExecMode::Vm);
-  RuleDrivenRouting table(kSource, 1, ExecMode::Aot);
-  table.set_aot_budget(36 * 9 * 6 * 2);
-  vm.attach(m, f);
-  table.attach(m, f);
-  ASSERT_EQ(table.aot_tier_info().classifier,
-            rules::DestClassifier::OffsetSign2D)
-      << table.aot_tier_info().reason;
+// ------------------------------------------------------------ store rule
+// Every layout stores a decision only if it fits the entry; a wider one is
+// left to the VM and counted as fallback (not as dest-bound, which is
+// reserved for decisions that read a dest-bound input), so the rulelint
+// --emit-table gate sees it. Both programs below emit four candidates, one
+// more than an entry packs, at some points and one elsewhere.
+const char* const kWideMeshSource =
+    "PROGRAM wide;\n"
+    "INPUT xpos IN 0 TO 5\n"
+    "INPUT xdes IN 0 TO 5\n"
+    "ON route\n"
+    "  IF xpos < xdes THEN !cand(0, 0, 0), !cand(1, 0, 1), "
+    "!cand(2, 0, 2), !cand(3, 0, 3);\n"
+    "  IF xpos >= xdes THEN !cand(1, 0, 0);\n"
+    "END route;\n";
+const char* const kWideCubeSource =
+    "PROGRAM wide_cube;\n"
+    "INPUT node IN 0 TO 15\n"
+    "INPUT dest IN 0 TO 15\n"
+    "ON route\n"
+    "  IF node = dest THEN !cand(4, 0, 0);\n"
+    "  IF bit(xor(node, dest), 0) = 1 THEN !cand(0, 0, 0), !cand(1, 0, 1), "
+    "!cand(2, 0, 2), !cand(3, 0, 3);\n"
+    "  IF bit(xor(node, dest), 0) = 0 THEN !cand(1, 0, 0);\n"
+    "END route;\n";
 
-  table.touch_every_sign_class();
-  table.touch_every_sign_class();  // a second walk records nothing new
+/// Build `source` on `topo` with `budget` (0 = the default), check the
+/// layout, then require route() to equal the VM at every premise point and
+/// the table to count exactly `wide_points` fallback entries.
+void expect_wide_points_fall_back(const Topology& topo, const char* source,
+                                  std::uint64_t budget,
+                                  RuleDrivenRouting::AotTier tier,
+                                  rules::DestClassifier classifier,
+                                  std::uint64_t wide_points) {
+  FaultSet f(topo);
+  RuleDrivenRouting vm(source, 1, ExecMode::Vm);
+  RuleDrivenRouting table(source, 1, ExecMode::Aot);
+  if (budget != 0) table.set_aot_budget(budget);
+  vm.attach(topo, f);
+  table.attach(topo, f);
+  const RuleDrivenRouting::AotTierInfo ti = table.aot_tier_info();
+  ASSERT_EQ(ti.tier, tier) << ti.reason;
+  ASSERT_EQ(ti.classifier, classifier) << ti.reason;
+  ASSERT_TRUE(table.aot_active());
+  if (classifier == rules::DestClassifier::OffsetSign2D) {
+    table.touch_every_sign_class();
+    table.touch_every_sign_class();  // a second walk records nothing new
+  }
   const rules::AotTable::Stats st = table.aot_stats();
   EXPECT_EQ(st.dest_bound, 0u);
+  EXPECT_EQ(st.fallback, wide_points);
   EXPECT_GT(st.resolved, 0u);
-  EXPECT_GT(st.fallback, 0u);
-  EXPECT_GT(st.fallback_fraction(), 0.0);
   EXPECT_EQ(st.resolved + st.fallback + st.unreachable, st.entries);
-  lockstep_premise_space(m, vm, vm, table, 1);
+  EXPECT_EQ(st.bytes, st.entries * sizeof(rules::AotEntry));
+  lockstep_premise_space(topo, vm, vm, table, 1);
+  EXPECT_TRUE(table.aot_active());
+}
+
+// Port and VC axis extents of a 1-VC program: in_port -1..degree, in_vc
+// -1..0.
+std::uint64_t premise_ports_x_vcs(const Topology& topo) {
+  return static_cast<std::uint64_t>(topo.degree() + 2) * 2;
+}
+
+TEST(AotStoreRule, WideDecisionFallsBackOnTheDirectLayout) {
+  const Mesh m = Mesh::two_d(6, 6);
+  std::uint64_t wide = 0;  // (node, dest) pairs with xpos < xdes
+  for (NodeId n = 0; n < m.num_nodes(); ++n)
+    for (NodeId d = 0; d < m.num_nodes(); ++d)
+      wide += m.x_of(n) < m.x_of(d) ? 1 : 0;
+  expect_wide_points_fall_back(m, kWideMeshSource, 0,
+                               RuleDrivenRouting::AotTier::Direct,
+                               rules::DestClassifier::None,
+                               wide * premise_ports_x_vcs(m));
+}
+
+TEST(AotStoreRule, WideDecisionFallsBackOnTheSignClassLayout) {
+  const Mesh m = Mesh::two_d(6, 6);
+  std::uint64_t wide = 0;  // on-mesh classes with a positive x offset
+  for (NodeId n = 0; n < m.num_nodes(); ++n)
+    for (int dy = -1; dy <= 1; ++dy)
+      wide += m.x_of(n) < 5 && m.y_of(n) + dy >= 0 && m.y_of(n) + dy < 6
+                  ? 1
+                  : 0;
+  expect_wide_points_fall_back(
+      m, kWideMeshSource, 36 * 9 * premise_ports_x_vcs(m),
+      RuleDrivenRouting::AotTier::Compressed,
+      rules::DestClassifier::OffsetSign2D, wide * premise_ports_x_vcs(m));
+}
+
+TEST(AotStoreRule, WideDecisionFallsBackOnTheXorFoldLayout) {
+  const Hypercube cube(4);
+  // Xor classes with bit 0 set: 8 of 16.
+  expect_wide_points_fall_back(
+      cube, kWideCubeSource, 16 * premise_ports_x_vcs(cube),
+      RuleDrivenRouting::AotTier::Compressed, rules::DestClassifier::XorFold,
+      8 * premise_ports_x_vcs(cube));
 }
 
 TEST(AotSignClassTier, HitReplaysTheSameDecision) {

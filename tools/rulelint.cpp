@@ -17,9 +17,10 @@
 // fraction). A first-touch sign-class table is walked through route() at
 // every presentable class representative first; its entries the read-set
 // gate leaves to the VM are reported as dest-bound, apart from fallback
-// (decisions the table cannot encode). The gate fails unless
-// every program reaches a non-VM tier that leaves zero presentable premise
-// points to the VM fallback.
+// (decisions that do not fit the table's one 16-byte entry format). The
+// gate fails unless every program reaches a non-VM tier that leaves zero
+// presentable premise points to the VM fallback — so it also asserts that
+// every shipped decision fits one entry.
 //
 // --faults <k> runs the exhaustive bounded-fault certifier: every fault set
 // of up to k link/node faults (plus the correlated regimes: a router with
