@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -41,15 +40,11 @@ void StreamingStats::merge(const StreamingStats& other) {
   count_ += other.count_;
 }
 
-void StreamingStats::reset() { *this = StreamingStats{}; }
-
 double StreamingStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double StreamingStats::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
 double StreamingStats::min() const {
   FR_REQUIRE_MSG(count_ > 0, "min() of empty stats");
@@ -59,16 +54,6 @@ double StreamingStats::min() const {
 double StreamingStats::max() const {
   FR_REQUIRE_MSG(count_ > 0, "max() of empty stats");
   return max_;
-}
-
-std::string StreamingStats::summary() const {
-  std::ostringstream os;
-  os << "n=" << count_;
-  if (count_ > 0) {
-    os << " mean=" << mean() << " sd=" << stddev() << " min=" << min_
-       << " max=" << max_;
-  }
-  return os.str();
 }
 
 Histogram::Histogram(double lo, double hi, int bins, bool keep_samples)

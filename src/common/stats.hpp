@@ -12,18 +12,14 @@ class StreamingStats {
  public:
   void add(double x);
   void merge(const StreamingStats& other);
-  void reset();
 
   std::int64_t count() const { return count_; }
   double mean() const;
   /// Unbiased sample variance; 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const { return sum_; }
-
-  std::string summary() const;
 
  private:
   std::int64_t count_ = 0;

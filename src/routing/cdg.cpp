@@ -83,11 +83,6 @@ int ChannelDepGraph::channel_id(const Channel& c) {
   return id;
 }
 
-int ChannelDepGraph::find_channel(const Channel& c) const {
-  if (c.node < 0 || c.port < 0 || c.vc < 0) return -1;  // never interned
-  return index_.find(key(c));
-}
-
 void ChannelDepGraph::add_edge(int from, int to) {
   FR_REQUIRE(from >= 0 && from < num_channels());
   FR_REQUIRE(to >= 0 && to < num_channels());

@@ -49,8 +49,6 @@ class ChannelDepGraph {
  public:
   /// Intern `c`, returning its dense id (stable across calls).
   int channel_id(const Channel& c);
-  /// The id of `c` if interned, -1 otherwise.
-  int find_channel(const Channel& c) const;
   void add_edge(int from, int to);
   void add_edge(const Channel& from, const Channel& to) {
     add_edge(channel_id(from), channel_id(to));

@@ -81,11 +81,6 @@ FireResult EventManager::fire(int rb_index, const std::vector<Value>& args) {
   return r;
 }
 
-int EventManager::base_index(const std::string& rule_base) const {
-  const RuleBase* rb = prog_->find_rule_base(rule_base);
-  return rb ? static_cast<int>(rb - prog_->rule_bases.data()) : -1;
-}
-
 void EventManager::post(const std::string& event, std::vector<Value> args) {
   queue_.push_back({event, std::move(args)});
 }

@@ -71,11 +71,8 @@ class EventManager {
   /// Fire one rule base synchronously (one rule interpretation). Emitted
   /// events are queued for drain().
   FireResult fire(const std::string& rule_base, const std::vector<Value>& args);
-  /// Same, by rule-base index (see base_index) — skips the name lookup.
+  /// Same, by index in Program::rule_bases — skips the name lookup.
   FireResult fire(int rb_index, const std::vector<Value>& args);
-
-  /// Index of a rule base in Program::rule_bases, or -1 if absent.
-  int base_index(const std::string& rule_base) const;
 
   /// Queue an event for asynchronous processing.
   void post(const std::string& event, std::vector<Value> args);

@@ -20,13 +20,6 @@ const SetValue& want_set(const Value& v, int line, const char* what) {
 
 }  // namespace
 
-FireResult Vm::fire(const std::string& rule_base,
-                    const std::vector<Value>& args) {
-  const RuleBase* rb = prog_->find_rule_base(rule_base);
-  FR_REQUIRE_MSG(rb != nullptr, "unknown rule base '" + rule_base + "'");
-  return fire(static_cast<int>(rb - prog_->rule_bases.data()), args);
-}
-
 Vm::RunResult Vm::fire_core(int rb_index, const std::vector<Value>& args,
                             HostSinkFn sink, void* sink_ctx) {
   // A previous fire may have thrown mid-run; start from a clean slate. The
@@ -60,11 +53,6 @@ FireResult Vm::fire(int rb_index, const std::vector<Value>& args) {
   out.events.assign(pool_.begin(),
                     pool_.begin() + static_cast<std::ptrdiff_t>(pool_used_));
   return out;
-}
-
-std::optional<Value> Vm::fire_fast(int rb_index,
-                                   const std::vector<Value>& args) {
-  return std::move(fire_core(rb_index, args, nullptr, nullptr).returned);
 }
 
 std::optional<Value> Vm::fire_fast(int rb_index, const std::vector<Value>& args,

@@ -42,22 +42,15 @@ class Vm {
   }
 
   FireResult fire(int rb_index, const std::vector<Value>& args);
-  FireResult fire(const std::string& rule_base, const std::vector<Value>& args);
 
-  /// Decision-path firing: identical semantics to fire(), but emitted
-  /// events stay in an internal pool — read them through event_count()/
-  /// event() before the next fire, which recycles the pool. The steady
-  /// state allocates nothing.
-  std::optional<Value> fire_fast(int rb_index, const std::vector<Value>& args);
-  /// Sinked variant: top-level emissions are delivered to `sink` as they
-  /// happen instead of being pooled — nothing is materialized. Candidate
-  /// handling observes them mid-run rather than post-commit, which is
-  /// indistinguishable for pure consumers (a throwing fire abandons the
-  /// decision either way).
+  /// Decision-path firing: identical semantics to fire(), but top-level
+  /// emissions are delivered to `sink` as they happen instead of being
+  /// returned — nothing is materialized, and the steady state allocates
+  /// nothing. Candidate handling observes them mid-run rather than
+  /// post-commit, which is indistinguishable for pure consumers (a throwing
+  /// fire abandons the decision either way).
   std::optional<Value> fire_fast(int rb_index, const std::vector<Value>& args,
                                  HostSinkFn sink, void* sink_ctx);
-  std::size_t event_count() const { return pool_used_; }
-  const EmittedEvent& event(std::size_t i) const { return pool_[i]; }
 
   const BytecodeProgram& bytecode() const { return *bc_; }
 

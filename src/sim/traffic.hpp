@@ -13,7 +13,6 @@ namespace flexrouter {
 class TrafficPattern {
  public:
   virtual ~TrafficPattern() = default;
-  virtual std::string name() const = 0;
   /// Destination for a packet sourced at `src`. May return src or a faulty
   /// node; the injector redraws/skips per fault assumption iii.
   virtual NodeId dest(NodeId src, Rng& rng) const = 0;
@@ -23,7 +22,6 @@ class TrafficPattern {
 class UniformTraffic final : public TrafficPattern {
  public:
   explicit UniformTraffic(const Topology& topo) : topo_(&topo) {}
-  std::string name() const override { return "uniform"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:
@@ -34,7 +32,6 @@ class UniformTraffic final : public TrafficPattern {
 class BitComplementTraffic final : public TrafficPattern {
  public:
   explicit BitComplementTraffic(const Topology& topo) : topo_(&topo) {}
-  std::string name() const override { return "bitcomp"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:
@@ -45,7 +42,6 @@ class BitComplementTraffic final : public TrafficPattern {
 class TransposeTraffic final : public TrafficPattern {
  public:
   explicit TransposeTraffic(const Topology& topo);
-  std::string name() const override { return "transpose"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:
@@ -57,7 +53,6 @@ class TransposeTraffic final : public TrafficPattern {
 class TornadoTraffic final : public TrafficPattern {
  public:
   explicit TornadoTraffic(const Topology& topo);
-  std::string name() const override { return "tornado"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:
@@ -68,7 +63,6 @@ class TornadoTraffic final : public TrafficPattern {
 class HotspotTraffic final : public TrafficPattern {
  public:
   HotspotTraffic(const Topology& topo, NodeId hot, double fraction);
-  std::string name() const override { return "hotspot"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:
@@ -82,7 +76,6 @@ class HotspotTraffic final : public TrafficPattern {
 class PermutationTraffic final : public TrafficPattern {
  public:
   PermutationTraffic(const Topology& topo, std::uint64_t seed);
-  std::string name() const override { return "permutation"; }
   NodeId dest(NodeId src, Rng& rng) const override;
 
  private:

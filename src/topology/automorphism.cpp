@@ -75,12 +75,6 @@ bool make_automorphism(const Topology& topo, std::vector<NodeId> node_map,
 
 }  // namespace
 
-bool Automorphism::is_identity() const {
-  for (std::size_t i = 0; i < node_map.size(); ++i)
-    if (node_map[i] != static_cast<NodeId>(i)) return false;
-  return true;
-}
-
 Automorphism identity_automorphism(const Topology& topo) {
   Automorphism a;
   a.node_map.resize(static_cast<std::size_t>(topo.num_nodes()));

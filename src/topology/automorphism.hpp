@@ -38,7 +38,6 @@ struct Automorphism {
   LinkRef map_link(const LinkRef& l, PortId degree) const {
     return {map_node(l.node), map_port(l.node, l.port, degree)};
   }
-  bool is_identity() const;
 };
 
 Automorphism identity_automorphism(const Topology& topo);

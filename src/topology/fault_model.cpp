@@ -69,15 +69,6 @@ void FaultSet::repair_node(NodeId node) {
   }
 }
 
-void FaultSet::clear() {
-  std::fill(node_faulty_.begin(), node_faulty_.end(), 0);
-  faulty_links_.clear();
-  degraded_links_.clear();
-  num_node_faults_ = 0;
-  ++epoch_;
-  rebuild_usable();
-}
-
 void FaultSet::degrade_link(NodeId node, PortId port, int factor) {
   FR_REQUIRE_MSG(factor >= 1, "degradation factor must be >= 1");
   // No epoch bump, no usable_ rebuild: a degraded link is still usable, so

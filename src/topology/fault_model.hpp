@@ -41,7 +41,6 @@ class FaultSet {
   /// repair regime.
   void repair_link(NodeId node, PortId port);
   void repair_node(NodeId node);
-  void clear();
 
   /// Fail-slow dimension, orthogonal to dead/alive: the bidirectional link
   /// at (node, port) carries at most one flit per `factor` cycles
