@@ -531,8 +531,7 @@ void Simulator::process_losses(SimResult& result) {
     const PacketId root = rec.retry_of >= 0 ? rec.retry_of : id;
     const bool meas = is_measured(root);
     if (meas) ++result.packets_lost;
-    if (!cfg_.retransmit ||
-        net_->record(root).retries >= cfg_.max_retries) {
+    if (net_->record(root).retries >= cfg_.max_retries) {
       finalize_unrecoverable(meas, result);
     } else {
       retry_queue_.push_back(id);

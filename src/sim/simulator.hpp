@@ -76,9 +76,9 @@ struct SimConfig {
   /// opening the quiescent diagnosis phase (detection latency; the paper's
   /// Information Units report faults, the control plane reacts here).
   Cycle detection_delay = 0;
-  /// Source-side abort-and-retransmit of lost packets, with a bounded
-  /// per-packet retry budget; beyond it the packet counts unrecoverable.
-  bool retransmit = true;
+  /// Source-side abort-and-retransmit of lost packets: the per-packet retry
+  /// budget, beyond which the packet counts unrecoverable (0 abandons
+  /// every lost packet at once).
   int max_retries = 3;
   /// Upgrade the deadlock watchdog from "suspect and give up" to
   /// structured recovery: dump the blocked worm chain, kill the victim
