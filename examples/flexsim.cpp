@@ -45,8 +45,8 @@
 //                comma list: throttle the link to 1/factor bandwidth;
 //                factor >= 2)
 //   fault_regime = fail_stop | repair | flap | failslow | storm
-//                                              (one seeded chaos pattern in
-//                                               the campaign's vocabulary;
+//                                              (one seeded chaos campaign
+//                                               pattern, chaos_schedule;
 //                                               conflicts with fault_at)
 //   detection_delay = 0                        (cycles before diagnosis)
 //   max_retries     = 3                        (abort-and-retransmit budget)
@@ -94,6 +94,7 @@
 #include "routing/rule_driven.hpp"
 #include "rulebases/corpus.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/fault_schedule.hpp"
 #include "sim/sweep.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/torus.hpp"
@@ -204,59 +205,14 @@ void parse_failslow(FaultSchedule& schedule, const std::string& spec) {
   }
 }
 
-/// `fault_regime = ...`: one seeded pattern from the chaos campaign's
-/// vocabulary, sized to this run's warmup/measure window.
-FaultSchedule build_regime_schedule(const std::string& regime,
-                                    const Topology& topo, Cycle warmup,
-                                    Cycle measure, std::uint64_t seed) {
-  FaultSchedule s;
-  SplitMix64 sm(seed ^ 0xc4a05ULL);
-  const std::vector<LinkRef> links = topo.undirected_links();
-  const LinkRef l =
-      links[sm.next_below(static_cast<std::uint64_t>(links.size()))];
-  const Cycle t1 = warmup + measure / 4;
-  if (regime == "fail_stop") {
-    s.fail_link_at(t1, l.node, l.port);
-  } else if (regime == "repair") {
-    s.fail_link_at(t1, l.node, l.port);
-    s.repair_link_at(warmup + (3 * measure) / 4, l.node, l.port);
-  } else if (regime == "flap") {
-    s.add_flapping_link(l.node, l.port, t1, warmup + measure,
-                        static_cast<double>(measure) / 10,
-                        static_cast<double>(measure) / 5, sm.next());
-  } else if (regime == "failslow") {
-    s.degrade_link_at(t1, l.node, l.port, 8);
-  } else if (regime == "storm") {
-    if (const auto* cube = dynamic_cast<const Hypercube*>(&topo)) {
-      const auto all =
-          (std::uint64_t{1} << static_cast<unsigned>(cube->dimension())) - 1;
-      const std::uint64_t free_bit =
-          std::uint64_t{1}
-          << sm.next_below(static_cast<std::uint64_t>(cube->dimension()));
-      const std::uint64_t mask = all ^ free_bit;
-      s.add_subcube_storm(topo, t1, mask, sm.next() & mask);
-    } else {
-      int rx = 0, ry = 0;
-      if (const auto* mesh = dynamic_cast<const Mesh*>(&topo)) {
-        rx = mesh->radix(0);
-        ry = mesh->radix(1);
-      } else if (const auto* tor = dynamic_cast<const Torus*>(&topo)) {
-        rx = tor->radix(0);
-        ry = tor->radix(1);
-      }
-      const int x =
-          static_cast<int>(sm.next_below(static_cast<std::uint64_t>(rx - 1)));
-      const int y =
-          static_cast<int>(sm.next_below(static_cast<std::uint64_t>(ry)));
-      s.add_region_storm(topo, t1, {x, y}, {x + 1, y});
-    }
-  } else {
-    throw std::invalid_argument(
-        "fault_regime must be fail_stop, repair, flap, failslow or storm "
-        "(got '" +
-        regime + "')");
-  }
-  return s;
+/// `fault_regime = ...`: the chaos campaign regime of that name.
+FaultRegime parse_fault_regime(const std::string& name) {
+  for (const FaultRegime r : kFaultRegimes)
+    if (name == fault_regime_name(r)) return r;
+  throw std::invalid_argument(
+      "fault_regime must be fail_stop, repair, flap, failslow or storm "
+      "(got '" +
+      name + "')");
 }
 
 bool rule_driven_name(const std::string& aname) {
@@ -442,8 +398,11 @@ int main(int argc, char** argv) try {
       throw std::invalid_argument(
           "fault_regime generates its own schedule and conflicts with "
           "fault_at — pick one");
-    schedule = build_regime_schedule(regime, *topo, base.warmup_cycles,
-                                     base.measure_cycles, seed);
+    // The campaign's own pattern builder; a window too short for its
+    // draws fails its contracts, which the handler below reports as a
+    // config error.
+    schedule = chaos_schedule(parse_fault_regime(regime), *topo,
+                              base.warmup_cycles, base.measure_cycles, seed);
   }
   const Cycle repair_after = cfg.get_int("repair_after", 0);
   if (repair_after < 0)
