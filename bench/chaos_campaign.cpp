@@ -33,8 +33,7 @@
 
 #include "bench_util.hpp"
 #include "routing/nafta.hpp"
-#include "topology/hypercube.hpp"
-#include "topology/torus.hpp"
+#include "sim/scenario.hpp"
 
 namespace {
 
@@ -45,37 +44,28 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Each algorithm runs on its native topology (16 nodes everywhere so the
-/// regimes are comparable): hypercube algorithms on the 4-cube, the torus
-/// router on a 4x4 torus, everything else on a 4x4 mesh.
-std::unique_ptr<Topology> make_topology(const std::string& algo) {
-  if (algo == "ecube" || algo == "route_c" || algo == "route_c_nft")
-    return std::make_unique<Hypercube>(4);
-  if (algo == "dor-torus")
-    return std::make_unique<Torus>(std::vector<int>{4, 4});
-  return std::make_unique<Mesh>(std::vector<int>{4, 4});
-}
-
+/// One replica: the algorithm on its native 16-node fabric (the 4-cube or
+/// a 4x4 mesh or torus, so the regimes are comparable) at 0.06 load under
+/// one seeded fault pattern of the regime.
 SimResult run_point(const std::string& algo_name, FaultRegime reg,
                     Cycle warmup, Cycle measure, std::uint64_t seed) {
-  const std::unique_ptr<Topology> topo = make_topology(algo_name);
-  const std::unique_ptr<RoutingAlgorithm> algo = make_algorithm(algo_name);
-  UniformTraffic tr(*topo);
-  Network net(*topo, *algo);
-  SimConfig cfg;
-  cfg.injection_rate = 0.06;
-  cfg.packet_length = 4;
-  cfg.warmup_cycles = warmup;
-  cfg.measure_cycles = measure;
+  Scenario sc;
+  sc.topology = native_topology_kind(algo_name);
+  sc.size = sc.topology == TopologyKind::Hypercube ? std::vector<int>{4}
+                                                   : std::vector<int>{4, 4};
+  sc.algorithm = algo_name;
+  sc.rates = {0.06};
+  sc.seed = seed;
+  sc.fault_regime = reg;
+  sc.sim.warmup_cycles = warmup;
+  sc.sim.measure_cycles = measure;
   // Campaign tuning: a tight watchdog window lets structured recovery kill
   // wedged worms quickly (non-fault-tolerant algorithms produce many under
   // storms), and a generous drain budget fits all those kill rounds.
-  cfg.watchdog_window = 150;
-  cfg.drain_limit = 200000;
-  cfg.seed = seed;
-  Simulator sim(net, tr, cfg);
-  sim.set_fault_schedule(chaos_schedule(reg, *topo, warmup, measure, seed));
-  return sim.run();
+  sc.sim.watchdog_window = 150;
+  sc.sim.drain_limit = 200000;
+  const std::unique_ptr<Topology> topo = sc.make_topology();
+  return run_replica(sc, *topo, 0, seed).result;
 }
 
 /// Per-(algorithm x regime) aggregate. Every accumulation walks the sweep

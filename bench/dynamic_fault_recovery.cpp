@@ -32,7 +32,7 @@
 
 #include "bench_util.hpp"
 #include "routing/nafta.hpp"
-#include "topology/hypercube.hpp"
+#include "sim/scenario.hpp"
 
 namespace {
 
@@ -48,39 +48,24 @@ const char* scenario_name(int s) {
   return s == 0 ? "nafta / 8x8 mesh" : "route_c / 4-cube";
 }
 
-/// One replica of scenario `s`: build topology + algorithm, arm a single
-/// link kill halfway through the measurement window, run the lifecycle.
+/// One replica of scenario `s`: a single link kill halfway through the
+/// measurement window, east of (3, 3) on the mesh, node 5's dimension-0
+/// link on the cube.
 SimResult run_recovery_point(int s, double rate, Cycle warmup, Cycle measure,
                              std::uint64_t seed) {
-  std::unique_ptr<Topology> topo;
-  std::unique_ptr<RoutingAlgorithm> algo;
-  NodeId kill_node = kInvalidNode;
-  PortId kill_port = kInvalidPort;
-  if (s == 0) {
-    auto m = std::make_unique<Mesh>(std::vector<int>{8, 8});
-    kill_node = m->at(3, 3);
-    kill_port = port_of(Compass::East);
-    topo = std::move(m);
-    algo = make_algorithm("nafta");
-  } else {
-    topo = std::make_unique<Hypercube>(4);
-    kill_node = 5;
-    kill_port = 0;
-    algo = make_algorithm("route_c");
-  }
-  UniformTraffic tr(*topo);
-  Network net(*topo, *algo);
-  SimConfig cfg;
-  cfg.injection_rate = rate;
-  cfg.packet_length = 4;
-  cfg.warmup_cycles = warmup;
-  cfg.measure_cycles = measure;
-  cfg.seed = seed;
-  FaultSchedule schedule;
-  schedule.fail_link_at(warmup + measure / 2, kill_node, kill_port);
-  Simulator sim(net, tr, cfg);
-  sim.set_fault_schedule(schedule);
-  return sim.run();
+  Scenario sc;
+  sc.algorithm = s == 0 ? "nafta" : "route_c";
+  sc.topology = native_topology_kind(sc.algorithm);
+  sc.size = s == 0 ? std::vector<int>{8, 8} : std::vector<int>{4};
+  sc.rates = {rate};
+  sc.seed = seed;
+  sc.sim.warmup_cycles = warmup;
+  sc.sim.measure_cycles = measure;
+  const std::unique_ptr<Topology> topo = sc.make_topology();
+  const auto* mesh = dynamic_cast<const Mesh*>(topo.get());
+  sc.faults.fail_link_at(warmup + measure / 2, mesh ? mesh->at(3, 3) : 5,
+                         mesh ? port_of(Compass::East) : 0);
+  return run_replica(sc, *topo, 0, seed).result;
 }
 
 /// Zero-allocation steady state across a live kill: drive a replica by

@@ -30,9 +30,7 @@
 
 #include "bench_util.hpp"
 #include "routing/nafta.hpp"
-#include "routing/rule_driven.hpp"
-#include "rulebases/corpus.hpp"
-#include "topology/hypercube.hpp"
+#include "sim/scenario.hpp"
 
 namespace {
 
@@ -80,30 +78,24 @@ SimResult run_single(int link_faults, Cycle warmup, Cycle measure,
 
 // ------------------------------------------------------------ large fabrics
 
-/// A 4096-node scenario stepped at several shard counts. `topo` is
-/// "mesh64" (64x64 mesh) or "hcube12" (12-d hypercube); `algo` is a
-/// factory name.
+/// A 4096-node scenario stepped at several shard counts: `algo` on its
+/// native topology kind of `size` (64x64 mesh, 12-d hypercube).
 struct FabricScenario {
   const char* name;
-  const char* topo;
+  std::vector<int> size;
   const char* algo;
   double rate;
   Cycle warmup;
   Cycle measure;
 };
 
-std::unique_ptr<Topology> make_fabric_topo(const std::string& kind) {
-  if (kind == "mesh64") return std::make_unique<Mesh>(std::vector<int>{64, 64});
-  return std::make_unique<Hypercube>(12);
-}
-
 /// One timed run of a fabric scenario at `shards` spatial shards. Timing
 /// covers only Simulator::run — topology construction and table building
 /// are setup, not throughput.
 SimResult run_fabric(const FabricScenario& sc, int shards, Cycle* cycles_out,
                      double* wall_out) {
-  auto topo = make_fabric_topo(sc.topo);
-  auto algo = make_algorithm(sc.algo);
+  auto topo = make_topology(native_topology_kind(sc.algo), sc.size);
+  auto algo = build_algorithm(sc.algo, *topo);
   UniformTraffic tr(*topo);
   NetworkConfig ncfg;
   ncfg.shards = shards;
@@ -162,19 +154,13 @@ bool run_alloc_guard(int link_faults, int shards, bool aot_rules = false) {
   // pre-resolved decision table: an AOT hit must be as heap-free in the
   // steady state as a native decision (the table is filled during attach/
   // reconfigure, never per decision).
-  std::unique_ptr<RoutingAlgorithm> rule_algo;
-  if (aot_rules)
-    rule_algo = std::make_unique<RuleDrivenRouting>(
-        rulebases::ft_mesh_route_source(8, 8), 3, rules::ExecMode::Aot,
-        "route", /*escape_vc=*/2);
-  Nafta nafta;
-  RoutingAlgorithm& algo = aot_rules ? *rule_algo
-                                     : static_cast<RoutingAlgorithm&>(nafta);
+  const std::unique_ptr<RoutingAlgorithm> algo =
+      build_algorithm(aot_rules ? "ft-mesh-rules" : "nafta", m);
   UniformTraffic tr(m);
   NetworkConfig ncfg;
   ncfg.expected_packets = 16384;
   ncfg.shards = shards;
-  Network net(m, algo, ncfg);
+  Network net(m, *algo, ncfg);
   if (link_faults > 0) {
     Rng frng(99);
     net.apply_faults(
@@ -300,9 +286,9 @@ int main(int argc, char** argv) {
 
   // --- 3. large fabrics at 1/2/4/8 shards --------------------------------
   const FabricScenario fabrics[] = {
-      {"mesh64_nafta", "mesh64", "nafta", 0.05, smoke ? Cycle{20} : Cycle{200},
-       smoke ? Cycle{80} : Cycle{600}},
-      {"hcube12_route_c", "hcube12", "route_c", 0.02,
+      {"mesh64_nafta", {64, 64}, "nafta", 0.05,
+       smoke ? Cycle{20} : Cycle{200}, smoke ? Cycle{80} : Cycle{600}},
+      {"hcube12_route_c", {12}, "route_c", 0.02,
        smoke ? Cycle{20} : Cycle{100}, smoke ? Cycle{60} : Cycle{300}},
   };
   struct ShardRow {

@@ -90,9 +90,12 @@ class RoutingAlgorithm {
   virtual int path_len_class(int path_len) const { return path_len % 2; }
 };
 
-/// Factory over all built-in algorithms: "dor-mesh", "ecube", "nara",
-/// "nafta", "route_c", "route_c_nft", "updown", "spanning-tree".
-/// The returned algorithm is not yet attached.
+/// Factory over the eleven native algorithms that need no sizing:
+/// "dor-mesh", "dor-torus", "ecube", "nara", "nafta", "route_c",
+/// "route_c_nft", "updown", "spanning-tree", "planar-adaptive",
+/// "planar-adaptive-ft". The returned algorithm is not yet attached.
+/// Defined in sim/scenario.cpp beside the other name tables; its
+/// build_algorithm also builds negative-hop and the *-rules programs.
 std::unique_ptr<RoutingAlgorithm> make_algorithm(const std::string& name);
 
 /// Names accepted by make_algorithm.

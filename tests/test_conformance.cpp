@@ -6,61 +6,38 @@
 // the Duato-style ones). One parameterized test covers the whole matrix.
 #include <gtest/gtest.h>
 
-#include "routing/dor_torus.hpp"
 #include "routing/cdg.hpp"
-#include "routing/negative_hop.hpp"
-#include "routing/rule_driven.hpp"
-#include "rulebases/corpus.hpp"
 #include "sim/fault_injector.hpp"
-#include "sim/simulator.hpp"
-#include "topology/hypercube.hpp"
-#include "topology/torus.hpp"
+#include "sim/scenario.hpp"
 
 namespace flexrouter {
 namespace {
 
 struct Case {
-  std::string topo;    // "mesh", "hypercube", "torus", "mesh3d"
-  std::string algo;    // factory name or special
+  TopologyKind topo;
+  std::vector<int> size;  // radices, or {dimension} of a hypercube
+  std::string algo;       // any name build_algorithm takes
   int link_faults;
   int node_faults;
   bool fault_tolerant;  // whether this combination must tolerate faults
 
   std::string label() const {
-    std::string l = algo + "_" + topo + "_f" +
-                    std::to_string(link_faults + node_faults);
+    // ft-mesh-rules on the ARON tables kept its older label.
+    std::string l = (algo == "ft-mesh-rules" ? "rule-ft-mesh" : algo) + "_" +
+                    topology_kind_name(topo) + (size.size() == 3 ? "3d" : "") +
+                    "_f" + std::to_string(link_faults + node_faults);
     for (char& c : l)
       if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
     return l;
   }
 };
 
-std::unique_ptr<Topology> make_topo(const std::string& name) {
-  if (name == "mesh") return std::make_unique<Mesh>(std::vector<int>{6, 6});
-  if (name == "mesh3d")
-    return std::make_unique<Mesh>(std::vector<int>{3, 3, 3});
-  if (name == "hypercube") return std::make_unique<Hypercube>(4);
-  if (name == "torus") return std::make_unique<Torus>(std::vector<int>{6, 6});
-  FR_UNREACHABLE("bad topo");
-}
-
-std::unique_ptr<RoutingAlgorithm> make_algo(const std::string& name,
-                                            const Topology& topo) {
-  if (name == "negative-hop")
-    return std::make_unique<NegativeHop>(NegativeHop::vcs_needed_for(topo));
-  if (name == "rule-ft-mesh")
-    return std::make_unique<RuleDrivenRouting>(
-        rulebases::ft_mesh_route_source(6, 6), 3, rules::ExecMode::Table,
-        "route", 2);
-  return make_algorithm(name);
-}
-
 class Conformance : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Conformance, DeliversAndStaysDeadlockFree) {
   const Case& c = GetParam();
-  auto topo = make_topo(c.topo);
-  auto algo = make_algo(c.algo, *topo);
+  auto topo = make_topology(c.topo, c.size);
+  auto algo = build_algorithm(c.algo, *topo, rules::ExecMode::Table);
   Network net(*topo, *algo);
 
   if (c.link_faults > 0 || c.node_faults > 0) {
@@ -97,27 +74,30 @@ TEST_P(Conformance, DeliversAndStaysDeadlockFree) {
 }
 
 std::vector<Case> conformance_matrix() {
+  constexpr TopologyKind mesh = TopologyKind::Mesh;
+  constexpr TopologyKind cube = TopologyKind::Hypercube;
+  const std::vector<int> six = {6, 6}, three_d = {3, 3, 3}, four_d = {4};
   std::vector<Case> cases;
   // Fault-free only (non-fault-tolerant algorithms).
   for (const char* a : {"dor-mesh", "nara", "planar-adaptive"})
-    cases.push_back({"mesh", a, 0, 0, false});
-  cases.push_back({"hypercube", "ecube", 0, 0, false});
-  cases.push_back({"hypercube", "route_c_nft", 0, 0, false});
-  cases.push_back({"torus", "dor-torus", 0, 0, false});
-  cases.push_back({"mesh3d", "planar-adaptive", 0, 0, false});
+    cases.push_back({mesh, six, a, 0, 0, false});
+  cases.push_back({cube, four_d, "ecube", 0, 0, false});
+  cases.push_back({cube, four_d, "route_c_nft", 0, 0, false});
+  cases.push_back({TopologyKind::Torus, six, "dor-torus", 0, 0, false});
+  cases.push_back({mesh, three_d, "planar-adaptive", 0, 0, false});
   // Fault-tolerant algorithms: 0 / few / many faults.
   for (const char* a :
-       {"nafta", "updown", "spanning-tree", "negative-hop", "rule-ft-mesh",
+       {"nafta", "updown", "spanning-tree", "negative-hop", "ft-mesh-rules",
         "planar-adaptive-ft"}) {
-    cases.push_back({"mesh", a, 0, 0, true});
-    cases.push_back({"mesh", a, 4, 0, true});
-    cases.push_back({"mesh", a, 8, 1, true});
+    cases.push_back({mesh, six, a, 0, 0, true});
+    cases.push_back({mesh, six, a, 4, 0, true});
+    cases.push_back({mesh, six, a, 8, 1, true});
   }
-  cases.push_back({"hypercube", "route_c", 0, 0, true});
-  cases.push_back({"hypercube", "route_c", 2, 1, true});
-  cases.push_back({"hypercube", "route_c", 4, 2, true});
-  cases.push_back({"hypercube", "updown", 3, 1, true});
-  cases.push_back({"mesh3d", "planar-adaptive-ft", 6, 1, true});
+  cases.push_back({cube, four_d, "route_c", 0, 0, true});
+  cases.push_back({cube, four_d, "route_c", 2, 1, true});
+  cases.push_back({cube, four_d, "route_c", 4, 2, true});
+  cases.push_back({cube, four_d, "updown", 3, 1, true});
+  cases.push_back({mesh, three_d, "planar-adaptive-ft", 6, 1, true});
   return cases;
 }
 

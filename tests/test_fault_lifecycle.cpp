@@ -8,6 +8,7 @@
 
 #include "routing/nafta.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "topology/graph_algo.hpp"
@@ -292,14 +293,15 @@ TEST(FaultLifecycle, ReconfigureClearsEpochStalenessForEveryAlgorithm) {
     NodeId kill_node = kInvalidNode;
     PortId kill_port = kInvalidPort;
     NodeId src = kInvalidNode, dest = kInvalidNode;
-    if (name == "ecube" || name == "route_c" || name == "route_c_nft") {
+    const TopologyKind kind = native_topology_kind(name);
+    if (kind == TopologyKind::Hypercube) {
       auto h = std::make_unique<Hypercube>(4);
       kill_node = 0;
       kill_port = 0;  // link 0 <-> 1
       src = 4;
       dest = 12;  // single hop in dimension 3, far from the dead link
       topo = std::move(h);
-    } else if (name == "dor-torus") {
+    } else if (kind == TopologyKind::Torus) {
       auto t = std::make_unique<Torus>(std::vector<int>{4, 4});
       kill_node = 0;
       kill_port = port_of(Compass::East);

@@ -25,9 +25,8 @@
 
 #include "routing/negative_hop.hpp"
 #include "routing/routing.hpp"
-#include "routing/rule_driven.hpp"
-#include "rulebases/corpus.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 #include "sim/simulator.hpp"
 #include "topology/hypercube.hpp"
@@ -145,8 +144,9 @@ TEST(ShardPlan, NetworkRejectsBadShardConfigOnEveryPath) {
 
 // ------------------------------------------------------- identity harness
 
-struct Scenario {
-  std::string topo = "mesh";  // "mesh", "hypercube", "torus"
+struct ShardScenario {
+  TopologyKind topo = TopologyKind::Mesh;
+  std::vector<int> size = {6, 6};  // radices, or {dimension} of a hypercube
   std::string algo = "nafta";
   int static_link_faults = 0;
   int static_node_faults = 0;
@@ -157,14 +157,14 @@ struct Scenario {
   Cycle detection_delay = 0;
   std::uint64_t seed = 12;
   Cycle drain_limit = 50000;
-  /// Live rule swap (rule-ft-mesh only): a self-swap under `swap_policy`
+  /// Live rule swap (ft-mesh-rules only): a self-swap under `swap_policy`
   /// at `swap_at`; none when swap_at < 0.
   Cycle swap_at = -1;
   Simulator::RuleSwapPolicy swap_policy = Simulator::RuleSwapPolicy::Auto;
   /// Arm the structured watchdog; after run(), kill a link and a node live
   /// under the still-loaded network and quiesce() it (mesh only).
   bool quiesce_wedged = false;
-  /// The chaos campaign's fault mix on a 4x4 mesh ("mesh4") under its
+  /// The chaos campaign's fault mix on a 4x4 mesh under its
   /// 150-cycle watchdog: a fail-slow link (restored later), a flapping link
   /// and a live node kill. Worms wedge behind the damage and their routers
   /// sit through long runs of steps that change nothing but the VA retry
@@ -214,26 +214,6 @@ std::vector<std::int64_t> stats_fields(const RouterStats& s) {
   return {s.flits_forwarded,  s.flits_ejected,  s.flits_dropped,
           s.packets_routed,   s.decision_steps, s.rc_no_candidates,
           s.va_retries,       s.header_updates};
-}
-
-std::unique_ptr<Topology> scenario_topo(const Scenario& sc) {
-  if (sc.topo == "mesh") return std::make_unique<Mesh>(std::vector<int>{6, 6});
-  if (sc.topo == "mesh4") return std::make_unique<Mesh>(std::vector<int>{4, 4});
-  if (sc.topo == "mesh8") return std::make_unique<Mesh>(std::vector<int>{8, 8});
-  if (sc.topo == "hypercube") return std::make_unique<Hypercube>(4);
-  if (sc.topo == "hypercube8") return std::make_unique<Hypercube>(8);
-  if (sc.topo == "torus")
-    return std::make_unique<Torus>(std::vector<int>{6, 6});
-  if (sc.topo == "torus4")
-    return std::make_unique<Torus>(std::vector<int>{4, 4});
-  FR_UNREACHABLE("bad scenario topology");
-}
-
-/// The ft_mesh rule program sized to the scenario's mesh.
-std::string ft_mesh_source(const Topology& topo) {
-  const auto* m = dynamic_cast<const Mesh*>(&topo);
-  FR_ASSERT(m != nullptr);
-  return rulebases::ft_mesh_route_source(m->radix(0), m->radix(1));
 }
 
 /// A native algorithm whose every decision names some (port, VC) pairs more
@@ -289,14 +269,11 @@ class RepeatedPairsRouting : public RoutingAlgorithm {
   std::unique_ptr<RoutingAlgorithm> native_;
 };
 
-/// The scenario's routing algorithm: a registered name, "rule-ft-mesh" (the
-/// ft_mesh rule program on the bare VM), "negative-hop-9" or
-/// "repeats:<registered name>" (RepeatedPairsRouting over it).
-std::unique_ptr<RoutingAlgorithm> scenario_algo(const Scenario& sc,
+/// The scenario's routing algorithm: any name build_algorithm takes (rule
+/// programs on the bare VM), "negative-hop-9" or "repeats:<native name>"
+/// (RepeatedPairsRouting over it).
+std::unique_ptr<RoutingAlgorithm> scenario_algo(const ShardScenario& sc,
                                                 const Topology& topo) {
-  if (sc.algo == "rule-ft-mesh")
-    return std::make_unique<RuleDrivenRouting>(
-        ft_mesh_source(topo), 3, rules::ExecMode::Vm, "route", 2);
   // Nine negative-hop classes: an 8-cube router then has 9 x 9 = 81 input
   // VCs, and its injection VC (index 72) and the upper VCs of port 7
   // (64-71) sit past the first 64.
@@ -305,13 +282,13 @@ std::unique_ptr<RoutingAlgorithm> scenario_algo(const Scenario& sc,
   if (sc.algo.starts_with(repeats))
     return std::make_unique<RepeatedPairsRouting>(
         make_algorithm(sc.algo.substr(repeats.size())));
-  return make_algorithm(sc.algo);
+  return build_algorithm(sc.algo, topo, rules::ExecMode::Vm);
 }
 
 /// `reference` runs the network in its never-park, never-skip mode.
-RunOutput run_scenario(const Scenario& sc, int shards, int shard_threads,
+RunOutput run_scenario(const ShardScenario& sc, int shards, int shard_threads,
                        bool reference = false) {
-  auto topo = scenario_topo(sc);
+  auto topo = make_topology(sc.topo, sc.size);
   const std::unique_ptr<RoutingAlgorithm> algo = scenario_algo(sc, *topo);
   NetworkConfig ncfg;
   ncfg.shards = shards;
@@ -342,7 +319,8 @@ RunOutput run_scenario(const Scenario& sc, int shards, int shard_threads,
   cfg.watchdog_window = sc.watchdog_window;
   Simulator sim(net, traffic, cfg);
   if (sc.swap_at >= 0)
-    sim.schedule_rule_swap(sc.swap_at, ft_mesh_source(*topo), sc.swap_policy);
+    sim.schedule_rule_swap(sc.swap_at, rule_program_source(sc.algo, *topo),
+                           sc.swap_policy);
   if (sc.regime)
     sim.set_fault_schedule(
         chaos_schedule(*sc.regime, *topo, sc.warmup, sc.measure, sc.seed));
@@ -524,7 +502,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
 /// must never matter — and under TSan this is the data-race certification
 /// for the parallel phase), each checked against the pinned digest and,
 /// for a readable diff, field by field against the one-shard run.
-void expect_shard_identity(const Scenario& sc, const std::string& pin) {
+void expect_shard_identity(const ShardScenario& sc, const std::string& pin) {
   const auto it = pinned_digests().find(pin);
   ASSERT_NE(it, pinned_digests().end()) << "no pinned digest for " << pin;
   const RunOutput base = run_scenario(sc, 1, 4);
@@ -532,8 +510,8 @@ void expect_shard_identity(const Scenario& sc, const std::string& pin) {
     const RunOutput got =
         shards == 1 ? base : run_scenario(sc, shards, 4);
     const std::string label =
-        pin + " " + sc.algo + "/" + sc.topo + " shards=" +
-        std::to_string(shards);
+        pin + " " + sc.algo + "/" + make_topology(sc.topo, sc.size)->name() +
+        " shards=" + std::to_string(shards);
     SCOPED_TRACE(label);
     EXPECT_EQ(digest(got), it->second);
     EXPECT_EQ(base.result, got.result);
@@ -546,36 +524,21 @@ void expect_shard_identity(const Scenario& sc, const std::string& pin) {
 
 // --------------------------------------------- fault-free, all algorithms
 
-struct AlgoCase {
-  std::string algo;
-  std::string topo;
-};
+class ShardIdentity : public ::testing::TestWithParam<std::string> {};
 
-class ShardIdentity : public ::testing::TestWithParam<AlgoCase> {};
-
+// Each algorithm on its native kind: a 6x6 mesh or torus, or the 4-cube.
 TEST_P(ShardIdentity, FaultFreeBitIdentical) {
-  Scenario sc;
-  sc.algo = GetParam().algo;
-  sc.topo = GetParam().topo;
+  ShardScenario sc;
+  sc.algo = GetParam();
+  sc.topo = native_topology_kind(sc.algo);
+  if (sc.topo == TopologyKind::Hypercube) sc.size = {4};
   expect_shard_identity(sc, sc.algo);
 }
 
-std::vector<AlgoCase> all_algorithms() {
-  std::vector<AlgoCase> cases;
-  for (const std::string& name : algorithm_names()) {
-    std::string topo = "mesh";
-    if (name == "ecube" || name == "route_c" || name == "route_c_nft")
-      topo = "hypercube";
-    if (name == "dor-torus") topo = "torus";
-    cases.push_back({name, topo});
-  }
-  return cases;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ShardIdentity,
-                         ::testing::ValuesIn(all_algorithms()),
+                         ::testing::ValuesIn(algorithm_names()),
                          [](const auto& info) {
-                           std::string l = info.param.algo;
+                           std::string l = info.param;
                            for (char& c : l)
                              if (!std::isalnum(static_cast<unsigned char>(c)))
                                c = '_';
@@ -589,14 +552,14 @@ TEST(ShardIdentityRuleDriven, FtMeshBitIdentical) {
   // the sharded step may evaluate rule programs concurrently on different
   // nodes. This pins both the determinism and (under TSan) the race
   // freedom of that path.
-  Scenario sc;
-  sc.algo = "rule-ft-mesh";
+  ShardScenario sc;
+  sc.algo = "ft-mesh-rules";
   sc.static_link_faults = 4;
   expect_shard_identity(sc, "rule-driven");
 }
 
 TEST(ShardIdentityFaulted, StaticFaultsBitIdentical) {
-  Scenario sc;
+  ShardScenario sc;
   sc.algo = "nafta";
   sc.static_link_faults = 6;
   sc.static_node_faults = 1;
@@ -604,8 +567,8 @@ TEST(ShardIdentityFaulted, StaticFaultsBitIdentical) {
 }
 
 TEST(ShardIdentityFaulted, LiveLifecycleBitIdentical) {
-  Scenario sc;
-  sc.topo = "mesh8";
+  ShardScenario sc;
+  sc.size = {8, 8};
   sc.algo = "nafta";
   sc.lifecycle = true;
   sc.rate = 0.08;
@@ -621,8 +584,8 @@ TEST(ShardIdentityFaulted, EscapeSlabFillsAfterLiveKillBitIdentical) {
   // escape-VC decision, and each live kill's commit leaves every slab of the
   // new epoch unfilled. The first reads then fill slabs while the shards
   // step, several shards often reading one destination at once.
-  Scenario sc;
-  sc.algo = "rule-ft-mesh";
+  ShardScenario sc;
+  sc.algo = "ft-mesh-rules";
   sc.static_link_faults = 4;
   sc.lifecycle = true;
   sc.rate = 0.08;
@@ -641,9 +604,9 @@ TEST(ShardIdentityFaulted, EscapeSlabFillsAfterLiveKillBitIdentical) {
 // under each commit policy, a drain that runs out of drain_limit and dumps
 // the blocked chain, and a quiesce() that must victim-kill wedged worms.
 
-Scenario swap_scenario(Simulator::RuleSwapPolicy policy) {
-  Scenario sc;
-  sc.algo = "rule-ft-mesh";
+ShardScenario swap_scenario(Simulator::RuleSwapPolicy policy) {
+  ShardScenario sc;
+  sc.algo = "ft-mesh-rules";
   sc.rate = 0.08;
   sc.swap_at = sc.warmup + sc.measure / 2;
   sc.swap_policy = policy;
@@ -657,7 +620,7 @@ TEST(ShardIdentityRuleSwap, ImmediateBitIdentical) {
 }
 
 TEST(ShardIdentityRuleSwap, QuiescentBitIdentical) {
-  const Scenario sc = swap_scenario(Simulator::RuleSwapPolicy::Quiescent);
+  const ShardScenario sc = swap_scenario(Simulator::RuleSwapPolicy::Quiescent);
   const RunOutput out = run_scenario(sc, 1, 1);
   EXPECT_EQ(out.result.rule_swaps, 1);
   EXPECT_GT(out.result.swap_gated_cycles, 0);
@@ -665,7 +628,7 @@ TEST(ShardIdentityRuleSwap, QuiescentBitIdentical) {
 }
 
 TEST(ShardIdentityRuleSwap, RollingBitIdentical) {
-  const Scenario sc = swap_scenario(Simulator::RuleSwapPolicy::Rolling);
+  const ShardScenario sc = swap_scenario(Simulator::RuleSwapPolicy::Rolling);
   const RunOutput out = run_scenario(sc, 1, 1);
   EXPECT_EQ(out.result.rule_swaps, 1);
   EXPECT_GT(out.result.swap_gated_node_cycles, 0);
@@ -673,7 +636,7 @@ TEST(ShardIdentityRuleSwap, RollingBitIdentical) {
 }
 
 TEST(ShardIdentityDrain, DrainLimitCapturesBlockedChain) {
-  Scenario sc;
+  ShardScenario sc;
   sc.rate = 0.3;
   sc.drain_limit = 10;
   const RunOutput out = run_scenario(sc, 1, 1);
@@ -683,7 +646,7 @@ TEST(ShardIdentityDrain, DrainLimitCapturesBlockedChain) {
 }
 
 TEST(ShardIdentityDrain, QuiesceVictimKillsWedgedWorms) {
-  Scenario sc;
+  ShardScenario sc;
   sc.rate = 0.2;
   sc.measure = 0;  // run() returns with the warmup traffic still in flight
   sc.quiesce_wedged = true;
@@ -699,9 +662,9 @@ TEST(ShardIdentityDrain, QuiesceVictimKillsWedgedWorms) {
 // throttle changes and poisoned worms free them again. These are the only
 // pins that hash every RouterStats field (va_retries above all).
 
-Scenario chaos_scenario(const std::string& algo) {
-  Scenario sc;
-  sc.topo = "mesh4";
+ShardScenario chaos_scenario(const std::string& algo) {
+  ShardScenario sc;
+  sc.size = {4, 4};
   sc.algo = algo;
   sc.chaos = true;
   sc.watchdog_window = 150;
@@ -729,7 +692,7 @@ TEST(ShardIdentityRouterStats, ChaosRepeatedPairsBitIdentical) {
 }
 
 TEST(ShardIdentityRouterStats, MidRunStatsBitIdentical) {
-  Scenario sc = chaos_scenario("dor-mesh");
+  ShardScenario sc = chaos_scenario("dor-mesh");
   sc.warmup = 520;  // the node died at 450; worms still wait behind it
   sc.measure = 0;
   sc.midrun_stats = true;
@@ -760,8 +723,9 @@ LifecycleTargets lifecycle_targets(const Topology& topo) {
 /// pending, and commits it once the network has drained. Returns a digest
 /// of each cycle's delivery and movement counters, so the audited run can
 /// also be compared across shard counts.
-std::uint64_t audited_run(const Scenario& sc, int shards, int link_latency) {
-  auto topo = scenario_topo(sc);
+std::uint64_t audited_run(const ShardScenario& sc, int shards,
+                          int link_latency) {
+  auto topo = make_topology(sc.topo, sc.size);
   const std::unique_ptr<RoutingAlgorithm> algo = scenario_algo(sc, *topo);
   NetworkConfig ncfg;
   ncfg.shards = shards;
@@ -843,28 +807,28 @@ std::uint64_t audited_run(const Scenario& sc, int shards, int link_latency) {
   return d.value();
 }
 
-void expect_audited(const Scenario& sc, int link_latency) {
+void expect_audited(const ShardScenario& sc, int link_latency) {
   const std::uint64_t one = audited_run(sc, 1, link_latency);
   EXPECT_EQ(audited_run(sc, 4, link_latency), one)
       << "audited run differs between 1 and 4 shards";
 }
 
 TEST(NetworkInvariants, FaultFreeEveryCycle) {
-  Scenario sc;
+  ShardScenario sc;
   sc.rate = 0.08;
   expect_audited(sc, 1);
 }
 
 TEST(NetworkInvariants, StaticFaultsEveryCycle) {
-  Scenario sc;
+  ShardScenario sc;
   sc.static_link_faults = 6;
   sc.static_node_faults = 1;
   expect_audited(sc, 1);
 }
 
 TEST(NetworkInvariants, LiveLifecycleEveryCycle) {
-  Scenario sc;
-  sc.topo = "mesh8";
+  ShardScenario sc;
+  sc.size = {8, 8};
   sc.lifecycle = true;
   sc.rate = 0.08;
   sc.warmup = 300;
@@ -877,7 +841,7 @@ TEST(NetworkInvariants, LiveLifecycleEveryCycle) {
 // the router would hold a committed flit with a credit and stall past the
 // throttle's next free cycle.
 TEST(NetworkInvariants, FailSlowLinkEveryCycle) {
-  Scenario sc;
+  ShardScenario sc;
   sc.failslow = true;
   sc.rate = 0.08;
   expect_audited(sc, 1);
@@ -888,8 +852,8 @@ TEST(NetworkInvariants, FailSlowLinkEveryCycle) {
 // latency 2 and 3 must drain, stay consistent every cycle, and not depend
 // on the shard count.
 TEST(NetworkInvariants, MultiCycleLinksDrainEveryCycle) {
-  Scenario sc;
-  sc.topo = "mesh8";
+  ShardScenario sc;
+  sc.size = {8, 8};
   sc.lifecycle = true;
   sc.rate = 0.08;
   sc.warmup = 300;
@@ -909,8 +873,9 @@ TEST(NetworkInvariants, MultiCycleLinksDrainEveryCycle) {
 // input VCs, but only index 64, a local VC nothing injects into, lies
 // past the first word; sim_throughput --smoke runs that fabric.)
 TEST(NetworkInvariants, WideRoutersEveryCycleAtEveryShardCount) {
-  Scenario sc;
-  sc.topo = "hypercube8";
+  ShardScenario sc;
+  sc.topo = TopologyKind::Hypercube;
+  sc.size = {8};
   sc.algo = "negative-hop-9";
   sc.lifecycle = true;
   sc.rate = 0.03;
@@ -926,8 +891,8 @@ TEST(NetworkInvariants, WideRoutersEveryCycleAtEveryShardCount) {
 // The repeated-pair decisions of ShardIdentityRouterStats's pin through a
 // live lifecycle, audited after every cycle; pinned at 1/2/4/8 shards.
 TEST(NetworkInvariants, RepeatedPairsEveryCycleAtEveryShardCount) {
-  Scenario sc;
-  sc.topo = "mesh8";
+  ShardScenario sc;
+  sc.size = {8, 8};
   sc.algo = "repeats:nafta";
   sc.lifecycle = true;
   sc.rate = 0.08;
@@ -965,7 +930,7 @@ auto with_timeout(const std::string& label, std::chrono::seconds limit,
 
 /// Production at `shards` shards against the reference at one; returns the
 /// production run's skipped-cycle count.
-Cycle expect_matches_reference(const Scenario& sc, int shards,
+Cycle expect_matches_reference(const ShardScenario& sc, int shards,
                                const std::string& label) {
   SCOPED_TRACE(label);
   const auto limit = std::chrono::seconds(60);
@@ -1003,27 +968,30 @@ Cycle expect_matches_reference(const Scenario& sc, int shards,
 /// watchdog window) cycle with `i`, so any 12 consecutive indices cover
 /// every value of each; the rest is drawn from a stream seeded by `i`.
 struct GeneratedScenario {
-  Scenario sc;
+  ShardScenario sc;
   int shards = 1;
 };
 
 GeneratedScenario generated_scenario(std::uint64_t i) {
   static const std::vector<std::string> algos = [] {
     std::vector<std::string> a = algorithm_names();
-    a.push_back("rule-ft-mesh");
+    a.push_back("ft-mesh-rules");
     return a;
   }();
   SplitMix64 sm(0x5eedd1ffULL + i);
   GeneratedScenario g;
-  Scenario& sc = g.sc;
+  ShardScenario& sc = g.sc;
   sc.algo = algos[i % algos.size()];
-  sc.topo = "mesh4";
-  if (sc.algo == "ecube" || sc.algo == "route_c" || sc.algo == "route_c_nft")
-    sc.topo = "hypercube";
-  else if (sc.algo == "dor-torus")
-    sc.topo = sm.next_below(2) == 0 ? "torus4" : "torus";
-  else if (sm.next_below(2) == 0)
-    sc.topo = "mesh";
+  // The 4-cube, or a mesh or torus sized by one draw: 0 gives a 6x6 mesh
+  // or a 4x4 torus, 1 the other size.
+  sc.topo = native_topology_kind(sc.algo);
+  if (sc.topo == TopologyKind::Hypercube) {
+    sc.size = {4};
+  } else {
+    const bool zero = sm.next_below(2) == 0;
+    const bool six = sc.topo == TopologyKind::Mesh ? zero : !zero;
+    sc.size = six ? std::vector<int>{6, 6} : std::vector<int>{4, 4};
+  }
   sc.regime = kFaultRegimes[i % std::size(kFaultRegimes)];
   sc.link_latency = 1 + static_cast<int>(i % 3);
   g.shards = 1 << (i % 4);
@@ -1042,7 +1010,7 @@ GeneratedScenario generated_scenario(std::uint64_t i) {
   sc.warmup = 100 + static_cast<Cycle>(sm.next_below(200));
   sc.measure = 400 + static_cast<Cycle>(sm.next_below(800));
   sc.seed = sm.next();
-  if (sc.algo == "rule-ft-mesh") {
+  if (sc.algo == "ft-mesh-rules") {
     // A live rule swap under one of the commit policies, or none.
     const std::uint64_t pick = sm.next_below(4);
     if (pick > 0) {
@@ -1057,9 +1025,10 @@ GeneratedScenario generated_scenario(std::uint64_t i) {
 }
 
 std::string generated_label(std::uint64_t i, const GeneratedScenario& g) {
-  const Scenario& sc = g.sc;
-  return "generated #" + std::to_string(i) + ": " + sc.algo + "/" + sc.topo +
-         " " + fault_regime_name(*sc.regime) + " latency " +
+  const ShardScenario& sc = g.sc;
+  return "generated #" + std::to_string(i) + ": " + sc.algo + "/" +
+         make_topology(sc.topo, sc.size)->name() + " " +
+         fault_regime_name(*sc.regime) + " latency " +
          std::to_string(sc.link_latency) + " shards " +
          std::to_string(g.shards) + " rate " + std::to_string(sc.rate) +
          " window " + std::to_string(sc.watchdog_window) + " detection " +
@@ -1091,8 +1060,8 @@ TEST(SkipDifferential, LowLoadLifecycleLane) {
   // Low offered load on a live-lifecycle run with a long detection window:
   // plenty of inert cycles, and skips over the Detecting-state gaps, at one
   // shard and across a barrier.
-  Scenario sc;
-  sc.topo = "mesh8";
+  ShardScenario sc;
+  sc.size = {8, 8};
   sc.algo = "nafta";
   sc.lifecycle = true;
   sc.rate = 0.002;
@@ -1109,7 +1078,7 @@ TEST(SkipDifferential, LowLoadLifecycleLane) {
 TEST(SkipDifferential, FaultFreeNearZeroLoadLane) {
   // Fault-free near-zero load: the injection RNG draws every cycle, so
   // every skip is a single cycle.
-  Scenario sc;
+  ShardScenario sc;
   sc.algo = "nafta";
   sc.rate = 0.001;
   sc.seed = 3;
@@ -1121,7 +1090,7 @@ TEST(SkipDifferential, WedgedChaosLane) {
   // hardware, their routers park, and inert stretches end at a watchdog
   // deadline, a fault event or the detection deadline. The mid-run lane
   // reads the stats with routers parked, then quiesce()s.
-  Scenario sc = chaos_scenario("dor-mesh");
+  ShardScenario sc = chaos_scenario("dor-mesh");
   sc.detection_delay = 400;
   for (const int shards : {1, 4}) {
     const std::string label = "chaos shards=" + std::to_string(shards);
