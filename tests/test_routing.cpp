@@ -19,6 +19,7 @@
 #include "routing/spanning_tree.hpp"
 #include "routing/updown.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 #include "topology/graph_algo.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/torus.hpp"
@@ -938,6 +939,32 @@ TEST(Factory, AllNamesConstruct) {
     EXPECT_NE(make_algorithm(name), nullptr) << name;
   }
   EXPECT_THROW(make_algorithm("bogus"), ContractViolation);
+
+  // Every name the algorithm key documents builds on a 16-node fabric of
+  // its native kind and attaches.
+  std::vector<std::string> documented = algorithm_names();
+  for (const char* name :
+       {"negative-hop", "nara-rules", "ft-mesh-rules", "ecube-rules"})
+    documented.push_back(name);
+  EXPECT_EQ(documented.size(), 15u);
+  for (const std::string& name : documented) {
+    SCOPED_TRACE(name);
+    const TopologyKind kind = native_topology_kind(name);
+    const auto topo = make_topology(
+        kind, kind == TopologyKind::Hypercube ? std::vector<int>{4}
+                                              : std::vector<int>{4, 4});
+    const auto algo = build_algorithm(name, *topo);
+    ASSERT_NE(algo, nullptr);
+    const FaultSet faults(*topo);
+    EXPECT_NO_THROW(algo->attach(*topo, faults));
+  }
+  const Mesh mesh = Mesh::two_d(4, 4);
+  const Hypercube cube(4);
+  EXPECT_THROW(build_algorithm("bogus", mesh), ContractViolation);
+  EXPECT_THROW(build_algorithm("ecube-rules", mesh), std::invalid_argument);
+  EXPECT_THROW(build_algorithm("ft-mesh-rules", cube), std::invalid_argument);
+  EXPECT_THROW(build_algorithm("nara-rules", Torus(std::vector<int>{4, 4})),
+               std::invalid_argument);
 }
 
 }  // namespace
