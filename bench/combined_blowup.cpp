@@ -34,7 +34,7 @@ int main() {
   for (Row& row : rows) {
     tasks.push_back([&row] {
       const auto rep = hwcost::table2_route_c(row.d, row.a);
-      for (const auto& r : rep.rows)
+      for (const auto& r : rep.program.rule_bases)
         if (r.name == "decide_dir" || r.name == "decide_vc")
           row.two_step += r.table_bits;
       row.combined = hwcost::combined_rulebase_bits(row.d, row.a);

@@ -50,19 +50,20 @@ int main() {
   bench::print_row({"rule base", "paper", "ours", "nft paper", "nft ours"},
                    26);
   for (const PaperRow& p : kPaper) {
-    for (const auto& r : rep.rows) {
+    for (const auto& r : rep.program.rule_bases) {
       if (r.name != p.name) continue;
       std::ostringstream ours;
       ours << r.entries << " x " << r.width_bits;
       bench::print_row({p.name, p.size, ours.str(), p.nft ? "*" : "",
-                        r.nft ? "*" : ""},
+                        r.in_nft ? "*" : ""},
                        26);
     }
   }
   std::cout << "\nPaper register budget: 159 bits in 8 registers, 47 bits "
                "for fault tolerance.\n"
-            << "Ours:                  " << rep.register_bits << " bits in "
-            << rep.num_registers << " registers, " << rep.ft_register_bits
+            << "Ours:                  " << rep.program.total_register_bits
+            << " bits in " << rep.program.num_registers << " registers, "
+            << rep.program.ft_register_bits
             << " bits for fault tolerance.\n";
   return 0;
 }

@@ -23,7 +23,7 @@ int main() {
                "compare with constant\n"
             << "  adaptivity     (not specified) (*)\n"
             << "\nPaper total for d=6, a=2: 2960 bits; ours: "
-            << rep.total_table_bits << " bits.\n";
+            << rep.program.total_table_bits << " bits.\n";
 
   bench::print_header("Total rule-table bits vs hypercube dimension (a = 2)");
   bench::print_row({"d", "nodes", "total bits", "paper model"});
@@ -33,7 +33,7 @@ int main() {
     // update_state fixed-ish, i.e. near-linear in d.
     bench::print_row({std::to_string(d),
                       std::to_string(std::int64_t{1} << d),
-                      std::to_string(r.total_table_bits),
+                      std::to_string(r.program.total_table_bits),
                       "~linear in d"});
   }
   return 0;

@@ -13,37 +13,7 @@ namespace flexrouter::hwcost {
 using rules::CompileOptions;
 using rules::parse_program;
 using rules::Program;
-using rules::ProgramReport;
 using rules::report_program;
-
-namespace {
-
-TableReport from_program_report(const std::string& title,
-                                const ProgramReport& rep,
-                                const std::map<std::string, std::string>&
-                                    meanings) {
-  TableReport out;
-  out.title = title;
-  for (const auto& rb : rep.rule_bases) {
-    TableRow row;
-    row.name = rb.name;
-    row.entries = rb.entries;
-    row.width_bits = rb.width_bits;
-    row.table_bits = rb.table_bits;
-    row.fcfbs = rb.fcfbs;
-    const auto it = meanings.find(rb.name);
-    row.meaning = it == meanings.end() ? "" : it->second;
-    row.nft = rb.in_nft;
-    out.rows.push_back(std::move(row));
-  }
-  out.total_table_bits = rep.total_table_bits;
-  out.register_bits = rep.total_register_bits;
-  out.num_registers = rep.num_registers;
-  out.ft_register_bits = rep.ft_register_bits;
-  return out;
-}
-
-}  // namespace
 
 std::string TableReport::render() const {
   std::ostringstream os;
@@ -52,19 +22,22 @@ std::string TableReport::render() const {
      << "Size (bits)" << std::setw(5) << "nft"
      << "  FCFBs | Meaning\n";
   os << std::string(100, '-') << "\n";
-  for (const TableRow& r : rows) {
+  for (const rules::RuleBaseReport& r : program.rule_bases) {
     std::ostringstream size;
     size << r.entries << " x " << r.width_bits;
+    const auto meaning = meanings.find(r.name);
     os << std::left << std::setw(26) << r.name << std::right << std::setw(12)
-       << size.str() << std::setw(5) << (r.nft ? "*" : "") << "  " << r.fcfbs
-       << " | " << r.meaning << "\n";
+       << size.str() << std::setw(5) << (r.in_nft ? "*" : "") << "  "
+       << r.fcfbs << " | "
+       << (meaning == meanings.end() ? "" : meaning->second) << "\n";
   }
   os << std::string(100, '-') << "\n";
-  os << "total rule table memory: " << total_table_bits << " bits\n";
-  os << "registers: " << num_registers << " holding " << register_bits
-     << " bits";
-  if (ft_register_bits > 0)
-    os << ", " << ft_register_bits << " bits account for fault tolerance";
+  os << "total rule table memory: " << program.total_table_bits << " bits\n";
+  os << "registers: " << program.num_registers << " holding "
+     << program.total_register_bits << " bits";
+  if (program.ft_register_bits > 0)
+    os << ", " << program.ft_register_bits
+       << " bits account for fault tolerance";
   os << "\n";
   return os.str();
 }
@@ -74,11 +47,11 @@ TableReport table1_nafta(int width, int height) {
       parse_program(rulebases::nafta_program_source(width, height));
   const Program nft =
       parse_program(rulebases::nara_program_source(width, height));
-  const ProgramReport rep = report_program(ft, CompileOptions{}, &nft);
   std::ostringstream title;
   title << "Table 1 — rule bases of NAFTA (" << width << "x" << height
         << " mesh; * = needed by the non-fault-tolerant NARA)";
-  return from_program_report(title.str(), rep, rulebases::nafta_meanings());
+  return {title.str(), report_program(ft, CompileOptions{}, &nft),
+          rulebases::nafta_meanings()};
 }
 
 TableReport table2_route_c(int dimension, int adaptivity_bits) {
@@ -88,12 +61,12 @@ TableReport table2_route_c(int dimension, int adaptivity_bits) {
       rulebases::route_c_nft_program_source(dimension, adaptivity_bits));
   // decide_vc's direction parameter indexes the table directly (paper: 4d
   // entries) via the default direct_param_threshold.
-  const ProgramReport rep = report_program(ft, CompileOptions{}, &nft);
   std::ostringstream title;
   title << "Table 2 — rule bases of ROUTE_C (d = " << dimension
         << ", a = " << adaptivity_bits
         << "; * = needed by the stripped non-FT variant)";
-  return from_program_report(title.str(), rep, rulebases::route_c_meanings());
+  return {title.str(), report_program(ft, CompileOptions{}, &nft),
+          rulebases::route_c_meanings()};
 }
 
 std::int64_t combined_rulebase_bits(int dimension, int adaptivity_bits) {

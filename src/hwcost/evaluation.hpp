@@ -5,30 +5,20 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "ruleengine/hwcost.hpp"
 
 namespace flexrouter::hwcost {
 
-struct TableRow {
-  std::string name;
-  std::uint64_t entries = 0;
-  int width_bits = 0;
-  std::int64_t table_bits = 0;
-  std::string fcfbs;
-  std::string meaning;
-  bool nft = false;
-};
-
+/// A regenerated paper table: the compiled program's report plus what the
+/// paper prints beside it.
 struct TableReport {
   std::string title;
-  std::vector<TableRow> rows;
-  std::int64_t total_table_bits = 0;
-  std::int64_t register_bits = 0;
-  int num_registers = 0;
-  std::int64_t ft_register_bits = 0;
+  rules::ProgramReport program;
+  /// The paper's "Meaning" column, by rule-base name.
+  std::map<std::string, std::string> meanings;
 
   std::string render() const;
 };

@@ -133,12 +133,14 @@ void RouterArray::kill_output_port(NodeId u, PortId port,
     OutputVc& o = ovc(u, port, v);
     if (!o.owned) continue;
     orphaned.push_back(o.owner_slot);
-    // Ownership is torn down here; the owner input VC's share of
-    // assigned_flits is rolled back when its first poisoned flit drains
-    // (release_commitment), or by flush() if the worm's remaining flits
-    // were all destroyed elsewhere.
-    o.owned = 0;
-    o.owner_slot = kInvalidPacketSlot;
+    // The owner input VC's commitment dies with the output VC. The worm's
+    // flits still upstream are poisoned and never cross a link, so no
+    // drained flit may come to release it; left active, the VC would
+    // switch the next head it receives onto the dead port, skipping RC
+    // and VA.
+    const int idx = in_index(o.owner_port, o.owner_vc);
+    release_commitment(u, inputs_[at(u, idx)]);
+    clear_bit(row(u).active, idx);
   }
 }
 
@@ -210,6 +212,15 @@ void RouterArray::check_ownership(NodeId u) const {
                     where + ": the recorded owner is aimed elsewhere");
     }
   }
+  for_each_set_bit(words_, active_word, [&](int idx) {
+    const InputVc& in = inputs_[at(u, idx)];
+    if (in.out_port == local_port()) return;
+    const OutputVc& o = ovc(u, in.out_port, in.out_vc);
+    FR_ASSERT_MSG(o.owned && in_index(o.owner_port, o.owner_vc) == idx,
+                  "VC ownership at node " + std::to_string(u) + " input VC " +
+                      std::to_string(idx) +
+                      ": active toward an output VC it does not own");
+  });
 }
 
 void RouterArray::check_masks(NodeId u) const {

@@ -185,7 +185,8 @@ class RouterArray {
         .occ;
   }
   /// Throws unless every owned output VC of `u` has exactly one active
-  /// input VC aimed at it, recorded as its owner.
+  /// input VC aimed at it, recorded as its owner, and every active input
+  /// VC aimed at a network port owns the output VC it names.
   void check_ownership(NodeId u) const;
   /// Throws unless `u`'s three VC-state masks equal the ones recomputed
   /// from its VC records: occupied iff flits are buffered, routing iff RC

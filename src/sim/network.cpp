@@ -4,7 +4,6 @@
 #include <bit>
 #include <string>
 #include <limits>
-#include <thread>
 
 #include "topology/graph_algo.hpp"
 
@@ -79,13 +78,8 @@ Network::Network(const Topology& topo, RoutingAlgorithm& algo,
     boundary_slots_.push_back(c);
     channels_.set_deferred(c);
   }
-  int threads = cfg_.shard_threads;
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? static_cast<int>(hw) : 1;
-  }
-  threads = std::min(threads, cfg_.shards);
-  if (threads > 1) pool_ = std::make_unique<ShardPool>(threads);
+  pool_ = std::make_unique<WorkerPool>(
+      std::min(resolve_threads(cfg_.shard_threads), cfg_.shards));
 }
 
 PacketId Network::send(NodeId src, NodeId dest, int length, Cycle now) {
@@ -316,23 +310,18 @@ void Network::step(Cycle now) {
   const bool purge = store_.poisoned_live() > 0;
   last_step_purged_ = purge;
 
-  const int num_shards = static_cast<int>(shards_.size());
-  if (pool_ != nullptr) {
-    struct Ctx {
-      Network* net;
-      Cycle now;
-      bool purge;
-    } ctx{this, now, purge};
-    pool_->run(
-        num_shards,
-        [](void* c, int s) {
-          auto* p = static_cast<Ctx*>(c);
-          p->net->shard_phase(s, p->now, p->purge);
-        },
-        &ctx);
-  } else {
-    for (int s = 0; s < num_shards; ++s) shard_phase(s, now, purge);
-  }
+  struct Ctx {
+    Network* net;
+    Cycle now;
+    bool purge;
+  } ctx{this, now, purge};
+  pool_->run(
+      static_cast<int>(shards_.size()),
+      [](void* c, int s) {
+        auto* p = static_cast<Ctx*>(c);
+        p->net->shard_phase(s, p->now, p->purge);
+      },
+      &ctx);
 
   // --- Serial epilogue -------------------------------------------------
   // 1. Cross-shard exchange: apply every boundary channel's staged flit

@@ -11,7 +11,7 @@
 
 #include "common/bitops.hpp"
 #include "router/router.hpp"
-#include "sim/shard_pool.hpp"
+#include "sim/worker_pool.hpp"
 #include "topology/shard_plan.hpp"
 
 namespace flexrouter {
@@ -28,9 +28,10 @@ struct NetworkConfig {
   /// the cycle barrier exchanges cross-shard traffic in canonical link
   /// order. 1 is simply the one-tile plan.
   int shards = 1;
-  /// Worker threads for the shard pool, including the stepping thread
-  /// (0 = one per shard, capped at hardware_concurrency). Thread count
-  /// never affects results, only wall clock.
+  /// Worker threads stepping the shards, including the stepping thread
+  /// (0 = resolve_threads: FLEXROUTER_THREADS, else the core count). The
+  /// count is capped at `shards`. Thread count never affects results, only
+  /// wall clock.
   int shard_threads = 0;
 };
 
@@ -435,7 +436,7 @@ class Network {
   std::vector<std::size_t> boundary_slots_;
   /// Per-shard merge cursors for the epilogue (scratch, reused).
   std::vector<std::size_t> merge_pos_;
-  std::unique_ptr<ShardPool> pool_;
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace flexrouter

@@ -31,7 +31,9 @@
 //   show_links = false                         (top-5 link loads, single run)
 //   shards     = 1                             (spatial shards; results are
 //                                               bit-identical at any count)
-//   shard_threads = 0                          (shard pool size; 0 = auto)
+//   shard_threads = 0                          (shard workers incl. the
+//                                               caller; 0 = FLEXROUTER_THREADS,
+//                                               else cores; capped at shards)
 //
 // Live fault lifecycle (optional; arms the recovery controller):
 //   fault_at   = 1500:link:27:1,2200:node:12   (timed mid-run kill events:

@@ -1,11 +1,7 @@
 #include "sim/sweep.hpp"
 
-#include <condition_variable>
-#include <cstdlib>
-#include <deque>
-#include <mutex>
+#include <exception>
 #include <sstream>
-#include <thread>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -24,116 +20,8 @@ std::uint64_t sweep_point_seed(std::uint64_t base_seed,
   return s != 0 ? s : 0x5eed5eed5eed5eedULL;
 }
 
-namespace {
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("FLEXROUTER_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-}  // namespace
-
-ThreadBudget compose_thread_budget(int total_threads, std::size_t num_points) {
-  const int total = resolve_threads(total_threads);
-  if (num_points == 0) num_points = 1;
-  ThreadBudget b;
-  b.sweep_threads = num_points < static_cast<std::size_t>(total)
-                        ? static_cast<int>(num_points)
-                        : total;
-  // Leftover capacity feeds each replica's shard pool; the floor division
-  // guarantees sweep_threads * replica_threads <= total.
-  b.replica_threads = total / b.sweep_threads;
-  return b;
-}
-
-/// Simple MPMC task queue + fixed worker pool. Workers block on the
-/// condvar; a batch is done when every task popped has also finished
-/// (in_flight counts popped-but-running tasks, so completion, not just
-/// queue emptiness, gates the caller).
-struct SweepRunner::Pool {
-  explicit Pool(int threads) {
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i)
-      workers.emplace_back([this] { worker_loop(); });
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      closing = true;
-    }
-    task_ready.notify_all();
-    for (auto& w : workers) w.join();
-  }
-
-  void run_batch(const std::vector<std::function<void()>>& tasks) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      FR_REQUIRE_MSG(!batch_active, "SweepRunner::run is not reentrant");
-      batch_active = true;
-      remaining = static_cast<std::int64_t>(tasks.size());
-      first_error = nullptr;
-      for (const auto& t : tasks) queue.push_back(&t);
-    }
-    task_ready.notify_all();
-    std::unique_lock<std::mutex> lock(mu);
-    batch_done.wait(lock, [this] { return remaining == 0; });
-    batch_active = false;
-    if (first_error) {
-      std::exception_ptr e = first_error;
-      first_error = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
-  void worker_loop() {
-    for (;;) {
-      const std::function<void()>* task = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        task_ready.wait(lock, [this] { return closing || !queue.empty(); });
-        if (queue.empty()) return;  // closing
-        task = queue.front();
-        queue.pop_front();
-      }
-      try {
-        (*task)();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) batch_done.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers;
-  std::deque<const std::function<void()>*> queue;
-  std::mutex mu;
-  std::condition_variable task_ready;
-  std::condition_variable batch_done;
-  std::int64_t remaining = 0;
-  bool closing = false;
-  bool batch_active = false;
-  std::exception_ptr first_error;
-};
-
 SweepRunner::SweepRunner(const SweepOptions& opts)
-    : pool_(std::make_unique<Pool>(resolve_threads(opts.num_threads))),
-      base_seed_(opts.base_seed) {}
-
-SweepRunner::~SweepRunner() = default;
-
-int SweepRunner::num_threads() const {
-  return static_cast<int>(pool_->workers.size());
-}
+    : pool_(resolve_threads(opts.num_threads)), base_seed_(opts.base_seed) {}
 
 std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
   std::vector<SimResult> results(points.size());
@@ -148,12 +36,33 @@ std::vector<SimResult> SweepRunner::run(const std::vector<SweepPoint>& points) {
     SimResult* slot = &results[i];
     tasks.push_back([&p, seed, slot] { *slot = p.run(seed); });
   }
-  pool_->run_batch(tasks);
+  run_tasks(tasks);
   return results;
 }
 
 void SweepRunner::run_tasks(const std::vector<std::function<void()>>& tasks) {
-  pool_->run_batch(tasks);
+  // A task calling back into its own runner would overwrite the running
+  // batch on the shared pool.
+  FR_REQUIRE_MSG(!running_.exchange(true), "SweepRunner::run is not reentrant");
+  struct Batch {
+    const std::vector<std::function<void()>>* tasks;
+    std::vector<std::exception_ptr> errors;
+  } batch{&tasks, std::vector<std::exception_ptr>(tasks.size())};
+  pool_.run(
+      static_cast<int>(tasks.size()),
+      [](void* c, int i) {
+        auto* b = static_cast<Batch*>(c);
+        const auto slot = static_cast<std::size_t>(i);
+        try {
+          (*b->tasks)[slot]();
+        } catch (...) {
+          b->errors[slot] = std::current_exception();
+        }
+      },
+      &batch);
+  running_.store(false);
+  for (const std::exception_ptr& e : batch.errors)
+    if (e) std::rethrow_exception(e);
 }
 
 SweepReport summarize(const std::vector<SimResult>& results) {

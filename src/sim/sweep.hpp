@@ -19,13 +19,14 @@
 // in docs/SIMULATOR.md.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace flexrouter {
 
@@ -36,28 +37,13 @@ std::uint64_t sweep_point_seed(std::uint64_t base_seed,
                                std::uint64_t point_key);
 
 struct SweepOptions {
-  /// Worker threads. 0 = the FLEXROUTER_THREADS environment variable if
-  /// set, otherwise std::thread::hardware_concurrency().
+  /// Worker threads, including the calling thread (0 = resolve_threads:
+  /// the FLEXROUTER_THREADS environment variable if set, otherwise the
+  /// core count).
   int num_threads = 0;
   /// Base seed every per-point seed is derived from.
   std::uint64_t base_seed = 1;
 };
-
-/// One machine-wide thread budget split between sweep workers (replicas in
-/// flight) and per-replica shard-pool threads, so replica parallelism and
-/// sharded stepping compose without oversubscription: total running threads
-/// stay <= sweep_threads * replica_threads <= budget. Replica-level
-/// parallelism wins while grid points can absorb the budget (independent
-/// replicas scale embarrassingly); only leftover capacity goes to the
-/// shard pools. Thread counts never affect results, only wall clock.
-struct ThreadBudget {
-  int sweep_threads = 1;    // pass as SweepOptions::num_threads
-  int replica_threads = 1;  // pass as NetworkConfig::shard_threads
-};
-
-/// `total_threads` <= 0 resolves like SweepOptions::num_threads (the
-/// FLEXROUTER_THREADS environment variable, then hardware_concurrency).
-ThreadBudget compose_thread_budget(int total_threads, std::size_t num_points);
 
 /// One grid point: a closure that builds and runs its own replica. The
 /// closure receives the derived per-point seed; it may ignore it when the
@@ -72,35 +58,38 @@ struct SweepPoint {
   std::uint64_t key = kAutoKey;
 };
 
-/// Fixed-size std::thread pool fed by a simple mutex+condvar MPMC queue.
-/// Construction spawns the workers once; run()/run_tasks() may be called
-/// repeatedly (batches do not overlap). Destruction joins.
+/// Grid runner over one WorkerPool: the calling thread is worker 0, so a
+/// one-thread runner runs every point on the caller. Construction spawns
+/// the workers once; run()/run_tasks() may be called repeatedly, but not
+/// from inside one of the runner's own points (a ContractViolation).
+/// Destruction joins.
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& opts = {});
-  ~SweepRunner();
 
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
-  int num_threads() const;
+  int num_threads() const { return pool_.threads(); }
   std::uint64_t base_seed() const { return base_seed_; }
 
   /// Run every grid point; result i belongs to points[i] no matter which
-  /// worker ran it or when. The first exception thrown by a point is
-  /// rethrown here after the whole batch settles. A point that merely
+  /// worker ran it or when. After the whole batch settles, the exception
+  /// of the lowest-index point that threw is rethrown here, so the
+  /// reported error never depends on thread timing. A point that merely
   /// reports deadlock_suspected is a normal result — it never stalls the
   /// pool or its siblings.
   std::vector<SimResult> run(const std::vector<SweepPoint>& points);
 
   /// Generic fan-out for non-simulation grids (hardware-cost tables and
-  /// the like): runs every task, blocks until all complete.
+  /// the like): runs every task, blocks until all complete, then rethrows
+  /// like run().
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
  private:
-  struct Pool;
-  std::unique_ptr<Pool> pool_;
+  WorkerPool pool_;
   std::uint64_t base_seed_;
+  std::atomic<bool> running_{false};
 };
 
 /// Aggregate over an index-ordered result vector: mean/min/max per metric,

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "routing/dor.hpp"
 #include "routing/nafta.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "topology/hypercube.hpp"
@@ -372,6 +373,37 @@ TEST(Chaos, FlappingSoakSweepAndShardBitIdentity) {
             << " threads=" << threads;
     }
   }
+}
+
+// ------------------------------------------------- live kill of a committed VC
+TEST(Chaos, LinkKillReleasesTheOwningInputVc) {
+  // One chaos-campaign replica (planar-adaptive-ft on the 4x4 mesh, flap
+  // regime). Link (4, East) goes down at 500, up at 581, down at 989, up
+  // at 1091 and down at 1302. The kill at 1302 tore down an output VC of
+  // node 5 whose owning input VC had already forwarded every flit it
+  // held; the worm's rest was poisoned upstream and never crossed the
+  // link, so nothing released that input VC. At 1304 the next head to
+  // arrive there skipped RC and VA and was switched onto the dead link (a
+  // contract violation). The campaign's 150-cycle watchdog is part of the
+  // story: the default 2000-cycle one does not reach that state.
+  constexpr std::uint64_t kSeed = 2295250148085311880ULL;
+  Scenario sc;
+  sc.topology = TopologyKind::Mesh;
+  sc.size = {4, 4};
+  sc.algorithm = "planar-adaptive-ft";
+  sc.rates = {0.06};
+  sc.seed = kSeed;
+  sc.fault_regime = FaultRegime::Flap;
+  sc.sim.warmup_cycles = 200;
+  sc.sim.measure_cycles = 1200;
+  sc.sim.watchdog_window = 150;
+  sc.sim.drain_limit = 200000;
+  const std::unique_ptr<Topology> topo = sc.make_topology();
+  SimResult r;
+  ASSERT_NO_THROW(r = run_replica(sc, *topo, 0, kSeed).result);
+  EXPECT_FALSE(r.deadlock_suspected);
+  EXPECT_GT(r.fault_events, 0);
+  expect_exact_accounting(r);
 }
 
 }  // namespace

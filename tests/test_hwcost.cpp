@@ -101,7 +101,7 @@ TEST(HwcostEval, PipelineDelayModel) {
 TEST(HwcostEval, Table1RenderContainsEveryRow) {
   const auto rep = flexrouter::hwcost::table1_nafta(8, 8);
   const std::string text = rep.render();
-  for (const auto& row : rep.rows)
+  for (const auto& row : rep.program.rule_bases)
     EXPECT_NE(text.find(row.name), std::string::npos) << row.name;
   EXPECT_NE(text.find("47 bits account for fault tolerance"),
             std::string::npos);
@@ -112,11 +112,12 @@ TEST(HwcostEval, Table1IsStableAcrossMeshSizes) {
   // domains widen, which the atom encoding absorbs).
   const auto small = flexrouter::hwcost::table1_nafta(8, 8);
   const auto large = flexrouter::hwcost::table1_nafta(32, 32);
-  ASSERT_EQ(small.rows.size(), large.rows.size());
-  for (std::size_t i = 0; i < small.rows.size(); ++i) {
-    EXPECT_EQ(small.rows[i].entries, large.rows[i].entries)
-        << small.rows[i].name;
-    EXPECT_EQ(small.rows[i].nft, large.rows[i].nft);
+  const auto& s = small.program.rule_bases;
+  const auto& l = large.program.rule_bases;
+  ASSERT_EQ(s.size(), l.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(s[i].entries, l[i].entries) << s[i].name;
+    EXPECT_EQ(s[i].in_nft, l[i].in_nft);
   }
 }
 
@@ -125,7 +126,7 @@ TEST(HwcostEval, Table2ScalesOnlyWhereExpected) {
   const auto d8 = flexrouter::hwcost::table2_route_c(8, 2);
   auto entries = [](const flexrouter::hwcost::TableReport& r,
                     const std::string& n) -> std::uint64_t {
-    for (const auto& row : r.rows)
+    for (const auto& row : r.program.rule_bases)
       if (row.name == n) return row.entries;
     return 0;
   };

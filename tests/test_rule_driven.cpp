@@ -344,11 +344,11 @@ TEST(Corpus, NaftaRegisterBudgetMatchesPaper) {
 
 TEST(Corpus, Table1KeyRuleBaseSizes) {
   const auto rep = hwcost::table1_nafta(16, 16);
-  auto find = [&](const std::string& name) -> const hwcost::TableRow& {
-    for (const auto& r : rep.rows)
+  auto find = [&](const std::string& name) -> const rules::RuleBaseReport& {
+    for (const auto& r : rep.program.rule_bases)
       if (r.name == name) return r;
     ADD_FAILURE() << "missing rule base " << name;
-    static hwcost::TableRow dummy;
+    static rules::RuleBaseReport dummy;
     return dummy;
   };
   // The paper's entry counts (our encoding reproduces them exactly for
@@ -365,15 +365,15 @@ TEST(Corpus, Table1KeyRuleBaseSizes) {
   EXPECT_EQ(find("message_from_info_channel").entries, 2u);
   EXPECT_EQ(find("consider_neighbor_state").entries, 2u);
   // nft markers match the paper's asterisks.
-  EXPECT_TRUE(find("incoming_message").nft);
-  EXPECT_TRUE(find("message_finished").nft);
-  EXPECT_TRUE(find("tell_my_neighbors").nft);
-  EXPECT_TRUE(find("flit_finished").nft);
-  EXPECT_TRUE(find("message_from_info_channel").nft);
-  EXPECT_FALSE(find("in_message_ft").nft);
-  EXPECT_FALSE(find("update_dir_table").nft);
-  EXPECT_FALSE(find("fault_occured").nft);
-  EXPECT_EQ(rep.ft_register_bits, 47);
+  EXPECT_TRUE(find("incoming_message").in_nft);
+  EXPECT_TRUE(find("message_finished").in_nft);
+  EXPECT_TRUE(find("tell_my_neighbors").in_nft);
+  EXPECT_TRUE(find("flit_finished").in_nft);
+  EXPECT_TRUE(find("message_from_info_channel").in_nft);
+  EXPECT_FALSE(find("in_message_ft").in_nft);
+  EXPECT_FALSE(find("update_dir_table").in_nft);
+  EXPECT_FALSE(find("fault_occured").in_nft);
+  EXPECT_EQ(rep.program.ft_register_bits, 47);
 }
 
 TEST(Corpus, NaftaRuleBasesExecute) {
@@ -434,25 +434,25 @@ TEST(Corpus, RouteCRegisterFormulaHolds) {
 
 TEST(Corpus, Table2Dimensions) {
   const auto rep = hwcost::table2_route_c(6, 2);
-  ASSERT_EQ(rep.rows.size(), 4u);
-  auto find = [&](const std::string& name) -> const hwcost::TableRow& {
-    for (const auto& r : rep.rows)
+  ASSERT_EQ(rep.program.rule_bases.size(), 4u);
+  auto find = [&](const std::string& name) -> const rules::RuleBaseReport& {
+    for (const auto& r : rep.program.rule_bases)
       if (r.name == name) return r;
     ADD_FAILURE() << "missing rule base " << name;
-    static hwcost::TableRow dummy;
+    static rules::RuleBaseReport dummy;
     return dummy;
   };
   EXPECT_EQ(find("decide_dir").entries, 512u);     // paper: 512 x 4
   EXPECT_EQ(find("decide_vc").entries, 24u);       // paper: 4d = 24
   EXPECT_EQ(find("update_state").entries, 200u);   // paper: 180
-  EXPECT_TRUE(find("decide_dir").nft);
-  EXPECT_TRUE(find("adaptivity").nft);
-  EXPECT_FALSE(find("decide_vc").nft);
-  EXPECT_FALSE(find("update_state").nft);
+  EXPECT_TRUE(find("decide_dir").in_nft);
+  EXPECT_TRUE(find("adaptivity").in_nft);
+  EXPECT_FALSE(find("decide_vc").in_nft);
+  EXPECT_FALSE(find("update_state").in_nft);
   // "The total size of 2960 bits of rule table memory for a 64-node
   //  hypercube and a = 2 is really small." — same order of magnitude here.
-  EXPECT_GT(rep.total_table_bits, 1500);
-  EXPECT_LT(rep.total_table_bits, 6000);
+  EXPECT_GT(rep.program.total_table_bits, 1500);
+  EXPECT_LT(rep.program.total_table_bits, 6000);
 }
 
 TEST(Corpus, RouteCUpdateStatePropagates) {
@@ -742,7 +742,7 @@ TEST(Corpus, CombinedBlowupFormula) {
   EXPECT_EQ(hwcost::combined_rulebase_bits(6, 2),
             std::int64_t{1024} * 64 * 9);
   const auto rep = hwcost::table2_route_c(6, 2);
-  EXPECT_GT(hwcost::combined_rulebase_bits(6, 2), 50 * rep.total_table_bits);
+  EXPECT_GT(hwcost::combined_rulebase_bits(6, 2), 50 * rep.program.total_table_bits);
 }
 
 }  // namespace

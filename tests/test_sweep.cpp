@@ -1,3 +1,5 @@
+// The worker pool's item contract (every item once per run, the caller as
+// worker 0, a fixed item per worker when items == workers) and the
 // SweepRunner determinism contract: results are a pure function of the
 // grid (point keys + base seed), never of the thread count or of scheduling
 // order; a deadlocking replica must not stall the pool.
@@ -5,11 +7,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <string>
+#include <thread>
 
+#include "common/assert.hpp"
 #include "routing/dynamic_escape.hpp"
 #include "routing/nafta.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/sweep.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace flexrouter {
 namespace {
@@ -55,6 +63,140 @@ std::vector<SimResult> run_grid(int threads) {
   return runner.run(faulty_mesh_grid());
 }
 
+// ---------------------------------------------------------------- WorkerPool
+TEST(WorkerPool, EveryItemRunsExactlyOncePerRun) {
+  // The per-cycle use: one pool, many consecutive runs, item counts below,
+  // at and above the worker count.
+  for (const int threads : {1, 2, 4}) {
+    WorkerPool pool(threads);
+    for (const int items : {0, 1, threads - 1, threads, 3 * threads + 1}) {
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(items));
+      for (int batch = 1; batch <= 1000; ++batch) {
+        pool.run(
+            items,
+            [](void* ctx, int i) {
+              auto* r = static_cast<std::vector<std::atomic<int>>*>(ctx);
+              (*r)[static_cast<std::size_t>(i)].fetch_add(1);
+            },
+            &runs);
+        for (int i = 0; i < items; ++i)
+          ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), batch)
+              << "item " << i << " of " << items << " at " << threads
+              << " threads";
+      }
+    }
+  }
+}
+
+using ThreadIds = std::vector<std::thread::id>;
+
+void record_thread(void* ctx, int i) {
+  (*static_cast<ThreadIds*>(ctx))[static_cast<std::size_t>(i)] =
+      std::this_thread::get_id();
+}
+
+#ifdef __linux__
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+#endif
+
+TEST(WorkerPool, OneWorkerRunsEverythingOnTheCaller) {
+#ifdef __linux__
+  const int before = process_threads();
+  {
+    WorkerPool pool(1);
+    EXPECT_EQ(process_threads(), before);
+  }
+  {
+    WorkerPool pool(4);
+    EXPECT_EQ(process_threads(), before + 3);  // the caller is worker 0
+  }
+#endif
+  WorkerPool pool(1);
+  ThreadIds ids(9);
+  pool.run(9, record_thread, &ids);
+  for (const std::thread::id id : ids)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(WorkerPool, ItemsEqualWorkersKeepTheirThread) {
+  // With one item per worker, worker w runs item w in every batch (the
+  // shard step's default), and the caller runs item 0.
+  for (const int threads : {2, 4}) {
+    WorkerPool pool(threads);
+    ThreadIds first(static_cast<std::size_t>(threads));
+    pool.run(threads, record_thread, &first);
+    EXPECT_EQ(first[0], std::this_thread::get_id());
+    for (int i = 1; i < threads; ++i)
+      for (int j = 0; j < i; ++j)
+        EXPECT_NE(first[static_cast<std::size_t>(i)],
+                  first[static_cast<std::size_t>(j)]);
+    for (int batch = 0; batch < 200; ++batch) {
+      ThreadIds ids(static_cast<std::size_t>(threads));
+      pool.run(threads, record_thread, &ids);
+      ASSERT_EQ(ids, first) << "batch " << batch << " at " << threads
+                            << " threads";
+    }
+  }
+}
+
+TEST(SweepRunner, RethrowsTheLowestIndexException) {
+  // Items 3, 7 and 12 throw. Item 3 sleeps first, so on several threads
+  // it throws last in time; its exception is the one reported at every
+  // thread count.
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 16; ++i)
+      tasks.push_back([i] {
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i == 3 || i == 7 || i == 12)
+          throw std::runtime_error("task " + std::to_string(i));
+      });
+    SweepOptions opts;
+    opts.num_threads = threads;
+    SweepRunner runner(opts);
+    try {
+      runner.run_tasks(tasks);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3") << threads << " threads";
+    }
+    std::vector<SweepPoint> points(5);
+    for (std::size_t i = 0; i < points.size(); ++i)
+      points[i].run = [i](std::uint64_t) -> SimResult {
+        if (i == 1 || i == 4)
+          throw std::runtime_error("point " + std::to_string(i));
+        return {};
+      };
+    try {
+      runner.run(points);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 1") << threads << " threads";
+    }
+  }
+}
+
+TEST(SweepRunner, NestedRunThrows) {
+  // A task that calls back into its own runner gets a contract violation,
+  // rethrown from the outer call, and the runner stays usable.
+  for (const int threads : {1, 2}) {
+    SweepOptions opts;
+    opts.num_threads = threads;
+    SweepRunner runner(opts);
+    const std::vector<std::function<void()>> inner(2, [] {});
+    const std::vector<std::function<void()>> outer(
+        2, [&runner, &inner] { runner.run_tasks(inner); });
+    EXPECT_THROW(runner.run_tasks(outer), ContractViolation) << threads;
+    EXPECT_NO_THROW(runner.run_tasks(inner)) << threads;
+  }
+}
+
+// -------------------------------------------------------------- SweepRunner
 TEST(SweepSeed, StableAndSpread) {
   // The derivation is part of the determinism contract: same inputs, same
   // seed, forever.
@@ -81,26 +223,6 @@ TEST(SweepRunner, BitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(serial[i] == two[i]) << "point " << i;
     EXPECT_TRUE(serial[i] == eight[i]) << "point " << i;
   }
-}
-
-TEST(ThreadBudget, ComposesSweepAndShardThreads) {
-  // Replica parallelism absorbs the budget first; leftovers feed the shard
-  // pools; the product never exceeds the budget.
-  ThreadBudget b = compose_thread_budget(8, 3);
-  EXPECT_EQ(b.sweep_threads, 3);
-  EXPECT_EQ(b.replica_threads, 2);
-  b = compose_thread_budget(2, 8);
-  EXPECT_EQ(b.sweep_threads, 2);
-  EXPECT_EQ(b.replica_threads, 1);
-  b = compose_thread_budget(8, 1);
-  EXPECT_EQ(b.sweep_threads, 1);
-  EXPECT_EQ(b.replica_threads, 8);
-  b = compose_thread_budget(5, 5);
-  EXPECT_EQ(b.sweep_threads, 5);
-  EXPECT_EQ(b.replica_threads, 1);
-  b = compose_thread_budget(1, 100);
-  EXPECT_EQ(b.sweep_threads, 1);
-  EXPECT_EQ(b.replica_threads, 1);
 }
 
 TEST(SweepRunner, ShardedReplicasBitIdenticalUnderSweep) {
